@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -66,7 +65,7 @@ def _load_game(path: str):
 
 
 def _base_config(args, command: str) -> dict:
-    cfg = {"command": command, "threads": int(os.environ.get("ASYMDYNKIN_THREADS", "1"))}
+    cfg = {"command": command}
     for key in ("game", "equilibrium", "model", "out", "seed", "tol", "vtol", "cap",
                 "grid", "dt", "paths", "alpha", "conditional", "dump_matrix"):
         if hasattr(args, key):
@@ -216,7 +215,12 @@ def cmd_dynamics(args) -> int:
     surf_path = out / "surfaces.csv"
     if not surf_path.exists():
         raise InputError(f"surfaces: {surf_path} not found (run 'dynamics pde' first)")
-    surfaces = gameio.surfaces_from_csv(surf_path.read_text())
+    try:
+        surfaces = gameio.surfaces_from_csv(surf_path.read_text())
+    except KeyError as exc:
+        raise InputError(f"surfaces: missing column {exc.args[0]!r}")
+    except (ValueError, IndexError) as exc:
+        raise InputError(f"surfaces: {exc}")
     strategies = extract_strategies(surfaces, model, args.dt)
 
     if args.action == "extract":

@@ -6,6 +6,14 @@ Monte Carlo evaluation of the first-to-stop payoff
 
     P(tau, sigma) = f_tau 1{tau<sigma} + h_tau 1{tau=sigma} + g_sigma 1{sigma<tau}.
 
+On a tree with generating processes X (own) and Z (opponent) this becomes the
+flow f (1-Z) dX + g (1-X) dZ + h dX dZ.  Against a fixed opponent the flow is
+linear in the player's own process, so ``payoff_flows`` is the single place
+that combines payoffs with the opponent's process: it returns a (stop, run)
+pair, and ``flow_value`` integrates that pair against any own process.  Every
+exact payoff, pure-rule matrix, stop bound and drift in the tree pipeline is
+built from these two functions.
+
 Everything is node-indexed: a per-node array is automatically adapted because
 a node *is* its own history.
 """
@@ -33,6 +41,8 @@ __all__ = [
     "sample_stopping_time",
     "truncate_control",
     "realized_payoff",
+    "payoff_flows",
+    "flow_value",
     "expected_payoff_exact",
     "expected_payoff_mc",
 ]
@@ -433,6 +443,39 @@ def realized_payoff(payoffs: PayoffTriple, path: np.ndarray, tau: int, sigma: in
     return float(payoffs.g[path[sigma]])
 
 
+def payoff_flows(
+    own_first: np.ndarray,
+    opp_first: np.ndarray,
+    tie: np.ndarray,
+    opp_levels: np.ndarray,
+    opp_steps: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-node payoff flows of one player against a fixed opponent process.
+
+    Returns (stop, run): ``stop = own_first (1 - Z) + tie dZ`` is paid per
+    unit of the player's own stopping mass, ``run = opp_first dZ`` per unit
+    of its survival.  Broadcasts over leading axes, so stacked regimes or
+    stacked pure opponent rules give stacked flows.
+    """
+    return own_first * (1.0 - opp_levels) + tie * opp_steps, opp_first * opp_steps
+
+
+def flow_value(
+    reach: np.ndarray,
+    stop: np.ndarray,
+    run: np.ndarray,
+    own_levels: np.ndarray,
+    own_steps: np.ndarray,
+) -> np.ndarray:
+    """Sum over nodes of reach * (stop dX + run (1 - X)) for own process X.
+
+    With stacked own rows (R, n) and stacked flows (C, n) the result is the
+    (R, C) matrix of all pairings; 1-d arguments contract to a vector or a
+    scalar.
+    """
+    return (own_steps * reach) @ stop.T + ((1.0 - own_levels) * reach) @ run.T
+
+
 def _exact_single(
     tree: FiltrationTree,
     f: np.ndarray,
@@ -445,12 +488,8 @@ def _exact_single(
     # both levels are 1 there, leaving the h-tie term
     tree.check_nodes(xi.levels, "xi")
     tree.check_nodes(zeta.levels, "zeta")
-    integrand = (
-        f * (1.0 - zeta.levels) * xi.steps
-        + g * (1.0 - xi.levels) * zeta.steps
-        + h * xi.steps * zeta.steps
-    )
-    return float(np.dot(tree.reach, integrand))
+    stop, run = payoff_flows(f, g, h, zeta.levels, zeta.steps)
+    return float(flow_value(tree.reach, stop, run, xi.levels, xi.steps))
 
 
 def expected_payoff_exact(

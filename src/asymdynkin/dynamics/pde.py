@@ -56,7 +56,13 @@ class PDEGrid:
 
     def __post_init__(self):
         for name in ("t", "pi", "x"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            pts = np.asarray(getattr(self, name), dtype=float)
+            object.__setattr__(self, name, pts)
+            # the operator, the lookups and StrategyMap all assume one step per
+            # axis; the slack absorbs linspace and repr round-trip rounding
+            step = (pts[-1] - pts[0]) / (pts.size - 1) if pts.size > 1 else 0.0
+            if not step > 0.0 or np.any(np.abs(np.diff(pts) - step) > 1e-9 * step):
+                raise ValueError(f"{name} grid needs at least two increasing, uniformly spaced points")
         if self.pi.size % 2 == 0:
             raise ValueError("pi grid must have an odd number of points")
         if abs(self.pi[0]) > 1e-14 or abs(self.pi[-1] - 1.0) > 1e-14:

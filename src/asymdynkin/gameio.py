@@ -72,9 +72,9 @@ def game_from_dict(data: dict) -> ScenarioGame:
     h = np.asarray(pay["h"], dtype=float)
     if f.ndim == 1:
         f, g, h = (np.stack([a, a]) for a in (f, g, h))
-    payoffs = PayoffTriple(f=f, g=g, h=h)
-    payoffs.validate(tree)
-    game = ScenarioGame(tree, payoffs, float(data["prior"]))
+    # build the game first so a wrong regime count reports as a shape error
+    game = ScenarioGame(tree, PayoffTriple(f=f, g=g, h=h), float(data["prior"]))
+    game.payoffs.validate(tree)
     return game
 
 

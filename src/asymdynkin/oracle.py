@@ -10,7 +10,9 @@ The pair payoff A[(t0,t1), s] = (1-prior) B0[t0,s] + prior B1[t1,s] is
 additively separable across regimes, so mixing over pairs is payoff-equivalent
 to mixing the marginals: the production solver works in marginal space
 (2R+1 LP variables instead of R^2) while ``build_matrix``/``solve_zero_sum``
-keep the explicit pair form for cross-checks.
+keep the explicit pair form for cross-checks.  Both forms go through one LP
+routine, min v s.t. sum_k w_k B_k^T mu_k <= v over k row mixes: the pair form
+is k = 1 with weight 1, the marginal form k = 2 with the prior weights.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .core import FiltrationTree, GeneratingProcess, StoppingRule
+from .core import FiltrationTree, GeneratingProcess, StoppingRule, flow_value, payoff_flows
 from .scenario import ScenarioGame, StrategyProfile
 
 __all__ = [
@@ -118,17 +120,12 @@ def enumerate_stopping_rules(tree: FiltrationTree, cap: int = DEFAULT_CAP) -> Ru
 
 def regime_matrices(game: ScenarioGame, rules: RuleSet) -> tuple[np.ndarray, np.ndarray]:
     """Exact pure-vs-pure payoff matrices B_i[tau, sigma], one per regime."""
-    tree, pay = game.tree, game.payoffs
+    pay = game.payoffs
     S, L = rules.stop_matrix, rules.level_matrix
-    reach = tree.reach
     out = []
     for i in range(2):
-        b = (
-            (S * (reach * pay.f[i])) @ (1.0 - L).T
-            + (S * (reach * pay.h[i])) @ S.T
-            + ((1.0 - L) * (reach * pay.g[i])) @ S.T
-        )
-        out.append(b)
+        stop, run = payoff_flows(pay.f[i], pay.g[i], pay.h[i], L, S)
+        out.append(flow_value(game.tree.reach, stop, run, L, S))
     return out[0], out[1]
 
 
@@ -184,46 +181,52 @@ def _clean_mix(x: np.ndarray) -> np.ndarray:
     return x / s
 
 
-def solve_zero_sum(a: np.ndarray, gap_tol: float = GAP_TOL) -> MixedSolution:
-    """Exact minimax of a matrix game; the row player minimizes.
+def _solve_mixes(blocks: list[np.ndarray], weights, gap_tol: float):
+    """Solve min v s.t. sum_k w_k B_k^T mu_k <= v, each mu_k a distribution.
 
-    Solves min v s.t. A^T mu <= v, sum mu = 1 by HiGHS dual simplex; the
-    column mix is read off the inequality duals.  One re-solve with presolve
-    off refines the solution if the recomputed gap is not closed.
+    HiGHS dual simplex; the column mix is read off the inequality duals.  One
+    re-solve with presolve off refines the solution if the recomputed gap is
+    not closed.  Returns (value, [mu_k], column mix, gap).
     """
-    a = np.asarray(a, dtype=float)
-    n_rows, n_cols = a.shape
-
-    def attempt(presolve: bool) -> MixedSolution:
-        c = np.zeros(n_rows + 1)
-        c[-1] = 1.0
-        a_ub = np.hstack([a.T, -np.ones((n_cols, 1))])
-        a_eq = np.ones((1, n_rows + 1))
-        a_eq[0, -1] = 0.0
+    edges = np.cumsum([0] + [b.shape[0] for b in blocks])
+    spans = list(zip(edges[:-1], edges[1:]))
+    n_vars, n_cols = int(edges[-1]) + 1, blocks[0].shape[1]
+    c = np.zeros(n_vars)
+    c[-1] = 1.0
+    a_ub = np.hstack([w * b.T for w, b in zip(weights, blocks)] + [-np.ones((n_cols, 1))])
+    a_eq = np.zeros((len(blocks), n_vars))
+    for k, (lo, hi) in enumerate(spans):
+        a_eq[k, lo:hi] = 1.0
+    for presolve in (True, False):
         res = linprog(
             c,
             A_ub=a_ub,
             b_ub=np.zeros(n_cols),
             A_eq=a_eq,
-            b_eq=[1.0],
-            bounds=[(0, None)] * n_rows + [(None, None)],
+            b_eq=np.ones(len(blocks)),
+            bounds=[(0, None)] * (n_vars - 1) + [(None, None)],
             method="highs-ds",
             options=dict(_LP_OPTIONS, presolve=presolve),
         )
         if not res.success:
             raise NumericalFailure(f"LP solver failed: {res.message}")
-        row_mix = _clean_mix(res.x[:n_rows])
+        mixes = [_clean_mix(res.x[lo:hi]) for lo, hi in spans]
         col_mix = _clean_mix(-res.ineqlin.marginals)
-        upper = float((row_mix @ a).max())
-        lower = float((a @ col_mix).min())
-        return MixedSolution(float(res.x[-1]), row_mix, col_mix, abs(upper - lower))
+        upper = float(sum(w * (mu @ b) for w, mu, b in zip(weights, mixes, blocks)).max())
+        lower = float(sum(w * (b @ col_mix).min() for w, b in zip(weights, blocks)))
+        gap = abs(upper - lower)
+        if gap <= gap_tol:
+            return float(res.x[-1]), mixes, col_mix, gap
+    raise NumericalFailure(f"duality gap {gap} above {gap_tol}")
 
-    sol = attempt(presolve=True)
-    if sol.gap > gap_tol:
-        sol = attempt(presolve=False)
-    if sol.gap > gap_tol:
-        raise NumericalFailure(f"duality gap {sol.gap} above {gap_tol}")
-    return sol
+
+def solve_zero_sum(a: np.ndarray, gap_tol: float = GAP_TOL) -> MixedSolution:
+    """Exact minimax of a matrix game; the row player minimizes.
+
+    Solves min v s.t. A^T mu <= v, sum mu = 1 (see ``_solve_mixes``).
+    """
+    value, (row_mix,), col_mix, gap = _solve_mixes([np.asarray(a, dtype=float)], [1.0], gap_tol)
+    return MixedSolution(value, row_mix, col_mix, gap)
 
 
 def pure_gap(a: np.ndarray) -> tuple[float, float, float]:
@@ -275,38 +278,5 @@ def solve_scenario(
     """
     rules = enumerate_stopping_rules(game.tree, cap)
     b0, b1 = regime_matrices(game, rules)
-    r = len(rules)
-    w0, w1 = 1.0 - game.prior, game.prior
-
-    def attempt(presolve: bool) -> ScenarioSolution:
-        c = np.zeros(2 * r + 1)
-        c[-1] = 1.0
-        a_ub = np.hstack([w0 * b0.T, w1 * b1.T, -np.ones((r, 1))])
-        a_eq = np.zeros((2, 2 * r + 1))
-        a_eq[0, :r] = 1.0
-        a_eq[1, r : 2 * r] = 1.0
-        res = linprog(
-            c,
-            A_ub=a_ub,
-            b_ub=np.zeros(r),
-            A_eq=a_eq,
-            b_eq=[1.0, 1.0],
-            bounds=[(0, None)] * (2 * r) + [(None, None)],
-            method="highs-ds",
-            options=dict(_LP_OPTIONS, presolve=presolve),
-        )
-        if not res.success:
-            raise NumericalFailure(f"LP solver failed: {res.message}")
-        mu0 = _clean_mix(res.x[:r])
-        mu1 = _clean_mix(res.x[r : 2 * r])
-        nu = _clean_mix(-res.ineqlin.marginals)
-        upper = float((w0 * (mu0 @ b0) + w1 * (mu1 @ b1)).max())
-        lower = float(w0 * (b0 @ nu).min() + w1 * (b1 @ nu).min())
-        return ScenarioSolution(float(res.x[-1]), mu0, mu1, nu, abs(upper - lower), rules)
-
-    sol = attempt(presolve=True)
-    if sol.gap > gap_tol:
-        sol = attempt(presolve=False)
-    if sol.gap > gap_tol:
-        raise NumericalFailure(f"duality gap {sol.gap} above {gap_tol}")
-    return sol
+    value, (mu0, mu1), nu, gap = _solve_mixes([b0, b1], game.weights, gap_tol)
+    return ScenarioSolution(value, mu0, mu1, nu, gap, rules)

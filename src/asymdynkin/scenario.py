@@ -23,6 +23,8 @@ from .core import (
     GeneratingProcess,
     PayoffTriple,
     ShapeMismatchError,
+    flow_value,
+    payoff_flows,
     validate_generating,
 )
 
@@ -57,6 +59,9 @@ class ScenarioGame:
     def __post_init__(self):
         if not self.payoffs.per_regime:
             raise ValueError("scenario games need regime-indexed payoffs (2, n_nodes)")
+        pay = self.payoffs
+        if any(a.ndim != 2 or a.shape[0] != 2 for a in (pay.f, pay.g, pay.h)):
+            raise ShapeMismatchError("scenario payoffs need exactly two regime rows (2, n_nodes)")
         if not 0.0 <= self.prior <= 1.0:
             raise ValueError("prior must lie in [0, 1]")
 
@@ -137,37 +142,36 @@ class ValueSurfaces:
         return self.u_hat[:, 0].copy(), float(self.v_hat[0])
 
 
-def _stop_bounds(game: ScenarioGame, profile: StrategyProfile):
-    """Immediate-stop values: per-incarnation and belief-averaged."""
+def _informed_flows(game: ScenarioGame, zeta: GeneratingProcess):
+    """(stop, run) flows of both informed incarnations against ``zeta``, (2, n) each."""
+    pay = game.payoffs
+    return payoff_flows(pay.f, pay.g, pay.h, zeta.levels, zeta.steps)
+
+
+def _uninformed_flows(game: ScenarioGame, profile: StrategyProfile):
+    """Prior-weighted (stop, run) flows of the uninformed player against (xi0, xi1)."""
     pay, w = game.payoffs, game.weights
-    zl, zs = profile.zeta.levels, profile.zeta.steps
-    stop_u = np.stack(
-        [pay.f[i] * (1.0 - zl) + pay.h[i] * zs for i in range(2)]
-    )
-    stop_v = sum(
-        w[i] * (pay.g[i] * (1.0 - profile.xi(i).levels) + pay.h[i] * profile.xi(i).steps)
-        for i in range(2)
-    )
-    return stop_u, stop_v
+    levels = np.stack([profile.xi0.levels, profile.xi1.levels])
+    steps = np.stack([profile.xi0.steps, profile.xi1.steps])
+    stop, run = payoff_flows(pay.g, pay.f, pay.h, levels, steps)
+    return w @ stop, w @ run
 
 
 def best_response_values(game: ScenarioGame, profile: StrategyProfile) -> ValueSurfaces:
     """Backward recursion for both players' best responses to ``profile``.
 
-    Informed incarnation i (zeta fixed): at a leaf the remaining value is
-    h_i * dzeta; inside, min(stop, g_i * dzeta + E[next]).  Uninformed
-    (xi0, xi1 fixed): max of the prior-averaged stop bound against
+    Informed incarnation i (zeta fixed): at a leaf the stop value (h_i *
+    dzeta, as zeta is 1 there); inside, min(stop, g_i * dzeta + E[next]).
+    Uninformed (xi0, xi1 fixed): max of the prior-averaged stop bound against
     sum_i pi_i f_i dxi_i + E[next].  Ties prefer continuation.
     """
-    tree, pay, w = game.tree, game.payoffs, game.weights
+    tree, w = game.tree, game.weights
     n = tree.n_nodes
     if profile.zeta.n_nodes != n or profile.xi0.n_nodes != n or profile.xi1.n_nodes != n:
         raise ShapeMismatchError("profile node count disagrees with game tree")
 
-    zs = profile.zeta.steps
-    stop_u, stop_v = _stop_bounds(game, profile)
-    cont_u_flow = np.stack([pay.g[i] * zs for i in range(2)])
-    cont_v_flow = sum(w[i] * pay.f[i] * profile.xi(i).steps for i in range(2))
+    stop_u, run_u = _informed_flows(game, profile.zeta)
+    stop_v, run_v = _uninformed_flows(game, profile)
 
     u_hat = np.zeros((2, n))
     v_hat = np.zeros(n)
@@ -177,16 +181,16 @@ def best_response_values(game: ScenarioGame, profile: StrategyProfile) -> ValueS
     for node in range(n - 1, -1, -1):
         kids = tree.children[node]
         if kids.size == 0:
-            u_hat[:, node] = pay.h[:, node] * zs[node]
+            u_hat[:, node] = stop_u[:, node]
             v_hat[node] = stop_v[node]
             continue
         pk = tree.prob[kids]
         for i in range(2):
-            cont = cont_u_flow[i, node] + float(np.dot(pk, u_hat[i, kids]))
+            cont = run_u[i, node] + float(np.dot(pk, u_hat[i, kids]))
             stop = stop_u[i, node]
             informed_stops[i, node] = stop < cont
             u_hat[i, node] = min(stop, cont)
-        cont_v = cont_v_flow[node] + float(np.dot(pk, v_hat[kids]))
+        cont_v = run_v[node] + float(np.dot(pk, v_hat[kids]))
         uninformed_stops[node] = stop_v[node] > cont_v
         v_hat[node] = max(stop_v[node], cont_v)
 
@@ -281,34 +285,14 @@ class MartingaleReport:
         )
 
 
-def _m_drift_for_xi(game, profile, surfaces, xi_pair) -> np.ndarray:
-    """Drift of the informed-side system for an arbitrary strategy pair."""
-    tree, pay = game.tree, game.payoffs
-    zl, zs = profile.zeta.levels, profile.zeta.steps
-    out = np.zeros((2, tree.n_nodes))
-    for i in range(2):
-        xi = xi_pair[i]
-        inc = ((1.0 - zl) * pay.f[i] + pay.h[i] * zs) * xi.steps + (1.0 - xi.levels) * pay.g[i] * zs
-        acc = tree.accumulate_before(inc)
-        m = acc + (1.0 - xi.pre_levels(tree)) * surfaces.u_hat[i]
-        out[i] = _drift(tree, m)
-    return out
+def _override_drift(tree: FiltrationTree, stop, run, own: GeneratingProcess, value_hat) -> np.ndarray:
+    """Drift of (payoff flow of ``own`` before t) + (1 - own_pre) * value_hat.
 
-
-def _n_drift_for_zeta(game, profile, surfaces, zeta) -> np.ndarray:
-    tree, pay, w = game.tree, game.payoffs, game.weights
-    zl, zs = zeta.levels, zeta.steps
-    inc = sum(
-        w[i]
-        * (
-            ((1.0 - zl) * pay.f[i] + pay.h[i] * zs) * profile.xi(i).steps
-            + (1.0 - profile.xi(i).levels) * pay.g[i] * zs
-        )
-        for i in range(2)
-    )
-    acc = tree.accumulate_before(inc)
-    n = acc + (1.0 - zeta.pre_levels(tree)) * surfaces.v_hat
-    return _drift(tree, n)
+    ``stop``/``run`` are one player's flows against the fixed opponent, so
+    this serves either side with an arbitrary candidate strategy ``own``.
+    """
+    inc = stop * own.steps + run * (1.0 - own.levels)
+    return _drift(tree, tree.accumulate_before(inc) + (1.0 - own.pre_levels(tree)) * value_hat)
 
 
 def martingale_report(
@@ -320,25 +304,24 @@ def martingale_report(
     tol: float = DEFAULT_TOL,
 ) -> MartingaleReport:
     """Exact drift classification of the M/N systems at every node."""
-    tree, pay, w = game.tree, game.payoffs, game.weights
-    zs = profile.zeta.steps
+    tree = game.tree
+    stop_u, run_u = _informed_flows(game, profile.zeta)
+    stop_v, run_v = _uninformed_flows(game, profile)
 
-    g_acc = np.stack([tree.accumulate_before(pay.g[i] * zs) for i in range(2)])
-    m0 = g_acc + surfaces.u_hat
-    f_acc = tree.accumulate_before(
-        sum(w[i] * pay.f[i] * profile.xi(i).steps for i in range(2))
+    m0_drift = np.stack(
+        [_drift(tree, tree.accumulate_before(run_u[i]) + surfaces.u_hat[i]) for i in range(2)]
     )
-    n0 = f_acc + surfaces.v_hat
-
-    m0_drift = np.stack([_drift(tree, m0[i]) for i in range(2)])
-    n0_drift = _drift(tree, n0)
+    n0_drift = _drift(tree, tree.accumulate_before(run_v) + surfaces.v_hat)
 
     m_over = None
     if xi_override is not None:
-        m_over = _m_drift_for_xi(game, profile, surfaces, xi_override)
+        m_over = np.stack([
+            _override_drift(tree, stop_u[i], run_u[i], xi_override[i], surfaces.u_hat[i])
+            for i in range(2)
+        ])
     n_over = None
     if zeta_override is not None:
-        n_over = _n_drift_for_zeta(game, profile, surfaces, zeta_override)
+        n_over = _override_drift(tree, stop_v, run_v, zeta_override, surfaces.v_hat)
 
     return MartingaleReport(
         m0_drift=m0_drift,
@@ -396,9 +379,8 @@ def support_report(
     game: ScenarioGame, profile: StrategyProfile, surfaces: ValueSurfaces
 ) -> SupportReport:
     tree = game.tree
-    stop_u, stop_v = _stop_bounds(game, profile)
-    z = surfaces.u_hat - stop_u
-    y2 = surfaces.v_hat - stop_v
+    z = surfaces.u_hat - _informed_flows(game, profile.zeta)[0]
+    y2 = surfaces.v_hat - _uninformed_flows(game, profile)[0]
 
     contrib_inf = z[0] * profile.xi0.steps + z[1] * profile.xi1.steps
     contrib_uni = y2 * profile.zeta.steps
@@ -429,24 +411,15 @@ def ex_ante_check(
     uninformed value surface.  The two agree (to rounding) at equilibrium;
     at the root the check reduces to |E[P(xi, zeta)] - v_hat(root)|.
     """
-    tree, pay, w = game.tree, game.payoffs, game.weights
+    tree = game.tree
     rel = np.zeros(tree.n_nodes)
     rel[node] = 1.0
     for m in range(node + 1, tree.n_nodes):
         par = tree.parent[m]
         if rel[par] > 0.0:
             rel[m] = rel[par] * tree.prob[m]
-    zl, zs = profile.zeta.levels, profile.zeta.steps
-    flow = sum(
-        w[i]
-        * (
-            pay.f[i] * (1.0 - zl) * profile.xi(i).steps
-            + pay.g[i] * (1.0 - profile.xi(i).levels) * zs
-            + pay.h[i] * profile.xi(i).steps * zs
-        )
-        for i in range(2)
-    )
-    lhs = float(np.dot(rel, flow))
+    stop, run = _uninformed_flows(game, profile)
+    lhs = float(flow_value(rel, stop, run, profile.zeta.levels, profile.zeta.steps))
     rhs = float((1.0 - profile.zeta.pre_levels(tree)[node]) * surfaces.v_hat[node])
     return abs(lhs - rhs)
 
@@ -478,7 +451,7 @@ def certify_mart(
     the stop bounds wherever the respective survival is positive, and (v) the
     root values match across players.  Certified implies value = V at root.
     """
-    tree, pay, w = game.tree, game.payoffs, game.weights
+    tree, w = game.tree, game.weights
     report = martingale_report(game, profile, surfaces, tol=tol)
     violations: list[tuple[str, int, float]] = []
     internal = np.flatnonzero(report.internal)
@@ -494,7 +467,8 @@ def certify_mart(
             violations.append(("(ii) N0 supermartingale", int(node), float(d)))
 
     zeta_pre = profile.zeta.pre_levels(tree)
-    stop_u, stop_v = _stop_bounds(game, profile)
+    stop_u = _informed_flows(game, profile.zeta)[0]
+    stop_v = _uninformed_flows(game, profile)[0]
     alive_u = zeta_pre < 1.0 - 1e-12
     for i in range(2):
         resid = (surfaces.u_hat[i] - stop_u[i]) / np.maximum(1.0 - zeta_pre, _SURVIVAL_FLOOR)
@@ -534,7 +508,7 @@ def certify_stop(
     """
     from .oracle import RuleSet, enumerate_stopping_rules  # local to avoid a cycle
 
-    tree, pay, w = game.tree, game.payoffs, game.weights
+    tree, w = game.tree, game.weights
     if u_root is None or v_root is None:
         if surfaces is None:
             raise ValueError("need either root values or surfaces")
@@ -543,24 +517,16 @@ def certify_stop(
 
     rules: RuleSet = enumerate_stopping_rules(tree, cap)
     S, L = rules.stop_matrix, rules.level_matrix
-    reach = tree.reach
-    zl, zs = profile.zeta.levels, profile.zeta.steps
     violations: list[tuple[str, int, float]] = []
 
+    stop_u, run_u = _informed_flows(game, profile.zeta)
+    vals_u = flow_value(tree.reach, stop_u, run_u, L, S)
     for i in range(2):
-        a = reach * (pay.f[i] * (1.0 - zl) + pay.h[i] * zs)
-        b = reach * (pay.g[i] * zs)
-        vals = S @ a + (1.0 - L) @ b
-        bad = np.flatnonzero(vals < u_root[i] - tol)
-        for r in bad:
-            violations.append((f"(i) pure tau regime {i}", int(r), float(vals[r] - u_root[i])))
+        for r in np.flatnonzero(vals_u[:, i] < u_root[i] - tol):
+            violations.append((f"(i) pure tau regime {i}", int(r), float(vals_u[r, i] - u_root[i])))
 
-    a2 = reach * sum(
-        w[i] * (pay.g[i] * (1.0 - profile.xi(i).levels) + pay.h[i] * profile.xi(i).steps)
-        for i in range(2)
-    )
-    b2 = reach * sum(w[i] * pay.f[i] * profile.xi(i).steps for i in range(2))
-    vals = S @ a2 + (1.0 - L) @ b2
+    stop_v, run_v = _uninformed_flows(game, profile)
+    vals = flow_value(tree.reach, stop_v, run_v, L, S)
     for r in np.flatnonzero(vals > v_root + tol):
         violations.append(("(ii) pure sigma", int(r), float(vals[r] - v_root)))
 

@@ -110,6 +110,16 @@ class TestVerifyCommand:
         ])
         assert rc == 2
 
+    def test_one_regime_row_exits_2(self, game_file, tmp_path, capsys):
+        path, _ = game_file
+        data = json.loads(path.read_text())
+        for key in ("f", "g", "h"):
+            data["payoffs"][key] = data["payoffs"][key][:1]
+        path.write_text(json.dumps(data))
+        rc = main(["oracle", "--game", str(path), "--out", str(tmp_path / "eq")])
+        assert rc == 2
+        assert "two regime rows" in capsys.readouterr().err
+
 
 class TestDynamicsCommands:
     def test_simulate_w_zero_constant_psi(self, tmp_path):
@@ -155,6 +165,32 @@ class TestDynamicsCommands:
             "--out", str(tmp_path / "nowhere"),
         ])
         assert rc == 2
+
+    @pytest.mark.parametrize("damage", ["truncated", "uneven_x"])
+    def test_malformed_surfaces_exits_2(self, model_file, tmp_path, capsys, damage):
+        out = tmp_path / "d"
+        assert main(["dynamics", "pde", "--model", str(model_file), "--grid", "11x5x21",
+                     "--out", str(out)]) == 0
+        text = (out / "surfaces.csv").read_text()
+        if damage == "truncated":
+            text = text[: len(text) // 2]
+        else:
+            # move the second x node wherever it occurs: a consistent, non-uniform grid
+            lines = text.splitlines()
+            start = lines.index("t,pi,x,u0,u1,v,in_S0,in_S1,in_S") + 1
+            x1 = lines[start + 1].split(",")[2]
+            for k in range(start, len(lines)):
+                cols = lines[k].split(",")
+                if cols[2] == x1:
+                    cols[2] = repr(float(x1) + 0.05)
+                    lines[k] = ",".join(cols)
+            text = "\n".join(lines) + "\n"
+        (out / "surfaces.csv").write_text(text)
+        capsys.readouterr()
+        rc = main(["dynamics", "extract", "--model", str(model_file), "--dt", "0.05",
+                   "--paths", "5", "--seed", "1", "--out", str(out)])
+        assert rc == 2
+        assert "surfaces:" in capsys.readouterr().err
 
     def test_missing_payoffs_named(self, tmp_path, capsys):
         data = {"mu0": "0.1", "mu1": "0.2", "sigma": "0.5",

@@ -24,6 +24,15 @@ from asymdynkin.oracle import (
 )
 from asymdynkin.scenario import ScenarioGame, certify_stop
 
+from helpers import brute_force_expected
+
+
+def _single_path_game(seed: int, prior: float) -> ScenarioGame:
+    rng = np.random.default_rng(seed)
+    tree = single_path_tree(3)
+    vals = np.sort(rng.uniform(-1.0, 1.0, size=(2, tree.n_nodes, 3)), axis=-1)
+    return ScenarioGame(tree, PayoffTriple(f=vals[..., 2], g=vals[..., 0], h=vals[..., 1]), prior)
+
 
 class TestEnumeration:
     def test_single_path_counts(self):
@@ -89,6 +98,23 @@ class TestBuildMatrix:
             n=100_000, device=RandomDevice(5), prior=game.prior,
         )
         assert abs(est - exact) <= 4 * max(se, 1e-6)
+
+    @pytest.mark.parametrize("game", [
+        random_scenario_game(2, seed=3, prior=0.2),
+        random_scenario_game(2, seed=17, prior=0.4),
+        random_scenario_game(2, seed=29, prior=0.8),
+        _single_path_game(seed=8, prior=0.35),
+    ], ids=["binary-3", "binary-17", "binary-29", "single-path"])
+    def test_regime_matrices_match_brute_force(self, game):
+        # every pure pair in both regimes, against plain (path, tau, sigma) enumeration
+        rules = enumerate_stopping_rules(game.tree)
+        procs = [rule.to_generating(game.tree) for rule in rules.rules]
+        for i, b in enumerate(regime_matrices(game, rules)):
+            ref = np.array([
+                [brute_force_expected(game.tree, game.payoffs.regime(i), xi, zeta) for zeta in procs]
+                for xi in procs
+            ])
+            np.testing.assert_allclose(b, ref, rtol=0.0, atol=1e-13)
 
 
 class TestSolveZeroSum:
