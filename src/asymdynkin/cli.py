@@ -27,6 +27,7 @@ from .dynamics import (
     simulate_regime_paths,
 )
 from .dynamics.model import model_from_dict, parse_expression
+from .dynamics.simulate import _time_axis
 from .oracle import EnumerationCapExceeded, solve_scenario
 from .scenario import (
     best_response_values,
@@ -166,7 +167,7 @@ def _load_model(path: str):
             raise InputError(f"model: missing field {field!r}")
     try:
         return model_from_dict(data), data
-    except ValueError as exc:
+    except (ValueError, TypeError, IndexError) as exc:
         raise InputError(f"model: {exc}")
 
 
@@ -174,7 +175,10 @@ def _payoff_callables(data: dict):
     missing = [k for k in ("f", "g", "h") if k not in data]
     if missing:
         raise InputError(f"model: missing payoff field {missing[0]!r} (needed for pde/verify)")
-    fs = {k: parse_expression(data[k]) for k in ("f", "g", "h")}
+    try:
+        fs = {k: parse_expression(data[k]) for k in ("f", "g", "h")}
+    except (ValueError, TypeError) as exc:
+        raise InputError(f"model: payoff expression: {exc}")
     return (
         lambda t, x: fs["f"](x) + 0.0 * np.asarray(t),
         lambda t, x: fs["g"](x) + 0.0 * np.asarray(t),
@@ -188,6 +192,13 @@ def cmd_dynamics(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     cfg = _base_config(args, f"dynamics {args.action}")
     meta = {"seed": args.seed, "dt": args.dt, "grid": args.grid}
+    if args.action != "pde":
+        try:
+            _time_axis(model, args.dt)
+        except ValueError as exc:
+            raise InputError(f"dt: {exc}")
+        if args.paths < 1:
+            raise InputError("paths: need at least one path")
 
     if args.action == "simulate":
         device = RandomDevice(seed=args.seed)
@@ -203,7 +214,10 @@ def cmd_dynamics(args) -> int:
     if args.action == "pde":
         f, g, h = _payoff_callables(data)
         mt, mpi, mx = _parse_grid(args.grid)
-        grid = PDEGrid.regular(model.horizon, model.domain, mt, mpi, mx)
+        try:
+            grid = PDEGrid.regular(model.horizon, model.domain, mt, mpi, mx)
+        except ValueError as exc:
+            raise InputError(f"grid: {exc}")
         surfaces = pde_solve_system(model, f, g, h, grid, slice_tol=args.tol)
         (out / "surfaces.csv").write_text(gameio.surfaces_csv(surfaces, meta))
         gameio.write_json(out / "pde_meta.json",

@@ -8,8 +8,10 @@ motion, giving the generator
 
 Conditioning on the regime tilts the innovation by +w(1-psi) (regime 1) or
 -w psi (regime 0), which replaces the X-drift by mu_1 / mu_0 and adds the
-psi-drift +w^2 pi (1-pi)^2 / -w^2 pi^2 (1-pi).  These forms are validated
-against one-step Monte Carlo drifts by ``generator_check``.
+psi-drift +w^2 pi (1-pi)^2 / -w^2 pi^2 (1-pi).  The coefficients come from
+``model.generator_coefficients``, the same function the PDE operator is
+assembled from, so ``generator_check`` validates the PDE's generator against
+one-step Monte Carlo drifts.
 """
 
 from __future__ import annotations
@@ -20,12 +22,10 @@ from typing import Callable
 import numpy as np
 
 from ..core import RandomDevice
-from .model import DiffusionModel
+from .model import DiffusionModel, filter_step, generator_coefficients
 
 __all__ = ["TestFunction", "analytic_generator", "mc_generator_drift", "generator_check",
            "standard_test_functions"]
-
-MODES = ("observation", "regime-0", "regime-1")
 
 
 @dataclass(frozen=True)
@@ -75,27 +75,11 @@ def analytic_generator(
     model: DiffusionModel, phi: TestFunction, pi: float, x: float, mode: str
 ) -> float:
     """Evaluate the generator of the requested mode at an interior point."""
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
-    w = float(model.w(x))
-    s = float(np.asarray(model.sigma(x)))
-    if mode == "observation":
-        drift_x = float(model.mu_bar(x, pi))
-        drift_pi = 0.0
-    elif mode == "regime-1":
-        drift_x = float(np.asarray(model.mu1(x)))
-        drift_pi = w**2 * pi * (1.0 - pi) ** 2
-    else:
-        drift_x = float(np.asarray(model.mu0(x)))
-        drift_pi = -(w**2) * pi**2 * (1.0 - pi)
-    val = (
-        drift_x * float(phi.dx(pi, x))
-        + 0.5 * s**2 * float(phi.dxx(pi, x))
-        + drift_pi * float(phi.dpi(pi, x))
-        + 0.5 * w**2 * pi**2 * (1.0 - pi) ** 2 * float(phi.dpipi(pi, x))
-        + s * w * pi * (1.0 - pi) * float(phi.dxpi(pi, x))
+    b_x, b_pi, a_x, a_pi, c = generator_coefficients(model, pi, x, mode)
+    return float(
+        b_x * phi.dx(pi, x) + a_x * phi.dxx(pi, x) + b_pi * phi.dpi(pi, x)
+        + a_pi * phi.dpipi(pi, x) + c * phi.dxpi(pi, x)
     )
-    return val
 
 
 def mc_generator_drift(
@@ -116,15 +100,12 @@ def mc_generator_drift(
     rng = device.generator()
     dw = rng.standard_normal(n) * np.sqrt(dt)
     s = float(np.asarray(model.sigma(x)))
-    w = float(model.w(x))
+    x1 = x + float(generator_coefficients(model, pi, x, mode)[0]) * dt + s * dw
     if mode == "observation":
         db = dw
-        x1 = x + float(model.mu_bar(x, pi)) * dt + s * db
     else:
-        mu = float(np.asarray(model.mu1(x))) if mode == "regime-1" else float(np.asarray(model.mu0(x)))
-        x1 = x + mu * dt + s * dw
         db = (x1 - x - float(model.mu_bar(x, pi)) * dt) / s
-    psi1 = np.clip(pi + w * pi * (1.0 - pi) * db, 0.0, 1.0)
+    psi1 = np.clip(filter_step(model, x, pi, db), 0.0, 1.0)
     vals = (np.asarray(phi.value(psi1, x1), dtype=float) - float(phi.value(pi, x))) / dt
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n))
 

@@ -1,4 +1,11 @@
-"""Diffusion-with-hidden-drift models and their JSON expression grammar."""
+"""Diffusion-with-hidden-drift models and their JSON expression grammar.
+
+This module is the one home of the diffusion math that the simulators, the
+PDE and the generator checks share: ``generator_coefficients`` gives the
+coefficients of the (X, psi) generator in each mode of ``MODES``, and
+``filter_step`` is the Euler update psi + w(X) psi (1 - psi) dB of the
+filter SDE.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +15,10 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["DiffusionModel", "parse_expression", "model_from_dict", "model_to_dict"]
+__all__ = ["DiffusionModel", "MODES", "parse_expression", "model_from_dict", "model_to_dict",
+           "generator_coefficients", "filter_step"]
+
+MODES = ("observation", "regime-0", "regime-1")
 
 _TOKEN = re.compile(r"\s*(?:(\d+\.?\d*(?:[eE][+-]?\d+)?)|(x)|(tanh)|([()+\-*]))")
 
@@ -126,6 +136,39 @@ class DiffusionModel:
     def mu_bar(self, x, psi) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         return np.asarray(self.mu0(x)) * (1.0 - psi) + np.asarray(self.mu1(x)) * psi
+
+
+def generator_coefficients(model: DiffusionModel, pi, x, mode: str) -> tuple:
+    """(b_x, b_pi, a_x, a_pi, c) of L phi = b_x phi_x + b_pi phi_pi + a_x phi_xx
+    + a_pi phi_pipi + c phi_xpi in one mode of ``MODES``, broadcast over pi, x.
+
+    Under the observation measure X drifts with mu_bar and psi has no drift;
+    conditioning on a regime tilts the innovation by +w (1-pi) (regime 1) or
+    -w pi (regime 0).
+    """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
+    pi = np.asarray(pi, dtype=float)
+    x = np.asarray(x, dtype=float)
+    shape = np.broadcast_shapes(pi.shape, x.shape)
+    sig = np.asarray(model.sigma(x), dtype=float)
+    w = np.asarray(model.w(x), dtype=float)
+    if mode == "observation":
+        drift_x = model.mu_bar(x, pi)
+        drift_pi = np.zeros(shape)
+    elif mode == "regime-1":
+        drift_x = np.broadcast_to(np.asarray(model.mu1(x), dtype=float), shape)
+        drift_pi = w**2 * pi * (1.0 - pi) ** 2
+    else:
+        drift_x = np.broadcast_to(np.asarray(model.mu0(x), dtype=float), shape)
+        drift_pi = -(w**2) * pi**2 * (1.0 - pi)
+    half_var_pi = 0.5 * w**2 * pi**2 * (1.0 - pi) ** 2
+    return drift_x, drift_pi, 0.5 * sig**2, half_var_pi, sig * w * pi * (1.0 - pi)
+
+
+def filter_step(model: DiffusionModel, x, psi, db):
+    """Unclamped Euler step psi + w(x) psi (1 - psi) dB of the filter SDE."""
+    return psi + model.w(x) * psi * (1.0 - psi) * db
 
 
 def model_from_dict(data: dict) -> DiffusionModel:

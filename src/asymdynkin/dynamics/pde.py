@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .model import DiffusionModel
+from .model import MODES, DiffusionModel, generator_coefficients
 
 __all__ = [
     "PDEGrid",
@@ -34,6 +34,7 @@ __all__ = [
     "NoConvergence",
     "CFLViolation",
     "pde_solve_system",
+    "identity_residual",
     "reference_dynkin_1d",
 ]
 
@@ -98,33 +99,18 @@ class PDESurfaces:
         return self.u1 if i else self.u0
 
 
-def _operator(model: DiffusionModel, grid: PDEGrid, mode) -> sp.csr_matrix:
-    """Sparse spatial generator on the (pi, x) sheet for one drift mode.
+def _operator(model: DiffusionModel, grid: PDEGrid, mode: str) -> sp.csr_matrix:
+    """Sparse spatial generator on the (pi, x) sheet for one mode of ``MODES``.
 
-    ``mode`` is "obs" (observation measure, belief-matched drift, no
-    pi-drift) or a regime index with the tilted pi-drift.  First derivatives
-    are upwinded; the cross term is centered; x-boundaries are reflecting.
+    The coefficients are ``generator_coefficients``.  First derivatives are
+    upwinded; the cross term is centered; x-boundaries are reflecting.
     """
     pi, x = grid.pi, grid.x
     mpi, mx = pi.size, x.size
     dpi = pi[1] - pi[0]
     dx = x[1] - x[0]
     P, X = np.meshgrid(pi, x, indexing="ij")
-
-    sig = np.asarray(model.sigma(X), dtype=float)
-    w = np.asarray(model.w(X), dtype=float)
-    if mode == "obs":
-        ax = model.mu_bar(X, P)
-        bpi = np.zeros_like(P)
-    elif mode == 1:
-        ax = np.broadcast_to(np.asarray(model.mu1(X), dtype=float), P.shape)
-        bpi = w**2 * P * (1.0 - P) ** 2
-    else:
-        ax = np.broadcast_to(np.asarray(model.mu0(X), dtype=float), P.shape)
-        bpi = -(w**2) * P**2 * (1.0 - P)
-    dxx = 0.5 * sig**2
-    dpp = 0.5 * w**2 * P**2 * (1.0 - P) ** 2
-    cross = sig * w * P * (1.0 - P)
+    ax, bpi, dxx, dpp, cross = generator_coefficients(model, P, X, mode)
 
     def flat(i, j):
         return i * mx + j
@@ -195,21 +181,19 @@ def _explicit_step(l_op, dt, values, mask, pinned):
 
 
 def _cfl_bound(model: DiffusionModel, grid: PDEGrid) -> float:
-    pi, x = grid.pi, grid.x
-    dpi, dx = pi[1] - pi[0], x[1] - x[0]
-    P, X = np.meshgrid(pi, x, indexing="ij")
-    sig = np.asarray(model.sigma(X), dtype=float)
-    w = np.asarray(model.w(X), dtype=float)
-    mu = max(
-        float(np.max(np.abs(model.mu0(x)))),
-        float(np.max(np.abs(model.mu1(x)))),
+    """Explicit-step bound from the largest coefficients of the regime generators."""
+    dpi, dx = grid.pi[1] - grid.pi[0], grid.x[1] - grid.x[0]
+    P, X = np.meshgrid(grid.pi, grid.x, indexing="ij")
+    (ax0, bpi0, dxx, dpp, cross), (ax1, bpi1, *_) = (
+        generator_coefficients(model, P, X, mode) for mode in ("regime-0", "regime-1")
     )
+    mu = max(float(np.max(np.abs(ax0))), float(np.max(np.abs(ax1))))
     rate = (
-        (sig**2) / dx**2
-        + (w**2 * P**2 * (1 - P) ** 2) / dpi**2
-        + np.abs(sig * w * P * (1 - P)) / (dpi * dx)
+        2.0 * dxx / dx**2
+        + 2.0 * dpp / dpi**2
+        + np.abs(cross) / (dpi * dx)
         + mu / dx
-        + np.abs(w**2 * P * (1 - P)) / dpi
+        + (np.abs(bpi0) + np.abs(bpi1)) / dpi
     )
     return 1.0 / float(rate.max())
 
@@ -249,6 +233,19 @@ def _pi_copy(u_other: np.ndarray, run_mask: np.ndarray, from_below: bool) -> np.
     return out
 
 
+def identity_residual(pi: np.ndarray, u0, u1, v, in_s0, in_s1, in_s) -> float:
+    """Largest |v - (pi u1 + (1-pi) u0)| over the continuation cells.
+
+    The arrays are (..., pi, x) surfaces and stopping sets; 0.0 when every
+    cell lies in a stopping set.
+    """
+    cont = ~(in_s0 | in_s1 | in_s)
+    if not cont.any():
+        return 0.0
+    pi_col = pi[:, None]
+    return float(np.abs(v - (pi_col * u1 + (1.0 - pi_col) * u0))[cont].max())
+
+
 def pde_solve_system(
     model: DiffusionModel,
     f: Callable,
@@ -276,8 +273,7 @@ def pde_solve_system(
         if dt > bound:
             raise CFLViolation(f"dt={dt} exceeds the explicit stability bound {bound:.3e}")
 
-    ops = {i: _operator(model, grid, i) for i in (0, 1)}
-    ops["obs"] = _operator(model, grid, "obs")
+    ops = {mode: _operator(model, grid, mode) for mode in MODES}
     eye = sp.identity(mpi * mx, format="csr")
     a_imp = {k: (eye - dt * op).tocsr() for k, op in ops.items()}
 
@@ -301,7 +297,6 @@ def pde_solve_system(
     in_s1[-1] = u[1, -1] >= ft - set_tol
     in_s[-1] = v[-1] <= gt + set_tol
 
-    identity_residual = 0.0
     scale = max(1.0, float(np.max(np.abs(term))))
 
     for k in range(mt - 2, -1, -1):
@@ -320,10 +315,11 @@ def pde_solve_system(
         for _ in range(max_iters):
             new_u = []
             for i in range(2):
+                mode = f"regime-{i}"
                 if scheme == "implicit":
-                    sol = _masked_solve(a_imp[i], s_mask.reshape(-1), gt.reshape(-1), u_next[i])
+                    sol = _masked_solve(a_imp[mode], s_mask.reshape(-1), gt.reshape(-1), u_next[i])
                 else:
-                    sol = _explicit_step(ops[i], dt, u_next[i], s_mask.reshape(-1), gt.reshape(-1))
+                    sol = _explicit_step(ops[mode], dt, u_next[i], s_mask.reshape(-1), gt.reshape(-1))
                 new_u.append(np.minimum(sol.reshape(mpi, mx), ft))
             s_i_new = [new_u[i] >= ft - set_tol for i in range(2)]
             only1 = s_i_new[1] & ~s_i_new[0]
@@ -337,11 +333,11 @@ def pde_solve_system(
             pinned_v = pi_col * new_u[1] + (1.0 - pi_col) * new_u[0]
             if scheme == "implicit":
                 sol_v = _masked_solve(
-                    a_imp["obs"], informed_mask.reshape(-1), pinned_v.reshape(-1), v_next
+                    a_imp["observation"], informed_mask.reshape(-1), pinned_v.reshape(-1), v_next
                 )
             else:
                 sol_v = _explicit_step(
-                    ops["obs"], dt, v_next, informed_mask.reshape(-1), pinned_v.reshape(-1)
+                    ops["observation"], dt, v_next, informed_mask.reshape(-1), pinned_v.reshape(-1)
                 )
             new_v = np.maximum(sol_v.reshape(mpi, mx), gt)
 
@@ -361,12 +357,11 @@ def pde_solve_system(
         in_s0[k] = u_cur[0] >= ft - set_tol
         in_s1[k] = u_cur[1] >= ft - set_tol
         in_s[k] = v_cur <= gt + set_tol
-        cont = ~(in_s0[k] | in_s1[k] | in_s[k])
-        if cont.any():
-            resid = np.abs(v_cur - (pi_col * u_cur[1] + (1.0 - pi_col) * u_cur[0]))
-            identity_residual = max(identity_residual, float(resid[cont].max()))
 
-    return PDESurfaces(grid, u[0], u[1], v, in_s0, in_s1, in_s, identity_residual)
+    # the terminal slice is data, not a solve: its residual is rounding only
+    resid = identity_residual(grid.pi, u[0, :-1], u[1, :-1], v[:-1],
+                              in_s0[:-1], in_s1[:-1], in_s[:-1])
+    return PDESurfaces(grid, u[0], u[1], v, in_s0, in_s1, in_s, resid)
 
 
 def reference_dynkin_1d(

@@ -9,6 +9,12 @@ Two routes to the posterior psi = P(J=1 | observed path):
 
 Both converge to the same object as dt -> 0; the self-convergence of their
 gap is one of the acceptance checks.
+
+The filter update itself is ``model.filter_step``.  Every simulation of X
+under a regime drift -- the regime-conditional paths, the fixed-regime paths
+of the Monte Carlo verification and the self-convergence study -- goes
+through one Euler loop, ``_regime_euler``, which also accumulates the
+Girsanov log-likelihood behind the Bayes posterior.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import RandomDevice
-from .model import DiffusionModel
+from .model import DiffusionModel, filter_step
 
 __all__ = [
     "PathBundle",
@@ -26,6 +32,7 @@ __all__ = [
     "simulate_regime_paths",
     "psi_from_innovation",
     "filter_self_convergence",
+    "simulate_fixed_regime",
 ]
 
 
@@ -49,10 +56,52 @@ class PathBundle:
 
 
 def _time_axis(model: DiffusionModel, dt: float) -> np.ndarray:
+    if not dt > 0.0:
+        raise ValueError("dt must be positive")
     n_steps = int(round(model.horizon / dt))
     if n_steps < 1 or abs(n_steps * dt - model.horizon) > 1e-9 * max(1.0, model.horizon):
         raise ValueError("dt must divide the horizon")
     return np.linspace(0.0, model.horizon, n_steps + 1)
+
+
+def _regime_euler(model: DiffusionModel, regime: np.ndarray, steps: int, dt: float, increments):
+    """Euler paths of X under each path's regime drift, with the Bayes posterior.
+
+    ``increments(k)`` returns the Brownian increments of step k, so each
+    caller keeps its own draw order.  The posterior is sigmoid(log-likelihood
+    + logit(prior)) with the Girsanov log-likelihood ratio of mu1 against
+    mu0; a prior of 0 or 1 gives an infinite logit and a constant posterior.
+    Returns (x, psi, exited) with x and psi of shape (paths, steps + 1).
+    """
+    n = regime.size
+    lo, hi = model.domain
+    x = np.full((n, steps + 1), model.x0)
+    psi = np.full((n, steps + 1), model.prior)
+    exited = np.zeros(n, dtype=bool)
+    loglik = np.zeros(n)
+    if model.prior in (0.0, 1.0):
+        logit0 = np.inf if model.prior == 1.0 else -np.inf
+    else:
+        logit0 = float(np.log(model.prior / (1.0 - model.prior)))
+    for k in range(steps):
+        xk = x[:, k]
+        m0 = np.asarray(model.mu0(xk), dtype=float)
+        m1 = np.asarray(model.mu1(xk), dtype=float)
+        s = np.asarray(model.sigma(xk), dtype=float)
+        dx = np.where(regime == 1, m1, m0) * dt + s * increments(k)
+        x[:, k + 1] = xk + dx
+        loglik += (m1 - m0) / s**2 * dx - 0.5 * (m1**2 - m0**2) / s**2 * dt
+        with np.errstate(over="ignore"):
+            psi[:, k + 1] = 1.0 / (1.0 + np.exp(-(loglik + logit0)))
+        exited |= (x[:, k + 1] < lo) | (x[:, k + 1] > hi)
+    return x, psi, exited
+
+
+def _draws(device: RandomDevice, n: int, dt: float):
+    """Per-step Brownian increments of n paths, drawn one step at a time."""
+    rng = device.generator()
+    sqdt = np.sqrt(dt)
+    return lambda k: rng.standard_normal(n) * sqdt
 
 
 def simulate_filter_paths(
@@ -65,18 +114,17 @@ def simulate_filter_paths(
     and the largest pre-clamp excursion is reported as a diagnostic.
     """
     t = _time_axis(model, dt)
-    rng = device.generator()
+    draw = _draws(device, n, dt)
     lo, hi = model.domain
     x = np.full((n, t.size), model.x0)
     psi = np.full((n, t.size), model.prior)
     exited = np.zeros(n, dtype=bool)
     max_clamp = 0.0
-    sqdt = np.sqrt(dt)
     for k in range(t.size - 1):
         xk, pk = x[:, k], psi[:, k]
-        db = rng.standard_normal(n) * sqdt
+        db = draw(k)
         x[:, k + 1] = xk + model.mu_bar(xk, pk) * dt + np.asarray(model.sigma(xk)) * db
-        raw = pk + model.w(xk) * pk * (1.0 - pk) * db
+        raw = filter_step(model, xk, pk, db)
         max_clamp = max(max_clamp, float(np.max(raw - 1.0, initial=0.0)), float(np.max(-raw, initial=0.0)))
         psi[:, k + 1] = np.clip(raw, 0.0, 1.0)
         exited |= (x[:, k + 1] < lo) | (x[:, k + 1] > hi)
@@ -93,32 +141,17 @@ def simulate_regime_paths(
     against mu0; the sigmoid form keeps it in (0, 1) without clamping.
     """
     t = _time_axis(model, dt)
-    rng = device.generator()
     regime = (device.with_stream(device.stream + 1).uniforms(n) < model.prior).astype(np.int64)
-    lo, hi = model.domain
-    x = np.full((n, t.size), model.x0)
-    psi = np.full((n, t.size), model.prior)
-    exited = np.zeros(n, dtype=bool)
-    loglik = np.zeros(n)
-    if model.prior in (0.0, 1.0):
-        logit0 = np.inf if model.prior == 1.0 else -np.inf
-    else:
-        logit0 = float(np.log(model.prior / (1.0 - model.prior)))
-    sqdt = np.sqrt(dt)
-    for k in range(t.size - 1):
-        xk = x[:, k]
-        m0 = np.asarray(model.mu0(xk), dtype=float)
-        m1 = np.asarray(model.mu1(xk), dtype=float)
-        s = np.asarray(model.sigma(xk), dtype=float)
-        drift = np.where(regime == 1, m1, m0)
-        dw = rng.standard_normal(n) * sqdt
-        dx = drift * dt + s * dw
-        x[:, k + 1] = xk + dx
-        loglik += (m1 - m0) / s**2 * dx - 0.5 * (m1**2 - m0**2) / s**2 * dt
-        with np.errstate(over="ignore"):
-            psi[:, k + 1] = 1.0 / (1.0 + np.exp(-(loglik + logit0)))
-        exited |= (x[:, k + 1] < lo) | (x[:, k + 1] > hi)
+    x, psi, exited = _regime_euler(model, regime, t.size - 1, dt, _draws(device, n, dt))
     return PathBundle(t, x, psi, regime, exited, device.seed, device.stream, dt)
+
+
+def simulate_fixed_regime(
+    model: DiffusionModel, regime: int, n: int, dt: float, device: RandomDevice
+) -> np.ndarray:
+    """Plain Euler paths of X with the drift of one fixed regime."""
+    steps = _time_axis(model, dt).size - 1
+    return _regime_euler(model, np.full(n, regime), steps, dt, _draws(device, n, dt))[0]
 
 
 def filter_self_convergence(
@@ -138,25 +171,12 @@ def filter_self_convergence(
     rng = device.generator()
     dw_fine = rng.standard_normal((n, steps)) * np.sqrt(dt_min)
     regime = (device.with_stream(device.stream + 1).uniforms(n) < model.prior).astype(np.int64)
-    logit0 = float(np.log(model.prior / (1.0 - model.prior)))
 
     out = []
     for dt in dts:
         m = int(round(dt / dt_min))
         dw = dw_fine[:, : (steps // m) * m].reshape(n, -1, m).sum(axis=2)
-        k_steps = dw.shape[1]
-        x = np.full((n, k_steps + 1), model.x0)
-        loglik = np.zeros(n)
-        psi_lr = np.full((n, k_steps + 1), model.prior)
-        for k in range(k_steps):
-            xk = x[:, k]
-            m0 = np.asarray(model.mu0(xk), dtype=float)
-            m1 = np.asarray(model.mu1(xk), dtype=float)
-            s = np.asarray(model.sigma(xk), dtype=float)
-            dx = np.where(regime == 1, m1, m0) * dt + s * dw[:, k]
-            x[:, k + 1] = xk + dx
-            loglik += (m1 - m0) / s**2 * dx - 0.5 * (m1**2 - m0**2) / s**2 * dt
-            psi_lr[:, k + 1] = 1.0 / (1.0 + np.exp(-(loglik + logit0)))
+        x, psi_lr, _ = _regime_euler(model, regime, dw.shape[1], dt, lambda k: dw[:, k])
         psi_sde = psi_from_innovation(model, x, dt)
         out.append(float(np.sqrt(np.mean((psi_sde - psi_lr) ** 2))))
     return out
@@ -176,5 +196,5 @@ def psi_from_innovation(model: DiffusionModel, x: np.ndarray, dt: float) -> np.n
         xk, pk = x[:, k], psi[:, k]
         s = np.asarray(model.sigma(xk), dtype=float)
         db = (x[:, k + 1] - xk - model.mu_bar(xk, pk) * dt) / s
-        psi[:, k + 1] = np.clip(pk + model.w(xk) * pk * (1.0 - pk) * db, 0.0, 1.0)
+        psi[:, k + 1] = np.clip(filter_step(model, xk, pk, db), 0.0, 1.0)
     return psi

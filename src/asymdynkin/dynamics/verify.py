@@ -10,6 +10,12 @@ Five statistical checks of a candidate (surfaces, strategies) pair:
 (iii)/(iv) the obstacle inequalities hold at almost every visited point;
 (v)  the root identity v = pi u1 + (1-pi) u0 at (0, prior, x0).
 
+The first-to-stop flow is ``core.payoff_flows``: (i) and (ii) add up its
+``run`` part, and the obstacles (iii) and (iv) compare the value against
+``stop / survival``, the payoff of stopping now given that nobody has.
+(iii) reuses the fixed-regime paths of (i), and (iv) the regime-conditional
+paths of (ii); the paths come from the Euler loop in ``simulate``.
+
 All checks are report-only: each condition returns pass/fail with its
 confidence band, never an exception.
 """
@@ -18,30 +24,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import RandomDevice
+from ..core import RandomDevice, payoff_flows
 from .model import DiffusionModel
 from .pde import PDESurfaces
-from .simulate import simulate_regime_paths
+from .simulate import simulate_fixed_regime, simulate_regime_paths
 from .strategies import StrategyMap
 
 __all__ = ["mc_verify_sufficiency", "simulate_fixed_regime"]
-
-
-def simulate_fixed_regime(
-    model: DiffusionModel, regime: int, n: int, dt: float, device: RandomDevice
-) -> np.ndarray:
-    """Plain Euler paths of X with the drift of one fixed regime."""
-    n_steps = int(round(model.horizon / dt))
-    rng = device.generator()
-    x = np.full((n, n_steps + 1), model.x0)
-    mu = model.mu1 if regime else model.mu0
-    sqdt = np.sqrt(dt)
-    for k in range(n_steps):
-        xk = x[:, k]
-        x[:, k + 1] = xk + np.asarray(mu(xk), dtype=float) * dt + np.asarray(
-            model.sigma(xk), dtype=float
-        ) * rng.standard_normal(n) * sqdt
-    return x
 
 
 def _lookup(surface: np.ndarray, grid, t: np.ndarray, p: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -77,6 +66,12 @@ def _lookup(surface: np.ndarray, grid, t: np.ndarray, p: np.ndarray, x: np.ndarr
     )
 
 
+def _band(sample: np.ndarray) -> tuple[float, float]:
+    """Sample mean and four standard errors (no band for a single draw)."""
+    se = sample.std(ddof=1) / np.sqrt(sample.size) if sample.size > 1 else 0.0
+    return sample.mean(), 4.0 * se
+
+
 def _mean_increment_checks(values: np.ndarray, active: np.ndarray, sign: float, atol: float):
     """Banded tests of E[dM] sign and flatness on the active set.
 
@@ -87,31 +82,48 @@ def _mean_increment_checks(values: np.ndarray, active: np.ndarray, sign: float, 
     more power against slowly leaking drifts).
     """
     inc = np.diff(values, axis=1)
-    n = values.shape[0]
-    worst_side = 0.0
-    worst_flat = 0.0
+    worst_side = worst_flat = 0.0
     for k in range(inc.shape[1]):
-        col = inc[:, k]
-        se = col.std(ddof=1) / np.sqrt(n) if n > 1 else 0.0
-        m = col.mean()
-        worst_side = max(worst_side, -sign * m - 4.0 * se)
-        sel = active[:, k]
-        cnt = int(sel.sum())
-        if cnt > 1:
-            se_f = col[sel].std(ddof=1) / np.sqrt(cnt)
-            worst_flat = max(worst_flat, abs(col[sel].mean()) - 4.0 * se_f)
+        col, sel = inc[:, k], active[:, k]
+        mean, band = _band(col)
+        worst_side = max(worst_side, -sign * mean - band)
+        if sel.sum() > 1:
+            mean, band = _band(col[sel])
+            worst_flat = max(worst_flat, abs(mean) - band)
     # aggregate statistics over per-path totals
-    totals = inc.sum(axis=1)
-    se_tot = totals.std(ddof=1) / np.sqrt(n) if n > 1 else 0.0
-    worst_side = max(worst_side, -sign * totals.mean() - 4.0 * se_tot)
-    flat_totals = (inc * active).sum(axis=1)
-    se_flat = flat_totals.std(ddof=1) / np.sqrt(n) if n > 1 else 0.0
-    worst_flat = max(worst_flat, abs(flat_totals.mean()) - 4.0 * se_flat)
+    mean, band = _band(inc.sum(axis=1))
+    worst_side = max(worst_side, -sign * mean - band)
+    mean, band = _band((inc * active).sum(axis=1))
+    worst_flat = max(worst_flat, abs(mean) - band)
     return {
         "monotone_ok": bool(worst_side <= atol),
         "flat_ok": bool(worst_flat <= atol),
         "worst_side_excess": float(worst_side),
         "worst_flat_excess": float(worst_flat),
+    }
+
+
+def _left_limits(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-path left limits (0 before the first step) and increments along time."""
+    before = np.zeros_like(levels)
+    before[:, 1:] = levels[:, :-1]
+    return before, levels - before
+
+
+def _obstacle_check(stop, survival, value, sign: float, tol: float, alpha: float) -> dict:
+    """Share of points with sign (stop / survival - value) >= -tol where no one has stopped.
+
+    stop / survival is the payoff of stopping now given that nobody has; it
+    bounds the informed values from above (sign +1) and the uninformed value
+    from below (sign -1).
+    """
+    alive = survival > 1e-12
+    slack = sign * (stop[alive] / survival[alive] - value[alive])
+    frac = float(np.mean(slack >= -tol)) if slack.size else 1.0
+    return {
+        "fraction_ok": frac,
+        "passed": bool(frac >= 1.0 - alpha),
+        "worst_slack": float(slack.min(initial=0.0)),
     }
 
 
@@ -138,78 +150,40 @@ def mc_verify_sufficiency(
     atol = 1e-9 + 0.05 * tol
     report: dict = {}
 
-    # (i) informed-side submartingales along fixed-regime paths
+    def payoffs(t, x):
+        return [np.asarray(fn(t[None, :], x), dtype=float) for fn in (f, g, h)]
+
+    # (i) informed-side submartingales and (iii) informed obstacles along
+    # fixed-regime paths
     for i in range(2):
         x = simulate_fixed_regime(model, i, n, dt, device.with_stream(device.stream + 10 + i))
         traj = strategies.evaluate(x)
-        u_surf = surfaces.u(i)
-        uvals = _lookup(u_surf, grid, traj.t, traj.p, x)
-        zeta = traj.zeta
-        zeta_pre = np.concatenate([np.zeros((n, 1)), zeta[:, :-1]], axis=1)
-        gvals = np.asarray(g(traj.t[None, :], x), dtype=float)
-        dz = np.diff(np.concatenate([np.zeros((n, 1)), zeta], axis=1), axis=1)
-        acc = np.concatenate(
-            [np.zeros((n, 1)), np.cumsum(gvals * dz, axis=1)[:, :-1]], axis=1
-        )
-        m_hat = acc + (1.0 - zeta_pre) * uvals
-        xi_i = traj.xi1 if i else traj.xi0
-        active = xi_i[:, :-1] < 1.0 - 1e-12
+        uvals = _lookup(surfaces.u(i), grid, traj.t, traj.p, x)
+        zeta_pre, dz = _left_limits(traj.zeta)
+        stop, run = payoff_flows(*payoffs(traj.t, x), traj.zeta, dz)
+        survival = 1.0 - zeta_pre
+        m_hat = _left_limits(np.cumsum(run, axis=1))[0] + survival * uvals
+        active = (traj.xi1 if i else traj.xi0)[:, :-1] < 1.0 - 1e-12
         report[f"(i) M0 regime {i}"] = _mean_increment_checks(m_hat, active, +1.0, atol)
+        report[f"(iii) obstacle U{i}"] = _obstacle_check(stop, survival, uvals, +1.0, tol, alpha)
 
-    # (ii) uninformed-side supermartingale under the observation law
+    # (ii) uninformed-side supermartingale and (iv) uninformed obstacle under
+    # the observation law; the informed side is the psi-weighted incarnations
     bundle = simulate_regime_paths(model, n, dt, device.with_stream(device.stream + 20))
     traj = strategies.evaluate(bundle.x, psi=bundle.psi)
     vvals = _lookup(surfaces.v, grid, traj.t, traj.p, bundle.x)
-    fvals = np.asarray(f(traj.t[None, :], bundle.x), dtype=float)
-    psi = bundle.psi
-    dxi = [
-        np.diff(np.concatenate([np.zeros((n, 1)), traj.xi0], axis=1), axis=1),
-        np.diff(np.concatenate([np.zeros((n, 1)), traj.xi1], axis=1), axis=1),
-    ]
-    flow = fvals * ((1.0 - psi) * dxi[0] + psi * dxi[1])
-    acc = np.concatenate([np.zeros((n, 1)), np.cumsum(flow, axis=1)[:, :-1]], axis=1)
-    xi_pre = [
-        np.concatenate([np.zeros((n, 1)), traj.xi0[:, :-1]], axis=1),
-        np.concatenate([np.zeros((n, 1)), traj.xi1[:, :-1]], axis=1),
-    ]
-    surv = (1.0 - psi) * (1.0 - xi_pre[0]) + psi * (1.0 - xi_pre[1])
-    n_hat = acc + surv * vvals
+    fv, gv, hv = payoffs(traj.t, bundle.x)
+    stop = run = survival = 0.0
+    for weight, xi in ((1.0 - bundle.psi, traj.xi0), (bundle.psi, traj.xi1)):
+        xi_pre, dxi = _left_limits(xi)
+        stop_i, run_i = payoff_flows(gv, fv, hv, xi, dxi)
+        stop = stop + weight * stop_i
+        run = run + weight * run_i
+        survival = survival + weight * (1.0 - xi_pre)
+    n_hat = _left_limits(np.cumsum(run, axis=1))[0] + survival * vvals
     active = traj.zeta[:, :-1] < 1.0 - 1e-12
     report["(ii) N0"] = _mean_increment_checks(n_hat, active, -1.0, atol)
-
-    # (iii) informed obstacle along the regime paths
-    for i in range(2):
-        x = simulate_fixed_regime(model, i, n, dt, device.with_stream(device.stream + 30 + i))
-        traj = strategies.evaluate(x)
-        uvals = _lookup(surfaces.u(i), grid, traj.t, traj.p, x)
-        fv = np.asarray(f(traj.t[None, :], x), dtype=float)
-        hv = np.asarray(h(traj.t[None, :], x), dtype=float)
-        zeta_pre = np.concatenate([np.zeros((n, 1)), traj.zeta[:, :-1]], axis=1)
-        dz = np.diff(np.concatenate([np.zeros((n, 1)), traj.zeta], axis=1), axis=1)
-        alive = zeta_pre < 1.0 - 1e-12
-        lhs = fv + (hv - fv) * np.where(alive, dz / np.maximum(1.0 - zeta_pre, 1e-300), 0.0)
-        slack = (lhs - uvals)[alive]
-        frac = float(np.mean(slack >= -tol)) if slack.size else 1.0
-        report[f"(iii) obstacle U{i}"] = {
-            "fraction_ok": frac,
-            "passed": bool(frac >= 1.0 - alpha),
-            "worst_slack": float(slack.min(initial=0.0)),
-        }
-
-    # (iv) uninformed obstacle under the observation law
-    gv = np.asarray(g(traj.t[None, :], bundle.x), dtype=float)
-    hv = np.asarray(h(traj.t[None, :], bundle.x), dtype=float)
-    dxi_pair = dxi
-    jump = (1.0 - psi) * dxi_pair[0] + psi * dxi_pair[1]
-    alive = surv > 1e-12
-    lhs = gv + (hv - gv) * np.where(alive, jump / np.maximum(surv, 1e-300), 0.0)
-    slack = (vvals - lhs)[alive]
-    frac = float(np.mean(slack >= -tol)) if slack.size else 1.0
-    report["(iv) obstacle V"] = {
-        "fraction_ok": frac,
-        "passed": bool(frac >= 1.0 - alpha),
-        "worst_slack": float(slack.min(initial=0.0)),
-    }
+    report["(iv) obstacle V"] = _obstacle_check(stop, survival, vvals, -1.0, tol, alpha)
 
     # (v) root identity
     pi0 = model.prior
@@ -220,9 +194,8 @@ def mc_verify_sufficiency(
     gap = abs(v0 - (pi0 * u1 + (1.0 - pi0) * u0))
     report["(v) root identity"] = {"residual": gap, "passed": bool(gap <= tol)}
 
-    for key in ("(i) M0 regime 0", "(i) M0 regime 1"):
+    for key in ("(i) M0 regime 0", "(i) M0 regime 1", "(ii) N0"):
         report[key]["passed"] = report[key]["monotone_ok"] and report[key]["flat_ok"]
-    report["(ii) N0"]["passed"] = report["(ii) N0"]["monotone_ok"] and report["(ii) N0"]["flat_ok"]
     report["all_passed"] = all(
         entry["passed"] for key, entry in report.items() if isinstance(entry, dict)
     )

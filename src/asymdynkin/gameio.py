@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import FiltrationTree, GeneratingProcess, PayoffTriple, TimeGrid
-from .dynamics.pde import PDEGrid, PDESurfaces
+from .dynamics.pde import PDEGrid, PDESurfaces, identity_residual
 from .scenario import (
     Certificate,
     MartingaleReport,
@@ -206,16 +206,9 @@ def surfaces_from_csv(text: str) -> PDESurfaces:
     grid = PDEGrid(t, pi, x)
     shape = grid.shape
     cols = {name: data[:, i].reshape(shape) for i, name in enumerate(header)}
-    pi_col = pi[:, None]
-    cont = ~(cols["in_S0"].astype(bool) | cols["in_S1"].astype(bool) | cols["in_S"].astype(bool))
-    resid = np.abs(cols["v"] - (pi_col * cols["u1"] + (1 - pi_col) * cols["u0"]))
-    identity_residual = float(resid[cont].max()) if cont.any() else 0.0
-    return PDESurfaces(
-        grid,
-        cols["u0"], cols["u1"], cols["v"],
-        cols["in_S0"].astype(bool), cols["in_S1"].astype(bool), cols["in_S"].astype(bool),
-        identity_residual,
-    )
+    u0, u1, v = cols["u0"], cols["u1"], cols["v"]
+    masks = [cols[name].astype(bool) for name in ("in_S0", "in_S1", "in_S")]
+    return PDESurfaces(grid, u0, u1, v, *masks, identity_residual(pi, u0, u1, v, *masks))
 
 
 def paths_csv(bundle, meta: dict) -> str:

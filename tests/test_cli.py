@@ -192,6 +192,33 @@ class TestDynamicsCommands:
         assert rc == 2
         assert "surfaces:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("action,extra,patch", [
+        ("simulate", ["--dt", "0.03"], {}),
+        ("extract", ["--dt", "0.03"], {}),
+        ("verify", ["--dt", "0.03"], {}),
+        ("simulate", ["--dt", "0"], {}),
+        ("pde", ["--grid", "11x4x11"], {}),
+        ("pde", [], {"f": "0.6 +"}),
+        ("verify", [], {"h": "x / 2"}),
+        ("simulate", [], {"domain": 5}),
+        ("simulate", [], {"domain": [1.0]}),
+        ("verify", ["--paths", "0"], {}),
+        ("simulate", ["--paths", "-1"], {}),
+    ], ids=["simulate_dt", "extract_dt", "verify_dt", "zero_dt", "even_pi_grid", "bad_f",
+            "bad_h", "scalar_domain", "short_domain", "no_paths", "negative_paths"])
+    def test_bad_arguments_exit_2(self, model_file, tmp_path, capsys, action, extra, patch):
+        # dt must divide T = 1, the pi count must be odd, expressions must parse,
+        # and a verification without paths would pass vacuously
+        out = tmp_path / "d"
+        assert main(["dynamics", "pde", "--model", str(model_file), "--grid", "5x3x9",
+                     "--out", str(out)]) == 0
+        model_file.write_text(json.dumps({**json.loads(model_file.read_text()), **patch}))
+        capsys.readouterr()
+        rc = main(["dynamics", action, "--model", str(model_file), "--paths", "5", *extra,
+                   "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_missing_payoffs_named(self, tmp_path, capsys):
         data = {"mu0": "0.1", "mu1": "0.2", "sigma": "0.5",
                 "x0": 0.0, "pi": 0.5, "T": 1.0, "domain": [-2, 2]}

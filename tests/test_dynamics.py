@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from asymdynkin.dynamics import (
     parse_expression,
     psi_from_innovation,
     simulate_filter_paths,
+    simulate_fixed_regime,
     simulate_regime_paths,
     standard_test_functions,
 )
@@ -124,6 +128,19 @@ class TestRegimeSimulation:
         rms = filter_self_convergence(model, 1500, [4e-3, 2e-3, 1e-3], RandomDevice(7))
         assert rms[0] / rms[1] >= 1.2
         assert rms[1] / rms[2] >= 1.2
+
+    @pytest.mark.parametrize("prior", [0.0, 1.0])
+    def test_self_convergence_at_a_certain_prior(self, model, prior):
+        # both posteriors stay at the prior, with no division by zero on the way
+        certain = dataclasses.replace(model, prior=prior)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rms = filter_self_convergence(certain, 50, [2e-2, 1e-2], RandomDevice(7))
+        assert rms == [0.0, 0.0]
+
+    def test_fixed_regime_dt_must_divide_horizon(self, model):
+        with pytest.raises(ValueError, match="divide"):
+            simulate_fixed_regime(model, 1, 5, 0.03, RandomDevice(8))
 
     def test_innovation_filter_tracks_likelihood_filter(self, model):
         b = simulate_regime_paths(model, 300, 1e-3, RandomDevice(8))

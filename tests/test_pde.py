@@ -10,8 +10,12 @@ from asymdynkin.dynamics import (
     mc_verify_sufficiency,
     pde_solve_system,
     reference_dynkin_1d,
+    analytic_generator,
     simulate_fixed_regime,
+    standard_test_functions,
 )
+from asymdynkin.dynamics.model import parse_expression
+from asymdynkin.dynamics.pde import _operator
 
 
 def const(c):
@@ -51,6 +55,36 @@ class TestGrid:
     def test_half_is_a_node(self):
         grid = PDEGrid.regular(1.0, (-1, 1), 11, 21, 21)
         assert 0.5 in grid.pi
+
+
+class TestOperator:
+    @pytest.mark.parametrize("mode", ["observation", "regime-0", "regime-1"])
+    def test_operator_matches_analytic_generator(self, mode):
+        # x-dependent mu0 and sigma; the assembled stencil is exact on linear
+        # functions, and on squares up to the upwind term |drift| * step
+        model = DiffusionModel(
+            mu0=parse_expression("-0.3 + 0.5*tanh(x)"), mu1=parse_expression("0.4 - 0.1*x"),
+            sigma=parse_expression("0.5 + 0.2*tanh(x)"),
+            x0=0.0, prior=0.5, horizon=1.0, domain=(-1.0, 1.5),
+        )
+        grid = PDEGrid.regular(1.0, model.domain, 3, 9, 11)
+        dpi, dx = grid.pi[1] - grid.pi[0], grid.x[1] - grid.x[0]
+        op = _operator(model, grid, mode)
+        P, X = np.meshgrid(grid.pi, grid.x, indexing="ij")
+        phis = {phi.name: phi for phi in standard_test_functions()}
+        worst = 0.0
+        for i in range(1, grid.pi.size - 1):
+            for j in range(1, grid.x.size - 1):
+                p, x = grid.pi[i], grid.x[j]
+                drift = {name: analytic_generator(model, phis[name], p, x, mode)
+                         for name in ("x", "pi")}
+                upwind = {"x^2": abs(drift["x"]) * dx, "pi^2": abs(drift["pi"]) * dpi}
+                for name in ("x", "pi", "pi*x", "x^2", "pi^2"):
+                    phi = phis[name]
+                    applied = (op @ phi.value(P, X).ravel()).reshape(P.shape)[i, j]
+                    exact = analytic_generator(model, phi, p, x, mode) + upwind.get(name, 0.0)
+                    worst = max(worst, abs(applied - exact))
+        assert worst <= 1e-12
 
 
 class TestDegenerateReduction:
