@@ -1,7 +1,8 @@
 """Batch front-end: oracle -> verify pipelines and the dynamics toolchain.
 
 Exit codes: 0 success/certified, 1 certification rejected, 2 malformed
-input, 3 enumeration cap exceeded, 4 PDE non-convergence.  All randomness
+input, 3 enumeration cap exceeded, 4 PDE non-convergence, 5 LP numerical
+failure (the equilibrium LP failed or left a duality gap).  All randomness
 flows through --seed and every artifact embeds its run configuration, so
 identical invocations produce byte-identical outputs.
 """
@@ -28,7 +29,7 @@ from .dynamics import (
 )
 from .dynamics.model import model_from_dict, parse_expression
 from .dynamics.simulate import _time_axis
-from .oracle import EnumerationCapExceeded, solve_scenario
+from .oracle import EnumerationCapExceeded, NumericalFailure, solve_scenario
 from .scenario import (
     best_response_values,
     certify_mart,
@@ -325,6 +326,9 @@ def main(argv=None) -> int:
     except NoConvergence as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except NumericalFailure as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

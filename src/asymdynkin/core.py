@@ -15,7 +15,13 @@ exact payoff, pure-rule matrix, stop bound and drift in the tree pipeline is
 built from these two functions.
 
 Everything is node-indexed: a per-node array is automatically adapted because
-a node *is* its own history.
+a node *is* its own history.  Node ids are topological (parents first) and a
+valid tree has all its leaves at the final depth, so the nodes fall into the
+``n_steps + 1`` levels of ``FiltrationTree.levels``.  Every root-to-leaf
+recursion -- reach, levels of a process from its steps, sums over ancestors,
+stop indicators and first stops -- is the one level-order scan
+``FiltrationTree.scan``; every leaf-to-root one is a loop over the levels
+bottom-up around ``FiltrationTree.expectation_step``.
 """
 
 from __future__ import annotations
@@ -115,25 +121,47 @@ class FiltrationTree:
 
     @cached_property
     def depth(self) -> np.ndarray:
-        d = np.zeros(self.n_nodes, dtype=np.int64)
-        for i in range(1, self.n_nodes):
-            d[i] = d[self.parent[i]] + 1
+        # pointer jumping: ``d`` counts the steps from each node up to ``anc``,
+        # and every round doubles the jump until ``anc`` is the root
+        d = (self.parent >= 0).astype(np.int64)
+        anc = self.parent.copy()
+        live = anc > 0
+        while live.any():
+            up = anc[live]
+            d[live] += d[up]
+            anc[live] = anc[up]
+            live = anc > 0
         return d
+
+    @cached_property
+    def levels(self) -> tuple[np.ndarray, ...]:
+        """Node ids by depth, ascending: ``levels[k]`` holds the nodes at grid time k."""
+        by_depth = np.argsort(self.depth, kind="stable")
+        return tuple(np.split(by_depth, np.cumsum(np.bincount(self.depth))[:-1]))
+
+    def scan(self, values: np.ndarray, op, start: int = 0) -> np.ndarray:
+        """Root-to-leaf scan along the last axis, one level at a time.
+
+        ``out[..., lvl] = op(out[..., parent[lvl]], values[..., lvl])`` for the
+        levels below depth ``start``; nodes at depth <= ``start`` keep ``values``.
+        """
+        out = np.array(values, copy=True)
+        for lvl in self.levels[start + 1:]:
+            out[..., lvl] = op(out[..., self.parent[lvl]], values[..., lvl])
+        return out
 
     @property
     def n_steps(self) -> int:
-        return int(self.depth.max())
+        return len(self.levels) - 1
 
     @cached_property
     def children(self) -> list[np.ndarray]:
-        buckets: list[list[int]] = [[] for _ in range(self.n_nodes)]
-        for i in range(1, self.n_nodes):
-            buckets[self.parent[i]].append(i)
-        return [np.asarray(b, dtype=np.int64) for b in buckets]
+        kids = np.argsort(self.parent[1:], kind="stable") + 1
+        return np.split(kids, np.cumsum(np.bincount(self.parent[1:], minlength=self.n_nodes))[:-1])
 
     @cached_property
     def is_leaf(self) -> np.ndarray:
-        return np.asarray([c.size == 0 for c in self.children])
+        return np.bincount(self.parent[1:], minlength=self.n_nodes) == 0
 
     @cached_property
     def leaves(self) -> np.ndarray:
@@ -142,21 +170,17 @@ class FiltrationTree:
     @cached_property
     def reach(self) -> np.ndarray:
         """Probability of reaching each node from the root."""
-        r = np.ones(self.n_nodes)
-        for i in range(1, self.n_nodes):
-            r[i] = r[self.parent[i]] * self.prob[i]
-        return r
+        prob = self.prob.copy()
+        prob[0] = 1.0
+        return self.scan(prob, np.multiply)
 
     @cached_property
     def paths(self) -> np.ndarray:
         """(n_leaves, n_steps+1) node ids along each root-to-leaf path."""
-        n = self.n_steps + 1
-        out = np.empty((self.leaves.size, n), dtype=np.int64)
-        for row, leaf in enumerate(self.leaves):
-            node = leaf
-            for k in range(n - 1, -1, -1):
-                out[row, k] = node
-                node = self.parent[node]
+        out = np.empty((self.leaves.size, self.n_steps + 1), dtype=np.int64)
+        out[:, -1] = self.leaves
+        for k in range(self.n_steps, 0, -1):
+            out[:, k - 1] = self.parent[out[:, k]]
         return out
 
     def path_of_leaf(self, leaf: int) -> np.ndarray:
@@ -165,15 +189,16 @@ class FiltrationTree:
 
     def validate(self, tol: float = MONOTONE_TOL) -> None:
         """Raise ValueError on any structural violation."""
-        depth = self.depth
-        n_steps = self.n_steps
-        for i, kids in enumerate(self.children):
-            if kids.size:
-                s = self.prob[kids].sum()
-                if abs(s - 1.0) > tol:
-                    raise ValueError(f"children probabilities of node {i} sum to {s!r}")
-            elif depth[i] != n_steps:
-                raise ValueError(f"leaf {i} at depth {depth[i]} != {n_steps}")
+        depth, n_steps, leaf = self.depth, self.n_steps, self.is_leaf
+        sums = np.bincount(self.parent[1:], weights=self.prob[1:], minlength=self.n_nodes)
+        bad_sum = ~leaf & (np.abs(sums - 1.0) > tol)
+        bad = np.flatnonzero(bad_sum | (leaf & (depth != n_steps)))
+        if bad.size:
+            i = bad[0]
+            if bad_sum[i]:
+                s = self.prob[self.parent == i].sum()  # np.sum's rounding, not bincount's
+                raise ValueError(f"children probabilities of node {i} sum to {s!r}")
+            raise ValueError(f"leaf {i} at depth {depth[i]} != {n_steps}")
         if np.any(self.prob < -tol):
             raise ValueError("negative transition probability")
         if self.grid is not None and self.grid.n_steps != n_steps:
@@ -188,20 +213,21 @@ class FiltrationTree:
         return arr
 
     def expectation_step(self, values: np.ndarray) -> np.ndarray:
-        """One-step conditional expectation E[X_child | node] at internal nodes."""
-        out = np.zeros(self.n_nodes)
-        for i, kids in enumerate(self.children):
-            if kids.size:
-                out[i] = float(np.dot(self.prob[kids], values[kids]))
-        return out
+        """One-step conditional expectation E[X_child | node]; 0 at leaves.
+
+        Broadcasts over leading axes, so stacked rows give stacked expectations.
+        """
+        values = np.asarray(values, dtype=float)
+        weighted = self.prob[1:] * values.reshape(-1, self.n_nodes)[:, 1:]
+        rows = [np.bincount(self.parent[1:], weights=w, minlength=self.n_nodes) for w in weighted]
+        return np.reshape(rows, values.shape)
 
     def accumulate_before(self, increments: np.ndarray) -> np.ndarray:
         """Per node n: sum of ``increments`` over strict ancestors of n."""
-        out = np.zeros(self.n_nodes)
-        for i in range(1, self.n_nodes):
-            p = self.parent[i]
-            out[i] = out[p] + increments[p]
-        return out
+        increments = np.asarray(increments, dtype=float)
+        at_parent = np.zeros(increments.shape)
+        at_parent[..., 1:] = increments[..., self.parent[1:]]
+        return self.scan(at_parent, np.add)
 
 
 def single_path_tree(n_steps: int, grid: TimeGrid | None = None) -> FiltrationTree:
@@ -212,19 +238,15 @@ def single_path_tree(n_steps: int, grid: TimeGrid | None = None) -> FiltrationTr
 
 
 def binary_tree(n_steps: int, p_up: float = 0.5, grid: TimeGrid | None = None) -> FiltrationTree:
-    """Full binary tree of the given depth with branch probability ``p_up``."""
-    parent = [-1]
-    prob = [1.0]
-    level = [0]
-    for _ in range(n_steps):
-        nxt = []
-        for node in level:
-            for pr in (p_up, 1.0 - p_up):
-                parent.append(node)
-                prob.append(pr)
-                nxt.append(len(parent) - 1)
-        level = nxt
-    return FiltrationTree(np.asarray(parent), np.asarray(prob), grid or TimeGrid.regular(n_steps))
+    """Full binary tree of the given depth with branch probability ``p_up``.
+
+    Nodes are numbered level by level: node i > 0 has parent (i - 1) // 2 and
+    is the up branch when i is odd.
+    """
+    ids = np.arange(1, 2 ** (n_steps + 1) - 1)
+    parent = np.concatenate([[-1], (ids - 1) // 2])
+    prob = np.concatenate([[1.0], np.where(ids % 2 == 1, p_up, 1.0 - p_up)])
+    return FiltrationTree(parent, prob, grid or TimeGrid.regular(n_steps))
 
 
 @dataclass(frozen=True)
@@ -273,10 +295,7 @@ class GeneratingProcess:
     @staticmethod
     def from_steps(steps: np.ndarray, tree: FiltrationTree) -> "GeneratingProcess":
         steps = tree.check_nodes(steps, "steps").copy()
-        levels = steps.copy()
-        for i in range(1, levels.size):
-            levels[i] = levels[tree.parent[i]] + steps[i]
-        return GeneratingProcess(levels, steps)
+        return GeneratingProcess(tree.scan(steps, np.add), steps)
 
     @staticmethod
     def jump_at_depth(k: int, tree: FiltrationTree) -> "GeneratingProcess":
@@ -321,9 +340,9 @@ def validate_generating(
     drift = proc.levels - GeneratingProcess.from_steps(proc.steps, tree).levels
     if np.max(np.abs(drift)) > 1e-9:
         violations.append("NotMonotone: levels are not the prefix sums of the increments")
-    for leaf in tree.leaves:
-        if abs(proc.levels[leaf] - 1.0) > 1e-9:
-            violations.append(f"TerminalNotOne: level {proc.levels[leaf]!r} at leaf {leaf}")
+    leaves = tree.leaves
+    for leaf in leaves[np.abs(proc.levels[leaves] - 1.0) > 1e-9]:
+        violations.append(f"TerminalNotOne: level {proc.levels[leaf]!r} at leaf {leaf}")
     return ValidationReport(not violations, tuple(violations))
 
 
@@ -352,21 +371,17 @@ class StoppingRule:
 
     def stopped_by(self, tree: FiltrationTree) -> np.ndarray:
         """Indicator per node: the path to it (inclusive) contains a stop."""
-        hit = self.stops.astype(float).copy()
-        for i in range(1, tree.n_nodes):
-            if hit[tree.parent[i]]:
-                hit[i] = 1.0
-        return hit
+        return tree.scan(self.stops.astype(float), np.maximum)
 
     def stop_ancestor(self, tree: FiltrationTree) -> np.ndarray:
-        """Id of the stop node on the path to each node, or -1 if none yet."""
-        anc = np.full(tree.n_nodes, -1, dtype=np.int64)
-        if self.stops[0]:
-            anc[0] = 0
-        for i in range(1, tree.n_nodes):
-            p = anc[tree.parent[i]]
-            anc[i] = p if p >= 0 else (i if self.stops[i] else -1)
-        return anc
+        """Id of the stop node on the path to each node, or -1 if none yet.
+
+        Ancestors have smaller ids, so the first stop on a path is its
+        smallest stop id: a min-scan with n_nodes standing for "none".
+        """
+        n = tree.n_nodes
+        first = tree.scan(np.where(self.stops, np.arange(n), n), np.minimum)
+        return np.where(first < n, first, -1)
 
     def to_generating(self, tree: FiltrationTree) -> GeneratingProcess:
         return GeneratingProcess.from_levels(self.stopped_by(tree), tree)
@@ -386,16 +401,11 @@ def truncate_control(
     before, with the 0/0 = 1 convention when the pre-level is already 1.
     """
     anc = rule.stop_ancestor(tree)
-    levels = np.zeros(tree.n_nodes)
-    for n in range(tree.n_nodes):
-        a = anc[n]
-        if a < 0:
-            continue
-        pre = proc.levels[tree.parent[a]] if a > 0 else 0.0
-        if 1.0 - pre <= 0.0:
-            levels[n] = 1.0
-        else:
-            levels[n] = (proc.levels[n] - pre) / (1.0 - pre)
+    pre = proc.pre_levels(tree)[np.maximum(anc, 0)]
+    room = 1.0 - pre
+    exhausted = room <= 0.0
+    levels = np.where(exhausted, 1.0, (proc.levels - pre) / np.where(exhausted, 1.0, room))
+    levels[anc < 0] = 0.0
     return GeneratingProcess.from_levels(levels, tree)
 
 

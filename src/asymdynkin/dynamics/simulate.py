@@ -163,10 +163,16 @@ def filter_self_convergence(
     levels; on each level X is simulated conditionally on a common regime
     draw, and the likelihood-ratio posterior is compared with the filter-SDE
     posterior integrated from the reconstructed innovations.  The RMS gap
-    shrinks as dt does (both routes converge to the same filter).
+    shrinks as dt does (both routes converge to the same filter).  Every dt
+    must divide the horizon and be an integer multiple of the smallest one.
     """
     dts = sorted(dts, reverse=True)
     dt_min = dts[-1]
+    for dt in dts:
+        _time_axis(model, dt)
+        m = round(dt / dt_min)
+        if abs(m * dt_min - dt) > 1e-9 * dt:
+            raise ValueError(f"dt {dt!r} is not an integer multiple of the finest dt {dt_min!r}")
     steps = int(round(model.horizon / dt_min))
     rng = device.generator()
     dw_fine = rng.standard_normal((n, steps)) * np.sqrt(dt_min)

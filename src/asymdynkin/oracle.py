@@ -111,11 +111,8 @@ def enumerate_stopping_rules(tree: FiltrationTree, cap: int = DEFAULT_CAP) -> Ru
     stop = np.zeros((len(stop_sets), n))
     for r, s in enumerate(stop_sets):
         stop[r, list(s)] = 1.0
-    level = stop.copy()
-    for i in range(1, n):
-        level[:, i] = np.maximum(level[:, i], level[:, tree.parent[i]])
     rules = tuple(StoppingRule(stop[r].astype(bool)) for r in range(len(stop_sets)))
-    return RuleSet(rules, stop, level)
+    return RuleSet(rules, stop, tree.scan(stop, np.maximum))
 
 
 def regime_matrices(game: ScenarioGame, rules: RuleSet) -> tuple[np.ndarray, np.ndarray]:

@@ -5,7 +5,9 @@ the uninformed player (maximizer) holds a belief about the regime that is
 updated from the opponent's inaction.  This module computes best-response
 value surfaces by exact backward recursion and produces node-by-node
 martingale, support and consistency reports together with two independent
-saddle-point certifiers.
+saddle-point certifiers.  The backward recursion runs per level of the tree,
+deepest first, with every node of a level updated at once; the root-to-leaf
+sums use the tree's level-order scan.
 
 Value surfaces are kept in un-normalized "hat" form (weighted by the
 opponent's survival); normalization by survival divides them out with the
@@ -172,41 +174,33 @@ def best_response_values(game: ScenarioGame, profile: StrategyProfile) -> ValueS
 
     stop_u, run_u = _informed_flows(game, profile.zeta)
     stop_v, run_v = _uninformed_flows(game, profile)
-
-    u_hat = np.zeros((2, n))
-    v_hat = np.zeros(n)
-    informed_stops = np.zeros((2, n), dtype=bool)
-    uninformed_stops = np.zeros(n, dtype=bool)
-
-    for node in range(n - 1, -1, -1):
-        kids = tree.children[node]
-        if kids.size == 0:
-            u_hat[:, node] = stop_u[:, node]
-            v_hat[node] = stop_v[node]
-            continue
-        pk = tree.prob[kids]
-        for i in range(2):
-            cont = run_u[i, node] + float(np.dot(pk, u_hat[i, kids]))
-            stop = stop_u[i, node]
-            informed_stops[i, node] = stop < cont
-            u_hat[i, node] = min(stop, cont)
-        cont_v = run_v[node] + float(np.dot(pk, v_hat[kids]))
-        uninformed_stops[node] = stop_v[node] > cont_v
-        v_hat[node] = max(stop_v[node], cont_v)
+    # rows: incarnation 0, incarnation 1, then the uninformed player negated,
+    # so that every row minimizes (max(a, b) = -min(-a, -b) exactly)
+    stop = np.vstack([stop_u, -stop_v])
+    run = np.vstack([run_u, -run_v])
+    hat = stop.copy()  # leaves stop; internal nodes are set level by level
+    stops = np.zeros((3, n), dtype=bool)
+    for lvl in reversed(tree.levels):
+        lvl = lvl[~tree.is_leaf[lvl]]
+        cont = run[:, lvl] + tree.expectation_step(hat)[:, lvl]
+        stops[:, lvl] = stop[:, lvl] < cont
+        hat[:, lvl] = np.where(stops[:, lvl], stop[:, lvl], cont)
+    u_hat, v_hat = hat[:2], -hat[2]
+    informed_stops, uninformed_stops = stops[:2], stops[2]
 
     zeta_pre = profile.zeta.pre_levels(tree)
     xi_pre = np.stack([profile.xi(i).pre_levels(tree) for i in range(2)])
     surv_v = w[0] * (1.0 - xi_pre[0]) + w[1] * (1.0 - xi_pre[1])
-    u = np.stack([_safe_ratio(u_hat[i], 1.0 - zeta_pre) for i in range(2)])
+    u = _safe_ratio(u_hat, 1.0 - zeta_pre)
     v = _safe_ratio(v_hat, surv_v)
     p, degenerate = belief_update(game.prior, xi_pre[0], xi_pre[1])
     return ValueSurfaces(u_hat, v_hat, u, v, p, degenerate, informed_stops, uninformed_stops)
 
 
 def _drift(tree: FiltrationTree, values: np.ndarray) -> np.ndarray:
-    """One-step conditional drift at internal nodes (0 at leaves)."""
+    """One-step conditional drift at internal nodes (0 at leaves), per row."""
     d = tree.expectation_step(values) - values
-    d[tree.is_leaf] = 0.0
+    d[..., tree.is_leaf] = 0.0
     return d
 
 
@@ -253,17 +247,12 @@ class MartingaleReport:
 
     def node_classification(self, drift: np.ndarray) -> list[str]:
         """Per-node label for a drift array: martingale / sub / super / leaf."""
-        out = []
-        for node, d in enumerate(drift):
-            if not self.internal[node]:
-                out.append("leaf")
-            elif abs(d) <= self.tol:
-                out.append("martingale")
-            elif d > self.tol:
-                out.append("submartingale")
-            else:
-                out.append("supermartingale")
-        return out
+        drift = np.asarray(drift)
+        return np.select(
+            [~self.internal, np.abs(drift) <= self.tol, drift > self.tol],
+            ["leaf", "martingale", "submartingale"],
+            "supermartingale",
+        ).tolist()
 
     @property
     def override_ok(self) -> bool:
@@ -308,9 +297,7 @@ def martingale_report(
     stop_u, run_u = _informed_flows(game, profile.zeta)
     stop_v, run_v = _uninformed_flows(game, profile)
 
-    m0_drift = np.stack(
-        [_drift(tree, tree.accumulate_before(run_u[i]) + surfaces.u_hat[i]) for i in range(2)]
-    )
+    m0_drift = _drift(tree, tree.accumulate_before(run_u) + surfaces.u_hat)
     n0_drift = _drift(tree, tree.accumulate_before(run_v) + surfaces.v_hat)
 
     m_over = None
@@ -412,12 +399,11 @@ def ex_ante_check(
     at the root the check reduces to |E[P(xi, zeta)] - v_hat(root)|.
     """
     tree = game.tree
-    rel = np.zeros(tree.n_nodes)
-    rel[node] = 1.0
-    for m in range(node + 1, tree.n_nodes):
-        par = tree.parent[m]
-        if rel[par] > 0.0:
-            rel[m] = rel[par] * tree.prob[m]
+    # reach relative to ``node``: 1 there, 0 at its depth and above, and the
+    # products of transition probabilities down its subtree (0 elsewhere)
+    d = tree.depth[node]
+    rel = tree.scan(np.where(tree.depth > d, tree.prob, np.arange(tree.n_nodes) == node),
+                    np.multiply, start=d)
     stop, run = _uninformed_flows(game, profile)
     lhs = float(flow_value(rel, stop, run, profile.zeta.levels, profile.zeta.steps))
     rhs = float((1.0 - profile.zeta.pre_levels(tree)[node]) * surfaces.v_hat[node])
@@ -454,17 +440,14 @@ def certify_mart(
     tree, w = game.tree, game.weights
     report = martingale_report(game, profile, surfaces, tol=tol)
     violations: list[tuple[str, int, float]] = []
-    internal = np.flatnonzero(report.internal)
 
     for i in range(2):
-        for node in internal:
-            d = report.m0_drift[i][node]
-            if d < -tol:
-                violations.append((f"(i) M0[{i}] submartingale", int(node), float(d)))
-    for node in internal:
-        d = report.n0_drift[node]
-        if d > tol:
-            violations.append(("(ii) N0 supermartingale", int(node), float(d)))
+        d = report.m0_drift[i]
+        for node in np.flatnonzero(report.internal & (d < -tol)):
+            violations.append((f"(i) M0[{i}] submartingale", int(node), float(d[node])))
+    d = report.n0_drift
+    for node in np.flatnonzero(report.internal & (d > tol)):
+        violations.append(("(ii) N0 supermartingale", int(node), float(d[node])))
 
     zeta_pre = profile.zeta.pre_levels(tree)
     stop_u = _informed_flows(game, profile.zeta)[0]

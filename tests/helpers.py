@@ -65,3 +65,141 @@ def one_sided_stop_value(
             cont = float(np.dot(tree.prob[kids], best[kids]))
             best[node] = max(running[node], cont) if maximize else min(running[node], cont)
     return float(best[0])
+
+
+# Per-node references for the level-order tree code: each walks the node ids
+# in topological order (or its reverse) the way the recursions are defined.
+
+
+def ref_children(tree: FiltrationTree) -> list[list[int]]:
+    kids: list[list[int]] = [[] for _ in range(tree.n_nodes)]
+    for i in range(1, tree.n_nodes):
+        kids[tree.parent[i]].append(i)
+    return kids
+
+
+def ref_depth(tree: FiltrationTree) -> np.ndarray:
+    d = np.zeros(tree.n_nodes, dtype=np.int64)
+    for i in range(1, tree.n_nodes):
+        d[i] = d[tree.parent[i]] + 1
+    return d
+
+
+def ref_reach(tree: FiltrationTree) -> np.ndarray:
+    r = np.ones(tree.n_nodes)
+    for i in range(1, tree.n_nodes):
+        r[i] = r[tree.parent[i]] * tree.prob[i]
+    return r
+
+
+def ref_paths(tree: FiltrationTree) -> np.ndarray:
+    leaves = [i for i, kids in enumerate(ref_children(tree)) if not kids]
+    n = int(ref_depth(tree).max()) + 1
+    out = np.empty((len(leaves), n), dtype=np.int64)
+    for row, node in enumerate(leaves):
+        for k in range(n - 1, -1, -1):
+            out[row, k] = node
+            node = tree.parent[node]
+    return out
+
+
+def ref_accumulate_before(tree: FiltrationTree, increments: np.ndarray) -> np.ndarray:
+    out = np.zeros(tree.n_nodes)
+    for i in range(1, tree.n_nodes):
+        p = tree.parent[i]
+        out[i] = out[p] + increments[p]
+    return out
+
+
+def ref_from_steps(tree: FiltrationTree, steps: np.ndarray) -> np.ndarray:
+    levels = np.array(steps, dtype=float)
+    for i in range(1, tree.n_nodes):
+        levels[i] = levels[tree.parent[i]] + steps[i]
+    return levels
+
+
+def ref_stopped_by(tree: FiltrationTree, stops: np.ndarray) -> np.ndarray:
+    hit = np.asarray(stops, dtype=float).copy()
+    for i in range(1, tree.n_nodes):
+        if hit[tree.parent[i]]:
+            hit[i] = 1.0
+    return hit
+
+
+def ref_stop_ancestor(tree: FiltrationTree, stops: np.ndarray) -> np.ndarray:
+    anc = np.full(tree.n_nodes, -1, dtype=np.int64)
+    if stops[0]:
+        anc[0] = 0
+    for i in range(1, tree.n_nodes):
+        p = anc[tree.parent[i]]
+        anc[i] = p if p >= 0 else (i if stops[i] else -1)
+    return anc
+
+
+def ref_truncate_control(tree: FiltrationTree, levels: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """Levels of (rho_t - rho_{eta-}) / (1 - rho_{eta-}) on {t >= eta}, 0 before."""
+    anc = ref_stop_ancestor(tree, stops)
+    out = np.zeros(tree.n_nodes)
+    for n in range(tree.n_nodes):
+        a = anc[n]
+        if a < 0:
+            continue
+        pre = levels[tree.parent[a]] if a > 0 else 0.0
+        out[n] = 1.0 if 1.0 - pre <= 0.0 else (levels[n] - pre) / (1.0 - pre)
+    return out
+
+
+def ref_expectation_step(tree: FiltrationTree, values: np.ndarray) -> np.ndarray:
+    out = np.zeros(tree.n_nodes)
+    for i, kids in enumerate(ref_children(tree)):
+        out[i] = sum(tree.prob[k] * values[k] for k in kids)
+    return out
+
+
+def _ref_flows(game, profile):
+    """Both players' (stop, run) flows written out from f (1-Z) dX + g (1-X) dZ + h dX dZ."""
+    pay, w = game.payoffs, game.weights
+    z, dz = profile.zeta.levels, profile.zeta.steps
+    stop_u = pay.f * (1.0 - z) + pay.h * dz
+    run_u = pay.g * dz
+    stop_v = sum(w[i] * (pay.g[i] * (1.0 - profile.xi(i).levels) + pay.h[i] * profile.xi(i).steps)
+                 for i in range(2))
+    run_v = sum(w[i] * pay.f[i] * profile.xi(i).steps for i in range(2))
+    return stop_u, run_u, stop_v, run_v
+
+
+def ref_best_response(game, profile):
+    """Node-by-node backward induction: (u_hat, v_hat, informed stops, uninformed stops)."""
+    tree = game.tree
+    stop_u, run_u, stop_v, run_v = _ref_flows(game, profile)
+    u_hat, v_hat = np.zeros((2, tree.n_nodes)), np.zeros(tree.n_nodes)
+    i_stops, u_stops = np.zeros((2, tree.n_nodes), dtype=bool), np.zeros(tree.n_nodes, dtype=bool)
+    children = ref_children(tree)
+    for node in range(tree.n_nodes - 1, -1, -1):
+        kids = children[node]
+        if not kids:
+            u_hat[:, node], v_hat[node] = stop_u[:, node], stop_v[node]
+            continue
+        for i in range(2):
+            cont = run_u[i, node] + sum(tree.prob[k] * u_hat[i, k] for k in kids)
+            i_stops[i, node] = stop_u[i, node] < cont
+            u_hat[i, node] = min(stop_u[i, node], cont)
+        cont = run_v[node] + sum(tree.prob[k] * v_hat[k] for k in kids)
+        u_stops[node] = stop_v[node] > cont
+        v_hat[node] = max(stop_v[node], cont)
+    return u_hat, v_hat, i_stops, u_stops
+
+
+def ref_ex_ante(game, profile, v_hat: np.ndarray, node: int) -> float:
+    """|uninformed payoff flow summed over the subtree of node - survival x v_hat|."""
+    tree = game.tree
+    rel = np.zeros(tree.n_nodes)
+    rel[node] = 1.0
+    for m in range(node + 1, tree.n_nodes):
+        rel[m] = rel[tree.parent[m]] * tree.prob[m]
+    _, _, stop_v, run_v = _ref_flows(game, profile)
+    z = profile.zeta
+    lhs = sum(rel[m] * (stop_v[m] * z.steps[m] + run_v[m] * (1.0 - z.levels[m]))
+              for m in range(tree.n_nodes))
+    pre = z.levels[tree.parent[node]] if node else 0.0
+    return abs(lhs - (1.0 - pre) * v_hat[node])

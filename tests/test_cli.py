@@ -8,7 +8,7 @@ import pytest
 from asymdynkin import gameio
 from asymdynkin.cli import main
 from asymdynkin.gamegen import random_scenario_game
-from asymdynkin.oracle import solve_scenario
+from asymdynkin.oracle import NumericalFailure, solve_scenario
 from asymdynkin.scenario import StrategyProfile
 from asymdynkin.core import GeneratingProcess
 
@@ -68,6 +68,17 @@ class TestOracleCommand:
         path, _ = game_file
         rc = main(["oracle", "--game", str(path), "--cap", "5", "--out", str(tmp_path / "o")])
         assert rc == 3
+
+    def test_lp_numerical_failure_exits_5(self, game_file, tmp_path, capsys, monkeypatch):
+        def failing_solve(game, cap):
+            raise NumericalFailure("duality gap 1e-3 above 1e-09")
+
+        monkeypatch.setattr("asymdynkin.cli.solve_scenario", failing_solve)
+        path, _ = game_file
+        rc = main(["oracle", "--game", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 5
+        assert err == "error: duality gap 1e-3 above 1e-09\n"
 
     def test_missing_field_names_it(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -138,6 +138,14 @@ class TestRegimeSimulation:
             rms = filter_self_convergence(certain, 50, [2e-2, 1e-2], RandomDevice(7))
         assert rms == [0.0, 0.0]
 
+    @pytest.mark.parametrize("dts, message", [
+        ([3e-3, 7e-4], "divide"),  # neither step divides T = 1
+        ([5e-3, 2e-3], "multiple"),  # both divide T, but 5e-3 is 2.5 fine steps
+    ])
+    def test_self_convergence_rejects_incommensurate_dts(self, model, dts, message):
+        with pytest.raises(ValueError, match=message):
+            filter_self_convergence(model, 10, dts, RandomDevice(7))
+
     def test_fixed_regime_dt_must_divide_horizon(self, model):
         with pytest.raises(ValueError, match="divide"):
             simulate_fixed_regime(model, 1, 5, 0.03, RandomDevice(8))

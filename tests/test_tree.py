@@ -1,0 +1,171 @@
+"""Level-order tree code against per-node references, and tree validation.
+
+The random trees mix arities 1-3 with random branch probabilities, keep all
+leaves at the final depth and are numbered either level by level or depth
+first, so a level's node ids need not be contiguous.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from asymdynkin.core import (
+    FiltrationTree,
+    GeneratingProcess,
+    PayoffTriple,
+    ShapeMismatchError,
+    StoppingRule,
+    TimeGrid,
+    binary_tree,
+    truncate_control,
+)
+from asymdynkin.gamegen import random_profile
+from asymdynkin.scenario import ScenarioGame, best_response_values, ex_ante_check
+
+from helpers import (
+    ref_accumulate_before,
+    ref_best_response,
+    ref_children,
+    ref_depth,
+    ref_ex_ante,
+    ref_expectation_step,
+    ref_from_steps,
+    ref_paths,
+    ref_reach,
+    ref_stop_ancestor,
+    ref_stopped_by,
+    ref_truncate_control,
+)
+
+
+def random_tree(rng: np.random.Generator, depth: int, depth_first: bool) -> FiltrationTree:
+    """Random tree of the given depth, arity 1-3 per internal node."""
+    def shape(d):
+        return [shape(d + 1) for _ in range(rng.integers(1, 4))] if d < depth else []
+
+    parent, prob = [], []
+    pending = [(shape(0), -1, 1.0)]
+    while pending:
+        node, par, p = pending.pop() if depth_first else pending.pop(0)
+        me = len(parent)
+        parent.append(par)
+        prob.append(p)
+        branch = rng.dirichlet(np.ones(len(node))) if node else []
+        kids = list(zip(node, [me] * len(node), branch))
+        pending.extend(reversed(kids) if depth_first else kids)
+    return FiltrationTree(np.array(parent), np.array(prob), TimeGrid.regular(depth))
+
+
+def random_game(rng: np.random.Generator, tree: FiltrationTree) -> ScenarioGame:
+    vals = np.sort(rng.uniform(-1.0, 1.0, size=(2, tree.n_nodes, 3)), axis=-1)
+    payoffs = PayoffTriple(f=vals[..., 2], g=vals[..., 0], h=vals[..., 1])
+    return ScenarioGame(tree, payoffs, float(rng.uniform(0.05, 0.95)))
+
+
+trees = st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 4), st.booleans())
+
+
+class TestLevelOrderAgainstPerNodeReferences:
+    @given(trees)
+    @settings(max_examples=40, deadline=None)
+    def test_root_to_leaf_quantities_exact(self, spec):
+        seed, depth, depth_first = spec
+        rng = np.random.default_rng(seed)
+        tree = random_tree(rng, depth, depth_first)
+        tree.validate()
+        n = tree.n_nodes
+
+        d = ref_depth(tree)
+        np.testing.assert_array_equal(tree.depth, d)
+        assert len(tree.levels) == depth + 1
+        for k, lvl in enumerate(tree.levels):
+            np.testing.assert_array_equal(lvl, np.flatnonzero(d == k))
+        kids = ref_children(tree)
+        assert [c.tolist() for c in tree.children] == kids
+        np.testing.assert_array_equal(tree.is_leaf, [not c for c in kids])
+        np.testing.assert_array_equal(tree.reach, ref_reach(tree))
+        np.testing.assert_array_equal(tree.paths, ref_paths(tree))
+
+        inc = rng.normal(size=n)
+        np.testing.assert_array_equal(tree.accumulate_before(inc), ref_accumulate_before(tree, inc))
+        prof = random_profile(tree, seed=seed % 1000)
+        for proc in (prof.xi0, prof.zeta):
+            np.testing.assert_array_equal(
+                GeneratingProcess.from_steps(proc.steps, tree).levels, ref_from_steps(tree, proc.steps)
+            )
+        for q in (0.1, 0.4, 0.8):
+            stops = rng.random(n) < q
+            rule = StoppingRule(stops)
+            np.testing.assert_array_equal(rule.stopped_by(tree), ref_stopped_by(tree, stops))
+            np.testing.assert_array_equal(rule.stop_ancestor(tree), ref_stop_ancestor(tree, stops))
+            np.testing.assert_array_equal(
+                truncate_control(prof.zeta, rule, tree).levels,
+                ref_truncate_control(tree, prof.zeta.levels, stops),
+            )
+
+    @given(trees)
+    @settings(max_examples=30, deadline=None)
+    def test_leaf_to_root_quantities_close(self, spec):
+        seed, depth, depth_first = spec
+        rng = np.random.default_rng(seed)
+        tree = random_tree(rng, depth, depth_first)
+        game = random_game(rng, tree)
+        prof = random_profile(tree, seed=seed % 1000 + 1)
+
+        rows = rng.normal(size=(3, tree.n_nodes))
+        expected = np.stack([ref_expectation_step(tree, r) for r in rows])
+        np.testing.assert_allclose(tree.expectation_step(rows), expected, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(tree.expectation_step(rows[0]), expected[0], rtol=0, atol=1e-14)
+
+        surf = best_response_values(game, prof)
+        u_hat, v_hat, i_stops, u_stops = ref_best_response(game, prof)
+        np.testing.assert_allclose(surf.u_hat, u_hat, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(surf.v_hat, v_hat, rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(surf.informed_stops, i_stops)
+        np.testing.assert_array_equal(surf.uninformed_stops, u_stops)
+        for node in range(tree.n_nodes):
+            assert abs(ex_ante_check(game, prof, surf, node)
+                       - ref_ex_ante(game, prof, surf.v_hat, node)) <= 1e-14
+
+    def test_leaves_above_the_final_depth(self):
+        # backward recursion reads leaves off is_leaf, not off the last level
+        tree = FiltrationTree(np.array([-1, 0, 0, 1, 1]), np.array([1.0, 0.3, 0.7, 0.5, 0.5]))
+        game = random_game(np.random.default_rng(3), tree)
+        prof = random_profile(tree, seed=4)
+        surf = best_response_values(game, prof)
+        u_hat, v_hat, i_stops, u_stops = ref_best_response(game, prof)
+        np.testing.assert_allclose(surf.u_hat, u_hat, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(surf.v_hat, v_hat, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(surf.informed_stops, i_stops)
+        np.testing.assert_array_equal(surf.uninformed_stops, u_stops)
+
+
+class TestFiltrationTreeValidate:
+    @pytest.mark.parametrize("parent, prob, message", [
+        ([-1, 0, 0], [1.0, 0.5, 0.4], "children probabilities of node 0 sum to np.float64(0.9)"),
+        ([-1, 0, 0, 1, 1, 1, 2], [1.0, 0.5, 0.5, 0.5, 0.3, 0.1, 1.0],
+         "children probabilities of node 1 sum to np.float64(0.9)"),
+        ([-1, 0, 0, 1, 2, 1], [1.0, 0.5, 0.5, 0.7, 1.0, 0.2],
+         "children probabilities of node 1 sum to np.float64(0.8999999999999999)"),
+        ([-1, 0, 0, 1], [1.0, 0.5, 0.5, 1.0], "leaf 2 at depth 1 != 2"),
+        ([-1, 0, 0, 2, 2, 3], [1.0, 0.5, 0.5, 0.7, 0.2, 1.0], "leaf 1 at depth 1 != 3"),
+        ([-1, 0, 0], [1.0, 1.5, -0.5], "negative transition probability"),
+    ], ids=["sum_at_root", "sum_of_three", "sum_noncontiguous", "leaf_above",
+            "leaf_before_bad_sum", "negative"])
+    def test_structural_violation_names_first_node(self, parent, prob, message):
+        tree = FiltrationTree(np.array(parent), np.array(prob))
+        with pytest.raises(ValueError) as info:
+            tree.validate()
+        assert type(info.value) is ValueError
+        assert str(info.value) == message
+
+    def test_grid_depth_mismatch(self):
+        tree = binary_tree(2)
+        bad = FiltrationTree(tree.parent, tree.prob, TimeGrid.regular(3))
+        with pytest.raises(ShapeMismatchError, match="^grid step count disagrees with tree depth$"):
+            bad.validate()
+
+    def test_valid_trees_pass(self):
+        binary_tree(3).validate()
+        random_tree(np.random.default_rng(0), 3, depth_first=True).validate()
