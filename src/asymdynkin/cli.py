@@ -2,14 +2,18 @@
 
 Exit codes: 0 success/certified, 1 certification rejected, 2 malformed
 input, 3 enumeration cap exceeded, 4 PDE non-convergence, 5 LP numerical
-failure (the equilibrium LP failed or left a duality gap).  All randomness
-flows through --seed and every artifact embeds its run configuration, so
-identical invocations produce byte-identical outputs.
+failure (the equilibrium LP failed or left a duality gap).  --cap bounds
+only the pure-rule enumerations, ``verify``'s pure-deviation certificate and
+``oracle --dump-matrix``; the ``oracle`` LP itself works on the tree's nodes
+and has no cap.  All randomness flows through --seed and every artifact
+embeds its run configuration, so identical invocations produce byte-identical
+outputs.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -29,7 +33,13 @@ from .dynamics import (
 )
 from .dynamics.model import model_from_dict, parse_expression
 from .dynamics.simulate import _time_axis
-from .oracle import EnumerationCapExceeded, NumericalFailure, solve_scenario
+from .oracle import (
+    EnumerationCapExceeded,
+    NumericalFailure,
+    build_matrix,
+    enumerate_stopping_rules,
+    solve_scenario,
+)
 from .scenario import (
     best_response_values,
     certify_mart,
@@ -77,19 +87,20 @@ def _base_config(args, command: str) -> dict:
 
 def cmd_oracle(args) -> int:
     game = _load_game(args.game)
+    gm = None
+    if args.dump_matrix:  # the only enumeration here: the cap is checked before any write
+        gm = build_matrix(game, enumerate_stopping_rules(game.tree, args.cap))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    sol = solve_scenario(game, cap=args.cap)
+    sol = solve_scenario(game)
     profile = sol.profile(game.tree)
     surfaces = best_response_values(game, profile)
     payload = gameio.equilibrium_to_dict(profile, sol.value, surfaces)
     payload["gap"] = sol.gap
+    payload["lp"] = dataclasses.asdict(sol.lp)
     payload["config"] = _base_config(args, "oracle")
     gameio.write_json(out / "equilibrium.json", payload)
-    if args.dump_matrix:
-        from .oracle import build_matrix
-
-        gm = build_matrix(game, sol.rules)
+    if gm is not None:
         lines = ["tau0,tau1," + ",".join(f"sigma{c}" for c in range(gm.n_cols))]
         for r in range(gm.n_rows):
             t0, t1 = gm.row_pairs[r]
@@ -270,10 +281,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_oracle = sub.add_parser("oracle", help="compute an equilibrium by LP enumeration")
+    p_oracle = sub.add_parser("oracle", help="compute an equilibrium by the sequence-form LP")
     p_oracle.add_argument("--game", required=True)
     p_oracle.add_argument("--out", required=True)
-    p_oracle.add_argument("--cap", type=int, default=20_000)
+    p_oracle.add_argument("--cap", type=int, default=20_000,
+                          help="pure-rule cap of --dump-matrix")
     p_oracle.add_argument("--seed", type=int, default=0)
     p_oracle.add_argument("--dump-matrix", action="store_true",
                           help="also write the pair-indexed payoff matrix as CSV "
@@ -283,7 +295,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--game", required=True)
     p_verify.add_argument("--equilibrium", required=True)
     p_verify.add_argument("--tol", type=float, default=1e-8)
-    p_verify.add_argument("--cap", type=int, default=20_000)
+    p_verify.add_argument("--cap", type=int, default=20_000,
+                          help="pure-rule cap of the pure-deviation certificate")
     p_verify.add_argument("--out", required=True)
     p_verify.add_argument("--seed", type=int, default=0)
 

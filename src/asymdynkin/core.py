@@ -174,9 +174,19 @@ class FiltrationTree:
         prob[0] = 1.0
         return self.scan(prob, np.multiply)
 
+    def _leaf_depth_error(self, leaf: int) -> ValueError:
+        return ValueError(f"leaf {leaf} at depth {self.depth[leaf]} != {self.n_steps}")
+
     @cached_property
     def paths(self) -> np.ndarray:
-        """(n_leaves, n_steps+1) node ids along each root-to-leaf path."""
+        """(n_leaves, n_steps+1) node ids along each root-to-leaf path.
+
+        Raises ValueError when a leaf sits above the final depth, since its
+        path would be shorter than a row.
+        """
+        shallow = self.leaves[self.depth[self.leaves] != self.n_steps]
+        if shallow.size:
+            raise self._leaf_depth_error(shallow[0])
         out = np.empty((self.leaves.size, self.n_steps + 1), dtype=np.int64)
         out[:, -1] = self.leaves
         for k in range(self.n_steps, 0, -1):
@@ -198,7 +208,7 @@ class FiltrationTree:
             if bad_sum[i]:
                 s = self.prob[self.parent == i].sum()  # np.sum's rounding, not bincount's
                 raise ValueError(f"children probabilities of node {i} sum to {s!r}")
-            raise ValueError(f"leaf {i} at depth {depth[i]} != {n_steps}")
+            raise self._leaf_depth_error(i)
         if np.any(self.prob < -tol):
             raise ValueError("negative transition probability")
         if self.grid is not None and self.grid.n_steps != n_steps:

@@ -1,18 +1,30 @@
-"""Brute-force equilibrium oracle for scenario games.
+"""Equilibrium oracle for scenario games: one sequence-form LP.
 
-Enumerates every pure adapted stopping rule on the tree, forms the zero-sum
-payoff matrix (informed rows are *pairs* of rules, one per regime; uninformed
-columns are single rules) and solves the matrix game exactly by linear
-programming.  The resulting mixed strategies convert into generating
-processes, giving ground truth for all martingale/support/certificate checks.
+A generating process is a realization plan (Koller, Megiddo & von Stengel
+1996): its steps a >= 0 satisfy E a = 1, where E is the leaf x node path
+incidence matrix, and its levels are A a for the ancestor-or-self matrix A.
+Against the uninformed steps b the regime-i payoff is bilinear,
+c_i a + d_i b + a M_i b, with (c_i, d_i, M_i) read off the one first-to-stop
+flow ``core.payoff_flows`` (``sequence_form``).  Dualizing the
+uninformed player's inner maximum gives ``solve_scenario``'s single LP
 
-The pair payoff A[(t0,t1), s] = (1-prior) B0[t0,s] + prior B1[t1,s] is
-additively separable across regimes, so mixing over pairs is payoff-equivalent
-to mixing the marginals: the production solver works in marginal space
-(2R+1 LP variables instead of R^2) while ``build_matrix``/``solve_zero_sum``
-keep the explicit pair form for cross-checks.  Both forms go through one LP
-routine, min v s.t. sum_k w_k B_k^T mu_k <= v over k row mixes: the pair form
-is k = 1 with weight 1, the marginal form k = 2 with the prior weights.
+    min over (a0, a1, y)  sum_i w_i c_i a_i + 1 y
+    subject to            E^T y - sum_i w_i M_i^T a_i >= sum_i w_i d_i,
+                          E a_i = 1,  a_i >= 0,
+
+whose size is O(n_nodes); b is read off the duals of the >= rows.  The gap
+is measured on the returned profile with ``best_response_values``.  Each
+process is then written as a mixture of threshold rules ("stop at the first
+node whose level exceeds u", weighted by the gaps between its sorted levels):
+at most n_nodes + 1 pure rules per process, ``ScenarioSolution.rules``.
+
+Enumeration of every pure adapted rule (``enumerate_stopping_rules``,
+``regime_matrices``, the pair matrix of ``build_matrix``, the matrix-game LP
+``solve_zero_sum`` and ``pure_gap``) stays only as the reference: for tests,
+the randomization-necessity witness, ``oracle --dump-matrix`` and the
+pure-deviation certificate ``scenario.certify_stop``.  The rule count grows
+doubly exponentially (677 at depth 4, 458 330 at depth 5), so it is guarded
+by a cap.
 """
 
 from __future__ import annotations
@@ -20,10 +32,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 
 from .core import FiltrationTree, GeneratingProcess, StoppingRule, flow_value, payoff_flows
-from .scenario import ScenarioGame, StrategyProfile
+from .scenario import ScenarioGame, StrategyProfile, best_response_values
 
 __all__ = [
     "EnumerationCapExceeded",
@@ -39,6 +52,10 @@ __all__ = [
     "solve_zero_sum",
     "pure_gap",
     "mixture_to_generating",
+    "ancestor_matrix",
+    "sequence_form",
+    "LPStats",
+    "support_rules",
     "solve_scenario",
 ]
 
@@ -178,52 +195,38 @@ def _clean_mix(x: np.ndarray) -> np.ndarray:
     return x / s
 
 
-def _solve_mixes(blocks: list[np.ndarray], weights, gap_tol: float):
-    """Solve min v s.t. sum_k w_k B_k^T mu_k <= v, each mu_k a distribution.
+def solve_zero_sum(a: np.ndarray, gap_tol: float = GAP_TOL) -> MixedSolution:
+    """Exact minimax of a matrix game; the row player minimizes.
 
-    HiGHS dual simplex; the column mix is read off the inequality duals.  One
-    re-solve with presolve off refines the solution if the recomputed gap is
-    not closed.  Returns (value, [mu_k], column mix, gap).
+    Solves min v s.t. A^T mu <= v, sum mu = 1 by HiGHS dual simplex and reads
+    the column mix off the inequality duals.  One re-solve with presolve off
+    refines the solution if the recomputed gap is not closed.
     """
-    edges = np.cumsum([0] + [b.shape[0] for b in blocks])
-    spans = list(zip(edges[:-1], edges[1:]))
-    n_vars, n_cols = int(edges[-1]) + 1, blocks[0].shape[1]
-    c = np.zeros(n_vars)
+    a = np.asarray(a, dtype=float)
+    n_rows, n_cols = a.shape
+    c = np.zeros(n_rows + 1)
     c[-1] = 1.0
-    a_ub = np.hstack([w * b.T for w, b in zip(weights, blocks)] + [-np.ones((n_cols, 1))])
-    a_eq = np.zeros((len(blocks), n_vars))
-    for k, (lo, hi) in enumerate(spans):
-        a_eq[k, lo:hi] = 1.0
+    a_ub = np.hstack([a.T, -np.ones((n_cols, 1))])
+    a_eq = np.append(np.ones(n_rows), 0.0)[None, :]
     for presolve in (True, False):
         res = linprog(
             c,
             A_ub=a_ub,
             b_ub=np.zeros(n_cols),
             A_eq=a_eq,
-            b_eq=np.ones(len(blocks)),
-            bounds=[(0, None)] * (n_vars - 1) + [(None, None)],
+            b_eq=[1.0],
+            bounds=[(0, None)] * n_rows + [(None, None)],
             method="highs-ds",
             options=dict(_LP_OPTIONS, presolve=presolve),
         )
         if not res.success:
             raise NumericalFailure(f"LP solver failed: {res.message}")
-        mixes = [_clean_mix(res.x[lo:hi]) for lo, hi in spans]
+        row_mix = _clean_mix(res.x[:-1])
         col_mix = _clean_mix(-res.ineqlin.marginals)
-        upper = float(sum(w * (mu @ b) for w, mu, b in zip(weights, mixes, blocks)).max())
-        lower = float(sum(w * (b @ col_mix).min() for w, b in zip(weights, blocks)))
-        gap = abs(upper - lower)
+        gap = abs(float((row_mix @ a).max() - (a @ col_mix).min()))
         if gap <= gap_tol:
-            return float(res.x[-1]), mixes, col_mix, gap
+            return MixedSolution(float(res.x[-1]), row_mix, col_mix, gap)
     raise NumericalFailure(f"duality gap {gap} above {gap_tol}")
-
-
-def solve_zero_sum(a: np.ndarray, gap_tol: float = GAP_TOL) -> MixedSolution:
-    """Exact minimax of a matrix game; the row player minimizes.
-
-    Solves min v s.t. A^T mu <= v, sum mu = 1 (see ``_solve_mixes``).
-    """
-    value, (row_mix,), col_mix, gap = _solve_mixes([np.asarray(a, dtype=float)], [1.0], gap_tol)
-    return MixedSolution(value, row_mix, col_mix, gap)
 
 
 def pure_gap(a: np.ndarray) -> tuple[float, float, float]:
@@ -237,17 +240,79 @@ def pure_gap(a: np.ndarray) -> tuple[float, float, float]:
 def mixture_to_generating(
     weights: np.ndarray, rules: RuleSet, tree: FiltrationTree
 ) -> GeneratingProcess:
-    """CDF of a mixture of pure rules: level = sum_k w_k 1{rule k stopped}."""
-    w = _clean_mix(np.asarray(weights, dtype=float))
-    levels = w @ rules.level_matrix
+    """CDF of a mixture of pure rules: level = sum_k w_k 1{rule k stopped}.
+
+    The weights are normalized to sum to 1 and otherwise taken as given, so
+    the tiny gaps between nearly equal threshold levels keep their weight.
+    """
+    w = np.asarray(weights, dtype=float)
+    if w.sum() <= 0.0:
+        raise ValueError("mixture weights must have a positive sum")
+    levels = (w / w.sum()) @ rules.level_matrix
     levels = np.clip(levels, 0.0, 1.0)
     levels[tree.leaves] = 1.0
     return GeneratingProcess.from_levels(levels, tree)
 
 
+def ancestor_matrix(tree: FiltrationTree) -> sparse.csr_array:
+    """Sparse A with A[n, m] = 1 where m is n or an ancestor of n.
+
+    ``A @ steps`` are the levels of a process and ``A[tree.leaves]`` is the
+    leaf x node path incidence matrix.  Built by climbing all nodes one level
+    per round, so it costs O(n_nodes x depth), never a dense n x n array.
+    """
+    node = anc = np.arange(tree.n_nodes)
+    pairs = []
+    while node.size:
+        pairs.append((node, anc))
+        up = anc > 0
+        node, anc = node[up], tree.parent[anc[up]]
+    rows, cols = (np.concatenate(k) for k in zip(*pairs))
+    return sparse.csr_array((np.ones(rows.size), (rows, cols)), shape=(tree.n_nodes,) * 2)
+
+
+def sequence_form(game: ScenarioGame, ancestors: sparse.csr_array) -> list[tuple]:
+    """Per-regime (c, d, M) with payoff c @ a + d @ b + a @ M @ b.
+
+    ``a`` and ``b`` are the steps of the informed and the uninformed process
+    and ``ancestors`` is ``ancestor_matrix(game.tree)``.  Each flow of
+    ``core.payoff_flows`` is affine in the opponent's level Z = A b and step
+    dZ = b at a node, so probing it at (Z, dZ) = (0, 0), (1, 0) and (0, 1)
+    gives its constant and slopes.  The payoff is the sum over nodes of
+    r (stop dX + run (1 - X)) with X = A a, as in ``core.flow_value``; the run
+    flow pays only on opponent steps, so it has no constant.
+    """
+    pay, r, A = game.payoffs, game.tree.reach, ancestors
+    probe_z = np.array([0.0, 1.0, 0.0])[:, None, None]
+    probe_dz = np.array([0.0, 0.0, 1.0])[:, None, None]
+    flows = np.stack(payoff_flows(pay.f, pay.g, pay.h, probe_z, probe_dz))  # (stop/run, probe, regime, n)
+    slope = r * (flows[:, 1:] - flows[:, :1])
+    forms = []
+    for i in range(2):
+        # b -> r * (flow - flow at b = 0), for the stop and the run flow
+        s_b, r_b = (sparse.diags_array(z[i]) @ A + sparse.diags_array(dz[i]) for z, dz in slope)
+        forms.append((r * flows[0, 0, i], r_b.sum(axis=0), sparse.csr_array(s_b - A.T @ r_b)))
+    return forms
+
+
+@dataclass(frozen=True)
+class LPStats:
+    """Deterministic counters of the sequence-form LP solve."""
+
+    rows: int
+    cols: int
+    nnz: int
+    nit: int
+    presolve: bool
+
+
 @dataclass(frozen=True)
 class ScenarioSolution:
-    """Equilibrium of a scenario game from the marginal-space LP."""
+    """Equilibrium of a scenario game from the sequence-form LP.
+
+    ``rules`` are the threshold rules the three processes mix over, and the
+    mixes are weights over them (see ``support_rules``).
+    """
 
     value: float
     row_mix0: np.ndarray
@@ -255,6 +320,7 @@ class ScenarioSolution:
     col_mix: np.ndarray
     gap: float
     rules: RuleSet
+    lp: LPStats
 
     def profile(self, tree: FiltrationTree) -> StrategyProfile:
         return StrategyProfile(
@@ -264,16 +330,77 @@ class ScenarioSolution:
         )
 
 
-def solve_scenario(
-    game: ScenarioGame, cap: int = DEFAULT_CAP, gap_tol: float = GAP_TOL
-) -> ScenarioSolution:
-    """Equilibrium oracle: enumerate rules, solve the LP, report the gap.
+def support_rules(levels: list[np.ndarray], tree: FiltrationTree) -> tuple[RuleSet, list[np.ndarray]]:
+    """Pure rules and weights that mix to each of the given processes' levels.
 
-    The informed player's pair-mix is replaced by its per-regime marginals
-    (payoff-equivalent by separability); the reported gap is still measured
-    against best responses in the full pair space.
+    For levels X the rule "stop at the first node whose level exceeds u" is
+    the same for every u between two consecutive distinct levels (0 and 1
+    included), and weighting it by the gap reproduces X.  That is at most
+    n + 1 rules per process; rules shared by several processes appear once.
     """
-    rules = enumerate_stopping_rules(game.tree, cap)
-    b0, b1 = regime_matrices(game, rules)
-    value, (mu0, mu1), nu, gap = _solve_mixes([b0, b1], game.weights, gap_tol)
-    return ScenarioSolution(value, mu0, mu1, nu, gap, rules)
+    stopped, weights = [], []
+    for x in levels:
+        u = np.unique(np.append(x[x < 1.0], 0.0))
+        stopped.append(x > u[:, None])
+        weights.append(np.diff(np.append(u, 1.0)))
+    unique, inverse = np.unique(np.vstack(stopped), axis=0, return_inverse=True)
+    owners = np.split(inverse.ravel(), np.cumsum([w.size for w in weights])[:-1])
+    mixes = [np.bincount(k, weights=w, minlength=len(unique)) for k, w in zip(owners, weights)]
+    stop = unique.copy()
+    stop[:, 1:] &= ~unique[:, tree.parent[1:]]
+    rules = tuple(StoppingRule(s) for s in stop)
+    return RuleSet(rules, stop.astype(float), unique.astype(float)), mixes
+
+
+def _plan_levels(ancestors: sparse.csr_array, steps: np.ndarray, tree: FiltrationTree) -> np.ndarray:
+    # clear basis-solve noise as ``_clean_mix`` does: steps below 1e-10 are 0
+    # and levels within 1e-10 of 1 are 1, so no ghost survival mass remains
+    levels = ancestors @ np.where(steps < 1e-10, 0.0, steps)
+    levels = np.where(levels > 1.0 - 1e-10, 1.0, levels)
+    levels[tree.leaves] = 1.0
+    return levels
+
+
+def solve_scenario(game: ScenarioGame, gap_tol: float = GAP_TOL) -> ScenarioSolution:
+    """Equilibrium oracle: one sequence-form LP, O(n_nodes) in size.
+
+    min over (a0, a1, y) of sum_i w_i c_i a_i + 1 y subject to
+    E^T y - sum_i w_i M_i^T a_i >= sum_i w_i d_i and E a_i = 1, a_i >= 0.
+    The uninformed steps b are the duals of the >= rows.  The gap is
+    |v_hat(root) - sum_i w_i u_hat_i(root)| of ``best_response_values``
+    against the returned profile; one re-solve with presolve off refines a
+    solution whose gap is not closed.
+    """
+    tree, w = game.tree, game.weights
+    n, n_leaves = tree.n_nodes, tree.leaves.size
+    A = ancestor_matrix(tree)
+    E = A[tree.leaves]
+    c, d, m = zip(*sequence_form(game, A))
+    cost = np.concatenate([w[0] * c[0], w[1] * c[1], np.ones(n_leaves)])
+    a_ub = sparse.hstack([w[0] * m[0].T, w[1] * m[1].T, -E.T], format="csr")
+    b_ub = -(w[0] * d[0] + w[1] * d[1])
+    a_eq = sparse.hstack([sparse.block_diag([E, E]), sparse.csr_array((2 * n_leaves, n_leaves))],
+                         format="csr")
+    for presolve in (True, False):
+        res = linprog(
+            cost,
+            A_ub=a_ub,
+            b_ub=b_ub,
+            A_eq=a_eq,
+            b_eq=np.ones(2 * n_leaves),
+            bounds=[(0, None)] * (2 * n) + [(None, None)] * n_leaves,
+            method="highs-ds",
+            options=dict(_LP_OPTIONS, presolve=presolve),
+        )
+        if not res.success:
+            raise NumericalFailure(f"LP solver failed: {res.message}")
+        plans = [res.x[:n], res.x[n:2 * n], -res.ineqlin.marginals]
+        rules, mixes = support_rules([_plan_levels(A, p, tree) for p in plans], tree)
+        profile = StrategyProfile(*(mixture_to_generating(mix, rules, tree) for mix in mixes))
+        surf = best_response_values(game, profile)
+        gap = abs(float(surf.v_hat[0] - w @ surf.u_hat[:, 0]))
+        if gap <= gap_tol:
+            stats = LPStats(a_ub.shape[0] + a_eq.shape[0], a_ub.shape[1], a_ub.nnz + a_eq.nnz,
+                            int(res.nit), presolve)
+            return ScenarioSolution(float(res.fun), *mixes, gap, rules, stats)
+    raise NumericalFailure(f"duality gap {gap} above {gap_tol}")

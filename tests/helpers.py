@@ -8,8 +8,65 @@ bug in the package cannot hide in its own oracle.
 from __future__ import annotations
 
 import numpy as np
+from scipy.optimize import linprog
 
-from asymdynkin.core import FiltrationTree, PayoffTriple, realized_payoff
+from asymdynkin.core import FiltrationTree, PayoffTriple, TimeGrid, realized_payoff
+from asymdynkin.oracle import enumerate_stopping_rules, regime_matrices
+from asymdynkin.scenario import ScenarioGame
+
+
+def random_tree(rng: np.random.Generator, depth: int, depth_first: bool) -> FiltrationTree:
+    """Random tree of the given depth, arity 1-3 per internal node.
+
+    All leaves sit at the final depth; nodes are numbered level by level or,
+    with ``depth_first``, depth first.
+    """
+    def shape(d):
+        return [shape(d + 1) for _ in range(rng.integers(1, 4))] if d < depth else []
+
+    parent, prob = [], []
+    pending = [(shape(0), -1, 1.0)]
+    while pending:
+        node, par, p = pending.pop() if depth_first else pending.pop(0)
+        me = len(parent)
+        parent.append(par)
+        prob.append(p)
+        branch = rng.dirichlet(np.ones(len(node))) if node else []
+        kids = list(zip(node, [me] * len(node), branch))
+        pending.extend(reversed(kids) if depth_first else kids)
+    return FiltrationTree(np.array(parent), np.array(prob), TimeGrid.regular(depth))
+
+
+def random_game(rng: np.random.Generator, tree: FiltrationTree) -> ScenarioGame:
+    vals = np.sort(rng.uniform(-1.0, 1.0, size=(2, tree.n_nodes, 3)), axis=-1)
+    payoffs = PayoffTriple(f=vals[..., 2], g=vals[..., 0], h=vals[..., 1])
+    return ScenarioGame(tree, payoffs, float(rng.uniform(0.05, 0.95)))
+
+
+def enumeration_value(game: ScenarioGame) -> float:
+    """Value of the game by the enumeration LP over pure rules, in marginal form.
+
+    The pair payoff (1-prior) B0[t0, s] + prior B1[t1, s] is separable across
+    regimes, so min v s.t. sum_i w_i B_i^T mu_i <= v over one mix mu_i per
+    regime has the value of the pair-matrix game with 2R + 1 variables.  The
+    payoff matrices come from the package's enumeration reference, which
+    ``test_regime_matrices_match_brute_force`` checks against
+    ``brute_force_expected``; nothing here shares code with the
+    sequence-form LP.
+    """
+    b = regime_matrices(game, enumerate_stopping_rules(game.tree))
+    n_rules, n_cols = b[0].shape
+    cost = np.zeros(2 * n_rules + 1)
+    cost[-1] = 1.0
+    a_ub = np.hstack([w * bi.T for w, bi in zip(game.weights, b)] + [-np.ones((n_cols, 1))])
+    a_eq = np.zeros((2, 2 * n_rules + 1))
+    a_eq[0, :n_rules] = a_eq[1, n_rules:-1] = 1.0
+    res = linprog(cost, A_ub=a_ub, b_ub=np.zeros(n_cols), A_eq=a_eq, b_eq=np.ones(2),
+                  bounds=[(0, None)] * (2 * n_rules) + [(None, None)], method="highs-ds",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert res.success, res.message
+    return float(res.x[-1])
 
 
 def brute_force_expected(tree, payoffs: PayoffTriple, xi, zeta, prior=None) -> float:

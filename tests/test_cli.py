@@ -8,8 +8,8 @@ import pytest
 from asymdynkin import gameio
 from asymdynkin.cli import main
 from asymdynkin.gamegen import random_scenario_game
-from asymdynkin.oracle import NumericalFailure, solve_scenario
-from asymdynkin.scenario import StrategyProfile
+from asymdynkin.oracle import NumericalFailure, count_stopping_rules, solve_scenario
+from asymdynkin.scenario import StrategyProfile, best_response_values, certify_mart
 from asymdynkin.core import GeneratingProcess
 
 
@@ -66,11 +66,42 @@ class TestOracleCommand:
 
     def test_cap_exceeded_exits_3(self, game_file, tmp_path):
         path, _ = game_file
-        rc = main(["oracle", "--game", str(path), "--cap", "5", "--out", str(tmp_path / "o")])
+        rc = main(["oracle", "--game", str(path), "--dump-matrix", "--cap", "5",
+                   "--out", str(tmp_path / "o")])
         assert rc == 3
+        assert not (tmp_path / "o").exists()
+
+    def test_dump_matrix_is_the_full_pair_matrix(self, game_file, tmp_path):
+        path, game = game_file
+        assert main(["oracle", "--game", str(path), "--dump-matrix", "--out", str(tmp_path / "o")]) == 0
+        rows = (tmp_path / "o" / "matrix.csv").read_text().splitlines()
+        n_rules = count_stopping_rules(game.tree)
+        assert len(rows) == 1 + n_rules**2
+        assert rows[0].split(",")[-1] == f"sigma{n_rules - 1}"
+
+    def test_depth_eight_oracle_certifies(self, tmp_path):
+        game = random_scenario_game(8, seed=11, prior=0.35)
+        path = tmp_path / "game.json"
+        gameio.write_json(path, gameio.game_to_dict(game))
+        assert main(["oracle", "--game", str(path), "--out", str(tmp_path / "eq")]) == 0
+        eq = json.loads((tmp_path / "eq" / "equilibrium.json").read_text())
+        assert eq["gap"] <= 1e-9
+        profile, value = gameio.equilibrium_from_dict(eq, game.tree)
+        cert = certify_mart(game, profile, best_response_values(game, profile))
+        assert cert.certified
+        assert abs(cert.value - value) <= 1e-8
+
+    def test_lp_counters_in_equilibrium(self, game_file, tmp_path):
+        path, game = game_file
+        assert main(["oracle", "--game", str(path), "--out", str(tmp_path / "eq")]) == 0
+        lp = json.loads((tmp_path / "eq" / "equilibrium.json").read_text())["lp"]
+        n, leaves = game.tree.n_nodes, game.tree.leaves.size
+        assert set(lp) == {"rows", "cols", "nnz", "nit", "presolve"}
+        assert (lp["rows"], lp["cols"]) == (n + 2 * leaves, 2 * n + leaves)
+        assert lp["nnz"] > 0 and lp["nit"] > 0 and lp["presolve"] is True
 
     def test_lp_numerical_failure_exits_5(self, game_file, tmp_path, capsys, monkeypatch):
-        def failing_solve(game, cap):
+        def failing_solve(game):
             raise NumericalFailure("duality gap 1e-3 above 1e-09")
 
         monkeypatch.setattr("asymdynkin.cli.solve_scenario", failing_solve)
@@ -108,6 +139,16 @@ class TestVerifyCommand:
             "--out", str(tmp_path / "ver"),
         ])
         assert rc == 1
+
+    def test_cap_exceeded_exits_3(self, game_file, tmp_path):
+        # the pure-deviation certificate still enumerates every pure rule
+        path, _ = game_file
+        assert main(["oracle", "--game", str(path), "--out", str(tmp_path / "eq")]) == 0
+        rc = main([
+            "verify", "--game", str(path), "--equilibrium", str(tmp_path / "eq" / "equilibrium.json"),
+            "--cap", "5", "--out", str(tmp_path / "ver"),
+        ])
+        assert rc == 3
 
     def test_shape_mismatch_exits_2(self, game_file, tmp_path):
         path, game = game_file

@@ -1,30 +1,38 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asymdynkin.core import (
+    GeneratingProcess,
     PayoffTriple,
     RandomDevice,
     binary_tree,
     expected_payoff_exact,
     expected_payoff_mc,
+    flow_value,
+    payoff_flows,
     single_path_tree,
     validate_generating,
 )
-from asymdynkin.gamegen import dominance_game, random_scenario_game
+from asymdynkin.gamegen import dominance_game, random_profile, random_scenario_game
 from asymdynkin.oracle import (
     EnumerationCapExceeded,
+    ancestor_matrix,
     build_matrix,
     count_stopping_rules,
     enumerate_stopping_rules,
     mixture_to_generating,
     pure_gap,
     regime_matrices,
+    sequence_form,
     solve_scenario,
     solve_zero_sum,
+    support_rules,
 )
-from asymdynkin.scenario import ScenarioGame, certify_stop
+from asymdynkin.scenario import ScenarioGame, best_response_values, certify_mart, certify_stop
 
-from helpers import brute_force_expected
+from helpers import brute_force_expected, enumeration_value, random_game, random_tree
 
 
 def _single_path_game(seed: int, prior: float) -> ScenarioGame:
@@ -203,15 +211,21 @@ class TestMixtureToGenerating:
 class TestSolutionInvariants:
     @pytest.mark.parametrize("seed", [1, 7, 13])
     def test_saddle_no_profitable_pure_deviation(self, seed):
+        # the profile against every pure rule, not only the rules it mixes over
         game = random_scenario_game(3, seed=seed, prior=0.2)
         sol = solve_scenario(game)
-        b0, b1 = regime_matrices(game, sol.rules)
+        prof = sol.profile(game.tree)
+        rules = enumerate_stopping_rules(game.tree)
+        L, S = rules.level_matrix, rules.stop_matrix
+        pay, reach = game.payoffs, game.tree.reach
         w0, w1 = 1 - game.prior, game.prior
-        col_payoffs = w0 * sol.row_mix0 @ b0 + w1 * sol.row_mix1 @ b1
-        assert col_payoffs.max() <= sol.value + 1e-9
-        row_payoffs0 = b0 @ sol.col_mix
-        row_payoffs1 = b1 @ sol.col_mix
-        assert w0 * row_payoffs0.min() + w1 * row_payoffs1.min() >= sol.value - 1e-9
+        xi, z = (prof.xi0, prof.xi1), prof.zeta
+        col = [flow_value(reach, *payoff_flows(pay.g[i], pay.f[i], pay.h[i], xi[i].levels, xi[i].steps), L, S)
+               for i in range(2)]
+        row = [flow_value(reach, *payoff_flows(pay.f[i], pay.g[i], pay.h[i], z.levels, z.steps), L, S)
+               for i in range(2)]
+        assert (w0 * col[0] + w1 * col[1]).max() <= sol.value + 1e-9
+        assert w0 * row[0].min() + w1 * row[1].min() >= sol.value - 1e-9
 
     def test_constant_shift_moves_value_by_constant(self):
         game = random_scenario_game(2, seed=3, prior=0.5)
@@ -223,3 +237,90 @@ class TestSolutionInvariants:
             game.prior,
         )
         assert solve_scenario(shifted).value == pytest.approx(base + c, abs=1e-9)
+
+
+def _check_against_enumeration(game):
+    sol = solve_scenario(game)
+    assert sol.gap <= 1e-9
+    assert abs(sol.value - enumeration_value(game)) <= 1e-9
+    prof = sol.profile(game.tree)
+    surf = best_response_values(game, prof)
+    assert certify_mart(game, prof, surf, tol=1e-8).certified
+    assert certify_stop(game, prof, surfaces=surf, tol=1e-8).certified
+
+
+def _battery_game(i):
+    # criterion 1's battery: 80 games of depth 2, 80 of depth 3, 40 of depth 4
+    depth = 2 if i < 80 else 3 if i < 160 else 4
+    return random_scenario_game(depth, seed=1000 + i, prior=(0.2, 0.5, 0.8)[i % 3])
+
+
+trees = st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 3), st.booleans())
+
+
+class TestSequenceForm:
+    @given(trees)
+    @settings(max_examples=30, deadline=None)
+    def test_bilinear_form_is_the_exact_payoff(self, spec):
+        seed, depth, depth_first = spec
+        rng = np.random.default_rng(seed)
+        tree = random_tree(rng, depth, depth_first)
+        game = random_game(rng, tree)
+        forms = sequence_form(game, ancestor_matrix(tree))
+        for k in range(3):
+            prof = random_profile(tree, seed=seed % 1000 + k)
+            b = prof.zeta.steps
+            for i, (c, d, m) in enumerate(forms):
+                a = prof.xi(i).steps
+                exact = expected_payoff_exact(tree, game.payoffs.regime(i), prof.xi(i), prof.zeta)
+                assert abs(c @ a + d @ b + a @ (m @ b) - exact) <= 1e-13
+
+    def test_ancestor_matrix_gives_levels_and_paths(self):
+        tree = random_tree(np.random.default_rng(5), 3, depth_first=True)
+        a = ancestor_matrix(tree)
+        steps = random_profile(tree, seed=2).xi0.steps
+        np.testing.assert_allclose(a @ steps, GeneratingProcess.from_steps(steps, tree).levels,
+                                   rtol=0, atol=1e-15)
+        incidence = np.zeros((tree.leaves.size, tree.n_nodes))
+        np.put_along_axis(incidence, tree.paths, 1.0, axis=1)
+        np.testing.assert_array_equal(a[tree.leaves].toarray(), incidence)
+
+    @pytest.mark.parametrize("depth", [2, 3, 4])
+    def test_battery_matches_enumeration(self, depth):
+        # every depth-2 and depth-3 game of criterion 1, and every 5th depth-4 game
+        games = {2: range(0, 80), 3: range(80, 160), 4: range(160, 200, 5)}[depth]
+        for i in games:
+            _check_against_enumeration(_battery_game(i))
+
+    @given(trees)
+    @settings(max_examples=25, deadline=None)
+    def test_random_trees_match_enumeration(self, spec):
+        seed, depth, depth_first = spec
+        rng = np.random.default_rng(seed)
+        _check_against_enumeration(random_game(rng, random_tree(rng, depth, depth_first)))
+
+
+class TestSupportRules:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_mixtures_reproduce_levels(self, seed):
+        tree = binary_tree(6, p_up=0.3)
+        prof = random_profile(tree, seed=seed)
+        levels = [prof.xi0.levels, prof.xi1.levels, prof.zeta.levels]
+        rules, mixes = support_rules(levels, tree)
+        for x, mix in zip(levels, mixes):
+            assert np.count_nonzero(mix) <= tree.n_nodes + 1
+            np.testing.assert_allclose(mixture_to_generating(mix, rules, tree).levels, x,
+                                       rtol=0, atol=1e-13)
+        for rule in rules.rules:
+            rule.validate(tree)
+
+    def test_solution_rules_are_shared_threshold_rules(self):
+        game = random_scenario_game(4, seed=1190, prior=0.5)
+        sol = solve_scenario(game)
+        prof = sol.profile(game.tree)
+        again, mixes = support_rules([prof.xi0.levels, prof.xi1.levels, prof.zeta.levels], game.tree)
+        np.testing.assert_array_equal(again.level_matrix, sol.rules.level_matrix)
+        for mix, ref in zip(mixes, (sol.row_mix0, sol.row_mix1, sol.col_mix)):
+            np.testing.assert_allclose(mix, ref, rtol=0, atol=1e-13)
+        assert len(sol.rules) <= 3 * (game.tree.n_nodes + 1)
+        assert len(np.unique(sol.rules.stop_matrix, axis=0)) == len(sol.rules)

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from asymdynkin.core import (
     FiltrationTree,
     GeneratingProcess,
-    PayoffTriple,
     ShapeMismatchError,
     StoppingRule,
     TimeGrid,
@@ -21,9 +20,11 @@ from asymdynkin.core import (
     truncate_control,
 )
 from asymdynkin.gamegen import random_profile
-from asymdynkin.scenario import ScenarioGame, best_response_values, ex_ante_check
+from asymdynkin.scenario import best_response_values, ex_ante_check, support_report
 
 from helpers import (
+    random_game,
+    random_tree,
     ref_accumulate_before,
     ref_best_response,
     ref_children,
@@ -37,30 +38,6 @@ from helpers import (
     ref_stopped_by,
     ref_truncate_control,
 )
-
-
-def random_tree(rng: np.random.Generator, depth: int, depth_first: bool) -> FiltrationTree:
-    """Random tree of the given depth, arity 1-3 per internal node."""
-    def shape(d):
-        return [shape(d + 1) for _ in range(rng.integers(1, 4))] if d < depth else []
-
-    parent, prob = [], []
-    pending = [(shape(0), -1, 1.0)]
-    while pending:
-        node, par, p = pending.pop() if depth_first else pending.pop(0)
-        me = len(parent)
-        parent.append(par)
-        prob.append(p)
-        branch = rng.dirichlet(np.ones(len(node))) if node else []
-        kids = list(zip(node, [me] * len(node), branch))
-        pending.extend(reversed(kids) if depth_first else kids)
-    return FiltrationTree(np.array(parent), np.array(prob), TimeGrid.regular(depth))
-
-
-def random_game(rng: np.random.Generator, tree: FiltrationTree) -> ScenarioGame:
-    vals = np.sort(rng.uniform(-1.0, 1.0, size=(2, tree.n_nodes, 3)), axis=-1)
-    payoffs = PayoffTriple(f=vals[..., 2], g=vals[..., 0], h=vals[..., 1])
-    return ScenarioGame(tree, payoffs, float(rng.uniform(0.05, 0.95)))
 
 
 trees = st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 4), st.booleans())
@@ -139,6 +116,16 @@ class TestLevelOrderAgainstPerNodeReferences:
         np.testing.assert_allclose(surf.v_hat, v_hat, rtol=0, atol=1e-15)
         np.testing.assert_array_equal(surf.informed_stops, i_stops)
         np.testing.assert_array_equal(surf.uninformed_stops, u_stops)
+
+    def test_paths_reject_a_leaf_above_the_final_depth(self):
+        # a path row of a shallow leaf would start with -1 and index the last node
+        tree = FiltrationTree(np.array([-1, 0, 0, 1, 1]), np.array([1.0, 0.3, 0.7, 0.5, 0.5]))
+        with pytest.raises(ValueError, match="^leaf 2 at depth 1 != 2$"):
+            tree.paths
+        game = random_game(np.random.default_rng(3), tree)
+        prof = random_profile(tree, seed=4)
+        with pytest.raises(ValueError, match="^leaf 2 at depth 1 != 2$"):
+            support_report(game, prof, best_response_values(game, prof))
 
 
 class TestFiltrationTreeValidate:
