@@ -14,7 +14,13 @@ The filter update itself is ``model.filter_step``.  Every simulation of X
 under a regime drift -- the regime-conditional paths, the fixed-regime paths
 of the Monte Carlo verification and the self-convergence study -- goes
 through one Euler loop, ``_regime_euler``, which also accumulates the
-Girsanov log-likelihood behind the Bayes posterior.
+Girsanov log-likelihood behind the Bayes posterior when the caller wants it.
+
+Every loop fills time-major ``(steps + 1, paths)`` buffers one contiguous
+row per step and returns their transposes: views indexed ``[path, step]``,
+with no copy, whose per-step columns are contiguous.  Writing column k + 1
+of a path-major array instead touches one cache line per path on every
+step.
 """
 
 from __future__ import annotations
@@ -64,37 +70,46 @@ def _time_axis(model: DiffusionModel, dt: float) -> np.ndarray:
     return np.linspace(0.0, model.horizon, n_steps + 1)
 
 
-def _regime_euler(model: DiffusionModel, regime: np.ndarray, steps: int, dt: float, increments):
+def _regime_euler(
+    model: DiffusionModel, regime: np.ndarray, steps: int, dt: float, increments,
+    posterior: bool = True,
+):
     """Euler paths of X under each path's regime drift, with the Bayes posterior.
 
     ``increments(k)`` returns the Brownian increments of step k, so each
     caller keeps its own draw order.  The posterior is sigmoid(log-likelihood
     + logit(prior)) with the Girsanov log-likelihood ratio of mu1 against
     mu0; a prior of 0 or 1 gives an infinite logit and a constant posterior.
-    Returns (x, psi, exited) with x and psi of shape (paths, steps + 1).
+    Returns (x, psi, exited) with x and psi of shape (paths, steps + 1); psi
+    is None when ``posterior`` is false, and the likelihood is then skipped.
     """
     n = regime.size
     lo, hi = model.domain
-    x = np.full((n, steps + 1), model.x0)
-    psi = np.full((n, steps + 1), model.prior)
+    x = np.empty((steps + 1, n))
+    x[0] = model.x0
     exited = np.zeros(n, dtype=bool)
-    loglik = np.zeros(n)
-    if model.prior in (0.0, 1.0):
-        logit0 = np.inf if model.prior == 1.0 else -np.inf
-    else:
-        logit0 = float(np.log(model.prior / (1.0 - model.prior)))
+    psi = None
+    if posterior:
+        psi = np.empty((steps + 1, n))
+        psi[0] = model.prior
+        loglik = np.zeros(n)
+        if model.prior in (0.0, 1.0):
+            logit0 = np.inf if model.prior == 1.0 else -np.inf
+        else:
+            logit0 = float(np.log(model.prior / (1.0 - model.prior)))
     for k in range(steps):
-        xk = x[:, k]
+        xk = x[k]
         m0 = np.asarray(model.mu0(xk), dtype=float)
         m1 = np.asarray(model.mu1(xk), dtype=float)
         s = np.asarray(model.sigma(xk), dtype=float)
         dx = np.where(regime == 1, m1, m0) * dt + s * increments(k)
-        x[:, k + 1] = xk + dx
-        loglik += (m1 - m0) / s**2 * dx - 0.5 * (m1**2 - m0**2) / s**2 * dt
-        with np.errstate(over="ignore"):
-            psi[:, k + 1] = 1.0 / (1.0 + np.exp(-(loglik + logit0)))
-        exited |= (x[:, k + 1] < lo) | (x[:, k + 1] > hi)
-    return x, psi, exited
+        x[k + 1] = xk + dx
+        if psi is not None:
+            loglik += (m1 - m0) / s**2 * dx - 0.5 * (m1**2 - m0**2) / s**2 * dt
+            with np.errstate(over="ignore"):
+                psi[k + 1] = 1.0 / (1.0 + np.exp(-(loglik + logit0)))
+        exited |= (x[k + 1] < lo) | (x[k + 1] > hi)
+    return x.T, None if psi is None else psi.T, exited
 
 
 def _draws(device: RandomDevice, n: int, dt: float):
@@ -116,19 +131,20 @@ def simulate_filter_paths(
     t = _time_axis(model, dt)
     draw = _draws(device, n, dt)
     lo, hi = model.domain
-    x = np.full((n, t.size), model.x0)
-    psi = np.full((n, t.size), model.prior)
+    x = np.empty((t.size, n))
+    psi = np.empty((t.size, n))
+    x[0], psi[0] = model.x0, model.prior
     exited = np.zeros(n, dtype=bool)
     max_clamp = 0.0
     for k in range(t.size - 1):
-        xk, pk = x[:, k], psi[:, k]
+        xk, pk = x[k], psi[k]
         db = draw(k)
-        x[:, k + 1] = xk + model.mu_bar(xk, pk) * dt + np.asarray(model.sigma(xk)) * db
+        x[k + 1] = xk + model.mu_bar(xk, pk) * dt + np.asarray(model.sigma(xk)) * db
         raw = filter_step(model, xk, pk, db)
         max_clamp = max(max_clamp, float(np.max(raw - 1.0, initial=0.0)), float(np.max(-raw, initial=0.0)))
-        psi[:, k + 1] = np.clip(raw, 0.0, 1.0)
-        exited |= (x[:, k + 1] < lo) | (x[:, k + 1] > hi)
-    return PathBundle(t, x, psi, None, exited, device.seed, device.stream, dt, max_clamp)
+        psi[k + 1] = np.clip(raw, 0.0, 1.0)
+        exited |= (x[k + 1] < lo) | (x[k + 1] > hi)
+    return PathBundle(t, x.T, psi.T, None, exited, device.seed, device.stream, dt, max_clamp)
 
 
 def simulate_regime_paths(
@@ -151,7 +167,8 @@ def simulate_fixed_regime(
 ) -> np.ndarray:
     """Plain Euler paths of X with the drift of one fixed regime."""
     steps = _time_axis(model, dt).size - 1
-    return _regime_euler(model, np.full(n, regime), steps, dt, _draws(device, n, dt))[0]
+    return _regime_euler(model, np.full(n, regime), steps, dt, _draws(device, n, dt),
+                         posterior=False)[0]
 
 
 def filter_self_convergence(
@@ -182,9 +199,13 @@ def filter_self_convergence(
     for dt in dts:
         m = int(round(dt / dt_min))
         dw = dw_fine[:, : (steps // m) * m].reshape(n, -1, m).sum(axis=2)
-        x, psi_lr, _ = _regime_euler(model, regime, dw.shape[1], dt, lambda k: dw[:, k])
+        dw = np.ascontiguousarray(dw.T)
+        x, psi_lr, _ = _regime_euler(model, regime, dw.shape[0], dt, lambda k: dw[k])
         psi_sde = psi_from_innovation(model, x, dt)
-        out.append(float(np.sqrt(np.mean((psi_sde - psi_lr) ** 2))))
+        # a path-major gap keeps the summation order of the mean, so the RMS
+        # does not move with the layout of the path arrays
+        gap = np.subtract(psi_sde, psi_lr, order="C")
+        out.append(float(np.sqrt(np.mean(gap**2))))
     return out
 
 
@@ -193,14 +214,20 @@ def psi_from_innovation(model: DiffusionModel, x: np.ndarray, dt: float) -> np.n
 
     Integrates d psi = w(X) psi (1-psi) dB with dB read off the path:
     dB = (dX - mu_bar(X, psi) dt) / sigma(X).  This is the uninformed
-    player's online computation on an arbitrary trajectory.
+    player's online computation on an arbitrary trajectory.  ``x`` has
+    shape (paths, steps + 1) and at least one column; the result has the
+    same shape.
     """
-    n, steps = x.shape[0], x.shape[1] - 1
-    psi = np.empty((n, steps + 1))
-    psi[:, 0] = model.prior
-    for k in range(steps):
-        xk, pk = x[:, k], psi[:, k]
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[1] < 1:
+        raise ValueError(f"x must have shape (paths, steps + 1) with steps >= 0, got {x.shape}")
+    # time-major: free for simulator output, whose transpose is contiguous
+    xt = np.ascontiguousarray(x.T)
+    psi = np.empty(xt.shape)
+    psi[0] = model.prior
+    for k in range(xt.shape[0] - 1):
+        xk, pk = xt[k], psi[k]
         s = np.asarray(model.sigma(xk), dtype=float)
-        db = (x[:, k + 1] - xk - model.mu_bar(xk, pk) * dt) / s
-        psi[:, k + 1] = np.clip(filter_step(model, xk, pk, db), 0.0, 1.0)
-    return psi
+        db = (xt[k + 1] - xk - model.mu_bar(xk, pk) * dt) / s
+        psi[k + 1] = np.clip(filter_step(model, xk, pk, db), 0.0, 1.0)
+    return psi.T

@@ -11,6 +11,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from asymdynkin.core import FiltrationTree, PayoffTriple, TimeGrid, realized_payoff
+from asymdynkin.dynamics.model import filter_step
 from asymdynkin.oracle import enumerate_stopping_rules, regime_matrices
 from asymdynkin.scenario import ScenarioGame
 
@@ -260,3 +261,67 @@ def ref_ex_ante(game, profile, v_hat: np.ndarray, node: int) -> float:
               for m in range(tree.n_nodes))
     pre = z.levels[tree.parent[node]] if node else 0.0
     return abs(lhs - (1.0 - pre) * v_hat[node])
+
+
+# Path-major references for the time-major Euler loops of dynamics.simulate:
+# each fills column k + 1 of a (paths, steps + 1) array, with the same
+# arithmetic and the same draws, so the simulators must match them bit for bit.
+
+
+def ref_filter_paths(model, n: int, dt: float, device):
+    """(x, psi, exited, max_clamp) of the observation-law Euler scheme."""
+    steps = int(round(model.horizon / dt))
+    rng, sqdt = device.generator(), np.sqrt(dt)
+    lo, hi = model.domain
+    x = np.full((n, steps + 1), model.x0)
+    psi = np.full((n, steps + 1), model.prior)
+    exited = np.zeros(n, dtype=bool)
+    max_clamp = 0.0
+    for k in range(steps):
+        xk, pk = x[:, k], psi[:, k]
+        db = rng.standard_normal(n) * sqdt
+        x[:, k + 1] = xk + model.mu_bar(xk, pk) * dt + np.asarray(model.sigma(xk)) * db
+        raw = filter_step(model, xk, pk, db)
+        max_clamp = max(max_clamp, float(np.max(raw - 1.0, initial=0.0)), float(np.max(-raw, initial=0.0)))
+        psi[:, k + 1] = np.clip(raw, 0.0, 1.0)
+        exited |= (x[:, k + 1] < lo) | (x[:, k + 1] > hi)
+    return x, psi, exited, max_clamp
+
+
+def ref_regime_euler(model, regime: np.ndarray, steps: int, dt: float, increments):
+    """(x, psi, exited) of the regime-drift Euler scheme with the Bayes posterior."""
+    n = regime.size
+    lo, hi = model.domain
+    x = np.full((n, steps + 1), model.x0)
+    psi = np.full((n, steps + 1), model.prior)
+    exited = np.zeros(n, dtype=bool)
+    loglik = np.zeros(n)
+    if model.prior in (0.0, 1.0):
+        logit0 = np.inf if model.prior == 1.0 else -np.inf
+    else:
+        logit0 = float(np.log(model.prior / (1.0 - model.prior)))
+    for k in range(steps):
+        xk = x[:, k]
+        m0 = np.asarray(model.mu0(xk), dtype=float)
+        m1 = np.asarray(model.mu1(xk), dtype=float)
+        s = np.asarray(model.sigma(xk), dtype=float)
+        dx = np.where(regime == 1, m1, m0) * dt + s * increments(k)
+        x[:, k + 1] = xk + dx
+        loglik += (m1 - m0) / s**2 * dx - 0.5 * (m1**2 - m0**2) / s**2 * dt
+        with np.errstate(over="ignore"):
+            psi[:, k + 1] = 1.0 / (1.0 + np.exp(-(loglik + logit0)))
+        exited |= (x[:, k + 1] < lo) | (x[:, k + 1] > hi)
+    return x, psi, exited
+
+
+def ref_psi_from_innovation(model, x: np.ndarray, dt: float) -> np.ndarray:
+    """Filter-SDE posterior integrated along the columns of a (paths, steps + 1) x."""
+    n, steps = x.shape[0], x.shape[1] - 1
+    psi = np.empty((n, steps + 1))
+    psi[:, 0] = model.prior
+    for k in range(steps):
+        xk, pk = x[:, k], psi[:, k]
+        s = np.asarray(model.sigma(xk), dtype=float)
+        db = (x[:, k + 1] - xk - model.mu_bar(xk, pk) * dt) / s
+        psi[:, k + 1] = np.clip(filter_step(model, xk, pk, db), 0.0, 1.0)
+    return psi

@@ -301,6 +301,20 @@ class TestDeterminism:
         main(argv)
         assert tree_digest(out) == first
 
+    # sha256 of paths.csv as the path-major Euler loops wrote it: reruns agreeing
+    # with each other is not enough, a change must not move a digit against them
+    @pytest.mark.parametrize("extra, digest", [
+        ([], "946edecc5b5201625daf1aacfab0b76b3c645f62751884f01b4553b0b2e0042d"),
+        (["--conditional"], "96f5ac5be8ce5afc5ad674b76f7ca6a730346d416eb2d4a21b3aecd7fdda8b34"),
+    ], ids=["filter", "conditional"])
+    def test_simulate_paths_pinned(self, model_file, tmp_path, extra, digest):
+        out = tmp_path / "d"
+        assert main([
+            "dynamics", "simulate", "--model", str(model_file),
+            "--dt", "0.02", "--paths", "15", "--seed", "9", "--out", str(out), *extra,
+        ]) == 0
+        assert tree_digest(out)["paths.csv"] == digest
+
     def test_surfaces_round_trip(self, model_file, tmp_path):
         out = tmp_path / "p"
         main(["dynamics", "pde", "--model", str(model_file), "--grid", "11x5x21",

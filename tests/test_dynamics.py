@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,6 +19,7 @@ from asymdynkin.dynamics import (
     standard_test_functions,
 )
 from asymdynkin.dynamics.simulate import filter_self_convergence
+from helpers import ref_filter_paths, ref_psi_from_innovation, ref_regime_euler
 
 
 def const(c):
@@ -155,6 +157,133 @@ class TestRegimeSimulation:
         psi_sde = psi_from_innovation(model, b.x, 1e-3)
         rms = np.sqrt(np.mean((psi_sde - b.psi) ** 2))
         assert rms <= 0.02
+
+
+def curved(prior):
+    """x-dependent drifts and volatility, strong enough signal to clamp psi."""
+    return DiffusionModel(
+        mu0=lambda x: -0.8 + 0.2 * np.tanh(x), mu1=lambda x: 0.9 - 0.1 * x,
+        sigma=lambda x: 0.3 + 0.1 * np.tanh(x) ** 2,
+        x0=0.1, prior=prior, horizon=1.0, domain=(-1.0, 1.5),
+    )
+
+
+def regime_draws(model, n, dt, device):
+    """The regime and per-step increments the regime simulators draw."""
+    regime = (device.with_stream(device.stream + 1).uniforms(n) < model.prior).astype(np.int64)
+    rng, sqdt = device.generator(), np.sqrt(dt)
+    return regime, lambda k: rng.standard_normal(n) * sqdt
+
+
+MODELS = [pytest.param(curved(p), id=f"curved-prior-{p}") for p in (0.0, 0.3, 1.0)] + [
+    pytest.param(DiffusionModel(mu0=const(-0.4), mu1=const(0.4), sigma=const(0.5),
+                                x0=0.0, prior=0.5, horizon=1.0, domain=(-1.0, 1.0)), id="constant"),
+]
+
+
+class TestTimeMajorLoops:
+    """The time-major simulators reproduce the path-major references bit for bit."""
+
+    @pytest.mark.parametrize("m", MODELS)
+    def test_filter_paths(self, m):
+        n, dt = 300, 1e-2
+        b = simulate_filter_paths(m, n, dt, RandomDevice(3))
+        x, psi, exited, max_clamp = ref_filter_paths(m, n, dt, RandomDevice(3))
+        assert b.x.shape == b.psi.shape == (n, 101)
+        assert np.array_equal(b.x, x) and np.array_equal(b.psi, psi)
+        assert np.array_equal(b.exited, exited) and b.max_clamp == max_clamp
+
+    def test_filter_paths_exercise_exits_and_clamps(self):
+        b = simulate_filter_paths(curved(0.3), 300, 1e-2, RandomDevice(3))
+        assert 0 < b.exited.sum() < 300 and b.max_clamp > 0.0
+
+    @pytest.mark.parametrize("m", MODELS)
+    def test_regime_paths(self, m):
+        n, dt = 300, 1e-2
+        b = simulate_regime_paths(m, n, dt, RandomDevice(4))
+        regime, draw = regime_draws(m, n, dt, RandomDevice(4))
+        x, psi, exited = ref_regime_euler(m, regime, 100, dt, draw)
+        assert b.x.shape == b.psi.shape == (n, 101)
+        assert np.array_equal(b.regime, regime)
+        assert np.array_equal(b.x, x) and np.array_equal(b.psi, psi)
+        assert np.array_equal(b.exited, exited)
+
+    @pytest.mark.parametrize("m", MODELS)
+    @pytest.mark.parametrize("regime", [0, 1])
+    def test_fixed_regime(self, m, regime):
+        n, dt = 300, 1e-2
+        x = simulate_fixed_regime(m, regime, n, dt, RandomDevice(5))
+        _, draw = regime_draws(m, n, dt, RandomDevice(5))
+        ref = ref_regime_euler(m, np.full(n, regime), 100, dt, draw)[0]
+        assert x.shape == (n, 101) and np.array_equal(x, ref)
+
+    @pytest.mark.parametrize("m", MODELS)
+    def test_self_convergence(self, m):
+        n, dts = 200, [4e-2, 2e-2, 1e-2]
+        rms = filter_self_convergence(m, n, dts, RandomDevice(6))
+        device = RandomDevice(6)
+        dw_fine = device.generator().standard_normal((n, 100)) * np.sqrt(1e-2)
+        regime = (device.with_stream(device.stream + 1).uniforms(n) < m.prior).astype(np.int64)
+        ref = []
+        for dt in dts:
+            k = round(dt / 1e-2)
+            dw = dw_fine.reshape(n, -1, k).sum(axis=2)
+            x, psi_lr, _ = ref_regime_euler(m, regime, dw.shape[1], dt, lambda j: dw[:, j])
+            psi_sde = ref_psi_from_innovation(m, x, dt)
+            ref.append(float(np.sqrt(np.mean((psi_sde - psi_lr) ** 2))))
+        assert rms == ref
+
+    @pytest.mark.parametrize("m", MODELS)
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_psi_from_innovation(self, m, order):
+        x = np.asarray(simulate_regime_paths(m, 300, 1e-2, RandomDevice(7)).x, order=order)
+        psi = psi_from_innovation(m, x, 1e-2)
+        assert psi.shape == x.shape
+        assert np.array_equal(psi, ref_psi_from_innovation(m, x, 1e-2))
+
+    @pytest.mark.parametrize("x", [np.zeros(5), np.zeros((5, 0)), np.zeros((2, 3, 4))],
+                             ids=["1-D", "no-column", "3-D"])
+    def test_psi_from_innovation_rejects_bad_shapes(self, model, x):
+        with pytest.raises(ValueError, match="shape"):
+            psi_from_innovation(model, x, 1e-2)
+
+    def test_psi_from_innovation_single_column(self, model):
+        psi = psi_from_innovation(model, np.zeros((4, 1)), 1e-2)
+        assert np.array_equal(psi, np.full((4, 1), 0.5))
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes numpy and Python hold while fn(*args) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPathMemory:
+    """Path simulators hold their output arrays and nothing of that size besides.
+
+    At 2 000 paths x 500 steps one (paths, steps + 1) float array is 8.0 MB; a
+    transpose copy of any path array would add a whole array to the peak.
+    """
+
+    n, dt = 2000, 2e-3
+    array = n * 501 * 8
+
+    def test_filter_paths_peak_is_x_and_psi(self, model):
+        peak = traced_peak(simulate_filter_paths, model, self.n, self.dt, RandomDevice(1))
+        assert peak <= 2.1 * self.array
+
+    def test_fixed_regime_peak_is_x(self, model):
+        peak = traced_peak(simulate_fixed_regime, model, 1, self.n, self.dt, RandomDevice(1))
+        assert peak <= 1.1 * self.array
+
+    def test_innovation_filter_reads_simulator_paths_without_copy(self, model):
+        x = simulate_fixed_regime(model, 1, self.n, self.dt, RandomDevice(1))
+        peak = traced_peak(psi_from_innovation, model, x, self.dt)
+        assert peak <= 1.1 * self.array
 
 
 class TestGenerators:
