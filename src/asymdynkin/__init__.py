@@ -6,8 +6,8 @@ Three layers:
   devices, exact and Monte Carlo payoff evaluation;
 * :mod:`asymdynkin.scenario` / :mod:`asymdynkin.oracle` -- the hidden-regime
   scenario game: belief updates, best-response surfaces, node-by-node
-  martingale/support reports, saddle certificates, and the enumerate-and-solve
-  LP equilibrium oracle;
+  martingale/support reports, saddle certificates, and the sequence-form LP
+  equilibrium oracle;
 * :mod:`asymdynkin.dynamics` -- the continuous-state companion: filtering SDE
   simulation, the coupled free-boundary PDE system, strategy extraction and
   Monte Carlo verification.
@@ -31,13 +31,11 @@ from .core import (
 )
 from .oracle import (
     EnumerationCapExceeded,
-    MixedSolution,
     build_matrix,
     enumerate_stopping_rules,
     mixture_to_generating,
     pure_gap,
     solve_scenario,
-    solve_zero_sum,
 )
 from .scenario import (
     Certificate,

@@ -2,12 +2,11 @@
 
 Exit codes: 0 success/certified, 1 certification rejected, 2 malformed
 input, 3 enumeration cap exceeded, 4 PDE non-convergence, 5 LP numerical
-failure (the equilibrium LP failed or left a duality gap).  --cap bounds
-only the pure-rule enumerations, ``verify``'s pure-deviation certificate and
-``oracle --dump-matrix``; the ``oracle`` LP itself works on the tree's nodes
-and has no cap.  All randomness flows through --seed and every artifact
-embeds its run configuration, so identical invocations produce byte-identical
-outputs.
+failure (the equilibrium LP failed or left a duality gap).  Only ``oracle
+--dump-matrix`` enumerates pure rules, under ``oracle --cap``; the ``oracle``
+LP and every ``verify`` check work on the tree's nodes and have no cap.  All
+randomness flows through --seed and every artifact embeds its run
+configuration, so identical invocations produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -125,6 +124,10 @@ def cmd_verify(args) -> int:
         if len(data[name]) != game.tree.n_nodes:
             raise InputError(f"equilibrium: {name} has {len(data[name])} levels for "
                              f"{game.tree.n_nodes} tree nodes")
+    try:
+        profile.validate(game.tree)
+    except ValueError as exc:
+        raise InputError(f"equilibrium: {exc}")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -132,7 +135,7 @@ def cmd_verify(args) -> int:
     mrep = martingale_report(game, profile, surfaces, tol=args.tol)
     srep = support_report(game, profile, surfaces)
     cert_m = certify_mart(game, profile, surfaces, tol=args.tol)
-    cert_s = certify_stop(game, profile, surfaces=surfaces, tol=args.tol, cap=args.cap)
+    cert_s = certify_stop(game, profile, surfaces=surfaces, tol=args.tol)
     ex_ante = [ex_ante_check(game, profile, surfaces, n) for n in range(game.tree.n_nodes)]
     cfg = _base_config(args, "verify")
 
@@ -295,8 +298,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--game", required=True)
     p_verify.add_argument("--equilibrium", required=True)
     p_verify.add_argument("--tol", type=float, default=1e-8)
-    p_verify.add_argument("--cap", type=int, default=20_000,
-                          help="pure-rule cap of the pure-deviation certificate")
     p_verify.add_argument("--out", required=True)
     p_verify.add_argument("--seed", type=int, default=0)
 

@@ -200,6 +200,10 @@ class FiltrationTree:
     def validate(self, tol: float = MONOTONE_TOL) -> None:
         """Raise ValueError on any structural violation."""
         depth, n_steps, leaf = self.depth, self.n_steps, self.is_leaf
+        nonfinite = np.flatnonzero(~np.isfinite(self.prob))
+        if nonfinite.size:
+            i = nonfinite[0]
+            raise ValueError(f"non-finite transition probability {float(self.prob[i])!r} at node {i}")
         sums = np.bincount(self.parent[1:], weights=self.prob[1:], minlength=self.n_nodes)
         bad_sum = ~leaf & (np.abs(sums - 1.0) > tol)
         bad = np.flatnonzero(bad_sum | (leaf & (depth != n_steps)))
@@ -338,11 +342,14 @@ def validate_generating(
     """Check a generating process against Def-2.2-style invariants.
 
     Returns a report listing violations tagged ``ShapeMismatch``,
-    ``NotMonotone`` or ``TerminalNotOne``; an empty list means OK.
+    ``NonFinite``, ``NotMonotone`` or ``TerminalNotOne``; an empty list means OK.
     """
     violations: list[str] = []
     if proc.levels.shape != (tree.n_nodes,) or proc.steps.shape != (tree.n_nodes,):
         return ValidationReport(False, (f"ShapeMismatch: {proc.levels.shape[0]} values for {tree.n_nodes} nodes",))
+    for i in np.flatnonzero(~(np.isfinite(proc.levels) & np.isfinite(proc.steps))):
+        violations.append(f"NonFinite: level {float(proc.levels[i])!r}, "
+                          f"increment {float(proc.steps[i])!r} at node {i}")
     bad = np.flatnonzero(proc.steps < -tol)
     for i in bad:
         violations.append(f"NotMonotone: negative increment {proc.steps[i]!r} at node {i}")

@@ -19,12 +19,10 @@ node whose level exceeds u", weighted by the gaps between its sorted levels):
 at most n_nodes + 1 pure rules per process, ``ScenarioSolution.rules``.
 
 Enumeration of every pure adapted rule (``enumerate_stopping_rules``,
-``regime_matrices``, the pair matrix of ``build_matrix``, the matrix-game LP
-``solve_zero_sum`` and ``pure_gap``) stays only as the reference: for tests,
-the randomization-necessity witness, ``oracle --dump-matrix`` and the
-pure-deviation certificate ``scenario.certify_stop``.  The rule count grows
-doubly exponentially (677 at depth 4, 458 330 at depth 5), so it is guarded
-by a cap.
+``regime_matrices``, the pair matrix of ``build_matrix`` and ``pure_gap``)
+stays only as the reference: for tests, the randomization-necessity witness
+and ``oracle --dump-matrix``.  The rule count grows doubly exponentially
+(677 at depth 4, 458 330 at depth 5), so it is guarded by a cap.
 """
 
 from __future__ import annotations
@@ -43,13 +41,11 @@ __all__ = [
     "NumericalFailure",
     "RuleSet",
     "GameMatrix",
-    "MixedSolution",
     "ScenarioSolution",
     "count_stopping_rules",
     "enumerate_stopping_rules",
     "regime_matrices",
     "build_matrix",
-    "solve_zero_sum",
     "pure_gap",
     "mixture_to_generating",
     "ancestor_matrix",
@@ -173,60 +169,6 @@ def build_matrix(
     pairs = np.stack(np.meshgrid(np.arange(r), np.arange(r), indexing="ij"), axis=-1).reshape(-1, 2)
     a = w0 * b0[pairs[:, 0]] + w1 * b1[pairs[:, 1]]
     return GameMatrix(a, pairs)
-
-
-@dataclass(frozen=True)
-class MixedSolution:
-    """Value and optimal mixes of a finite zero-sum matrix game."""
-
-    value: float
-    row_mix: np.ndarray
-    col_mix: np.ndarray
-    gap: float
-
-
-def _clean_mix(x: np.ndarray) -> np.ndarray:
-    # zero out basis-solve noise: vertex solutions have exact zeros, and a
-    # ghost weight of 1e-12 keeps spurious survival mass alive downstream
-    x = np.where(x < 1e-10, 0.0, x)
-    s = x.sum()
-    if s <= 0.0:
-        raise NumericalFailure("degenerate mix returned by the LP")
-    return x / s
-
-
-def solve_zero_sum(a: np.ndarray, gap_tol: float = GAP_TOL) -> MixedSolution:
-    """Exact minimax of a matrix game; the row player minimizes.
-
-    Solves min v s.t. A^T mu <= v, sum mu = 1 by HiGHS dual simplex and reads
-    the column mix off the inequality duals.  One re-solve with presolve off
-    refines the solution if the recomputed gap is not closed.
-    """
-    a = np.asarray(a, dtype=float)
-    n_rows, n_cols = a.shape
-    c = np.zeros(n_rows + 1)
-    c[-1] = 1.0
-    a_ub = np.hstack([a.T, -np.ones((n_cols, 1))])
-    a_eq = np.append(np.ones(n_rows), 0.0)[None, :]
-    for presolve in (True, False):
-        res = linprog(
-            c,
-            A_ub=a_ub,
-            b_ub=np.zeros(n_cols),
-            A_eq=a_eq,
-            b_eq=[1.0],
-            bounds=[(0, None)] * n_rows + [(None, None)],
-            method="highs-ds",
-            options=dict(_LP_OPTIONS, presolve=presolve),
-        )
-        if not res.success:
-            raise NumericalFailure(f"LP solver failed: {res.message}")
-        row_mix = _clean_mix(res.x[:-1])
-        col_mix = _clean_mix(-res.ineqlin.marginals)
-        gap = abs(float((row_mix @ a).max() - (a @ col_mix).min()))
-        if gap <= gap_tol:
-            return MixedSolution(float(res.x[-1]), row_mix, col_mix, gap)
-    raise NumericalFailure(f"duality gap {gap} above {gap_tol}")
 
 
 def pure_gap(a: np.ndarray) -> tuple[float, float, float]:
@@ -353,8 +295,9 @@ def support_rules(levels: list[np.ndarray], tree: FiltrationTree) -> tuple[RuleS
 
 
 def _plan_levels(ancestors: sparse.csr_array, steps: np.ndarray, tree: FiltrationTree) -> np.ndarray:
-    # clear basis-solve noise as ``_clean_mix`` does: steps below 1e-10 are 0
-    # and levels within 1e-10 of 1 are 1, so no ghost survival mass remains
+    # clear basis-solve noise: vertex solutions have exact zeros, so steps
+    # below 1e-10 are 0 and levels within 1e-10 of 1 are 1, and no ghost
+    # survival mass remains downstream
     levels = ancestors @ np.where(steps < 1e-10, 0.0, steps)
     levels = np.where(levels > 1.0 - 1e-10, 1.0, levels)
     levels[tree.leaves] = 1.0

@@ -473,24 +473,58 @@ def certify_mart(
     return Certificate(not violations, float(v0), tuple(violations), tol)
 
 
+def _best_pure_rules(tree: FiltrationTree, stop: np.ndarray, run: np.ndarray):
+    """Least value over pure adapted rules for each row of (stop, run) flows.
+
+    In sequence form (Koller, Megiddo & von Stengel 1996) the pure rules are
+    the 0/1 realization plans: one stop per root-to-leaf path.  A rule's value
+    sum_n r_n (stop_n dX_n + run_n (1 - X_n)), r the reach, is sum(r run) plus
+    the plan cost p_n = r_n stop_n - (r run summed over the subtree of n) at
+    each of its stop nodes.  The least sum of costs is W at the root, for
+    W = p at leaves and W_n = min(p_n, sum of the children's W) inside: one
+    pass from the leaves up, with no rule listed.  Returns (best, p, first),
+    ``first`` being the smallest stop-node id of a minimizing rule that
+    continues on ties.  A NaN anywhere reaches ``best``.
+    """
+    r = tree.reach
+    sub = r * run  # r run, summed over each subtree level by level
+    kids = np.zeros_like(sub)  # the children's W, summed
+    p, w = np.empty_like(sub), np.empty_like(sub)
+    take = np.empty(sub.shape, dtype=bool)
+    for depth in range(tree.n_steps, -1, -1):
+        lvl = tree.levels[depth]
+        leaf = tree.is_leaf[lvl]
+        p[:, lvl] = r[lvl] * stop[:, lvl] - sub[:, lvl]
+        take[:, lvl] = leaf | (p[:, lvl] < kids[:, lvl])
+        w[:, lvl] = np.where(leaf, p[:, lvl], np.minimum(p[:, lvl], kids[:, lvl]))
+        if depth:
+            np.add.at(sub, (slice(None), tree.parent[lvl]), sub[:, lvl])
+            np.add.at(kids, (slice(None), tree.parent[lvl]), w[:, lvl])
+    # the rule stops at the first node on each path where it takes the stop
+    ids = np.where(take, np.arange(tree.n_nodes), tree.n_nodes)
+    first = tree.scan(ids, np.minimum)[:, tree.leaves].min(axis=1)
+    return sub[:, 0] + w[:, 0], p, first
+
+
 def certify_stop(
     game: ScenarioGame,
     profile: StrategyProfile,
     u_root: np.ndarray | None = None,
     v_root: float | None = None,
-    cap: int = 20_000,
     tol: float = DEFAULT_TOL,
     surfaces: ValueSurfaces | None = None,
 ) -> Certificate:
     """Pure-deviation sufficiency check of a candidate root-value triple.
 
-    Enumerates every pure adapted stopping rule and verifies that no pure
-    deviation beats the candidate values against the candidate profile, plus
-    the root identity <prior, U0> = V0.  Root values default to the supplied
-    surfaces' roots.
+    Verifies that no pure adapted stopping rule beats the candidate values
+    against the candidate profile -- (i) per informed incarnation, (ii) for
+    the uninformed player -- plus (iii) the root identity <prior, U0> = V0.
+    The best pure deviation comes from one leaf-to-root pass in plan
+    coordinates (``_best_pure_rules``), reach-weighted and independent of the
+    best-response recursion; each check reports at most that deviation, at
+    the smallest stop-node id of the rule.  A NaN fails every check.  Root
+    values default to the supplied surfaces' roots.
     """
-    from .oracle import RuleSet, enumerate_stopping_rules  # local to avoid a cycle
-
     tree, w = game.tree, game.weights
     if u_root is None or v_root is None:
         if surfaces is None:
@@ -498,23 +532,19 @@ def certify_stop(
         u_root, v_root = surfaces.root_values()
     u_root = np.asarray(u_root, dtype=float)
 
-    rules: RuleSet = enumerate_stopping_rules(tree, cap)
-    S, L = rules.stop_matrix, rules.level_matrix
-    violations: list[tuple[str, int, float]] = []
-
     stop_u, run_u = _informed_flows(game, profile.zeta)
-    vals_u = flow_value(tree.reach, stop_u, run_u, L, S)
-    for i in range(2):
-        for r in np.flatnonzero(vals_u[:, i] < u_root[i] - tol):
-            violations.append((f"(i) pure tau regime {i}", int(r), float(vals_u[r, i] - u_root[i])))
-
     stop_v, run_v = _uninformed_flows(game, profile)
-    vals = flow_value(tree.reach, stop_v, run_v, L, S)
-    for r in np.flatnonzero(vals > v_root + tol):
-        violations.append(("(ii) pure sigma", int(r), float(vals[r] - v_root)))
+    # the uninformed player maximizes: negated, its row minimizes as well
+    best, _, first = _best_pure_rules(tree, np.vstack([stop_u, -stop_v]), np.vstack([run_u, -run_v]))
+    violations: list[tuple[str, int, float]] = []
+    for i in range(2):
+        if not best[i] >= u_root[i] - tol:
+            violations.append((f"(i) pure tau regime {i}", int(first[i]), float(best[i] - u_root[i])))
+    if not -best[2] <= v_root + tol:
+        violations.append(("(ii) pure sigma", int(first[2]), float(-best[2] - v_root)))
 
     gap = abs(w[0] * u_root[0] + w[1] * u_root[1] - v_root)
-    if gap > tol:
+    if not gap <= tol:
         violations.append(("(iii) root values", 0, float(gap)))
 
     return Certificate(not violations, float(v_root), tuple(violations), tol)

@@ -10,10 +10,10 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import linprog
 
-from asymdynkin.core import FiltrationTree, PayoffTriple, TimeGrid, realized_payoff
+from asymdynkin.core import FiltrationTree, PayoffTriple, TimeGrid, flow_value, realized_payoff
 from asymdynkin.dynamics.model import filter_step
-from asymdynkin.oracle import enumerate_stopping_rules, regime_matrices
-from asymdynkin.scenario import ScenarioGame
+from asymdynkin.oracle import build_matrix, enumerate_stopping_rules, regime_matrices
+from asymdynkin.scenario import Certificate, ScenarioGame
 
 
 def random_tree(rng: np.random.Generator, depth: int, depth_first: bool) -> FiltrationTree:
@@ -44,26 +44,35 @@ def random_game(rng: np.random.Generator, tree: FiltrationTree) -> ScenarioGame:
     return ScenarioGame(tree, payoffs, float(rng.uniform(0.05, 0.95)))
 
 
-def enumeration_value(game: ScenarioGame) -> float:
-    """Value of the game by the enumeration LP over pure rules, in marginal form.
+def enumeration_value(game: ScenarioGame, pair: bool = False) -> float:
+    """Value of the game by the enumeration LP over pure rules.
 
     The pair payoff (1-prior) B0[t0, s] + prior B1[t1, s] is separable across
-    regimes, so min v s.t. sum_i w_i B_i^T mu_i <= v over one mix mu_i per
-    regime has the value of the pair-matrix game with 2R + 1 variables.  The
-    payoff matrices come from the package's enumeration reference, which
+    regimes, so the marginal form min v s.t. sum_i w_i B_i^T mu_i <= v over
+    one mix mu_i per regime has the value of the pair-matrix game with 2R + 1
+    variables.  With ``pair`` the R^2-row matrix of ``build_matrix`` is solved
+    instead, over one mix of rule pairs.  The payoff matrices come from the
+    package's enumeration reference, which
     ``test_regime_matrices_match_brute_force`` checks against
     ``brute_force_expected``; nothing here shares code with the
     sequence-form LP.
     """
-    b = regime_matrices(game, enumerate_stopping_rules(game.tree))
-    n_rules, n_cols = b[0].shape
-    cost = np.zeros(2 * n_rules + 1)
+    rules = enumerate_stopping_rules(game.tree)
+    if pair:
+        blocks = [build_matrix(game, rules).a]
+    else:
+        blocks = [w * b for w, b in zip(game.weights, regime_matrices(game, rules))]
+    a = np.vstack(blocks)
+    n_rows, n_cols = a.shape
+    cost = np.zeros(n_rows + 1)
     cost[-1] = 1.0
-    a_ub = np.hstack([w * bi.T for w, bi in zip(game.weights, b)] + [-np.ones((n_cols, 1))])
-    a_eq = np.zeros((2, 2 * n_rules + 1))
-    a_eq[0, :n_rules] = a_eq[1, n_rules:-1] = 1.0
-    res = linprog(cost, A_ub=a_ub, b_ub=np.zeros(n_cols), A_eq=a_eq, b_eq=np.ones(2),
-                  bounds=[(0, None)] * (2 * n_rules) + [(None, None)], method="highs-ds",
+    # one simplex per block: the mix over its rows sums to 1
+    owner = np.repeat(np.arange(len(blocks)), [b.shape[0] for b in blocks])
+    a_eq = np.zeros((len(blocks), n_rows + 1))
+    a_eq[owner, np.arange(n_rows)] = 1.0
+    res = linprog(cost, A_ub=np.hstack([a.T, -np.ones((n_cols, 1))]), b_ub=np.zeros(n_cols),
+                  A_eq=a_eq, b_eq=np.ones(len(blocks)),
+                  bounds=[(0, None)] * n_rows + [(None, None)], method="highs-ds",
                   options={"primal_feasibility_tolerance": 1e-10,
                            "dual_feasibility_tolerance": 1e-10})
     assert res.success, res.message
@@ -246,6 +255,36 @@ def ref_best_response(game, profile):
         u_stops[node] = stop_v[node] > cont
         v_hat[node] = max(stop_v[node], cont)
     return u_hat, v_hat, i_stops, u_stops
+
+
+def ref_pure_values(game, profile):
+    """Enumerated pure-rule values: (informed (rules, 2), uninformed (rules,), rules)."""
+    tree = game.tree
+    rules = enumerate_stopping_rules(tree)
+    L, S = rules.level_matrix, rules.stop_matrix
+    stop_u, run_u, stop_v, run_v = _ref_flows(game, profile)
+    return (flow_value(tree.reach, stop_u, run_u, L, S),
+            flow_value(tree.reach, stop_v, run_v, L, S), rules)
+
+
+def ref_certify_stop(game, profile, u_root, v_root, tol: float = 1e-8) -> Certificate:
+    """The pure-deviation certificate by enumerating every pure adapted rule.
+
+    Reports every beating rule, indexed into the enumeration.
+    """
+    w = game.weights
+    u_root = np.asarray(u_root, dtype=float)
+    vals_u, vals, _ = ref_pure_values(game, profile)
+    violations = []
+    for i in range(2):
+        for r in np.flatnonzero(vals_u[:, i] < u_root[i] - tol):
+            violations.append((f"(i) pure tau regime {i}", int(r), float(vals_u[r, i] - u_root[i])))
+    for r in np.flatnonzero(vals > v_root + tol):
+        violations.append(("(ii) pure sigma", int(r), float(vals[r] - v_root)))
+    gap = abs(w[0] * u_root[0] + w[1] * u_root[1] - v_root)
+    if gap > tol:
+        violations.append(("(iii) root values", 0, float(gap)))
+    return Certificate(not violations, float(v_root), tuple(violations), tol)
 
 
 def ref_ex_ante(game, profile, v_hat: np.ndarray, node: int) -> float:

@@ -140,15 +140,64 @@ class TestVerifyCommand:
         ])
         assert rc == 1
 
-    def test_cap_exceeded_exits_3(self, game_file, tmp_path):
-        # the pure-deviation certificate still enumerates every pure rule
+    def test_depth_six_past_old_cap_certifies(self, tmp_path, capsys):
+        # 2^32 + 1 pure rules at depth 6: the certificate enumerates none of them
+        game = random_scenario_game(6, seed=11, prior=0.35)
+        path = tmp_path / "game.json"
+        gameio.write_json(path, gameio.game_to_dict(game))
+        assert main(["oracle", "--game", str(path), "--out", str(tmp_path / "eq")]) == 0
+        rc = main([
+            "verify", "--game", str(path), "--equilibrium", str(tmp_path / "eq" / "equilibrium.json"),
+            "--out", str(tmp_path / "ver"),
+        ])
+        assert rc == 0
+        assert "martingale=certified stopping=certified" in capsys.readouterr().out
+
+    def test_cap_option_is_gone(self, game_file, tmp_path):
         path, _ = game_file
         assert main(["oracle", "--game", str(path), "--out", str(tmp_path / "eq")]) == 0
         rc = main([
             "verify", "--game", str(path), "--equilibrium", str(tmp_path / "eq" / "equilibrium.json"),
             "--cap", "5", "--out", str(tmp_path / "ver"),
         ])
-        assert rc == 3
+        assert rc == 2
+
+    def test_nodes_csv_is_pinned(self, game_file, tmp_path):
+        # nodes.csv carries no run configuration, so its bytes only move with the numbers
+        path, _ = game_file
+        assert main(["oracle", "--game", str(path), "--out", str(tmp_path / "eq")]) == 0
+        assert main([
+            "verify", "--game", str(path), "--equilibrium", str(tmp_path / "eq" / "equilibrium.json"),
+            "--out", str(tmp_path / "ver"),
+        ]) == 0
+        digest = hashlib.sha256((tmp_path / "ver" / "nodes.csv").read_bytes()).hexdigest()
+        assert digest == "b55929d46f4c5d1cdb4e66c12348bfb53ac796019a48950a861117a26dea8317"
+
+    @pytest.mark.parametrize("mutation", ["nan_root", "zeta_leaf_half", "zeta_decreasing", "xi1_root_above_one"])
+    def test_invalid_equilibrium_exits_2(self, tmp_path, capsys, mutation):
+        game = random_scenario_game(2, seed=321, prior=0.5)
+        path = tmp_path / "game.json"
+        gameio.write_json(path, gameio.game_to_dict(game))
+        assert main(["oracle", "--game", str(path), "--out", str(tmp_path / "eq")]) == 0
+        eq = json.loads((tmp_path / "eq" / "equilibrium.json").read_text())
+        tree = game.tree
+        if mutation == "nan_root":
+            eq["xi0"][0] = float("nan")
+        elif mutation == "zeta_leaf_half":
+            eq["zeta"][int(tree.leaves[0])] = 0.5
+        elif mutation == "zeta_decreasing":
+            eq["zeta"][0] = 0.8
+            for node in tree.levels[1]:
+                eq["zeta"][int(node)] = 0.3
+        else:
+            eq["xi1"][0] = 1.7
+        eq_path = tmp_path / "bad_eq.json"
+        gameio.write_json(eq_path, eq)
+        capsys.readouterr()
+        rc = main(["verify", "--game", str(path), "--equilibrium", str(eq_path),
+                   "--out", str(tmp_path / "ver")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: equilibrium:")
 
     def test_shape_mismatch_exits_2(self, game_file, tmp_path):
         path, game = game_file
@@ -161,6 +210,15 @@ class TestVerifyCommand:
             "--out", str(tmp_path / "ver"),
         ])
         assert rc == 2
+
+    def test_nan_transition_probability_exits_2(self, game_file, tmp_path, capsys):
+        path, _ = game_file
+        data = json.loads(path.read_text())
+        data["tree"][1]["p"] = float("nan")
+        path.write_text(json.dumps(data))
+        rc = main(["oracle", "--game", str(path), "--out", str(tmp_path / "eq")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: game: non-finite transition probability nan at node 1\n"
 
     def test_one_regime_row_exits_2(self, game_file, tmp_path, capsys):
         path, _ = game_file

@@ -27,7 +27,6 @@ from asymdynkin.oracle import (
     regime_matrices,
     sequence_form,
     solve_scenario,
-    solve_zero_sum,
     support_rules,
 )
 from asymdynkin.scenario import ScenarioGame, best_response_values, certify_mart, certify_stop
@@ -126,27 +125,18 @@ class TestBuildMatrix:
 
 
 class TestSolveZeroSum:
-    def test_matching_pennies(self):
-        sol = solve_zero_sum(np.array([[1.0, -1.0], [-1.0, 1.0]]))
-        assert sol.value == pytest.approx(0.0, abs=1e-12)
-        np.testing.assert_allclose(sol.row_mix, [0.5, 0.5], atol=1e-9)
-        np.testing.assert_allclose(sol.col_mix, [0.5, 0.5], atol=1e-9)
-        assert sol.gap <= 1e-9
-
     def test_dominance_game_pure_saddle(self):
         game, _ = dominance_game(prior=0.5)
         gm = build_matrix(game, enumerate_stopping_rules(game.tree))
-        sol = solve_zero_sum(gm.a)
-        assert sol.value == pytest.approx(0.55, abs=1e-9)
+        assert enumeration_value(game, pair=True) == pytest.approx(0.55, abs=1e-9)
         assert pure_gap(gm.a)[2] == pytest.approx(0.0, abs=1e-12)
 
     def test_pair_solver_agrees_with_marginal_solver(self):
         for seed in range(4):
             game = random_scenario_game(2, seed=seed, prior=0.35)
-            gm = build_matrix(game, enumerate_stopping_rules(game.tree))
-            pair = solve_zero_sum(gm.a)
-            marg = solve_scenario(game)
-            assert pair.value == pytest.approx(marg.value, abs=1e-9)
+            pair = enumeration_value(game, pair=True)
+            assert pair == pytest.approx(enumeration_value(game), abs=1e-9)
+            assert pair == pytest.approx(solve_scenario(game).value, abs=1e-9)
 
     def test_value_matches_certify_stop(self):
         game = random_scenario_game(3, seed=23, prior=0.5)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from asymdynkin.core import (
     GeneratingProcess,
@@ -13,11 +15,14 @@ from asymdynkin.gamegen import (
     random_profile,
     random_scenario_game,
 )
-from asymdynkin.oracle import solve_scenario
+from asymdynkin.oracle import ancestor_matrix, count_stopping_rules, sequence_form, solve_scenario
 from asymdynkin.scenario import (
     ScenarioGame,
     StrategyProfile,
     ValueSurfaces,
+    _best_pure_rules,
+    _informed_flows,
+    _uninformed_flows,
     belief_update,
     best_response_values,
     certify_mart,
@@ -27,7 +32,13 @@ from asymdynkin.scenario import (
     support_report,
 )
 
-from helpers import one_sided_stop_value
+from helpers import (
+    one_sided_stop_value,
+    random_game,
+    random_tree,
+    ref_certify_stop,
+    ref_pure_values,
+)
 
 
 def oracle_equilibrium(seed, steps=3, prior=0.5):
@@ -280,6 +291,81 @@ class TestCertifyStop:
         stop_cert = certify_stop(game, bad, surfaces=bad_surf)
         mart_cert = certify_mart(game, bad, bad_surf)
         assert not (stop_cert.certified and mart_cert.certified)
+
+    def test_nan_fails_every_check(self):
+        game, sol, prof, surf = oracle_equilibrium(seed=14)
+        u_root, v_root = surf.root_values()
+        cert = certify_stop(game, prof, np.array([np.nan, u_root[1]]), v_root)
+        assert [c for c, _, _ in cert.violations] == ["(i) pure tau regime 0", "(iii) root values"]
+        # the informed flows run against zeta, the uninformed ones against xi
+        levels = prof.zeta.levels.copy()
+        levels[0] = np.nan
+        bad = StrategyProfile(prof.xi0, prof.xi1, GeneratingProcess.from_levels(levels, game.tree))
+        cert = certify_stop(game, bad, u_root, v_root)
+        assert [c for c, _, _ in cert.violations] == ["(i) pure tau regime 0", "(i) pure tau regime 1"]
+        bad = StrategyProfile(GeneratingProcess.from_levels(levels, game.tree), prof.xi1, prof.zeta)
+        cert = certify_stop(game, bad, u_root, v_root)
+        assert [c for c, _, _ in cert.violations] == ["(ii) pure sigma"]
+
+
+def _plan_pass(game, prof):
+    """The certificate's pass on both informed rows and the negated uninformed row."""
+    stop_u, run_u = _informed_flows(game, prof.zeta)
+    stop_v, run_v = _uninformed_flows(game, prof)
+    return _best_pure_rules(game.tree, np.vstack([stop_u, -stop_v]), np.vstack([run_u, -run_v]))
+
+
+def _assert_matches_enumeration(game, prof, eq_roots):
+    """Verdicts against the enumerating reference, and the pass's numbers against enumeration."""
+    own = best_response_values(game, prof).root_values()
+    u_eq, v_eq = eq_roots
+    for u_root, v_root in [own, eq_roots, (u_eq + 1e-6, v_eq), (u_eq, v_eq - 1e-6),
+                           (u_eq - 1e-6, v_eq + 1e-6)]:
+        cert = certify_stop(game, prof, u_root, v_root)
+        ref = ref_certify_stop(game, prof, u_root, v_root)
+        assert cert.certified == ref.certified
+        assert {c for c, _, _ in cert.violations} == {c for c, _, _ in ref.violations}
+        assert cert.value == ref.value
+
+    vals_u, vals_v, rules = ref_pure_values(game, prof)
+    best, p, first = _plan_pass(game, prof)
+    enumerated = [vals_u[:, 0], vals_u[:, 1], -vals_v]
+    first_stop = rules.stop_matrix.argmax(axis=1)
+    for k, vals in enumerate(enumerated):
+        assert abs(best[k] - vals.min()) <= 1e-12
+        # the reported index is the smallest stop node of a minimizing rule
+        assert first[k] in first_stop[vals <= vals.min() + 1e-12]
+
+    forms = sequence_form(game, ancestor_matrix(game.tree))
+    q = sum(w * (d + m.T @ prof.xi(i).steps) for i, (w, (_, d, m)) in enumerate(zip(game.weights, forms)))
+    for i, (c, _, m) in enumerate(forms):
+        np.testing.assert_allclose(p[i], c + m @ prof.zeta.steps, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(-p[2], q, rtol=0, atol=1e-13)
+
+
+class TestCertifyStopMatchesEnumeration:
+    @pytest.mark.parametrize("depth", [2, 3, 4])
+    def test_battery_games(self, depth):
+        # every 4th game of criterion 1's battery at this depth
+        first = {2: 0, 3: 80, 4: 160}[depth]
+        for i in range(first, first + (40 if depth == 4 else 80), 4):
+            game = random_scenario_game(depth, seed=1000 + i, prior=(0.2, 0.5, 0.8)[i % 3])
+            eq = solve_scenario(game).profile(game.tree)
+            roots = best_response_values(game, eq).root_values()
+            _assert_matches_enumeration(game, eq, roots)
+            _assert_matches_enumeration(game, random_profile(game.tree, seed=i), roots)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_random_trees(self, seed, depth, depth_first):
+        rng = np.random.default_rng(seed)
+        tree = random_tree(rng, depth, depth_first)
+        assume(count_stopping_rules(tree) <= 5_000)
+        game = random_game(rng, tree)
+        eq = solve_scenario(game).profile(tree)
+        roots = best_response_values(game, eq).root_values()
+        _assert_matches_enumeration(game, eq, roots)
+        _assert_matches_enumeration(game, random_profile(tree, seed=seed % 1000), roots)
 
 
 class TestCrossCertifierAgreement:
