@@ -84,6 +84,17 @@ def _base_config(args, command: str) -> dict:
     return cfg
 
 
+def _check_options(args) -> None:
+    """Tolerances must be finite and non-negative, and --alpha a level in (0, 1)."""
+    for key in ("tol", "vtol"):
+        value = getattr(args, key, 0.0)
+        if not (np.isfinite(value) and value >= 0.0):
+            raise InputError(f"{key}: need a finite non-negative number, got {value!r}")
+    alpha = getattr(args, "alpha", 0.5)
+    if not 0.0 < alpha < 1.0:
+        raise InputError(f"alpha: need a level in (0, 1), got {alpha!r}")
+
+
 def cmd_oracle(args) -> int:
     game = _load_game(args.game)
     gm = None
@@ -326,6 +337,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        _check_options(args)
         if args.command == "oracle":
             return cmd_oracle(args)
         if args.command == "verify":

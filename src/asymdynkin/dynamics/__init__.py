@@ -9,7 +9,6 @@ from .generators import (
 )
 from .model import DiffusionModel, model_from_dict, model_to_dict, parse_expression
 from .pde import (
-    CFLViolation,
     NoConvergence,
     PDEGrid,
     PDESurfaces,

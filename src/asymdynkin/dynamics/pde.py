@@ -1,8 +1,8 @@
 """Coupled free-boundary system for the continuous-state stopping game.
 
 Three surfaces on a (t, pi, x) grid: per-regime informed values u0, u1 and
-the uninformed value v, solved backward in time by a policy-type iteration
-per slice:
+the uninformed value v, solved backward in time.  Each slice runs one
+implicit (backward Euler) region iteration until the surfaces stabilize:
 
 * u_i obeys an implicit step of its regime generator off the opponent's
   stopping set S = {v = g} and is pinned to g inside it (the opponent stops
@@ -11,6 +11,10 @@ per slice:
   pinned to pi u1 + (1-pi) u0 inside S0 u S1, then projected onto v >= g;
 * the belief-flattening constraint d_pi u_i = 0 is enforced across S0 u S1
   by a one-sided copy from the adjacent continuation value.
+
+The belief-run rule -- where the belief lands when an incarnation acts -- is
+``_run_edges``: the first and last pi index of the run of action cells that
+holds each cell.  The copy above and ``strategies.StrategyMap`` both read it.
 
 At pi in {0, 1} every pi-coefficient carries a pi(1-pi) factor and vanishes,
 so the boundary rows reduce naturally to the one-regime problems; no
@@ -32,7 +36,6 @@ __all__ = [
     "PDEGrid",
     "PDESurfaces",
     "NoConvergence",
-    "CFLViolation",
     "pde_solve_system",
     "identity_residual",
     "reference_dynkin_1d",
@@ -43,8 +46,10 @@ class NoConvergence(RuntimeError):
     """A slice iteration failed to stabilize within the budget."""
 
 
-class CFLViolation(ValueError):
-    """Explicit stepping requested with a time step above the CFL bound."""
+# a slice iteration gives up after _MAX_ITERS rounds; a cell belongs to a
+# stopping set when its value is within _SET_TOL of the obstacle
+_MAX_ITERS = 200
+_SET_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -80,6 +85,10 @@ class PDEGrid:
     @property
     def shape(self) -> tuple[int, int, int]:
         return self.t.size, self.pi.size, self.x.size
+
+    def time_index(self, t) -> np.ndarray:
+        """Index of the first time node at or after each of ``t`` (within 1e-12), clipped."""
+        return np.clip(np.searchsorted(self.t, np.asarray(t) - 1e-12), 0, self.t.size - 1)
 
 
 @dataclass(frozen=True)
@@ -175,27 +184,24 @@ def _masked_solve(a_base: sp.csr_matrix, mask: np.ndarray, pinned: np.ndarray, r
     return spla.spsolve(a.tocsc(), b)
 
 
-def _explicit_step(l_op, dt, values, mask, pinned):
-    out = values + dt * (l_op @ values)
-    return np.where(mask, pinned, out)
+def _run_edges(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and last pi index of the run of True that holds each cell of a (..., pi, x) mask.
 
-
-def _cfl_bound(model: DiffusionModel, grid: PDEGrid) -> float:
-    """Explicit-step bound from the largest coefficients of the regime generators."""
-    dpi, dx = grid.pi[1] - grid.pi[0], grid.x[1] - grid.x[0]
-    P, X = np.meshgrid(grid.pi, grid.x, indexing="ij")
-    (ax0, bpi0, dxx, dpp, cross), (ax1, bpi1, *_) = (
-        generator_coefficients(model, P, X, mode) for mode in ("regime-0", "regime-1")
-    )
-    mu = max(float(np.max(np.abs(ax0))), float(np.max(np.abs(ax1))))
-    rate = (
-        2.0 * dxx / dx**2
-        + 2.0 * dpp / dpi**2
-        + np.abs(cross) / (dpi * dx)
-        + mu / dx
-        + (np.abs(bpi0) + np.abs(bpi1)) / dpi
-    )
-    return 1.0 / float(rate.max())
+    A run starts where the cell below is False and ends where the cell above
+    is; the latest start at or below a cell and the earliest end at or above
+    it bound its run.  Off the mask both edges are meaningless, but they stay
+    valid pi indices.
+    """
+    mpi = mask.shape[-2]
+    idx = np.arange(mpi)[:, None]
+    below = np.zeros_like(mask)
+    below[..., 1:, :] = mask[..., :-1, :]
+    above = np.zeros_like(mask)
+    above[..., :-1, :] = mask[..., 1:, :]
+    first = np.maximum.accumulate(np.where(mask & ~below, idx, 0), axis=-2)
+    ends = np.where(mask & ~above, idx, mpi - 1)
+    last = np.flip(np.minimum.accumulate(np.flip(ends, axis=-2), axis=-2), axis=-2)
+    return first, last
 
 
 def _pi_copy(u_other: np.ndarray, run_mask: np.ndarray, from_below: bool) -> np.ndarray:
@@ -209,28 +215,11 @@ def _pi_copy(u_other: np.ndarray, run_mask: np.ndarray, from_below: bool) -> np.
     reaching the pi-boundary with no landing point are left untouched (the
     acting incarnation stops outright there).
     """
-    mpi = u_other.shape[0]
-    out = u_other.copy()
-    for j in range(u_other.shape[1]):
-        col = run_mask[:, j]
-        if not col.any():
-            continue
-        i = 0
-        while i < mpi:
-            if not col[i]:
-                i += 1
-                continue
-            a = i
-            while i < mpi and col[i]:
-                i += 1
-            b = i - 1
-            if from_below:
-                if a > 0:
-                    out[a : b + 1, j] = u_other[a - 1, j]
-            else:
-                if b < mpi - 1:
-                    out[a : b + 1, j] = u_other[b + 1, j]
-    return out
+    first, last = _run_edges(run_mask)
+    land = first - 1 if from_below else last + 1
+    mpi = u_other.shape[-2]
+    ok = run_mask & (land >= 0) & (land < mpi)
+    return np.where(ok, np.take_along_axis(u_other, np.clip(land, 0, mpi - 1), axis=-2), u_other)
 
 
 def identity_residual(pi: np.ndarray, u0, u1, v, in_s0, in_s1, in_s) -> float:
@@ -253,29 +242,17 @@ def pde_solve_system(
     h: Callable,
     grid: PDEGrid,
     slice_tol: float = 1e-8,
-    max_iters: int = 200,
-    scheme: str = "implicit",
-    set_tol: float = 1e-10,
 ) -> PDESurfaces:
-    """Backward region-iteration solve of the coupled variational system.
+    """Backward implicit region-iteration solve of the coupled variational system.
 
     ``f``, ``g``, ``h`` are payoff functions of (t, x) with f >= h >= g;
     terminal data is h(T, .) for all three surfaces.  Raises NoConvergence
-    if a slice fails to stabilize and CFLViolation when the explicit scheme
-    is selected with too large a time step.
+    if a slice fails to stabilize within ``_MAX_ITERS`` rounds.
     """
     mt, mpi, mx = grid.shape
     dt = grid.t[1] - grid.t[0]
-    if scheme not in ("implicit", "explicit"):
-        raise ValueError("scheme must be 'implicit' or 'explicit'")
-    if scheme == "explicit":
-        bound = _cfl_bound(model, grid)
-        if dt > bound:
-            raise CFLViolation(f"dt={dt} exceeds the explicit stability bound {bound:.3e}")
-
-    ops = {mode: _operator(model, grid, mode) for mode in MODES}
     eye = sp.identity(mpi * mx, format="csr")
-    a_imp = {k: (eye - dt * op).tocsr() for k, op in ops.items()}
+    a_imp = {mode: (eye - dt * _operator(model, grid, mode)).tocsr() for mode in MODES}
 
     pi_col = grid.pi[:, None]
     u = np.empty((2, mt, mpi, mx))
@@ -293,9 +270,9 @@ def pde_solve_system(
     in_s1 = np.zeros((mt, mpi, mx), dtype=bool)
     in_s = np.zeros((mt, mpi, mx), dtype=bool)
     ft, gt = payoff_slices(grid.t[-1])
-    in_s0[-1] = u[0, -1] >= ft - set_tol
-    in_s1[-1] = u[1, -1] >= ft - set_tol
-    in_s[-1] = v[-1] <= gt + set_tol
+    in_s0[-1] = u[0, -1] >= ft - _SET_TOL
+    in_s1[-1] = u[1, -1] >= ft - _SET_TOL
+    in_s[-1] = v[-1] <= gt + _SET_TOL
 
     scale = max(1.0, float(np.max(np.abs(term))))
 
@@ -309,36 +286,27 @@ def pde_solve_system(
         # the opponent-stop pin for u uses the last converged stopping set
         # (one-step time lag); the fully coupled within-slice fixed point can
         # cycle, while this explicit treatment terminates and is O(dt)
-        s_mask = in_s[k + 1]
+        s_mask = in_s[k + 1].reshape(-1)
 
-        converged = False
-        for _ in range(max_iters):
-            new_u = []
-            for i in range(2):
-                mode = f"regime-{i}"
-                if scheme == "implicit":
-                    sol = _masked_solve(a_imp[mode], s_mask.reshape(-1), gt.reshape(-1), u_next[i])
-                else:
-                    sol = _explicit_step(ops[mode], dt, u_next[i], s_mask.reshape(-1), gt.reshape(-1))
-                new_u.append(np.minimum(sol.reshape(mpi, mx), ft))
-            s_i_new = [new_u[i] >= ft - set_tol for i in range(2)]
+        for _ in range(_MAX_ITERS):
+            new_u = [
+                np.minimum(_masked_solve(a_imp[f"regime-{i}"], s_mask, gt.reshape(-1),
+                                         u_next[i]).reshape(mpi, mx), ft)
+                for i in range(2)
+            ]
+            s_i_new = [new_u[i] >= ft - _SET_TOL for i in range(2)]
             only1 = s_i_new[1] & ~s_i_new[0]
             only0 = s_i_new[0] & ~s_i_new[1]
             # belief jumps flatten the opponent's surface across each run
             new_u[0] = np.minimum(_pi_copy(new_u[0], only1, from_below=True), ft)
             new_u[1] = np.minimum(_pi_copy(new_u[1], only0, from_below=False), ft)
-            s_i_new = [new_u[i] >= ft - set_tol for i in range(2)]
+            s_i_new = [new_u[i] >= ft - _SET_TOL for i in range(2)]
 
             informed_mask = s_i_new[0] | s_i_new[1]
             pinned_v = pi_col * new_u[1] + (1.0 - pi_col) * new_u[0]
-            if scheme == "implicit":
-                sol_v = _masked_solve(
-                    a_imp["observation"], informed_mask.reshape(-1), pinned_v.reshape(-1), v_next
-                )
-            else:
-                sol_v = _explicit_step(
-                    ops["observation"], dt, v_next, informed_mask.reshape(-1), pinned_v.reshape(-1)
-                )
+            sol_v = _masked_solve(
+                a_imp["observation"], informed_mask.reshape(-1), pinned_v.reshape(-1), v_next
+            )
             new_v = np.maximum(sol_v.reshape(mpi, mx), gt)
 
             delta = max(
@@ -348,15 +316,14 @@ def pde_solve_system(
             )
             u_cur, v_cur = new_u, new_v
             if delta <= slice_tol * scale:
-                converged = True
                 break
-        if not converged:
+        else:
             raise NoConvergence(f"slice {k} (t={t}) did not stabilize; last delta {delta:.3e}")
 
         u[0, k], u[1, k], v[k] = u_cur[0], u_cur[1], v_cur
-        in_s0[k] = u_cur[0] >= ft - set_tol
-        in_s1[k] = u_cur[1] >= ft - set_tol
-        in_s[k] = v_cur <= gt + set_tol
+        in_s0[k] = u_cur[0] >= ft - _SET_TOL
+        in_s1[k] = u_cur[1] >= ft - _SET_TOL
+        in_s[k] = v_cur <= gt + _SET_TOL
 
     # the terminal slice is data, not a solve: its residual is rounding only
     resid = identity_residual(grid.pi, u[0, :-1], u[1, :-1], v[:-1],

@@ -6,6 +6,9 @@ or beyond the boundary of its stopping set, adds the minimal stopping mass
 that pushes the belief back to the closure of the continuation region (a
 discrete Skorokhod-type reflection): stopping by incarnation 1 moves p down,
 by incarnation 0 up, with the one-step belief update inverted in closed form.
+The edge the belief is pushed to is ``pde._run_edges``, the rule the PDE's
+belief-flattening copy uses; each time step reflects all paths at once with
+whole-array operations.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DiffusionModel
-from .pde import PDESurfaces
+from .pde import PDESurfaces, _run_edges
 from .simulate import psi_from_innovation
 
 __all__ = ["StrategyMap", "TrajectorySet", "extract_strategies"]
@@ -42,10 +45,6 @@ class StrategyMap:
     surfaces: PDESurfaces
     dt: float
 
-    def _time_index(self, tk: float) -> int:
-        t = self.surfaces.grid.t
-        return int(np.clip(np.searchsorted(t, tk - 1e-12), 0, t.size - 1))
-
     def _x_index(self, x: np.ndarray) -> np.ndarray:
         gx = self.surfaces.grid.x
         return np.clip(np.rint((x - gx[0]) / (gx[1] - gx[0])).astype(int), 0, gx.size - 1)
@@ -63,11 +62,16 @@ class StrategyMap:
         uninformed stopping set.  Everyone stops at the horizon.
         """
         n, steps = x_paths.shape[0], x_paths.shape[1] - 1
-        grid = self.surfaces.grid
-        gpi = grid.pi
+        surf = self.surfaces
+        gpi = surf.grid.pi
         if psi is None:
             psi = psi_from_innovation(self.model, x_paths, self.dt)
         t = np.arange(steps + 1) * self.dt
+        time_idx = surf.grid.time_index(t)
+        # incarnation 1 pushes the belief down to the first node of its run,
+        # incarnation 0 up to the last node of its run
+        floor1 = gpi[_run_edges(surf.in_s1)[0]]
+        ceil0 = gpi[_run_edges(surf.in_s0)[1]]
 
         s = np.ones((2, n))  # informed survivals 1 - xi_i
         xi = np.zeros((2, n, steps + 1))
@@ -76,7 +80,7 @@ class StrategyMap:
         stopped_unin = np.zeros(n, dtype=bool)
 
         for k in range(steps + 1):
-            tk_idx = self._time_index(t[k])
+            tk_idx = time_idx[k]
             xk = x_paths[:, k]
             xj = self._x_index(xk)
             psik = psi[:, k]
@@ -96,36 +100,25 @@ class StrategyMap:
             # the action run (the grid image of the free boundary), so the
             # value stays on the obstacle instead of overshooting into the
             # continuation region by a full cell
-            in_s1 = self.surfaces.in_s1[tk_idx, self._pi_index(p), xj]
-            in_s0 = self.surfaces.in_s0[tk_idx, self._pi_index(p), xj]
-            for path in np.flatnonzero(in_s1 | in_s0):
-                col1 = self.surfaces.in_s1[tk_idx, :, xj[path]]
-                col0 = self.surfaces.in_s0[tk_idx, :, xj[path]]
-                pv = p[path]
-                idx = self._pi_index(np.array([pv]))[0]
-                if in_s1[path] and in_s0[path]:
-                    s[:, path] = 0.0
-                elif in_s1[path]:
-                    lo = idx
-                    while lo > 0 and col1[lo - 1]:
-                        lo -= 1
-                    p_b = gpi[lo]
-                    if pv > p_b:
-                        q = (pv - p_b) / max(pv * (1.0 - p_b), 1e-300)
-                        s[1, path] *= 1.0 - np.clip(q, 0.0, 1.0)
-                else:
-                    hi = idx
-                    while hi < gpi.size - 1 and col0[hi + 1]:
-                        hi += 1
-                    p_b = gpi[hi]
-                    if pv < p_b:
-                        q = (p_b - pv) / max(p_b * (1.0 - pv), 1e-300)
-                        s[0, path] *= 1.0 - np.clip(q, 0.0, 1.0)
+            cell = (tk_idx, self._pi_index(p), xj)
+            in_s1 = surf.in_s1[cell]
+            in_s0 = surf.in_s0[cell]
+            s[:, in_s1 & in_s0] = 0.0
+            p_b = floor1[cell]
+            down = in_s1 & ~in_s0 & (p > p_b)
+            pv, p_b = p[down], p_b[down]
+            q = (pv - p_b) / np.maximum(pv * (1.0 - p_b), 1e-300)
+            s[1, down] *= 1.0 - np.clip(q, 0.0, 1.0)
+            p_b = ceil0[cell]
+            up = in_s0 & ~in_s1 & (p < p_b)
+            pv, p_b = p[up], p_b[up]
+            q = (p_b - pv) / np.maximum(p_b * (1.0 - pv), 1e-300)
+            s[0, up] *= 1.0 - np.clip(q, 0.0, 1.0)
             den = psik * s[1] + (1.0 - psik) * s[0]
             p = np.where(den > 1e-15, psik * s[1] / np.maximum(den, 1e-300), p)
             p_out[:, k] = p
 
-            enter = self.surfaces.in_s[tk_idx, self._pi_index(p), xj]
+            enter = surf.in_s[tk_idx, self._pi_index(p), xj]
             stopped_unin |= enter
             zeta[:, k] = stopped_unin.astype(float)
             xi[0, :, k] = 1.0 - s[0]

@@ -40,7 +40,7 @@ def _lookup(surface: np.ndarray, grid, t: np.ndarray, p: np.ndarray, x: np.ndarr
     piecewise-linear interpolation keeps the lookup error quadratic in the
     mesh instead of linear.
     """
-    ti = np.clip(np.searchsorted(grid.t, np.asarray(t) - 1e-12), 0, grid.t.size - 1)
+    ti = grid.time_index(t)
     p = np.asarray(p, dtype=float)
     x = np.asarray(x, dtype=float)
     if ti.ndim == 1 and p.ndim == 2:

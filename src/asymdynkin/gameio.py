@@ -40,6 +40,20 @@ def _floats(arr) -> list:
     return np.asarray(arr, dtype=float).tolist()
 
 
+def _csv_lines(*columns) -> list[str]:
+    """One CSV line per row of equal-length columns.
+
+    Integer and boolean columns print as integers, every other column as the
+    shortest round-trip repr of a float.
+    """
+    texts = []
+    for col in columns:
+        col = np.asarray(col)
+        values = col.astype(int).tolist() if col.dtype.kind in "biu" else _floats(col)
+        texts.append(map(repr, values))
+    return [",".join(row) for row in zip(*texts, strict=True)]
+
+
 def game_to_dict(game: ScenarioGame) -> dict:
     tree = game.tree
     grid = tree.grid or TimeGrid.regular(tree.n_steps)
@@ -160,12 +174,8 @@ def support_report_to_dict(rep: SupportReport) -> dict:
 
 def nodes_csv(game: ScenarioGame, surfaces: ValueSurfaces, support: SupportReport) -> str:
     lines = ["node,p,U0,U1,V,Z0,Z1,Y2"]
-    for n in range(game.tree.n_nodes):
-        vals = [
-            surfaces.p[n], surfaces.u[0, n], surfaces.u[1, n], surfaces.v[n],
-            support.z[0, n], support.z[1, n], support.y2[n],
-        ]
-        lines.append(str(n) + "," + ",".join(repr(float(v)) for v in vals))
+    lines += _csv_lines(np.arange(game.tree.n_nodes), surfaces.p, surfaces.u[0], surfaces.u[1],
+                        surfaces.v, support.z[0], support.z[1], support.y2)
     return "\n".join(lines) + "\n"
 
 
@@ -175,22 +185,18 @@ def _meta_lines(meta: dict) -> list[str]:
 
 def surfaces_csv(surfaces: PDESurfaces, meta: dict) -> str:
     grid = surfaces.grid
+    _, mpi, mx = grid.shape
+    pi, x = np.repeat(grid.pi, mx), np.tile(grid.x, mpi)
     lines = _meta_lines(meta)
     lines.append("t,pi,x,u0,u1,v,in_S0,in_S1,in_S")
+    # a slice (or a path, below) at a time, so the Python floats of one chunk,
+    # not of the whole array, sit beside the formatted lines
     for it, t in enumerate(grid.t):
-        for ip, p in enumerate(grid.pi):
-            for ix, x in enumerate(grid.x):
-                lines.append(
-                    ",".join(
-                        [repr(float(t)), repr(float(p)), repr(float(x)),
-                         repr(float(surfaces.u0[it, ip, ix])),
-                         repr(float(surfaces.u1[it, ip, ix])),
-                         repr(float(surfaces.v[it, ip, ix])),
-                         str(int(surfaces.in_s0[it, ip, ix])),
-                         str(int(surfaces.in_s1[it, ip, ix])),
-                         str(int(surfaces.in_s[it, ip, ix]))]
-                    )
-                )
+        lines += _csv_lines(
+            np.full(pi.size, t), pi, x,
+            *(arr[it].ravel() for arr in (surfaces.u0, surfaces.u1, surfaces.v,
+                                          surfaces.in_s0, surfaces.in_s1, surfaces.in_s)),
+        )
     return "\n".join(lines) + "\n"
 
 
@@ -200,42 +206,40 @@ def surfaces_from_csv(text: str) -> PDESurfaces:
     if header[:3] != ["t", "pi", "x"]:
         raise ValueError("surfaces CSV: unexpected header")
     data = np.array([[float(v) for v in ln.split(",")] for ln in rows[1:]])
-    t = np.unique(data[:, 0])
-    pi = np.unique(data[:, 1])
-    x = np.unique(data[:, 2])
-    grid = PDEGrid(t, pi, x)
+    grid = PDEGrid(*(np.unique(data[:, i]) for i in range(3)))
     shape = grid.shape
+    # every cell exactly once, in the order surfaces_csv writes them
+    axes = (grid.t[:, None, None], grid.pi[:, None], grid.x)
+    if data.shape[0] != np.prod(shape) or not all(
+        np.array_equal(data[:, i].reshape(shape), np.broadcast_to(axis, shape))
+        for i, axis in enumerate(axes)
+    ):
+        raise ValueError("surfaces CSV: rows are not the t, pi, x grid in order, each cell once")
     cols = {name: data[:, i].reshape(shape) for i, name in enumerate(header)}
     u0, u1, v = cols["u0"], cols["u1"], cols["v"]
-    masks = [cols[name].astype(bool) for name in ("in_S0", "in_S1", "in_S")]
-    return PDESurfaces(grid, u0, u1, v, *masks, identity_residual(pi, u0, u1, v, *masks))
+    flags = [cols[name] for name in ("in_S0", "in_S1", "in_S")]
+    if not all(np.isin(flag, (0.0, 1.0)).all() for flag in flags):
+        raise ValueError("surfaces CSV: stopping-set flags must be 0 or 1")
+    masks = [flag.astype(bool) for flag in flags]
+    return PDESurfaces(grid, u0, u1, v, *masks, identity_residual(grid.pi, u0, u1, v, *masks))
 
 
 def paths_csv(bundle, meta: dict) -> str:
     lines = _meta_lines(meta)
     with_regime = bundle.regime is not None
     lines.append("path_id,t,X,psi" + (",J" if with_regime else ""))
+    steps = bundle.t.size
     for pid in range(bundle.n_paths):
-        for k, t in enumerate(bundle.t):
-            row = [str(pid), repr(float(t)), repr(float(bundle.x[pid, k])), repr(float(bundle.psi[pid, k]))]
-            if with_regime:
-                row.append(str(int(bundle.regime[pid])))
-            lines.append(",".join(row))
+        regime = [np.full(steps, bundle.regime[pid])] if with_regime else []
+        lines += _csv_lines(np.full(steps, pid), bundle.t, bundle.x[pid], bundle.psi[pid], *regime)
     return "\n".join(lines) + "\n"
 
 
 def trajectories_csv(traj, meta: dict) -> str:
     lines = _meta_lines(meta)
     lines.append("path_id,t,X,psi,p,xi0,xi1,zeta")
-    n = traj.x.shape[0]
-    for pid in range(n):
-        for k, t in enumerate(traj.t):
-            lines.append(
-                ",".join(
-                    [str(pid), repr(float(t)), repr(float(traj.x[pid, k])),
-                     repr(float(traj.psi[pid, k])), repr(float(traj.p[pid, k])),
-                     repr(float(traj.xi0[pid, k])), repr(float(traj.xi1[pid, k])),
-                     repr(float(traj.zeta[pid, k]))]
-                )
-            )
+    steps = traj.t.size
+    for pid in range(traj.x.shape[0]):
+        lines += _csv_lines(np.full(steps, pid), traj.t, traj.x[pid], traj.psi[pid], traj.p[pid],
+                            traj.xi0[pid], traj.xi1[pid], traj.zeta[pid])
     return "\n".join(lines) + "\n"

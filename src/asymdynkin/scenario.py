@@ -436,6 +436,7 @@ def certify_mart(
     system is a supermartingale, (iii)/(iv) the normalized surfaces respect
     the stop bounds wherever the respective survival is positive, and (v) the
     root values match across players.  Certified implies value = V at root.
+    A NaN fails every check it reaches.
     """
     tree, w = game.tree, game.weights
     report = martingale_report(game, profile, surfaces, tol=tol)
@@ -443,31 +444,31 @@ def certify_mart(
 
     for i in range(2):
         d = report.m0_drift[i]
-        for node in np.flatnonzero(report.internal & (d < -tol)):
+        for node in np.flatnonzero(report.internal & ~(d >= -tol)):
             violations.append((f"(i) M0[{i}] submartingale", int(node), float(d[node])))
     d = report.n0_drift
-    for node in np.flatnonzero(report.internal & (d > tol)):
+    for node in np.flatnonzero(report.internal & ~(d <= tol)):
         violations.append(("(ii) N0 supermartingale", int(node), float(d[node])))
 
     zeta_pre = profile.zeta.pre_levels(tree)
     stop_u = _informed_flows(game, profile.zeta)[0]
     stop_v = _uninformed_flows(game, profile)[0]
-    alive_u = zeta_pre < 1.0 - 1e-12
+    alive_u = ~(zeta_pre >= 1.0 - 1e-12)
     for i in range(2):
         resid = (surfaces.u_hat[i] - stop_u[i]) / np.maximum(1.0 - zeta_pre, _SURVIVAL_FLOOR)
-        for node in np.flatnonzero(alive_u & (resid > tol)):
+        for node in np.flatnonzero(alive_u & ~(resid <= tol)):
             violations.append((f"(iii) obstacle U[{i}]", int(node), float(resid[node])))
 
     xi_pre = np.stack([profile.xi(i).pre_levels(tree) for i in range(2)])
     surv_v = w[0] * (1.0 - xi_pre[0]) + w[1] * (1.0 - xi_pre[1])
-    alive_v = surv_v > _SURVIVAL_FLOOR
+    alive_v = ~(surv_v <= _SURVIVAL_FLOOR)
     resid_v = (stop_v - surfaces.v_hat) / np.maximum(surv_v, _SURVIVAL_FLOOR)
-    for node in np.flatnonzero(alive_v & (resid_v > tol)):
+    for node in np.flatnonzero(alive_v & ~(resid_v <= tol)):
         violations.append(("(iv) obstacle V", int(node), float(resid_v[node])))
 
     u0, v0 = surfaces.root_values()
     gap = abs(w[0] * u0[0] + w[1] * u0[1] - v0)
-    if gap > tol:
+    if not gap <= tol:
         violations.append(("(v) root values", 0, float(gap)))
 
     return Certificate(not violations, float(v0), tuple(violations), tol)

@@ -364,3 +364,94 @@ def ref_psi_from_innovation(model, x: np.ndarray, dt: float) -> np.ndarray:
         db = (x[:, k + 1] - xk - model.mu_bar(xk, pk) * dt) / s
         psi[:, k + 1] = np.clip(filter_step(model, xk, pk, db), 0.0, 1.0)
     return psi
+
+
+# Per-column and per-path references for the belief-run rule that
+# dynamics.pde._run_edges vectorises: each walks a pi column from the cell
+# to the edge of its run, so the PDE copy and the strategy map must match
+# them bit for bit.
+
+
+def ref_pi_copy(u_other: np.ndarray, run_mask: np.ndarray, from_below: bool) -> np.ndarray:
+    """Copy each run of a (pi, x) mask from the node below it (or above it)."""
+    mpi = u_other.shape[0]
+    out = u_other.copy()
+    for j in range(u_other.shape[1]):
+        col = run_mask[:, j]
+        i = 0
+        while i < mpi:
+            if not col[i]:
+                i += 1
+                continue
+            a = i
+            while i < mpi and col[i]:
+                i += 1
+            b = i - 1
+            if from_below and a > 0:
+                out[a : b + 1, j] = u_other[a - 1, j]
+            elif not from_below and b < mpi - 1:
+                out[a : b + 1, j] = u_other[b + 1, j]
+    return out
+
+
+def ref_strategy_evaluate(smap, x_paths: np.ndarray, psi: np.ndarray | None = None):
+    """(p, xi0, xi1, zeta) of ``StrategyMap.evaluate``, reflecting one path at a time."""
+    surf, dt = smap.surfaces, smap.dt
+    grid = surf.grid
+    gpi, gx = grid.pi, grid.x
+    n, steps = x_paths.shape[0], x_paths.shape[1] - 1
+    if psi is None:
+        psi = ref_psi_from_innovation(smap.model, x_paths, dt)
+
+    def pi_index(p):
+        return np.clip(np.rint(p / (gpi[1] - gpi[0])).astype(int), 0, gpi.size - 1)
+
+    s = np.ones((2, n))
+    xi = np.zeros((2, n, steps + 1))
+    zeta = np.zeros((n, steps + 1))
+    p_out = np.empty((n, steps + 1))
+    stopped_unin = np.zeros(n, dtype=bool)
+    for k in range(steps + 1):
+        tk_idx = int(np.clip(np.searchsorted(grid.t, k * dt - 1e-12), 0, grid.t.size - 1))
+        xj = np.clip(np.rint((x_paths[:, k] - gx[0]) / (gx[1] - gx[0])).astype(int), 0, gx.size - 1)
+        psik = psi[:, k]
+        den = psik * s[1] + (1.0 - psik) * s[0]
+        p = np.where(den > 1e-15, psik * s[1] / np.maximum(den, 1e-300), psik)
+        if k == steps:
+            xi[:, :, k] = 1.0
+            zeta[:, k] = 1.0
+            p_out[:, k] = p
+            break
+        in_s1 = surf.in_s1[tk_idx, pi_index(p), xj]
+        in_s0 = surf.in_s0[tk_idx, pi_index(p), xj]
+        for path in np.flatnonzero(in_s1 | in_s0):
+            col1 = surf.in_s1[tk_idx, :, xj[path]]
+            col0 = surf.in_s0[tk_idx, :, xj[path]]
+            pv = p[path]
+            idx = pi_index(np.array([pv]))[0]
+            if in_s1[path] and in_s0[path]:
+                s[:, path] = 0.0
+            elif in_s1[path]:
+                lo = idx
+                while lo > 0 and col1[lo - 1]:
+                    lo -= 1
+                p_b = gpi[lo]
+                if pv > p_b:
+                    q = (pv - p_b) / max(pv * (1.0 - p_b), 1e-300)
+                    s[1, path] *= 1.0 - np.clip(q, 0.0, 1.0)
+            else:
+                hi = idx
+                while hi < gpi.size - 1 and col0[hi + 1]:
+                    hi += 1
+                p_b = gpi[hi]
+                if pv < p_b:
+                    q = (p_b - pv) / max(p_b * (1.0 - pv), 1e-300)
+                    s[0, path] *= 1.0 - np.clip(q, 0.0, 1.0)
+        den = psik * s[1] + (1.0 - psik) * s[0]
+        p = np.where(den > 1e-15, psik * s[1] / np.maximum(den, 1e-300), p)
+        p_out[:, k] = p
+        stopped_unin |= surf.in_s[tk_idx, pi_index(p), xj]
+        zeta[:, k] = stopped_unin.astype(float)
+        xi[0, :, k] = 1.0 - s[0]
+        xi[1, :, k] = 1.0 - s[1]
+    return p_out, xi[0], xi[1], zeta

@@ -199,6 +199,17 @@ class TestVerifyCommand:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: equilibrium:")
 
+    def test_nan_tol_exits_2(self, game_file, tmp_path, capsys):
+        # every comparison against a NaN tolerance is false, which used to certify
+        path, _ = game_file
+        assert main(["oracle", "--game", str(path), "--out", str(tmp_path / "eq")]) == 0
+        capsys.readouterr()
+        rc = main(["verify", "--game", str(path), "--equilibrium", str(tmp_path / "eq" / "equilibrium.json"),
+                   "--tol", "nan", "--out", str(tmp_path / "ver")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: tol:")
+        assert not (tmp_path / "ver").exists()
+
     def test_shape_mismatch_exits_2(self, game_file, tmp_path):
         path, game = game_file
         other = random_scenario_game(2, seed=5, prior=0.5)
@@ -269,6 +280,19 @@ class TestDynamicsCommands:
         conditions = [k for k in report if k.startswith("(")]
         assert len(conditions) == 7  # (i) x2, (ii), (iii) x2, (iv), (v)
 
+    def test_pipeline_artifacts_pinned(self, model_file, tmp_path, monkeypatch):
+        # sha256 of the test_full_pipeline artifacts as the per-row CSV writers
+        # wrote them; relative paths keep the embedded run configuration fixed
+        monkeypatch.chdir(tmp_path)
+        dyn = ["--model", model_file.name, "--out", "pipe"]
+        assert main(["dynamics", "pde", *dyn, "--grid", "21x11x41"]) == 0
+        assert main(["dynamics", "extract", *dyn, "--dt", "0.05", "--paths", "10", "--seed", "1"]) == 0
+        assert main(["dynamics", "verify", *dyn, "--dt", "0.05", "--paths", "400", "--seed", "2"]) == 0
+        digests = tree_digest(tmp_path / "pipe")
+        assert digests["surfaces.csv"] == "19e9f872d2248333e78ab9b354063a34f09b8cb33fa843be182324ff1faf73d9"
+        assert digests["trajectories.csv"] == "a11354527fec9842f4530e8b4b0efa4d9dd718520da241dcd91b6077e17d96e7"
+        assert digests["verify_report.json"] == "8d9af61e8aac1b22c3e49a6e1480609607dbd3b1ee4bd7fbfbbb4dc5abb12498"
+
     def test_pde_before_extract_required(self, model_file, tmp_path):
         rc = main([
             "dynamics", "extract", "--model", str(model_file),
@@ -276,18 +300,29 @@ class TestDynamicsCommands:
         ])
         assert rc == 2
 
-    @pytest.mark.parametrize("damage", ["truncated", "uneven_x"])
+    @pytest.mark.parametrize("damage", ["truncated", "uneven_x", "swapped_rows", "duplicated_row",
+                                        "bad_flag"])
     def test_malformed_surfaces_exits_2(self, model_file, tmp_path, capsys, damage):
         out = tmp_path / "d"
         assert main(["dynamics", "pde", "--model", str(model_file), "--grid", "11x5x21",
                      "--out", str(out)]) == 0
         text = (out / "surfaces.csv").read_text()
+        lines = text.splitlines()
+        start = lines.index("t,pi,x,u0,u1,v,in_S0,in_S1,in_S") + 1
         if damage == "truncated":
             text = text[: len(text) // 2]
+        elif damage in ("swapped_rows", "duplicated_row", "bad_flag"):
+            # each keeps the grid and the row count, so only a row-by-row check sees it
+            first, second = start + 30, start + 31
+            if damage == "swapped_rows":
+                lines[first], lines[second] = lines[second], lines[first]
+            elif damage == "duplicated_row":
+                lines[second] = lines[first]
+            else:
+                lines[first] = lines[first][: lines[first].rindex(",")] + ",0.5"
+            text = "\n".join(lines) + "\n"
         else:
             # move the second x node wherever it occurs: a consistent, non-uniform grid
-            lines = text.splitlines()
-            start = lines.index("t,pi,x,u0,u1,v,in_S0,in_S1,in_S") + 1
             x1 = lines[start + 1].split(",")[2]
             for k in range(start, len(lines)):
                 cols = lines[k].split(",")
@@ -314,11 +349,17 @@ class TestDynamicsCommands:
         ("simulate", [], {"domain": [1.0]}),
         ("verify", ["--paths", "0"], {}),
         ("simulate", ["--paths", "-1"], {}),
+        ("pde", ["--tol", "nan"], {}),
+        ("pde", ["--tol", "-0.5"], {}),
+        ("verify", ["--vtol", "inf"], {}),
+        ("verify", ["--alpha", "-1"], {}),
+        ("verify", ["--alpha", "1"], {}),
     ], ids=["simulate_dt", "extract_dt", "verify_dt", "zero_dt", "even_pi_grid", "bad_f",
-            "bad_h", "scalar_domain", "short_domain", "no_paths", "negative_paths"])
+            "bad_h", "scalar_domain", "short_domain", "no_paths", "negative_paths",
+            "nan_tol", "negative_tol", "infinite_vtol", "negative_alpha", "unit_alpha"])
     def test_bad_arguments_exit_2(self, model_file, tmp_path, capsys, action, extra, patch):
         # dt must divide T = 1, the pi count must be odd, expressions must parse,
-        # and a verification without paths would pass vacuously
+        # and a verification without paths, or at alpha >= 1, would pass vacuously
         out = tmp_path / "d"
         assert main(["dynamics", "pde", "--model", str(model_file), "--grid", "5x3x9",
                      "--out", str(out)]) == 0

@@ -1,9 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from asymdynkin import gameio
 from asymdynkin.core import RandomDevice
 from asymdynkin.dynamics import (
-    CFLViolation,
     DiffusionModel,
     PDEGrid,
     extract_strategies,
@@ -12,10 +17,13 @@ from asymdynkin.dynamics import (
     reference_dynkin_1d,
     analytic_generator,
     simulate_fixed_regime,
+    simulate_regime_paths,
     standard_test_functions,
 )
 from asymdynkin.dynamics.model import parse_expression
-from asymdynkin.dynamics.pde import _operator
+from asymdynkin.dynamics.pde import PDESurfaces, _operator, _pi_copy
+
+from helpers import ref_pi_copy, ref_strategy_evaluate
 
 
 def const(c):
@@ -145,21 +153,6 @@ class TestGenericModel:
         d1 = np.abs(vals[1] - vals[0]).max()
         d2 = np.abs(vals[2] - vals[1]).max()
         assert d2 < d1
-
-    def test_explicit_scheme_cfl_guard(self, generic):
-        model, grid, _ = generic
-        with pytest.raises(CFLViolation):
-            pde_solve_system(model, F, G, H, grid, scheme="explicit")
-
-    def test_explicit_scheme_agrees_when_stable(self):
-        model = DiffusionModel(
-            mu0=const(-0.2), mu1=const(0.2), sigma=const(0.4),
-            x0=0.0, prior=0.5, horizon=0.2, domain=(-1.0, 1.0),
-        )
-        grid_imp = PDEGrid.regular(0.2, model.domain, 401, 5, 21)
-        imp = pde_solve_system(model, F, G, H, grid_imp)
-        exp = pde_solve_system(model, F, G, H, grid_imp, scheme="explicit")
-        assert np.max(np.abs(imp.v - exp.v)) <= 1e-2
 
 
 class TestStrategyExtraction:
@@ -307,3 +300,75 @@ class TestMCVerify:
             device=RandomDevice(18), f=f2, g=g2, h=clipx,
         )
         assert not rep2["(ii) N0"]["passed"]
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _paths(model, kind, n, dt, seed):
+    """(x, psi) of fixed-regime paths (psi from the filter) or of regime-drawn paths."""
+    if kind == "regime":
+        bundle = simulate_regime_paths(model, n, dt, RandomDevice(seed))
+        return bundle.x, bundle.psi
+    return simulate_fixed_regime(model, int(kind[-1]), n, dt, RandomDevice(seed)), None
+
+
+def _assert_evaluate_matches_reference(smap, x, psi):
+    traj = smap.evaluate(x, psi=psi)
+    ref = ref_strategy_evaluate(smap, x, psi)
+    for got, want in zip((traj.p, traj.xi0, traj.xi1, traj.zeta), ref):
+        assert np.array_equal(got, want)
+    return traj
+
+
+class TestRunEdges:
+    @settings(max_examples=150, deadline=None)
+    @given(mask=arrays(bool, st.tuples(st.integers(1, 3), st.integers(1, 9), st.integers(1, 5))),
+           from_below=st.booleans())
+    @example(mask=np.ones((1, 5, 2), dtype=bool), from_below=True)  # one run across all of pi
+    @example(mask=np.eye(5, 3, dtype=bool)[None] | np.eye(5, 3, -2, dtype=bool)[None], from_below=False)
+    @example(mask=np.array([[[True], [False], [True]]]), from_below=True)  # runs at both ends
+    @example(mask=np.array([[[True], [False], [True]]]), from_below=False)
+    def test_pi_copy_matches_reference(self, mask, from_below):
+        u = np.arange(mask.size, dtype=float).reshape(mask.shape) * 0.37 - 1.0
+        want = np.stack([ref_pi_copy(u[k], mask[k], from_below) for k in range(mask.shape[0])])
+        assert np.array_equal(_pi_copy(u, mask, from_below), want)
+        assert np.array_equal(_pi_copy(u[0], mask[0], from_below), want[0])
+
+    @pytest.mark.parametrize("dt, seed", [(0.01, 5), (0.005, 21)])
+    @pytest.mark.parametrize("kind", ["regime-0", "regime-1", "regime"])
+    def test_evaluate_matches_reference(self, generic, kind, dt, seed):
+        model, _, surf = generic
+        x, psi = _paths(model, kind, 200, dt, seed)
+        _assert_evaluate_matches_reference(extract_strategies(surf, model, dt=dt), x, psi)
+
+    def test_evaluate_matches_reference_on_random_sets(self, generic):
+        # random runs in both informed sets, so pushes go both ways and stop
+        # part of the mass, which the converged fixture never does
+        model, grid, surf = generic
+        rng = np.random.default_rng(3)
+        in_s0, in_s1 = (rng.random((2,) + surf.in_s.shape) < 0.35)
+        sets = PDESurfaces(grid, surf.u0, surf.u1, surf.v, in_s0, in_s1,
+                           rng.random(surf.in_s.shape) < 0.01, surf.identity_residual)
+        x, psi = _paths(model, "regime", 200, 0.01, 7)
+        traj = _assert_evaluate_matches_reference(extract_strategies(sets, model, dt=0.01), x, psi)
+        for xi in (traj.xi0, traj.xi1):
+            assert np.any((xi[:, :-1] > 1e-9) & (xi[:, :-1] < 1.0 - 1e-9))
+
+
+class TestPinnedArtifacts:
+    # sha256 of the CSV text as the per-column copy and per-path reflection
+    # loops wrote it: a change must not move a digit against them
+    def test_surfaces_csv_pinned(self, generic):
+        _, _, surf = generic
+        text = gameio.surfaces_csv(surf, {"grid": "41x13x61"})
+        assert _sha256(text) == "fb29a3a8a424bc915477bed83f916a0e3d3bf37e48c8952714c3de84052cb9b1"
+
+    def test_trajectories_csv_pinned(self, generic):
+        model, _, surf = generic
+        x, psi = _paths(model, "regime", 200, 0.01, 5)
+        traj = extract_strategies(surf, model, dt=0.01).evaluate(x, psi=psi)
+        assert np.any(traj.xi1[:, :-1] > 0.0)  # informed incarnations act before the horizon
+        text = gameio.trajectories_csv(traj, {"dt": 0.01})
+        assert _sha256(text) == "7203d130abe3b570a937783a07322f94c5dd514539ec730593dcb97b5cd2c8bf"

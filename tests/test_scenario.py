@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -260,6 +262,18 @@ class TestCertifyMart:
         cert = certify_mart(game, prof, scaled)
         assert not cert.certified
         assert any(tag.startswith("(v)") for tag, _, _ in cert.violations)
+
+    def test_nan_fails(self):
+        # NaN root values compare false against every bound, so they must fail, not pass
+        game, _, prof, surf = oracle_equilibrium(seed=14)
+        u_hat, v_hat = surf.u_hat.copy(), surf.v_hat.copy()
+        u_hat[0, 0] = v_hat[0] = np.nan
+        cert = certify_mart(game, prof, dataclasses.replace(surf, u_hat=u_hat, v_hat=v_hat))
+        assert not cert.certified and np.isnan(cert.value)
+        assert [c for c, _, _ in cert.violations] == [
+            "(i) M0[0] submartingale", "(ii) N0 supermartingale", "(iii) obstacle U[0]",
+            "(iv) obstacle V", "(v) root values"]
+        assert certify_mart(game, prof, surf, tol=float("nan")).verdict == "rejected"
 
 
 class TestCertifyStop:
