@@ -33,6 +33,7 @@ from .dynamics import (
 from .dynamics.model import model_from_dict, parse_expression
 from .dynamics.simulate import _time_axis
 from .oracle import (
+    DEFAULT_CAP,
     EnumerationCapExceeded,
     NumericalFailure,
     build_matrix,
@@ -85,7 +86,7 @@ def _base_config(args, command: str) -> dict:
 
 
 def _check_options(args) -> None:
-    """Tolerances must be finite and non-negative, and --alpha a level in (0, 1)."""
+    """Tolerances finite and non-negative, --alpha in (0, 1), --seed in [0, 2**64)."""
     for key in ("tol", "vtol"):
         value = getattr(args, key, 0.0)
         if not (np.isfinite(value) and value >= 0.0):
@@ -93,6 +94,8 @@ def _check_options(args) -> None:
     alpha = getattr(args, "alpha", 0.5)
     if not 0.0 < alpha < 1.0:
         raise InputError(f"alpha: need a level in (0, 1), got {alpha!r}")
+    if not 0 <= args.seed < 2**64:
+        raise InputError(f"seed: need an integer in [0, 2**64), got {args.seed}")
 
 
 def cmd_oracle(args) -> int:
@@ -298,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="compute an equilibrium by the sequence-form LP")
     p_oracle.add_argument("--game", required=True)
     p_oracle.add_argument("--out", required=True)
-    p_oracle.add_argument("--cap", type=int, default=20_000,
+    p_oracle.add_argument("--cap", type=int, default=DEFAULT_CAP,
                           help="pure-rule cap of --dump-matrix")
     p_oracle.add_argument("--seed", type=int, default=0)
     p_oracle.add_argument("--dump-matrix", action="store_true",

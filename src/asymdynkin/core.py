@@ -193,10 +193,6 @@ class FiltrationTree:
             out[:, k - 1] = self.parent[out[:, k]]
         return out
 
-    def path_of_leaf(self, leaf: int) -> np.ndarray:
-        row = int(np.searchsorted(self.leaves, leaf))
-        return self.paths[row]
-
     def validate(self, tol: float = MONOTONE_TOL) -> None:
         """Raise ValueError on any structural violation."""
         depth, n_steps, leaf = self.depth, self.n_steps, self.is_leaf

@@ -136,11 +136,16 @@ def mc_verify_sufficiency(
     alpha: float = 0.05,
     tol: float = 5e-2,
     device: RandomDevice | None = None,
-    f=None,
-    g=None,
-    h=None,
+    *,
+    f,
+    g,
+    h,
 ) -> dict:
-    """Statistical certification report for a candidate solution."""
+    """Statistical certification report for a candidate solution.
+
+    ``f``, ``g`` and ``h`` are the payoff functions of (t, x) that the
+    surfaces were solved with; they have no default.
+    """
     if device is None:
         device = RandomDevice(seed=0)
     grid = surfaces.grid

@@ -1,12 +1,12 @@
 """Equilibrium oracle for scenario games: one sequence-form LP.
 
 A generating process is a realization plan (Koller, Megiddo & von Stengel
-1996): its steps a >= 0 satisfy E a = 1, where E is the leaf x node path
-incidence matrix, and its levels are A a for the ancestor-or-self matrix A.
-Against the uninformed steps b the regime-i payoff is bilinear,
-c_i a + d_i b + a M_i b, with (c_i, d_i, M_i) read off the one first-to-stop
-flow ``core.payoff_flows`` (``sequence_form``).  Dualizing the
-uninformed player's inner maximum gives ``solve_scenario``'s single LP
+1996): its steps a >= 0 satisfy E a = 1 for the leaf x node path incidence
+E.  Against the uninformed steps b the regime-i payoff is bilinear,
+c_i a + d_i b + a M_i b, read off the one first-to-stop flow
+``core.payoff_flows``; E and M_i live on the tree's (node, ancestor-or-self)
+pairs, which ``_sequence_form_lp`` writes straight into the LP.  Dualizing
+the uninformed player's inner maximum gives ``solve_scenario``'s single LP
 
     min over (a0, a1, y)  sum_i w_i c_i a_i + 1 y
     subject to            E^T y - sum_i w_i M_i^T a_i >= sum_i w_i d_i,
@@ -48,8 +48,6 @@ __all__ = [
     "build_matrix",
     "pure_gap",
     "mixture_to_generating",
-    "ancestor_matrix",
-    "sequence_form",
     "LPStats",
     "support_rules",
     "solve_scenario",
@@ -196,45 +194,53 @@ def mixture_to_generating(
     return GeneratingProcess.from_levels(levels, tree)
 
 
-def ancestor_matrix(tree: FiltrationTree) -> sparse.csr_array:
-    """Sparse A with A[n, m] = 1 where m is n or an ancestor of n.
-
-    ``A @ steps`` are the levels of a process and ``A[tree.leaves]`` is the
-    leaf x node path incidence matrix.  Built by climbing all nodes one level
-    per round, so it costs O(n_nodes x depth), never a dense n x n array.
-    """
+def _ancestor_pairs(tree: FiltrationTree) -> tuple[np.ndarray, np.ndarray]:
+    """(node, ancestor-or-self) id arrays, climbing all nodes a level per round."""
     node = anc = np.arange(tree.n_nodes)
     pairs = []
     while node.size:
         pairs.append((node, anc))
         up = anc > 0
         node, anc = node[up], tree.parent[anc[up]]
-    rows, cols = (np.concatenate(k) for k in zip(*pairs))
-    return sparse.csr_array((np.ones(rows.size), (rows, cols)), shape=(tree.n_nodes,) * 2)
+    return tuple(np.concatenate(k) for k in zip(*pairs))
 
 
-def sequence_form(game: ScenarioGame, ancestors: sparse.csr_array) -> list[tuple]:
-    """Per-regime (c, d, M) with payoff c @ a + d @ b + a @ M @ b.
+def _sequence_form_lp(game: ScenarioGame):
+    """(cost, A_ub, b_ub, A_eq) of ``solve_scenario``'s LP, entry by entry.
 
-    ``a`` and ``b`` are the steps of the informed and the uninformed process
-    and ``ancestors`` is ``ancestor_matrix(game.tree)``.  Each flow of
-    ``core.payoff_flows`` is affine in the opponent's level Z = A b and step
-    dZ = b at a node, so probing it at (Z, dZ) = (0, 0), (1, 0) and (0, 1)
-    gives its constant and slopes.  The payoff is the sum over nodes of
-    r (stop dX + run (1 - X)) with X = A a, as in ``core.flow_value``; the run
-    flow pays only on opponent steps, so it has no constant.
+    Probing each flow of ``core.payoff_flows`` at the opponent's (level, step)
+    (Z, dZ) = (0, 0), (1, 0), (0, 1) gives its constant and slopes.  For each
+    strict ancestor m of n, M_i[n, m] is n's stop Z-slope and M_i[m, n] minus
+    its run dZ-slope (the run flow has no constant and no Z-slope).  Exact
+    zeros of M_i are dropped before weighting by w_i.
     """
-    pay, r, A = game.payoffs, game.tree.reach, ancestors
+    tree, w, pay, r = game.tree, game.weights, game.payoffs, game.tree.reach
+    n, n_leaves = tree.n_nodes, tree.leaves.size
     probe_z = np.array([0.0, 1.0, 0.0])[:, None, None]
     probe_dz = np.array([0.0, 0.0, 1.0])[:, None, None]
     flows = np.stack(payoff_flows(pay.f, pay.g, pay.h, probe_z, probe_dz))  # (stop/run, probe, regime, n)
-    slope = r * (flows[:, 1:] - flows[:, :1])
-    forms = []
-    for i in range(2):
-        # b -> r * (flow - flow at b = 0), for the stop and the run flow
-        s_b, r_b = (sparse.diags_array(z[i]) @ A + sparse.diags_array(dz[i]) for z, dz in slope)
-        forms.append((r * flows[0, 0, i], r_b.sum(axis=0), sparse.csr_array(s_b - A.T @ r_b)))
-    return forms
+    (stop_z, stop_dz), (_, run_dz) = r * (flows[:, 1:] - flows[:, :1])
+    node, anc = _ancestor_pairs(tree)
+    below, above, diag = node[node != anc], anc[node != anc], np.arange(n)
+    m_row = np.concatenate([below, above, diag])
+    m_col = np.concatenate([above, below, diag])
+    m_val = np.concatenate([stop_z[:, below], -run_dz[:, below], (stop_z + stop_dz) - run_dz], axis=1)
+    leaf = tree.is_leaf[node]
+    path_node, leaf_row = anc[leaf], np.searchsorted(tree.leaves, node[leaf])
+    # A_ub = [w_0 M_0^T, w_1 M_1^T, -E^T];  A_eq = [[E, 0, 0], [0, E, 0]]
+    ub = [(m_col[k], i * n + m_row[k], w[i] * m_val[i, k]) for i, k in enumerate(m_val != 0.0)]
+    ub.append((path_node, 2 * n + leaf_row, -np.ones(leaf_row.size)))
+    eq = [(i * n_leaves + leaf_row, i * n + path_node, np.ones(leaf_row.size)) for i in range(2)]
+    c = r * flows[0, 0]
+    cost = np.concatenate([w[0] * c[0], w[1] * c[1], np.ones(n_leaves)])
+    d = 0.0 + run_dz  # a sum from 0.0: a zero-reach node's -0.0 becomes 0.0
+    b_ub = -(w[0] * d[0] + w[1] * d[1])
+
+    def stacked(blocks, n_rows):
+        row, col, val = (np.concatenate(k) for k in zip(*blocks))
+        return sparse.csr_array((val, (row, col)), shape=(n_rows, 2 * n + n_leaves))
+
+    return cost, stacked(ub, n), b_ub, stacked(eq, 2 * n_leaves)
 
 
 @dataclass(frozen=True)
@@ -294,11 +300,11 @@ def support_rules(levels: list[np.ndarray], tree: FiltrationTree) -> tuple[RuleS
     return RuleSet(rules, stop.astype(float), unique.astype(float)), mixes
 
 
-def _plan_levels(ancestors: sparse.csr_array, steps: np.ndarray, tree: FiltrationTree) -> np.ndarray:
+def _plan_levels(steps: np.ndarray, tree: FiltrationTree) -> np.ndarray:
     # clear basis-solve noise: vertex solutions have exact zeros, so steps
     # below 1e-10 are 0 and levels within 1e-10 of 1 are 1, and no ghost
     # survival mass remains downstream
-    levels = ancestors @ np.where(steps < 1e-10, 0.0, steps)
+    levels = GeneratingProcess.from_steps(np.where(steps < 1e-10, 0.0, steps), tree).levels
     levels = np.where(levels > 1.0 - 1e-10, 1.0, levels)
     levels[tree.leaves] = 1.0
     return levels
@@ -316,14 +322,7 @@ def solve_scenario(game: ScenarioGame, gap_tol: float = GAP_TOL) -> ScenarioSolu
     """
     tree, w = game.tree, game.weights
     n, n_leaves = tree.n_nodes, tree.leaves.size
-    A = ancestor_matrix(tree)
-    E = A[tree.leaves]
-    c, d, m = zip(*sequence_form(game, A))
-    cost = np.concatenate([w[0] * c[0], w[1] * c[1], np.ones(n_leaves)])
-    a_ub = sparse.hstack([w[0] * m[0].T, w[1] * m[1].T, -E.T], format="csr")
-    b_ub = -(w[0] * d[0] + w[1] * d[1])
-    a_eq = sparse.hstack([sparse.block_diag([E, E]), sparse.csr_array((2 * n_leaves, n_leaves))],
-                         format="csr")
+    cost, a_ub, b_ub, a_eq = _sequence_form_lp(game)
     for presolve in (True, False):
         res = linprog(
             cost,
@@ -338,7 +337,7 @@ def solve_scenario(game: ScenarioGame, gap_tol: float = GAP_TOL) -> ScenarioSolu
         if not res.success:
             raise NumericalFailure(f"LP solver failed: {res.message}")
         plans = [res.x[:n], res.x[n:2 * n], -res.ineqlin.marginals]
-        rules, mixes = support_rules([_plan_levels(A, p, tree) for p in plans], tree)
+        rules, mixes = support_rules([_plan_levels(p, tree) for p in plans], tree)
         profile = StrategyProfile(*(mixture_to_generating(mix, rules, tree) for mix in mixes))
         surf = best_response_values(game, profile)
         gap = abs(float(surf.v_hat[0] - w @ surf.u_hat[:, 0]))

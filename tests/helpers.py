@@ -8,9 +8,17 @@ bug in the package cannot hide in its own oracle.
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 
-from asymdynkin.core import FiltrationTree, PayoffTriple, TimeGrid, flow_value, realized_payoff
+from asymdynkin.core import (
+    FiltrationTree,
+    PayoffTriple,
+    TimeGrid,
+    flow_value,
+    payoff_flows,
+    realized_payoff,
+)
 from asymdynkin.dynamics.model import filter_step
 from asymdynkin.oracle import build_matrix, enumerate_stopping_rules, regime_matrices
 from asymdynkin.scenario import Certificate, ScenarioGame
@@ -77,6 +85,66 @@ def enumeration_value(game: ScenarioGame, pair: bool = False) -> float:
                            "dual_feasibility_tolerance": 1e-10})
     assert res.success, res.message
     return float(res.x[-1])
+
+
+# The sequence form by sparse matrix algebra: the reference that the oracle's
+# entry-by-entry LP assembly must reproduce.
+
+
+def ancestor_matrix(tree: FiltrationTree) -> sparse.csr_array:
+    """Sparse A with A[n, m] = 1 where m is n or an ancestor of n.
+
+    ``A @ steps`` are the levels of a process and ``A[tree.leaves]`` is the
+    leaf x node path incidence matrix.  Built by climbing all nodes one level
+    per round, so it costs O(n_nodes x depth), never a dense n x n array.
+    """
+    node = anc = np.arange(tree.n_nodes)
+    pairs = []
+    while node.size:
+        pairs.append((node, anc))
+        up = anc > 0
+        node, anc = node[up], tree.parent[anc[up]]
+    rows, cols = (np.concatenate(k) for k in zip(*pairs))
+    return sparse.csr_array((np.ones(rows.size), (rows, cols)), shape=(tree.n_nodes,) * 2)
+
+
+def sequence_form(game: ScenarioGame, ancestors: sparse.csr_array) -> list[tuple]:
+    """Per-regime (c, d, M) with payoff c @ a + d @ b + a @ M @ b.
+
+    ``a`` and ``b`` are the steps of the informed and the uninformed process
+    and ``ancestors`` is ``ancestor_matrix(game.tree)``.  Each flow of
+    ``core.payoff_flows`` is affine in the opponent's level Z = A b and step
+    dZ = b at a node, so probing it at (Z, dZ) = (0, 0), (1, 0) and (0, 1)
+    gives its constant and slopes.  The payoff is the sum over nodes of
+    r (stop dX + run (1 - X)) with X = A a, as in ``core.flow_value``; the run
+    flow pays only on opponent steps, so it has no constant.
+    """
+    pay, r, A = game.payoffs, game.tree.reach, ancestors
+    probe_z = np.array([0.0, 1.0, 0.0])[:, None, None]
+    probe_dz = np.array([0.0, 0.0, 1.0])[:, None, None]
+    flows = np.stack(payoff_flows(pay.f, pay.g, pay.h, probe_z, probe_dz))  # (stop/run, probe, regime, n)
+    slope = r * (flows[:, 1:] - flows[:, :1])
+    forms = []
+    for i in range(2):
+        # b -> r * (flow - flow at b = 0), for the stop and the run flow
+        s_b, r_b = (sparse.diags_array(z[i]) @ A + sparse.diags_array(dz[i]) for z, dz in slope)
+        forms.append((r * flows[0, 0, i], r_b.sum(axis=0), sparse.csr_array(s_b - A.T @ r_b)))
+    return forms
+
+
+def ref_sequence_form_lp(game: ScenarioGame):
+    """(cost, A_ub, b_ub, A_eq) of the oracle's LP, stacked from ``sequence_form``."""
+    tree, w = game.tree, game.weights
+    n_leaves = tree.leaves.size
+    A = ancestor_matrix(tree)
+    E = A[tree.leaves]
+    c, d, m = zip(*sequence_form(game, A))
+    cost = np.concatenate([w[0] * c[0], w[1] * c[1], np.ones(n_leaves)])
+    a_ub = sparse.hstack([w[0] * m[0].T, w[1] * m[1].T, -E.T], format="csr")
+    b_ub = -(w[0] * d[0] + w[1] * d[1])
+    a_eq = sparse.hstack([sparse.block_diag([E, E]), sparse.csr_array((2 * n_leaves, n_leaves))],
+                         format="csr")
+    return cost, a_ub, b_ub, a_eq
 
 
 def brute_force_expected(tree, payoffs: PayoffTriple, xi, zeta, prior=None) -> float:

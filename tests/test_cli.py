@@ -370,6 +370,18 @@ class TestDynamicsCommands:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("seed", ["-4", str(2**64)])
+    def test_out_of_range_seed_exits_2(self, model_file, tmp_path, capsys, seed):
+        rc = main(["dynamics", "simulate", "--model", str(model_file), "--dt", "0.5",
+                   "--paths", "3", "--seed", seed, "--out", str(tmp_path / "d")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed: ") and "Traceback" not in err
+
+    def test_largest_seed_runs(self, model_file, tmp_path):
+        assert main(["dynamics", "simulate", "--model", str(model_file), "--dt", "0.5",
+                     "--paths", "3", "--seed", str(2**64 - 1), "--out", str(tmp_path / "d")]) == 0
+
     def test_missing_payoffs_named(self, tmp_path, capsys):
         data = {"mu0": "0.1", "mu1": "0.2", "sigma": "0.5",
                 "x0": 0.0, "pi": 0.5, "T": 1.0, "domain": [-2, 2]}

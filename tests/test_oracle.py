@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,20 +20,28 @@ from asymdynkin.core import (
 from asymdynkin.gamegen import dominance_game, random_profile, random_scenario_game
 from asymdynkin.oracle import (
     EnumerationCapExceeded,
-    ancestor_matrix,
+    _plan_levels,
+    _sequence_form_lp,
     build_matrix,
     count_stopping_rules,
     enumerate_stopping_rules,
     mixture_to_generating,
     pure_gap,
     regime_matrices,
-    sequence_form,
     solve_scenario,
     support_rules,
 )
 from asymdynkin.scenario import ScenarioGame, best_response_values, certify_mart, certify_stop
 
-from helpers import brute_force_expected, enumeration_value, random_game, random_tree
+from helpers import (
+    ancestor_matrix,
+    brute_force_expected,
+    enumeration_value,
+    random_game,
+    random_tree,
+    ref_sequence_form_lp,
+    sequence_form,
+)
 
 
 def _single_path_game(seed: int, prior: float) -> ScenarioGame:
@@ -288,6 +298,63 @@ class TestSequenceForm:
         seed, depth, depth_first = spec
         rng = np.random.default_rng(seed)
         _check_against_enumeration(random_game(rng, random_tree(rng, depth, depth_first)))
+
+
+def _assert_lp_matches_reference(game):
+    """The entry-by-entry LP equals the one stacked from sparse matrix algebra."""
+    cost, a_ub, b_ub, a_eq = _sequence_form_lp(game)
+    ref_cost, ref_ub, ref_b, ref_eq = ref_sequence_form_lp(game)
+    assert cost.tobytes() == ref_cost.tobytes()
+    assert b_ub.tobytes() == ref_b.tobytes()
+    for a, ref in ((a_ub, ref_ub), (a_eq, ref_eq)):
+        assert a.shape == ref.shape and a.nnz == ref.nnz
+        got, want = a.tocoo(), ref.tocoo()
+        assert (sorted(zip(got.row, got.col, got.data.view(np.int64)))
+                == sorted(zip(want.row, want.col, want.data.view(np.int64))))
+
+
+class TestLPAssembly:
+    def test_battery_games(self):
+        for i in range(200):
+            _assert_lp_matches_reference(_battery_game(i))
+
+    @pytest.mark.parametrize("prior", [0.0, 1.0])
+    def test_degenerate_priors_keep_the_zero_weight_block(self, prior):
+        game = random_scenario_game(3, seed=1100, prior=prior)
+        _assert_lp_matches_reference(game)
+        # the zero-weight regime's block is stored as explicit zeros
+        assert solve_scenario(game).lp.nnz == 262
+
+    def test_zero_probability_branch_and_zero_payoffs(self):
+        tree = binary_tree(3, p_up=0.0)
+        zero = np.zeros((2, tree.n_nodes))
+        vals = np.sort(np.random.default_rng(3).uniform(-1.0, 1.0, size=(2, tree.n_nodes, 3)), axis=-1)
+        vals[:, ::3] = 0.0
+        for pay in (PayoffTriple(zero, zero, zero),
+                    PayoffTriple(f=vals[..., 2], g=vals[..., 0], h=vals[..., 1])):
+            _assert_lp_matches_reference(ScenarioGame(tree, pay, 0.4))
+
+    @given(trees, st.sampled_from([0.0, 0.3, 1.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_random_trees(self, spec, prior):
+        seed, depth, depth_first = spec
+        rng = np.random.default_rng(seed)
+        game = random_game(rng, random_tree(rng, depth, depth_first))
+        _assert_lp_matches_reference(dataclasses.replace(game, prior=prior))
+
+    @given(trees)
+    @settings(max_examples=30, deadline=None)
+    def test_plan_levels_equal_the_ancestor_product(self, spec):
+        seed, depth, depth_first = spec
+        rng = np.random.default_rng(seed)
+        tree = random_tree(rng, depth, depth_first)
+        steps = rng.dirichlet(np.ones(tree.n_nodes)) * rng.choice([0.0, 1e-11, 1.0], tree.n_nodes)
+        a = ancestor_matrix(tree)
+        assert GeneratingProcess.from_steps(steps, tree).levels.tobytes() == (a @ steps).tobytes()
+        ref = a @ np.where(steps < 1e-10, 0.0, steps)
+        ref = np.where(ref > 1.0 - 1e-10, 1.0, ref)
+        ref[tree.leaves] = 1.0
+        assert _plan_levels(steps, tree).tobytes() == ref.tobytes()
 
 
 class TestSupportRules:

@@ -17,7 +17,7 @@ from asymdynkin.gamegen import (
     random_profile,
     random_scenario_game,
 )
-from asymdynkin.oracle import ancestor_matrix, count_stopping_rules, sequence_form, solve_scenario
+from asymdynkin.oracle import count_stopping_rules, solve_scenario
 from asymdynkin.scenario import (
     ScenarioGame,
     StrategyProfile,
@@ -35,11 +35,13 @@ from asymdynkin.scenario import (
 )
 
 from helpers import (
+    ancestor_matrix,
     one_sided_stop_value,
     random_game,
     random_tree,
     ref_certify_stop,
     ref_pure_values,
+    sequence_form,
 )
 
 
