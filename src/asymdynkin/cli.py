@@ -250,7 +250,8 @@ def cmd_dynamics(args) -> int:
         surfaces = pde_solve_system(model, f, g, h, grid, slice_tol=args.tol)
         (out / "surfaces.csv").write_text(gameio.surfaces_csv(surfaces, meta))
         gameio.write_json(out / "pde_meta.json",
-                          {"identity_residual": surfaces.identity_residual, "config": cfg})
+                          {"identity_residual": surfaces.identity_residual,
+                           **dataclasses.asdict(surfaces.stats), "config": cfg})
         print(f"pde: grid {mt}x{mpi}x{mx}, identity residual "
               f"{surfaces.identity_residual:.3e}")
         return 0

@@ -27,13 +27,15 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .model import MODES, DiffusionModel, generator_coefficients
 
+# scipy.sparse is imported inside the functions that use it: importing the
+# package, and every CLI command that solves no PDE, then skips its load time
+
 __all__ = [
     "PDEGrid",
+    "PDEStats",
     "PDESurfaces",
     "NoConvergence",
     "pde_solve_system",
@@ -92,8 +94,25 @@ class PDEGrid:
 
 
 @dataclass(frozen=True)
+class PDEStats:
+    """Deterministic counters of one ``pde_solve_system`` run.
+
+    ``solves`` counts the masked linear solves of the region iteration and
+    ``factorisations`` the distinct (mode, mask) systems among them, each
+    LU-factorised once.
+    """
+
+    solves: int
+    factorisations: int
+
+
+@dataclass(frozen=True)
 class PDESurfaces:
-    """Converged value surfaces with their stopping sets."""
+    """Converged value surfaces with their stopping sets.
+
+    ``stats`` is set by ``pde_solve_system`` and None for surfaces read back
+    from a file or built by hand.
+    """
 
     grid: PDEGrid
     u0: np.ndarray
@@ -103,17 +122,20 @@ class PDESurfaces:
     in_s1: np.ndarray
     in_s: np.ndarray
     identity_residual: float
+    stats: PDEStats | None = None
 
     def u(self, i: int) -> np.ndarray:
         return self.u1 if i else self.u0
 
 
-def _operator(model: DiffusionModel, grid: PDEGrid, mode: str) -> sp.csr_matrix:
-    """Sparse spatial generator on the (pi, x) sheet for one mode of ``MODES``.
+def _operator(model: DiffusionModel, grid: PDEGrid, mode: str):
+    """Sparse (CSR) spatial generator on the (pi, x) sheet for one mode of ``MODES``.
 
     The coefficients are ``generator_coefficients``.  First derivatives are
     upwinded; the cross term is centered; x-boundaries are reflecting.
     """
+    import scipy.sparse as sp
+
     pi, x = grid.pi, grid.x
     mpi, mx = pi.size, x.size
     dpi = pi[1] - pi[0]
@@ -176,12 +198,24 @@ def _operator(model: DiffusionModel, grid: PDEGrid, mode: str) -> sp.csr_matrix:
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
-def _masked_solve(a_base: sp.csr_matrix, mask: np.ndarray, pinned: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve A u = rhs with masked rows replaced by u = pinned."""
-    free = (~mask).astype(float)
-    a = sp.diags(free) @ a_base + sp.diags(mask.astype(float))
-    b = np.where(mask, pinned, rhs)
-    return spla.spsolve(a.tocsc(), b)
+def _masked_solve(factors: dict, a_base, mode: str, mask: np.ndarray, pinned: np.ndarray,
+                  rhs: np.ndarray) -> np.ndarray:
+    """Solve A u = rhs with masked rows replaced by u = pinned.
+
+    ``a_base`` is the CSR system of ``mode``.  ``factors`` holds the LU factor
+    of each masked system met so far, keyed by (mode, mask bytes): the region
+    iteration meets a few systems many times, so it factorises only new ones.
+    """
+    key = (mode, mask.tobytes())
+    lu = factors.get(key)
+    if lu is None:
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
+
+        free = (~mask).astype(float)
+        a = sp.diags(free) @ a_base + sp.diags(mask.astype(float))
+        lu = factors[key] = spla.splu(a.tocsc())
+    return lu.solve(np.where(mask, pinned, rhs))
 
 
 def _run_edges(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -249,6 +283,8 @@ def pde_solve_system(
     terminal data is h(T, .) for all three surfaces.  Raises NoConvergence
     if a slice fails to stabilize within ``_MAX_ITERS`` rounds.
     """
+    import scipy.sparse as sp
+
     mt, mpi, mx = grid.shape
     dt = grid.t[1] - grid.t[0]
     eye = sp.identity(mpi * mx, format="csr")
@@ -275,6 +311,8 @@ def pde_solve_system(
     in_s[-1] = v[-1] <= gt + _SET_TOL
 
     scale = max(1.0, float(np.max(np.abs(term))))
+    factors: dict = {}
+    solves = 0
 
     for k in range(mt - 2, -1, -1):
         t = grid.t[k]
@@ -290,9 +328,9 @@ def pde_solve_system(
 
         for _ in range(_MAX_ITERS):
             new_u = [
-                np.minimum(_masked_solve(a_imp[f"regime-{i}"], s_mask, gt.reshape(-1),
+                np.minimum(_masked_solve(factors, a_imp[mode], mode, s_mask, gt.reshape(-1),
                                          u_next[i]).reshape(mpi, mx), ft)
-                for i in range(2)
+                for i, mode in enumerate(("regime-0", "regime-1"))
             ]
             s_i_new = [new_u[i] >= ft - _SET_TOL for i in range(2)]
             only1 = s_i_new[1] & ~s_i_new[0]
@@ -305,8 +343,10 @@ def pde_solve_system(
             informed_mask = s_i_new[0] | s_i_new[1]
             pinned_v = pi_col * new_u[1] + (1.0 - pi_col) * new_u[0]
             sol_v = _masked_solve(
-                a_imp["observation"], informed_mask.reshape(-1), pinned_v.reshape(-1), v_next
+                factors, a_imp["observation"], "observation", informed_mask.reshape(-1),
+                pinned_v.reshape(-1), v_next,
             )
+            solves += 3
             new_v = np.maximum(sol_v.reshape(mpi, mx), gt)
 
             delta = max(
@@ -328,7 +368,8 @@ def pde_solve_system(
     # the terminal slice is data, not a solve: its residual is rounding only
     resid = identity_residual(grid.pi, u[0, :-1], u[1, :-1], v[:-1],
                               in_s0[:-1], in_s1[:-1], in_s[:-1])
-    return PDESurfaces(grid, u[0], u[1], v, in_s0, in_s1, in_s, resid)
+    return PDESurfaces(grid, u[0], u[1], v, in_s0, in_s1, in_s, resid,
+                       PDEStats(solves, len(factors)))
 
 
 def reference_dynkin_1d(
@@ -346,6 +387,9 @@ def reference_dynkin_1d(
     one-regime generator, then clip into [g, f].  Used as the reference for
     the degenerate reduction of the coupled system and for spot checks.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
     mt, mx = t.size, x.size

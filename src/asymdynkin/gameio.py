@@ -202,10 +202,12 @@ def surfaces_csv(surfaces: PDESurfaces, meta: dict) -> str:
 
 def surfaces_from_csv(text: str) -> PDESurfaces:
     rows = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
+    if len(rows) < 2:
+        raise ValueError("surfaces CSV: no header and data rows")
     header = rows[0].split(",")
     if header[:3] != ["t", "pi", "x"]:
         raise ValueError("surfaces CSV: unexpected header")
-    data = np.array([[float(v) for v in ln.split(",")] for ln in rows[1:]])
+    data = np.loadtxt(rows[1:], delimiter=",", comments=None, ndmin=2)
     grid = PDEGrid(*(np.unique(data[:, i]) for i in range(3)))
     shape = grid.shape
     # every cell exactly once, in the order surfaces_csv writes them

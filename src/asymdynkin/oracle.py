@@ -30,11 +30,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .core import FiltrationTree, GeneratingProcess, StoppingRule, flow_value, payoff_flows
 from .scenario import ScenarioGame, StrategyProfile, best_response_values
+
+# scipy.sparse and scipy.optimize are imported inside the functions that use
+# them: importing the package, and every CLI command that solves no LP, then
+# skips their load time
 
 __all__ = [
     "EnumerationCapExceeded",
@@ -214,6 +216,8 @@ def _sequence_form_lp(game: ScenarioGame):
     its run dZ-slope (the run flow has no constant and no Z-slope).  Exact
     zeros of M_i are dropped before weighting by w_i.
     """
+    from scipy import sparse
+
     tree, w, pay, r = game.tree, game.weights, game.payoffs, game.tree.reach
     n, n_leaves = tree.n_nodes, tree.leaves.size
     probe_z = np.array([0.0, 1.0, 0.0])[:, None, None]
@@ -320,6 +324,8 @@ def solve_scenario(game: ScenarioGame, gap_tol: float = GAP_TOL) -> ScenarioSolu
     against the returned profile; one re-solve with presolve off refines a
     solution whose gap is not closed.
     """
+    from scipy.optimize import linprog
+
     tree, w = game.tree, game.weights
     n, n_leaves = tree.n_nodes, tree.leaves.size
     cost, a_ub, b_ub, a_eq = _sequence_form_lp(game)

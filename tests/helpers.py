@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
+from scipy.sparse.linalg import spsolve
 
 from asymdynkin.core import (
     FiltrationTree,
@@ -20,6 +21,7 @@ from asymdynkin.core import (
     realized_payoff,
 )
 from asymdynkin.dynamics.model import filter_step
+from asymdynkin.dynamics.pde import PDEGrid, PDESurfaces, identity_residual
 from asymdynkin.oracle import build_matrix, enumerate_stopping_rules, regime_matrices
 from asymdynkin.scenario import Certificate, ScenarioGame
 
@@ -523,3 +525,40 @@ def ref_strategy_evaluate(smap, x_paths: np.ndarray, psi: np.ndarray | None = No
         xi[0, :, k] = 1.0 - s[0]
         xi[1, :, k] = 1.0 - s[1]
     return p_out, xi[0], xi[1], zeta
+
+
+# References for the PDE solve's factor cache and the vectorised surfaces
+# reader: the solve must give the same surfaces when every masked system is
+# factorised afresh, and the reader the same arrays as a per-cell float parse.
+
+
+def ref_masked_solve(a_base, mask: np.ndarray, pinned: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve A u = rhs with masked rows replaced by u = pinned, factorising every call."""
+    free = (~mask).astype(float)
+    a = sparse.diags(free) @ a_base + sparse.diags(mask.astype(float))
+    b = np.where(mask, pinned, rhs)
+    return spsolve(a.tocsc(), b)
+
+
+def ref_surfaces_from_csv(text: str) -> PDESurfaces:
+    """``gameio.surfaces_from_csv`` parsing each cell with ``float``."""
+    rows = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
+    header = rows[0].split(",")
+    if header[:3] != ["t", "pi", "x"]:
+        raise ValueError("surfaces CSV: unexpected header")
+    data = np.array([[float(v) for v in ln.split(",")] for ln in rows[1:]])
+    grid = PDEGrid(*(np.unique(data[:, i]) for i in range(3)))
+    shape = grid.shape
+    axes = (grid.t[:, None, None], grid.pi[:, None], grid.x)
+    if data.shape[0] != np.prod(shape) or not all(
+        np.array_equal(data[:, i].reshape(shape), np.broadcast_to(axis, shape))
+        for i, axis in enumerate(axes)
+    ):
+        raise ValueError("surfaces CSV: rows are not the t, pi, x grid in order, each cell once")
+    cols = {name: data[:, i].reshape(shape) for i, name in enumerate(header)}
+    u0, u1, v = cols["u0"], cols["u1"], cols["v"]
+    flags = [cols[name] for name in ("in_S0", "in_S1", "in_S")]
+    if not all(np.isin(flag, (0.0, 1.0)).all() for flag in flags):
+        raise ValueError("surfaces CSV: stopping-set flags must be 0 or 1")
+    masks = [flag.astype(bool) for flag in flags]
+    return PDESurfaces(grid, u0, u1, v, *masks, identity_residual(grid.pi, u0, u1, v, *masks))

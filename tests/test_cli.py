@@ -1,16 +1,23 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import asymdynkin
 from asymdynkin import gameio
 from asymdynkin.cli import main
 from asymdynkin.gamegen import random_scenario_game
 from asymdynkin.oracle import NumericalFailure, count_stopping_rules, solve_scenario
 from asymdynkin.scenario import StrategyProfile, best_response_values, certify_mart
 from asymdynkin.core import GeneratingProcess
+
+from helpers import ref_surfaces_from_csv
 
 
 @pytest.fixture
@@ -301,7 +308,7 @@ class TestDynamicsCommands:
         assert rc == 2
 
     @pytest.mark.parametrize("damage", ["truncated", "uneven_x", "swapped_rows", "duplicated_row",
-                                        "bad_flag"])
+                                        "bad_flag", "header_only"])
     def test_malformed_surfaces_exits_2(self, model_file, tmp_path, capsys, damage):
         out = tmp_path / "d"
         assert main(["dynamics", "pde", "--model", str(model_file), "--grid", "11x5x21",
@@ -311,6 +318,8 @@ class TestDynamicsCommands:
         start = lines.index("t,pi,x,u0,u1,v,in_S0,in_S1,in_S") + 1
         if damage == "truncated":
             text = text[: len(text) // 2]
+        elif damage == "header_only":
+            text = "\n".join(lines[:start]) + "\n"
         elif damage in ("swapped_rows", "duplicated_row", "bad_flag"):
             # each keeps the grid and the row count, so only a row-by-row check sees it
             first, second = start + 30, start + 31
@@ -435,3 +444,59 @@ class TestDeterminism:
         again = gameio.surfaces_csv(surf, {"seed": 0, "dt": 0.01, "grid": "11x5x21"})
         body = lambda s: [ln for ln in s.splitlines() if not ln.startswith("#")]
         assert body(again) == body(text)
+
+    def test_surfaces_reader_matches_reference(self, model_file, tmp_path):
+        out = tmp_path / "p"
+        assert main(["dynamics", "pde", "--model", str(model_file), "--grid", "21x11x41",
+                     "--out", str(out)]) == 0
+        text = (out / "surfaces.csv").read_text()
+        got, want = gameio.surfaces_from_csv(text), ref_surfaces_from_csv(text)
+        for name in ("t", "pi", "x"):
+            assert np.array_equal(getattr(got.grid, name), getattr(want.grid, name))
+        for name in ("u0", "u1", "v", "in_s0", "in_s1", "in_s"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert got.identity_residual == want.identity_residual
+
+    def test_pde_counters_deterministic(self, model_file, tmp_path):
+        argv = ["dynamics", "pde", "--model", str(model_file), "--grid", "21x11x41",
+                "--out", str(tmp_path / "d")]
+        metas = []
+        for _ in range(2):
+            assert main(argv) == 0
+            metas.append(json.loads((tmp_path / "d" / "pde_meta.json").read_text()))
+        assert metas[0] == metas[1]
+        solves, factorisations = metas[0]["solves"], metas[0]["factorisations"]
+        # three masked solves per region iteration, at least one iteration per slice
+        assert solves % 3 == 0 and solves >= 3 * 20
+        assert 3 <= factorisations <= solves
+
+
+class TestImports:
+    def test_commands_without_lp_or_pde_load_no_scipy(self, game_file, model_file, tmp_path):
+        # the import graph is per process, so it is checked in a fresh interpreter
+        path, _ = game_file
+        eq = tmp_path / "eq"
+        assert main(["oracle", "--game", str(path), "--out", str(eq)]) == 0
+        script = textwrap.dedent(f"""
+            import sys
+            import asymdynkin, asymdynkin.cli, asymdynkin.gameio, asymdynkin.dynamics
+            from asymdynkin.cli import main
+
+            def loaded():
+                return [m for m in ("scipy.optimize", "scipy.sparse") if m in sys.modules]
+
+            assert not loaded(), ("import", loaded())
+            assert main(["dynamics", "simulate", "--model", {str(model_file)!r}, "--dt", "0.05",
+                         "--paths", "5", "--out", {str(tmp_path / "sim")!r}]) == 0
+            assert main(["verify", "--game", {str(path)!r},
+                         "--equilibrium", {str(eq / "equilibrium.json")!r},
+                         "--out", {str(tmp_path / "ver")!r}]) == 0
+            assert not loaded(), ("simulate, verify", loaded())
+            assert main(["oracle", "--game", {str(path)!r}, "--out", {str(tmp_path / "eq2")!r}]) == 0
+            assert main(["dynamics", "pde", "--model", {str(model_file)!r}, "--grid", "5x3x9",
+                         "--out", {str(tmp_path / "pde")!r}]) == 0
+        """)
+        src = str(Path(asymdynkin.__file__).parents[1])
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert proc.returncode == 0, proc.stderr

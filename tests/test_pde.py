@@ -20,10 +20,11 @@ from asymdynkin.dynamics import (
     simulate_regime_paths,
     standard_test_functions,
 )
+from asymdynkin.dynamics import pde
 from asymdynkin.dynamics.model import parse_expression
-from asymdynkin.dynamics.pde import PDESurfaces, _operator, _pi_copy
+from asymdynkin.dynamics.pde import PDEStats, PDESurfaces, _operator, _pi_copy
 
-from helpers import ref_pi_copy, ref_strategy_evaluate
+from helpers import ref_masked_solve, ref_pi_copy, ref_strategy_evaluate
 
 
 def const(c):
@@ -355,6 +356,41 @@ class TestRunEdges:
         traj = _assert_evaluate_matches_reference(extract_strategies(sets, model, dt=0.01), x, psi)
         for xi in (traj.xi0, traj.xi1):
             assert np.any((xi[:, :-1] > 1e-9) & (xi[:, :-1] < 1.0 - 1e-9))
+
+
+def _moving_sets():
+    # x-dependent obstacles: the stopping sets S and S1 change from slice to slice
+    model = DiffusionModel(
+        mu0=const(-0.6), mu1=const(0.6), sigma=const(0.5),
+        x0=0.0, prior=0.5, horizon=1.0, domain=(-2.0, 2.0),
+    )
+    clipx = lambda t, x: np.clip(np.asarray(x) + 0.0 * np.asarray(t), -1.0, 1.0)
+    payoffs = (lambda t, x: clipx(t, x) + 0.15, lambda t, x: clipx(t, x) - 0.15, clipx)
+    return model, PDEGrid.regular(1.0, model.domain, 21, 9, 41), payoffs
+
+
+class TestFactorCache:
+    @pytest.mark.parametrize("case", ["generic", "degenerate", "moving"])
+    def test_cache_matches_refactorising(self, request, monkeypatch, case):
+        if case == "moving":
+            model, grid, payoffs = _moving_sets()
+            cached = pde_solve_system(model, *payoffs, grid)
+        else:
+            model, grid, cached = request.getfixturevalue(case)
+            payoffs = (F, G, H)
+        systems = []
+
+        def uncached(factors, a_base, mode, mask, pinned, rhs):
+            systems.append((mode, mask.tobytes()))
+            return ref_masked_solve(a_base, mask, pinned, rhs)
+
+        monkeypatch.setattr(pde, "_masked_solve", uncached)
+        fresh = pde_solve_system(model, *payoffs, grid)
+        for name in ("u0", "u1", "v", "in_s0", "in_s1", "in_s"):
+            assert np.array_equal(getattr(cached, name), getattr(fresh, name)), name
+        assert cached.stats == PDEStats(len(systems), len(set(systems)))
+        # the sets move in all three cases, so some mode meets several masks
+        assert 3 < cached.stats.factorisations < cached.stats.solves
 
 
 class TestPinnedArtifacts:
