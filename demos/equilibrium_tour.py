@@ -59,8 +59,8 @@ print(f"  min uninformed slack (must be >= 0): {support.min_y2:+.2e}")
 print(f"  worst flat-off residual along paths: {support.max_flat_off:.2e}")
 print(f"  belief consistency |<p,U> - V| on in-play nodes: {support.max_consistency:.2e}")
 
-residuals = [ad.ex_ante_check(game, profile, surfaces, n) for n in range(game.tree.n_nodes)]
-print(f"  worst ex-ante linkage residual over nodes: {max(residuals):.2e}")
+residuals = ad.ex_ante_residuals(game, profile, surfaces)
+print(f"  worst ex-ante linkage residual over nodes: {residuals.max():.2e}")
 
 # any strategy the informed player could try keeps the drift non-negative
 override = random_profile(game.tree, seed=7)

@@ -47,6 +47,7 @@ from .scenario import (
     certify_mart,
     certify_stop,
     ex_ante_check,
+    ex_ante_residuals,
     martingale_report,
     support_report,
 )

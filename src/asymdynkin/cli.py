@@ -44,7 +44,8 @@ from .scenario import (
     best_response_values,
     certify_mart,
     certify_stop,
-    ex_ante_check,
+    ex_ante_check,  # unused here: kept for profilers that wrap cli.ex_ante_check by name
+    ex_ante_residuals,
     martingale_report,
     support_report,
 )
@@ -150,7 +151,7 @@ def cmd_verify(args) -> int:
     srep = support_report(game, profile, surfaces)
     cert_m = certify_mart(game, profile, surfaces, tol=args.tol)
     cert_s = certify_stop(game, profile, surfaces=surfaces, tol=args.tol)
-    ex_ante = [ex_ante_check(game, profile, surfaces, n) for n in range(game.tree.n_nodes)]
+    ex_ante = ex_ante_residuals(game, profile, surfaces).tolist()
     cfg = _base_config(args, "verify")
 
     gameio.write_json(out / "martingale_report.json",

@@ -21,7 +21,11 @@ valid tree has all its leaves at the final depth, so the nodes fall into the
 recursion -- reach, levels of a process from its steps, sums over ancestors,
 stop indicators and first stops -- is the one level-order scan
 ``FiltrationTree.scan``; every leaf-to-root one is a loop over the levels
-bottom-up around ``FiltrationTree.expectation_step``.
+bottom-up around ``FiltrationTree.expectation_step``.  Sums over the nodes
+below a node, weighted by the probability of reaching them from it, read the
+cached subtree table ``FiltrationTree.subtree``: one entry per
+(node, ancestor-or-self) pair, grouped by ancestor, so one node's sum costs
+the size of its subtree and every node's sum is one ``np.add.reduceat``.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ class ShapeMismatchError(ValueError):
 
 
 class IndexOutOfRangeError(IndexError):
-    """A stopping index lies outside the path's grid."""
+    """A stopping index lies outside the path's grid, or a node id outside the tree."""
 
 
 @dataclass(frozen=True)
@@ -153,6 +157,29 @@ class FiltrationTree:
     @property
     def n_steps(self) -> int:
         return len(self.levels) - 1
+
+    @cached_property
+    def subtree(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(start, node, rel): every node's descendants-or-self, grouped by node.
+
+        The descendants-or-self of ``a`` are ``node[start[a]:start[a + 1]]``
+        (``a`` first) and ``rel`` is the product of transition probabilities
+        from ``a`` down to each of them, so ``rel`` is 1 at ``a`` itself.  One
+        (node, ancestor-or-self) pair per entry: 12 bytes each, node ids int32.
+        """
+        # climb every node one level per round, carrying the running product
+        node = anc = np.arange(self.n_nodes)
+        rel = np.ones(self.n_nodes)
+        pairs = []
+        while node.size:
+            pairs.append((node, anc, rel))
+            up = anc > 0
+            node, rel, anc = node[up], rel[up] * self.prob[anc[up]], self.parent[anc[up]]
+        node, anc, rel = (np.concatenate(k) for k in zip(*pairs))
+        order = np.argsort(anc, kind="stable")
+        start = np.zeros(self.n_nodes + 1, dtype=np.int64)
+        np.cumsum(np.bincount(anc, minlength=self.n_nodes), out=start[1:])
+        return start, node[order].astype(np.int32), rel[order]
 
     @cached_property
     def children(self) -> list[np.ndarray]:

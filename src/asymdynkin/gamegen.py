@@ -12,7 +12,6 @@ __all__ = [
     "dominance_game",
     "all_continue_game",
     "random_profile",
-    "pure_profile_depths",
 ]
 
 
@@ -74,12 +73,3 @@ def random_profile(tree: FiltrationTree, seed: int) -> StrategyProfile:
         return GeneratingProcess.from_levels(levels, tree)
 
     return StrategyProfile(xi0=one(), xi1=one(), zeta=one())
-
-
-def pure_profile_depths(tree: FiltrationTree, k0: int, k1: int, l: int) -> StrategyProfile:
-    """Profile of single-jump processes at fixed depths (k0, k1; l)."""
-    return StrategyProfile(
-        xi0=GeneratingProcess.jump_at_depth(k0, tree),
-        xi1=GeneratingProcess.jump_at_depth(k1, tree),
-        zeta=GeneratingProcess.jump_at_depth(l, tree),
-    )

@@ -5,8 +5,9 @@ A generating process is a realization plan (Koller, Megiddo & von Stengel
 E.  Against the uninformed steps b the regime-i payoff is bilinear,
 c_i a + d_i b + a M_i b, read off the one first-to-stop flow
 ``core.payoff_flows``; E and M_i live on the tree's (node, ancestor-or-self)
-pairs, which ``_sequence_form_lp`` writes straight into the LP.  Dualizing
-the uninformed player's inner maximum gives ``solve_scenario``'s single LP
+pairs, which ``_sequence_form_lp`` reads off the tree's subtree table and
+writes straight into the LP.  Dualizing the uninformed player's inner
+maximum gives ``solve_scenario``'s single LP
 
     min over (a0, a1, y)  sum_i w_i c_i a_i + 1 y
     subject to            E^T y - sum_i w_i M_i^T a_i >= sum_i w_i d_i,
@@ -196,17 +197,6 @@ def mixture_to_generating(
     return GeneratingProcess.from_levels(levels, tree)
 
 
-def _ancestor_pairs(tree: FiltrationTree) -> tuple[np.ndarray, np.ndarray]:
-    """(node, ancestor-or-self) id arrays, climbing all nodes a level per round."""
-    node = anc = np.arange(tree.n_nodes)
-    pairs = []
-    while node.size:
-        pairs.append((node, anc))
-        up = anc > 0
-        node, anc = node[up], tree.parent[anc[up]]
-    return tuple(np.concatenate(k) for k in zip(*pairs))
-
-
 def _sequence_form_lp(game: ScenarioGame):
     """(cost, A_ub, b_ub, A_eq) of ``solve_scenario``'s LP, entry by entry.
 
@@ -214,7 +204,9 @@ def _sequence_form_lp(game: ScenarioGame):
     (Z, dZ) = (0, 0), (1, 0), (0, 1) gives its constant and slopes.  For each
     strict ancestor m of n, M_i[n, m] is n's stop Z-slope and M_i[m, n] minus
     its run dZ-slope (the run flow has no constant and no Z-slope).  Exact
-    zeros of M_i are dropped before weighting by w_i.
+    zeros of M_i are dropped before weighting by w_i.  The (node,
+    ancestor-or-self) pairs are read off ``tree.subtree``; scipy sorts the
+    triplets, so their order does not matter.
     """
     from scipy import sparse
 
@@ -224,7 +216,8 @@ def _sequence_form_lp(game: ScenarioGame):
     probe_dz = np.array([0.0, 0.0, 1.0])[:, None, None]
     flows = np.stack(payoff_flows(pay.f, pay.g, pay.h, probe_z, probe_dz))  # (stop/run, probe, regime, n)
     (stop_z, stop_dz), (_, run_dz) = r * (flows[:, 1:] - flows[:, :1])
-    node, anc = _ancestor_pairs(tree)
+    start, node, _ = tree.subtree
+    anc = np.repeat(np.arange(n), np.diff(start))
     below, above, diag = node[node != anc], anc[node != anc], np.arange(n)
     m_row = np.concatenate([below, above, diag])
     m_col = np.concatenate([above, below, diag])

@@ -23,6 +23,7 @@ import numpy as np
 from .core import (
     FiltrationTree,
     GeneratingProcess,
+    IndexOutOfRangeError,
     PayoffTriple,
     ShapeMismatchError,
     flow_value,
@@ -42,6 +43,7 @@ __all__ = [
     "martingale_report",
     "support_report",
     "ex_ante_check",
+    "ex_ante_residuals",
     "certify_mart",
     "certify_stop",
 ]
@@ -150,12 +152,15 @@ def _informed_flows(game: ScenarioGame, zeta: GeneratingProcess):
     return payoff_flows(pay.f, pay.g, pay.h, zeta.levels, zeta.steps)
 
 
-def _uninformed_flows(game: ScenarioGame, profile: StrategyProfile):
-    """Prior-weighted (stop, run) flows of the uninformed player against (xi0, xi1)."""
+def _uninformed_flows(game: ScenarioGame, profile: StrategyProfile, nodes=slice(None)):
+    """Prior-weighted (stop, run) flows of the uninformed player against (xi0, xi1).
+
+    ``nodes`` selects the nodes to evaluate (all by default).
+    """
     pay, w = game.payoffs, game.weights
-    levels = np.stack([profile.xi0.levels, profile.xi1.levels])
-    steps = np.stack([profile.xi0.steps, profile.xi1.steps])
-    stop, run = payoff_flows(pay.g, pay.f, pay.h, levels, steps)
+    levels = np.array([profile.xi0.levels[nodes], profile.xi1.levels[nodes]])
+    steps = np.array([profile.xi0.steps[nodes], profile.xi1.steps[nodes]])
+    stop, run = payoff_flows(pay.g[:, nodes], pay.f[:, nodes], pay.h[:, nodes], levels, steps)
     return w @ stop, w @ run
 
 
@@ -274,13 +279,18 @@ class MartingaleReport:
         )
 
 
+def _flow_density(stop, run, own: GeneratingProcess) -> np.ndarray:
+    """Per-node summand of ``core.flow_value`` without the reach: stop dX + run (1 - X)."""
+    return stop * own.steps + run * (1.0 - own.levels)
+
+
 def _override_drift(tree: FiltrationTree, stop, run, own: GeneratingProcess, value_hat) -> np.ndarray:
     """Drift of (payoff flow of ``own`` before t) + (1 - own_pre) * value_hat.
 
     ``stop``/``run`` are one player's flows against the fixed opponent, so
     this serves either side with an arbitrary candidate strategy ``own``.
     """
-    inc = stop * own.steps + run * (1.0 - own.levels)
+    inc = _flow_density(stop, run, own)
     return _drift(tree, tree.accumulate_before(inc) + (1.0 - own.pre_levels(tree)) * value_hat)
 
 
@@ -394,20 +404,40 @@ def ex_ante_check(
     """|remaining-payoff expectation - survival x value| at a tree node.
 
     The left side sums the profile's payoff flow over the subtree of ``node``
-    exactly; the right side is the opponent-survival weight times the
-    uninformed value surface.  The two agree (to rounding) at equilibrium;
-    at the root the check reduces to |E[P(xi, zeta)] - v_hat(root)|.
+    exactly, weighted by the probability of reaching each node from ``node``;
+    the right side is the opponent-survival weight times the uninformed value
+    surface.  The two agree (to rounding) at equilibrium; at the root the
+    check reduces to |E[P(xi, zeta)] - v_hat(root)|.  Reads only the
+    subtree's block of ``FiltrationTree.subtree``; ``ex_ante_residuals``
+    gives every node at once.  Raises ``IndexOutOfRangeError`` for a node
+    outside [0, n_nodes).
     """
-    tree = game.tree
-    # reach relative to ``node``: 1 there, 0 at its depth and above, and the
-    # products of transition probabilities down its subtree (0 elsewhere)
-    d = tree.depth[node]
-    rel = tree.scan(np.where(tree.depth > d, tree.prob, np.arange(tree.n_nodes) == node),
-                    np.multiply, start=d)
-    stop, run = _uninformed_flows(game, profile)
-    lhs = float(flow_value(rel, stop, run, profile.zeta.levels, profile.zeta.steps))
-    rhs = float((1.0 - profile.zeta.pre_levels(tree)[node]) * surfaces.v_hat[node])
-    return abs(lhs - rhs)
+    tree, zeta = game.tree, profile.zeta
+    if not 0 <= node < tree.n_nodes:
+        raise IndexOutOfRangeError(f"node {node} outside [0, {tree.n_nodes})")
+    start, sub, rel = tree.subtree
+    block = slice(start[node], start[node + 1])
+    below = sub[block]
+    stop, run = _uninformed_flows(game, profile, below)
+    lhs = float(flow_value(rel[block], stop, run, zeta.levels[below], zeta.steps[below]))
+    # GeneratingProcess.pre_levels at one node, read without its O(n) array
+    pre = zeta.levels[tree.parent[node]] if node else 0.0
+    return abs(lhs - float((1.0 - pre) * surfaces.v_hat[node]))
+
+
+def ex_ante_residuals(
+    game: ScenarioGame, profile: StrategyProfile, surfaces: ValueSurfaces
+) -> np.ndarray:
+    """``ex_ante_check`` at every node, in one pass over ``FiltrationTree.subtree``.
+
+    Each node's left side is the ``np.add.reduceat`` of relative reach times
+    the node-wise payoff flow over its block of the subtree table.
+    """
+    tree, zeta = game.tree, profile.zeta
+    start, sub, rel = tree.subtree
+    density = _flow_density(*_uninformed_flows(game, profile), zeta)
+    lhs = np.add.reduceat(rel * density[sub], start[:-1])
+    return np.abs(lhs - (1.0 - zeta.pre_levels(tree)) * surfaces.v_hat)
 
 
 @dataclass(frozen=True)

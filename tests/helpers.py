@@ -93,12 +93,11 @@ def enumeration_value(game: ScenarioGame, pair: bool = False) -> float:
 # entry-by-entry LP assembly must reproduce.
 
 
-def ancestor_matrix(tree: FiltrationTree) -> sparse.csr_array:
-    """Sparse A with A[n, m] = 1 where m is n or an ancestor of n.
+def ref_ancestor_pairs(tree: FiltrationTree) -> tuple[np.ndarray, np.ndarray]:
+    """(node, ancestor-or-self) id arrays, climbing all nodes a level per round.
 
-    ``A @ steps`` are the levels of a process and ``A[tree.leaves]`` is the
-    leaf x node path incidence matrix.  Built by climbing all nodes one level
-    per round, so it costs O(n_nodes x depth), never a dense n x n array.
+    The pairs come round by round (every node with itself, then with its
+    parent, ...), not grouped by ancestor as in ``FiltrationTree.subtree``.
     """
     node = anc = np.arange(tree.n_nodes)
     pairs = []
@@ -106,7 +105,17 @@ def ancestor_matrix(tree: FiltrationTree) -> sparse.csr_array:
         pairs.append((node, anc))
         up = anc > 0
         node, anc = node[up], tree.parent[anc[up]]
-    rows, cols = (np.concatenate(k) for k in zip(*pairs))
+    return tuple(np.concatenate(k) for k in zip(*pairs))
+
+
+def ancestor_matrix(tree: FiltrationTree) -> sparse.csr_array:
+    """Sparse A with A[n, m] = 1 where m is n or an ancestor of n.
+
+    ``A @ steps`` are the levels of a process and ``A[tree.leaves]`` is the
+    leaf x node path incidence matrix.  Built from ``ref_ancestor_pairs``, so
+    it costs O(n_nodes x depth), never a dense n x n array.
+    """
+    rows, cols = ref_ancestor_pairs(tree)
     return sparse.csr_array((np.ones(rows.size), (rows, cols)), shape=(tree.n_nodes,) * 2)
 
 
@@ -357,13 +366,22 @@ def ref_certify_stop(game, profile, u_root, v_root, tol: float = 1e-8) -> Certif
     return Certificate(not violations, float(v_root), tuple(violations), tol)
 
 
-def ref_ex_ante(game, profile, v_hat: np.ndarray, node: int) -> float:
-    """|uninformed payoff flow summed over the subtree of node - survival x v_hat|."""
-    tree = game.tree
+def ref_relative_reach(tree: FiltrationTree, node: int) -> np.ndarray:
+    """Per node m: the product of transition probabilities from ``node`` down to m.
+
+    1 at ``node`` and 0 outside its subtree, multiplied root side first.
+    """
     rel = np.zeros(tree.n_nodes)
     rel[node] = 1.0
     for m in range(node + 1, tree.n_nodes):
         rel[m] = rel[tree.parent[m]] * tree.prob[m]
+    return rel
+
+
+def ref_ex_ante(game, profile, v_hat: np.ndarray, node: int) -> float:
+    """|uninformed payoff flow summed over the subtree of node - survival x v_hat|."""
+    tree = game.tree
+    rel = ref_relative_reach(tree, node)
     _, _, stop_v, run_v = _ref_flows(game, profile)
     z = profile.zeta
     lhs = sum(rel[m] * (stop_v[m] * z.steps[m] + run_v[m] * (1.0 - z.levels[m]))

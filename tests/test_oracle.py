@@ -39,6 +39,7 @@ from helpers import (
     enumeration_value,
     random_game,
     random_tree,
+    ref_ancestor_pairs,
     ref_sequence_form_lp,
     sequence_form,
 )
@@ -301,22 +302,40 @@ class TestSequenceForm:
 
 
 def _assert_lp_matches_reference(game):
-    """The entry-by-entry LP equals the one stacked from sparse matrix algebra."""
-    cost, a_ub, b_ub, a_eq = _sequence_form_lp(game)
-    ref_cost, ref_ub, ref_b, ref_eq = ref_sequence_form_lp(game)
-    assert cost.tobytes() == ref_cost.tobytes()
-    assert b_ub.tobytes() == ref_b.tobytes()
-    for a, ref in ((a_ub, ref_ub), (a_eq, ref_eq)):
-        assert a.shape == ref.shape and a.nnz == ref.nnz
-        got, want = a.tocoo(), ref.tocoo()
-        assert (sorted(zip(got.row, got.col, got.data.view(np.int64)))
-                == sorted(zip(want.row, want.col, want.data.view(np.int64))))
+    """The entry-by-entry LP equals, bit for bit, the one stacked from sparse matrix algebra."""
+    got, want = _sequence_form_lp(game), ref_sequence_form_lp(game)
+    for a, ref in zip(got[::2], want[::2]):  # cost, b_ub
+        assert a.dtype == ref.dtype and a.tobytes() == ref.tobytes()
+    for a, ref in zip(got[1::2], want[1::2]):  # A_ub, A_eq
+        assert a.shape == ref.shape
+        for part in ("indptr", "indices", "data"):
+            x, y = getattr(a, part), getattr(ref, part)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def _assert_pairs_are_the_climbing_pairs(tree):
+    """The subtree table holds exactly the (node, ancestor-or-self) pairs of the climbing loop."""
+    start, node, _ = tree.subtree
+    anc = np.repeat(np.arange(tree.n_nodes), np.diff(start))
+    ref_node, ref_anc = ref_ancestor_pairs(tree)
+    assert node.size == ref_node.size
+    assert set(zip(node.tolist(), anc.tolist())) == set(zip(ref_node.tolist(), ref_anc.tolist()))
 
 
 class TestLPAssembly:
     def test_battery_games(self):
         for i in range(200):
             _assert_lp_matches_reference(_battery_game(i))
+
+    def test_battery_pairs_are_the_climbing_pairs(self):
+        for i in range(200):
+            _assert_pairs_are_the_climbing_pairs(_battery_game(i).tree)
+
+    @given(trees)
+    @settings(max_examples=40, deadline=None)
+    def test_random_tree_pairs_are_the_climbing_pairs(self, spec):
+        seed, depth, depth_first = spec
+        _assert_pairs_are_the_climbing_pairs(random_tree(np.random.default_rng(seed), depth, depth_first))
 
     @pytest.mark.parametrize("prior", [0.0, 1.0])
     def test_degenerate_priors_keep_the_zero_weight_block(self, prior):

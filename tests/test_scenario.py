@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from asymdynkin.core import (
     GeneratingProcess,
+    IndexOutOfRangeError,
     PayoffTriple,
     StoppingRule,
     truncate_control,
@@ -30,6 +31,7 @@ from asymdynkin.scenario import (
     certify_mart,
     certify_stop,
     ex_ante_check,
+    ex_ante_residuals,
     martingale_report,
     support_report,
 )
@@ -226,6 +228,18 @@ class TestExAnteCheck:
         game, _, prof, surf = oracle_equilibrium(seed=44)
         for node in range(game.tree.n_nodes):
             assert ex_ante_check(game, prof, surf, node) <= 1e-8
+        assert ex_ante_residuals(game, prof, surf).max() <= 1e-8
+
+    def test_node_outside_the_tree_raises(self):
+        # node -1 used to index from the end and return 0.003737 here
+        game = random_scenario_game(2, seed=1)
+        prof = random_profile(game.tree, seed=2)
+        surf = best_response_values(game, prof)
+        n = game.tree.n_nodes
+        assert ex_ante_check(game, prof, surf, n - 1) == 0.0
+        for node in (-1, n):
+            with pytest.raises(IndexOutOfRangeError, match=rf"^node {node} outside \[0, {n}\)$"):
+                ex_ante_check(game, prof, surf, node)
 
 
 class TestCertifyMart:

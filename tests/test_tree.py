@@ -5,6 +5,8 @@ leaves at the final depth and are numbered either level by level or depth
 first, so a level's node ids need not be contiguous.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,7 @@ from asymdynkin.core import (
     truncate_control,
 )
 from asymdynkin.gamegen import random_profile
-from asymdynkin.scenario import best_response_values, ex_ante_check, support_report
+from asymdynkin.scenario import best_response_values, ex_ante_check, ex_ante_residuals, support_report
 
 from helpers import (
     random_game,
@@ -34,6 +36,7 @@ from helpers import (
     ref_from_steps,
     ref_paths,
     ref_reach,
+    ref_relative_reach,
     ref_stop_ancestor,
     ref_stopped_by,
     ref_truncate_control,
@@ -126,6 +129,63 @@ class TestLevelOrderAgainstPerNodeReferences:
         prof = random_profile(tree, seed=4)
         with pytest.raises(ValueError, match="^leaf 2 at depth 1 != 2$"):
             support_report(game, prof, best_response_values(game, prof))
+
+
+def _check_subtree_table(tree):
+    """Blocks are the descendants-or-self, node first, with the per-node relative reach."""
+    start, node, rel = tree.subtree
+    n = tree.n_nodes
+    assert start.shape == (n + 1,) and start[0] == 0 and start[-1] == node.size == rel.size
+    # with every transition probability 1, the relative reach marks the subtree
+    unit = FiltrationTree(tree.parent, np.ones(n))
+    for a in range(n):
+        block = slice(start[a], start[a + 1])
+        assert node[block][0] == a
+        np.testing.assert_array_equal(np.sort(node[block]), np.flatnonzero(ref_relative_reach(unit, a)))
+        np.testing.assert_allclose(rel[block], ref_relative_reach(tree, a)[node[block]], rtol=0, atol=1e-15)
+
+
+def _check_residuals(tree, seed):
+    rng = np.random.default_rng(seed)
+    game = random_game(rng, tree)
+    prof = random_profile(tree, seed=seed % 1000 + 2)
+    surf = best_response_values(game, prof)
+    per_node = [ex_ante_check(game, prof, surf, node) for node in range(tree.n_nodes)]
+    np.testing.assert_allclose(ex_ante_residuals(game, prof, surf), per_node, rtol=0, atol=1e-13)
+
+
+class TestSubtreeTable:
+    @given(trees)
+    @settings(max_examples=40, deadline=None)
+    def test_random_trees(self, spec):
+        seed, depth, depth_first = spec
+        tree = random_tree(np.random.default_rng(seed), depth, depth_first)
+        _check_subtree_table(tree)
+        _check_residuals(tree, seed)
+
+    def test_zero_probability_branch(self):
+        # every up branch has probability 0: half of each block has rel 0
+        tree = binary_tree(4, p_up=0.0)
+        _check_subtree_table(tree)
+        assert np.count_nonzero(tree.subtree[2] == 0.0) > 0
+        _check_residuals(tree, 9)
+
+    def test_memory_is_the_pairs(self):
+        # 12 bytes per (node, ancestor-or-self) pair and 8 per start offset,
+        # and nothing else of that size stays behind after the build
+        tree = binary_tree(10)
+        n = tree.n_nodes
+        tracemalloc.start()
+        try:
+            table = tree.subtree
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        pairs = table[1].size
+        assert pairs == sum((d + 1) * 2**d for d in range(11))
+        bound = 12 * pairs + 8 * (n + 1)
+        assert sum(a.nbytes for a in table) <= bound
+        assert held <= bound + 4096
 
 
 class TestFiltrationTreeValidate:
