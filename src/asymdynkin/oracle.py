@@ -13,11 +13,12 @@ maximum gives ``solve_scenario``'s single LP
     subject to            E^T y - sum_i w_i M_i^T a_i >= sum_i w_i d_i,
                           E a_i = 1,  a_i >= 0,
 
-whose size is O(n_nodes); b is read off the duals of the >= rows.  The gap
-is measured on the returned profile with ``best_response_values``.  Each
-process is then written as a mixture of threshold rules ("stop at the first
-node whose level exceeds u", weighted by the gaps between its sorted levels):
-at most n_nodes + 1 pure rules per process, ``ScenarioSolution.rules``.
+whose size is O(n_nodes), in one call to HiGHS's dual simplex through the
+binding scipy ships (``_run_highs``); b is read off the duals of the >= rows.
+The gap is measured on the returned profile with ``best_response_values``.
+Each process is then written as a mixture of threshold rules ("stop at the
+first node whose level exceeds u", weighted by the gaps between its sorted
+levels): at most n_nodes + 1 pure rules per process, ``ScenarioSolution.rules``.
 
 Enumeration of every pure adapted rule (``enumerate_stopping_rules``,
 ``regime_matrices``, the pair matrix of ``build_matrix`` and ``pure_gap``)
@@ -28,6 +29,7 @@ and ``oracle --dump-matrix``.  The rule count grows doubly exponentially
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,9 +37,8 @@ import numpy as np
 from .core import FiltrationTree, GeneratingProcess, StoppingRule, flow_value, payoff_flows
 from .scenario import ScenarioGame, StrategyProfile, best_response_values
 
-# scipy.sparse and scipy.optimize are imported inside the functions that use
-# them: importing the package, and every CLI command that solves no LP, then
-# skips their load time
+# scipy's HiGHS binding is imported inside ``_run_highs``: importing the
+# package, and every CLI command that solves no LP, then skips scipy's load time
 
 __all__ = [
     "EnumerationCapExceeded",
@@ -58,11 +59,11 @@ __all__ = [
 
 DEFAULT_CAP = 20_000
 GAP_TOL = 1e-9
-# 1e-10 is the tightest feasibility tolerance HiGHS accepts
-_LP_OPTIONS = {
-    "primal_feasibility_tolerance": 1e-10,
-    "dual_feasibility_tolerance": 1e-10,
-}
+# the HiGHS options of scipy's "highs-ds" LP method but for the feasibility
+# tolerances, set to 1e-10, the tightest that HiGHS accepts
+_LP_OPTIONS = dict(solver="simplex", simplex_strategy=1, highs_debug_level=0,  # dual simplex, no debug
+                   output_flag=False, log_to_console=False,
+                   primal_feasibility_tolerance=1e-10, dual_feasibility_tolerance=1e-10)
 
 
 class EnumerationCapExceeded(RuntimeError):
@@ -92,16 +93,10 @@ class RuleSet:
 
 def count_stopping_rules(tree: FiltrationTree) -> int:
     """Exact number of adapted rules: 1 at leaves, 1 + prod over children."""
-    counts = [0] * tree.n_nodes
+    counts = [1] * tree.n_nodes
     for node in range(tree.n_nodes - 1, -1, -1):
-        kids = tree.children[node]
-        if kids.size == 0:
-            counts[node] = 1
-        else:
-            prod = 1
-            for k in kids:
-                prod *= counts[k]
-            counts[node] = 1 + prod
+        if tree.children[node].size:
+            counts[node] = 1 + math.prod(counts[k] for k in tree.children[node])
     return counts[0]
 
 
@@ -198,22 +193,19 @@ def mixture_to_generating(
 
 
 def _sequence_form_lp(game: ScenarioGame):
-    """(cost, A_ub, b_ub, A_eq) of ``solve_scenario``'s LP, entry by entry.
+    """(cost, indptr, indices, data, row_lower, row_upper, col_lower, col_upper).
 
-    Probing each flow of ``core.payoff_flows`` at the opponent's (level, step)
-    (Z, dZ) = (0, 0), (1, 0), (0, 1) gives its constant and slopes.  For each
-    strict ancestor m of n, M_i[n, m] is n's stop Z-slope and M_i[m, n] minus
-    its run dZ-slope (the run flow has no constant and no Z-slope).  Exact
-    zeros of M_i are dropped before weighting by w_i.  The (node,
-    ancestor-or-self) pairs are read off ``tree.subtree``; scipy sorts the
-    triplets, so their order does not matter.
+    ``solve_scenario``'s LP, [A_ub; A_eq] in one CSC matrix with rows
+    -inf <= A_ub x <= b_ub and A_eq x = 1.  Probing each flow of
+    ``core.payoff_flows`` at the opponent's (level, step) (Z, dZ) = (0, 0),
+    (1, 0), (0, 1) gives its constant and slopes.  For each strict ancestor m
+    of n, M_i[n, m] is n's stop Z-slope and M_i[m, n] minus its run dZ-slope
+    (the run flow has no constant and no Z-slope).  Exact zeros of M_i are
+    dropped before weighting by w_i.  The pairs come from ``tree.subtree``.
     """
-    from scipy import sparse
-
     tree, w, pay, r = game.tree, game.weights, game.payoffs, game.tree.reach
     n, n_leaves = tree.n_nodes, tree.leaves.size
-    probe_z = np.array([0.0, 1.0, 0.0])[:, None, None]
-    probe_dz = np.array([0.0, 0.0, 1.0])[:, None, None]
+    probe_z, probe_dz = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])[:, :, None, None]
     flows = np.stack(payoff_flows(pay.f, pay.g, pay.h, probe_z, probe_dz))  # (stop/run, probe, regime, n)
     (stop_z, stop_dz), (_, run_dz) = r * (flows[:, 1:] - flows[:, :1])
     start, node, _ = tree.subtree
@@ -224,20 +216,43 @@ def _sequence_form_lp(game: ScenarioGame):
     m_val = np.concatenate([stop_z[:, below], -run_dz[:, below], (stop_z + stop_dz) - run_dz], axis=1)
     leaf = tree.is_leaf[node]
     path_node, leaf_row = anc[leaf], np.searchsorted(tree.leaves, node[leaf])
-    # A_ub = [w_0 M_0^T, w_1 M_1^T, -E^T];  A_eq = [[E, 0, 0], [0, E, 0]]
-    ub = [(m_col[k], i * n + m_row[k], w[i] * m_val[i, k]) for i, k in enumerate(m_val != 0.0)]
-    ub.append((path_node, 2 * n + leaf_row, -np.ones(leaf_row.size)))
-    eq = [(i * n_leaves + leaf_row, i * n + path_node, np.ones(leaf_row.size)) for i in range(2)]
+    # rows 0..n-1: A_ub = [w_0 M_0^T, w_1 M_1^T, -E^T];  rows n..: A_eq = [[E, 0, 0], [0, E, 0]]
+    entries = [(m_col[k], i * n + m_row[k], w[i] * m_val[i, k]) for i, k in enumerate(m_val != 0.0)]
+    entries.append((path_node, 2 * n + leaf_row, -np.ones(leaf_row.size)))
+    entries += [(n + i * n_leaves + leaf_row, i * n + path_node, np.ones(leaf_row.size)) for i in range(2)]
+    row, col, val = (np.concatenate(k) for k in zip(*entries))
+    order = np.lexsort((row, col))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(col, minlength=2 * n + n_leaves))])
     c = r * flows[0, 0]
     cost = np.concatenate([w[0] * c[0], w[1] * c[1], np.ones(n_leaves)])
     d = 0.0 + run_dz  # a sum from 0.0: a zero-reach node's -0.0 becomes 0.0
     b_ub = -(w[0] * d[0] + w[1] * d[1])
+    row_lower = np.concatenate([np.full(n, -np.inf), np.ones(2 * n_leaves)])
+    col_lower = np.repeat([0.0, -np.inf], [2 * n, n_leaves])
+    return (cost, indptr, row[order], val[order], row_lower, np.concatenate([b_ub, row_lower[n:]]),
+            col_lower, np.full(cost.size, np.inf))
 
-    def stacked(blocks, n_rows):
-        row, col, val = (np.concatenate(k) for k in zip(*blocks))
-        return sparse.csr_array((val, (row, col)), shape=(n_rows, 2 * n + n_leaves))
 
-    return cost, stacked(ub, n), b_ub, stacked(eq, 2 * n_leaves)
+def _run_highs(lp, presolve: bool):
+    """(solution, info) of a fresh HiGHS run with ``_LP_OPTIONS``, or ``NumericalFailure``."""
+    from scipy.optimize._highspy import _core as highs
+
+    model, options, solver = highs.HighsLp(), highs.HighsOptions(), highs._Highs()
+    a = model.a_matrix_
+    (model.col_cost_, a.start_, a.index_, a.value_, model.row_lower_, model.row_upper_,
+     model.col_lower_, model.col_upper_) = lp
+    model.num_col_ = a.num_col_ = lp[0].size
+    model.num_row_ = a.num_row_ = lp[4].size
+    a.format_ = highs.MatrixFormat.kColwise
+    for key, val in dict(_LP_OPTIONS, presolve="on" if presolve else "off").items():
+        setattr(options, key, val)
+    solver.passOptions(options)
+    solver.passModel(model)
+    solver.run()
+    status = solver.getModelStatus()
+    if status != highs.HighsModelStatus.kOptimal:
+        raise NumericalFailure(f"LP solver failed: {solver.modelStatusToString(status)}")
+    return solver.getSolution(), solver.getInfo()
 
 
 @dataclass(frozen=True)
@@ -268,11 +283,8 @@ class ScenarioSolution:
     lp: LPStats
 
     def profile(self, tree: FiltrationTree) -> StrategyProfile:
-        return StrategyProfile(
-            xi0=mixture_to_generating(self.row_mix0, self.rules, tree),
-            xi1=mixture_to_generating(self.row_mix1, self.rules, tree),
-            zeta=mixture_to_generating(self.col_mix, self.rules, tree),
-        )
+        mixes = self.row_mix0, self.row_mix1, self.col_mix
+        return StrategyProfile(*(mixture_to_generating(mix, self.rules, tree) for mix in mixes))
 
 
 def support_rules(levels: list[np.ndarray], tree: FiltrationTree) -> tuple[RuleSet, list[np.ndarray]]:
@@ -312,36 +324,24 @@ def solve_scenario(game: ScenarioGame, gap_tol: float = GAP_TOL) -> ScenarioSolu
 
     min over (a0, a1, y) of sum_i w_i c_i a_i + 1 y subject to
     E^T y - sum_i w_i M_i^T a_i >= sum_i w_i d_i and E a_i = 1, a_i >= 0.
-    The uninformed steps b are the duals of the >= rows.  The gap is
-    |v_hat(root) - sum_i w_i u_hat_i(root)| of ``best_response_values``
-    against the returned profile; one re-solve with presolve off refines a
-    solution whose gap is not closed.
+    The uninformed steps b are the duals of the >= rows.  Each attempt is one
+    fresh HiGHS dual-simplex run with ``_LP_OPTIONS``, the options of scipy's
+    "highs-ds" method.  The gap is |v_hat(root) - sum_i w_i u_hat_i(root)| of
+    ``best_response_values`` against the returned profile; one re-solve with
+    presolve off refines a solution whose gap is not closed.
     """
-    from scipy.optimize import linprog
-
-    tree, w = game.tree, game.weights
-    n, n_leaves = tree.n_nodes, tree.leaves.size
-    cost, a_ub, b_ub, a_eq = _sequence_form_lp(game)
+    tree, w, n = game.tree, game.weights, game.tree.n_nodes
+    lp = _sequence_form_lp(game)
+    size = lp[4].size, lp[0].size, int(lp[1][-1])  # rows, cols, nnz
     for presolve in (True, False):
-        res = linprog(
-            cost,
-            A_ub=a_ub,
-            b_ub=b_ub,
-            A_eq=a_eq,
-            b_eq=np.ones(2 * n_leaves),
-            bounds=[(0, None)] * (2 * n) + [(None, None)] * n_leaves,
-            method="highs-ds",
-            options=dict(_LP_OPTIONS, presolve=presolve),
-        )
-        if not res.success:
-            raise NumericalFailure(f"LP solver failed: {res.message}")
-        plans = [res.x[:n], res.x[n:2 * n], -res.ineqlin.marginals]
+        solution, info = _run_highs(lp, presolve)
+        x = np.array(solution.col_value)
+        plans = [x[:n], x[n:2 * n], -np.array(solution.row_dual)[:n]]
         rules, mixes = support_rules([_plan_levels(p, tree) for p in plans], tree)
         profile = StrategyProfile(*(mixture_to_generating(mix, rules, tree) for mix in mixes))
         surf = best_response_values(game, profile)
         gap = abs(float(surf.v_hat[0] - w @ surf.u_hat[:, 0]))
         if gap <= gap_tol:
-            stats = LPStats(a_ub.shape[0] + a_eq.shape[0], a_ub.shape[1], a_ub.nnz + a_eq.nnz,
-                            int(res.nit), presolve)
-            return ScenarioSolution(float(res.fun), *mixes, gap, rules, stats)
+            stats = LPStats(*size, info.simplex_iteration_count, presolve)
+            return ScenarioSolution(info.objective_function_value, *mixes, gap, rules, stats)
     raise NumericalFailure(f"duality gap {gap} above {gap_tol}")

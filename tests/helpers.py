@@ -158,6 +158,23 @@ def ref_sequence_form_lp(game: ScenarioGame):
     return cost, a_ub, b_ub, a_eq
 
 
+def ref_solve_lp(game: ScenarioGame, presolve: bool):
+    """``ref_sequence_form_lp`` solved by ``linprog(method="highs-ds")``.
+
+    The call the oracle made before it passed its LP to HiGHS directly: the
+    direct call must return the same bits, and a scipy release that changes
+    the private binding shows up here.
+    """
+    cost, a_ub, b_ub, a_eq = ref_sequence_form_lp(game)
+    n, n_leaves = game.tree.n_nodes, game.tree.leaves.size
+    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=np.ones(2 * n_leaves),
+                  bounds=[(0, None)] * (2 * n) + [(None, None)] * n_leaves, method="highs-ds",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10, "presolve": presolve})
+    assert res.success, res.message
+    return res
+
+
 def brute_force_expected(tree, payoffs: PayoffTriple, xi, zeta, prior=None) -> float:
     """Expectation by full enumeration of (path, tau-atom, sigma-atom)."""
     regimes = [(1.0, payoffs, xi)] if not payoffs.per_regime else [

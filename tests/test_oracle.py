@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
+from asymdynkin import oracle
 from asymdynkin.core import (
     GeneratingProcess,
     PayoffTriple,
@@ -20,7 +22,9 @@ from asymdynkin.core import (
 from asymdynkin.gamegen import dominance_game, random_profile, random_scenario_game
 from asymdynkin.oracle import (
     EnumerationCapExceeded,
+    NumericalFailure,
     _plan_levels,
+    _run_highs,
     _sequence_form_lp,
     build_matrix,
     count_stopping_rules,
@@ -41,6 +45,7 @@ from helpers import (
     random_tree,
     ref_ancestor_pairs,
     ref_sequence_form_lp,
+    ref_solve_lp,
     sequence_form,
 )
 
@@ -302,15 +307,21 @@ class TestSequenceForm:
 
 
 def _assert_lp_matches_reference(game):
-    """The entry-by-entry LP equals, bit for bit, the one stacked from sparse matrix algebra."""
-    got, want = _sequence_form_lp(game), ref_sequence_form_lp(game)
-    for a, ref in zip(got[::2], want[::2]):  # cost, b_ub
-        assert a.dtype == ref.dtype and a.tobytes() == ref.tobytes()
-    for a, ref in zip(got[1::2], want[1::2]):  # A_ub, A_eq
-        assert a.shape == ref.shape
-        for part in ("indptr", "indices", "data"):
-            x, y = getattr(a, part), getattr(ref, part)
-            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+    """The one CSC matrix and the bounds equal, bit for bit, the LP stacked from sparse matrix algebra."""
+    cost, indptr, indices, data, row_lower, row_upper, col_lower, col_upper = _sequence_form_lp(game)
+    ref_cost, a_ub, b_ub, a_eq = ref_sequence_form_lp(game)
+    ref = sparse.csc_array(sparse.vstack([a_ub, a_eq]))
+    n_ub, n_eq = a_ub.shape[0], a_eq.shape[0]
+    n_free = game.tree.leaves.size
+    assert (row_lower.size, cost.size) == ref.shape
+    # -inf <= A_ub x <= b_ub and A_eq x = 1; the plans are >= 0, the leaf prices free
+    want = [(indptr, ref.indptr), (indices, ref.indices), (data, ref.data), (cost, ref_cost),
+            (row_lower, np.concatenate([np.full(n_ub, -np.inf), np.ones(n_eq)])),
+            (row_upper, np.concatenate([b_ub, np.ones(n_eq)])),
+            (col_lower, np.concatenate([np.zeros(cost.size - n_free), np.full(n_free, -np.inf)])),
+            (col_upper, np.full(cost.size, np.inf))]
+    for x, y in want:
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
 def _assert_pairs_are_the_climbing_pairs(tree):
@@ -374,6 +385,52 @@ class TestLPAssembly:
         ref = np.where(ref > 1.0 - 1e-10, 1.0, ref)
         ref[tree.leaves] = 1.0
         assert _plan_levels(steps, tree).tobytes() == ref.tobytes()
+
+
+def _assert_direct_call_matches_linprog(game):
+    """x, the >=-row duals, the objective and nit of the direct HiGHS call equal linprog's bit for bit."""
+    lp, n = _sequence_form_lp(game), game.tree.n_nodes
+    for presolve in (True, False):
+        solution, info = _run_highs(lp, presolve)
+        ref = ref_solve_lp(game, presolve)
+        assert np.array(solution.col_value).tobytes() == ref.x.tobytes()
+        assert np.array(solution.row_dual)[:n].tobytes() == ref.ineqlin.marginals.tobytes()
+        assert np.float64(info.objective_function_value).tobytes() == np.float64(ref.fun).tobytes()
+        assert info.simplex_iteration_count == ref.nit
+
+
+class TestDirectHiGHS:
+    def test_battery_games(self):
+        for i in range(200):
+            _assert_direct_call_matches_linprog(_battery_game(i))
+
+    @given(trees, st.sampled_from([0.0, 0.3, 1.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_random_trees(self, spec, prior):
+        seed, depth, depth_first = spec
+        rng = np.random.default_rng(seed)
+        game = random_game(rng, random_tree(rng, depth, depth_first))
+        _assert_direct_call_matches_linprog(dataclasses.replace(game, prior=prior))
+
+    @pytest.mark.parametrize("presolve", [True, False])
+    def test_non_optimal_status_raises_with_its_name(self, presolve):
+        # min x subject to x <= -1 and x >= 0
+        lp = tuple(np.array(v) for v in ([1.0], [0, 1], [0], [1.0], [-np.inf], [-1.0], [0.0], [np.inf]))
+        with pytest.raises(NumericalFailure, match="^LP solver failed: Infeasible$"):
+            _run_highs(lp, presolve)
+
+    def test_open_gap_raises_after_both_attempts(self, monkeypatch):
+        # a negative tolerance no gap meets; the spy passes every call on to HiGHS
+        attempts, run_highs = [], oracle._run_highs
+
+        def spy(lp, presolve):
+            attempts.append(presolve)
+            return run_highs(lp, presolve)
+
+        monkeypatch.setattr(oracle, "_run_highs", spy)
+        with pytest.raises(NumericalFailure, match="^duality gap .* above -1.0$"):
+            solve_scenario(_battery_game(100), gap_tol=-1.0)
+        assert attempts == [True, False]
 
 
 class TestSupportRules:
