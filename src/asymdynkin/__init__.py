@@ -33,7 +33,6 @@ from .oracle import (
     EnumerationCapExceeded,
     build_matrix,
     enumerate_stopping_rules,
-    mixture_to_generating,
     pure_gap,
     solve_scenario,
 )

@@ -107,9 +107,7 @@ def cmd_oracle(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     sol = solve_scenario(game)
-    profile = sol.profile(game.tree)
-    surfaces = best_response_values(game, profile)
-    payload = gameio.equilibrium_to_dict(profile, sol.value, surfaces)
+    payload = gameio.equilibrium_to_dict(sol.profile(game.tree), sol.value, sol.surfaces)
     payload["gap"] = sol.gap
     payload["lp"] = dataclasses.asdict(sol.lp)
     payload["config"] = _base_config(args, "oracle")
@@ -122,7 +120,7 @@ def cmd_oracle(args) -> int:
                 f"{t0},{t1}," + ",".join(repr(float(v)) for v in gm.a[r])
             )
         (out / "matrix.csv").write_text("\n".join(lines) + "\n")
-    print(f"oracle: value={sol.value!r} gap={sol.gap:.3e} rules={len(sol.rules)}")
+    print(f"oracle: value={sol.value!r} gap={sol.gap:.3e}")
     return 0
 
 

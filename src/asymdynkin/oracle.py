@@ -15,10 +15,11 @@ maximum gives ``solve_scenario``'s single LP
 
 whose size is O(n_nodes), in one call to HiGHS's dual simplex through the
 binding scipy ships (``_run_highs``); b is read off the duals of the >= rows.
-The gap is measured on the returned profile with ``best_response_values``.
-Each process is then written as a mixture of threshold rules ("stop at the
-first node whose level exceeds u", weighted by the gaps between its sorted
-levels): at most n_nodes + 1 pure rules per process, ``ScenarioSolution.rules``.
+The plans' levels are the equilibrium's three generating processes; their
+best-response surfaces measure the gap and give the value v_hat(root) that
+``verify`` certifies.  ``support_rules`` writes a process as a mixture of at
+most n_nodes + 1 threshold rules ("stop at the first node whose level exceeds
+u", weighted by the gaps between its sorted levels), ``ScenarioSolution.rules``.
 
 Enumeration of every pure adapted rule (``enumerate_stopping_rules``,
 ``regime_matrices``, the pair matrix of ``build_matrix`` and ``pure_gap``)
@@ -31,11 +32,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .core import FiltrationTree, GeneratingProcess, StoppingRule, flow_value, payoff_flows
-from .scenario import ScenarioGame, StrategyProfile, best_response_values
+from .scenario import ScenarioGame, StrategyProfile, ValueSurfaces, best_response_values
 
 # scipy's HiGHS binding is imported inside ``_run_highs``: importing the
 # package, and every CLI command that solves no LP, then skips scipy's load time
@@ -51,7 +53,6 @@ __all__ = [
     "regime_matrices",
     "build_matrix",
     "pure_gap",
-    "mixture_to_generating",
     "LPStats",
     "support_rules",
     "solve_scenario",
@@ -175,28 +176,11 @@ def pure_gap(a: np.ndarray) -> tuple[float, float, float]:
     return upper, lower, upper - lower
 
 
-def mixture_to_generating(
-    weights: np.ndarray, rules: RuleSet, tree: FiltrationTree
-) -> GeneratingProcess:
-    """CDF of a mixture of pure rules: level = sum_k w_k 1{rule k stopped}.
-
-    The weights are normalized to sum to 1 and otherwise taken as given, so
-    the tiny gaps between nearly equal threshold levels keep their weight.
-    """
-    w = np.asarray(weights, dtype=float)
-    if w.sum() <= 0.0:
-        raise ValueError("mixture weights must have a positive sum")
-    levels = (w / w.sum()) @ rules.level_matrix
-    levels = np.clip(levels, 0.0, 1.0)
-    levels[tree.leaves] = 1.0
-    return GeneratingProcess.from_levels(levels, tree)
-
-
 def _sequence_form_lp(game: ScenarioGame):
     """(cost, indptr, indices, data, row_lower, row_upper, col_lower, col_upper).
 
-    ``solve_scenario``'s LP, [A_ub; A_eq] in one CSC matrix with rows
-    -inf <= A_ub x <= b_ub and A_eq x = 1.  Probing each flow of
+    ``solve_scenario``'s LP, [A_ub; A_eq] in one CSC matrix with HiGHS's int32
+    indices, rows -inf <= A_ub x <= b_ub and A_eq x = 1.  Probing each flow of
     ``core.payoff_flows`` at the opponent's (level, step) (Z, dZ) = (0, 0),
     (1, 0), (0, 1) gives its constant and slopes.  For each strict ancestor m
     of n, M_i[n, m] is n's stop Z-slope and M_i[m, n] minus its run dZ-slope
@@ -222,32 +206,32 @@ def _sequence_form_lp(game: ScenarioGame):
     entries += [(n + i * n_leaves + leaf_row, i * n + path_node, np.ones(leaf_row.size)) for i in range(2)]
     row, col, val = (np.concatenate(k) for k in zip(*entries))
     order = np.lexsort((row, col))
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(col, minlength=2 * n + n_leaves))])
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(col, minlength=2 * n + n_leaves))]).astype(np.int32)
     c = r * flows[0, 0]
     cost = np.concatenate([w[0] * c[0], w[1] * c[1], np.ones(n_leaves)])
     d = 0.0 + run_dz  # a sum from 0.0: a zero-reach node's -0.0 becomes 0.0
     b_ub = -(w[0] * d[0] + w[1] * d[1])
     row_lower = np.concatenate([np.full(n, -np.inf), np.ones(2 * n_leaves)])
     col_lower = np.repeat([0.0, -np.inf], [2 * n, n_leaves])
-    return (cost, indptr, row[order], val[order], row_lower, np.concatenate([b_ub, row_lower[n:]]),
-            col_lower, np.full(cost.size, np.inf))
+    return (cost, indptr, row[order].astype(np.int32), val[order], row_lower,
+            np.concatenate([b_ub, row_lower[n:]]), col_lower, np.full(cost.size, np.inf))
 
 
 def _run_highs(lp, presolve: bool):
-    """(solution, info) of a fresh HiGHS run with ``_LP_OPTIONS``, or ``NumericalFailure``."""
+    """(solution, info) of a fresh HiGHS run with ``_LP_OPTIONS``, or ``NumericalFailure``;
+    the arrays go whole through ``passModel``'s array form, every column continuous."""
     from scipy.optimize._highspy import _core as highs
 
-    model, options, solver = highs.HighsLp(), highs.HighsOptions(), highs._Highs()
-    a = model.a_matrix_
-    (model.col_cost_, a.start_, a.index_, a.value_, model.row_lower_, model.row_upper_,
-     model.col_lower_, model.col_upper_) = lp
-    model.num_col_ = a.num_col_ = lp[0].size
-    model.num_row_ = a.num_row_ = lp[4].size
-    a.format_ = highs.MatrixFormat.kColwise
+    cost, indptr, indices, data, row_lower, row_upper, col_lower, col_upper = lp
+    options, solver = highs.HighsOptions(), highs._Highs()
     for key, val in dict(_LP_OPTIONS, presolve="on" if presolve else "off").items():
         setattr(options, key, val)
     solver.passOptions(options)
-    solver.passModel(model)
+    if solver.passModel(cost.size, row_lower.size, data.size, highs.MatrixFormat.kColwise,
+                        highs.ObjSense.kMinimize, 0.0, cost, col_lower, col_upper, row_lower,
+                        row_upper, indptr, indices, data,
+                        np.zeros(cost.size, np.int32)) == highs.HighsStatus.kError:
+        raise NumericalFailure("LP solver failed: HiGHS rejected the model")
     solver.run()
     status = solver.getModelStatus()
     if status != highs.HighsModelStatus.kOptimal:
@@ -257,34 +241,48 @@ def _run_highs(lp, presolve: bool):
 
 @dataclass(frozen=True)
 class LPStats:
-    """Deterministic counters of the sequence-form LP solve."""
+    """Deterministic counters of the sequence-form LP solve, and HiGHS's objective."""
 
     rows: int
     cols: int
     nnz: int
     nit: int
     presolve: bool
+    objective: float
 
 
 @dataclass(frozen=True)
 class ScenarioSolution:
     """Equilibrium of a scenario game from the sequence-form LP.
 
-    ``rules`` are the threshold rules the three processes mix over, and the
-    mixes are weights over them (see ``support_rules``).
+    ``processes`` are the generating processes whose steps are the LP's plans,
+    ``surfaces`` their best-response values, and ``value`` is v_hat at the root,
+    not the LP objective, which HiGHS reaches after dropping matrix entries
+    below its ``small_matrix_value``.  The threshold-rule view ``rules``,
+    ``row_mix0``, ``row_mix1``, ``col_mix`` (see ``support_rules``) is built
+    from ``tree`` when first read.
     """
 
     value: float
-    row_mix0: np.ndarray
-    row_mix1: np.ndarray
-    col_mix: np.ndarray
     gap: float
-    rules: RuleSet
     lp: LPStats
+    processes: StrategyProfile
+    surfaces: ValueSurfaces
+    tree: FiltrationTree
 
     def profile(self, tree: FiltrationTree) -> StrategyProfile:
-        mixes = self.row_mix0, self.row_mix1, self.col_mix
-        return StrategyProfile(*(mixture_to_generating(mix, self.rules, tree) for mix in mixes))
+        """The equilibrium profile on ``tree``, the tree the game was solved on."""
+        return self.processes
+
+    @cached_property
+    def _support(self) -> tuple[RuleSet, list[np.ndarray]]:
+        prof = self.processes
+        return support_rules([prof.xi0.levels, prof.xi1.levels, prof.zeta.levels], self.tree)
+
+    rules = property(lambda self: self._support[0])
+    row_mix0 = property(lambda self: self._support[1][0])
+    row_mix1 = property(lambda self: self._support[1][1])
+    col_mix = property(lambda self: self._support[1][2])
 
 
 def support_rules(levels: list[np.ndarray], tree: FiltrationTree) -> tuple[RuleSet, list[np.ndarray]]:
@@ -327,8 +325,9 @@ def solve_scenario(game: ScenarioGame, gap_tol: float = GAP_TOL) -> ScenarioSolu
     The uninformed steps b are the duals of the >= rows.  Each attempt is one
     fresh HiGHS dual-simplex run with ``_LP_OPTIONS``, the options of scipy's
     "highs-ds" method.  The gap is |v_hat(root) - sum_i w_i u_hat_i(root)| of
-    ``best_response_values`` against the returned profile; one re-solve with
-    presolve off refines a solution whose gap is not closed.
+    ``best_response_values`` against the plans' profile, and the value is
+    v_hat(root); one re-solve with presolve off refines a solution whose gap
+    is not closed.
     """
     tree, w, n = game.tree, game.weights, game.tree.n_nodes
     lp = _sequence_form_lp(game)
@@ -337,11 +336,10 @@ def solve_scenario(game: ScenarioGame, gap_tol: float = GAP_TOL) -> ScenarioSolu
         solution, info = _run_highs(lp, presolve)
         x = np.array(solution.col_value)
         plans = [x[:n], x[n:2 * n], -np.array(solution.row_dual)[:n]]
-        rules, mixes = support_rules([_plan_levels(p, tree) for p in plans], tree)
-        profile = StrategyProfile(*(mixture_to_generating(mix, rules, tree) for mix in mixes))
+        profile = StrategyProfile(*(GeneratingProcess.from_levels(_plan_levels(p, tree), tree) for p in plans))
         surf = best_response_values(game, profile)
         gap = abs(float(surf.v_hat[0] - w @ surf.u_hat[:, 0]))
         if gap <= gap_tol:
-            stats = LPStats(*size, info.simplex_iteration_count, presolve)
-            return ScenarioSolution(info.objective_function_value, *mixes, gap, rules, stats)
+            stats = LPStats(*size, info.simplex_iteration_count, presolve, info.objective_function_value)
+            return ScenarioSolution(float(surf.v_hat[0]), gap, stats, profile, surf, tree)
     raise NumericalFailure(f"duality gap {gap} above {gap_tol}")

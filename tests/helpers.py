@@ -14,6 +14,7 @@ from scipy.sparse.linalg import spsolve
 
 from asymdynkin.core import (
     FiltrationTree,
+    GeneratingProcess,
     PayoffTriple,
     TimeGrid,
     flow_value,
@@ -22,7 +23,7 @@ from asymdynkin.core import (
 )
 from asymdynkin.dynamics.model import filter_step
 from asymdynkin.dynamics.pde import PDEGrid, PDESurfaces, identity_residual
-from asymdynkin.oracle import build_matrix, enumerate_stopping_rules, regime_matrices
+from asymdynkin.oracle import RuleSet, build_matrix, enumerate_stopping_rules, regime_matrices
 from asymdynkin.scenario import Certificate, ScenarioGame
 
 
@@ -87,6 +88,24 @@ def enumeration_value(game: ScenarioGame, pair: bool = False) -> float:
                            "dual_feasibility_tolerance": 1e-10})
     assert res.success, res.message
     return float(res.x[-1])
+
+
+def mixture_to_generating(
+    weights: np.ndarray, rules: RuleSet, tree: FiltrationTree
+) -> GeneratingProcess:
+    """CDF of a mixture of pure rules: level = sum_k w_k 1{rule k stopped}.
+
+    The weights are normalized to sum to 1 and otherwise taken as given, so
+    the tiny gaps between nearly equal threshold levels keep their weight.
+    The reference that ``oracle.support_rules``'s mixtures round-trip against.
+    """
+    w = np.asarray(weights, dtype=float)
+    if w.sum() <= 0.0:
+        raise ValueError("mixture weights must have a positive sum")
+    levels = (w / w.sum()) @ rules.level_matrix
+    levels = np.clip(levels, 0.0, 1.0)
+    levels[tree.leaves] = 1.0
+    return GeneratingProcess.from_levels(levels, tree)
 
 
 # The sequence form by sparse matrix algebra: the reference that the oracle's

@@ -103,9 +103,41 @@ class TestOracleCommand:
         assert main(["oracle", "--game", str(path), "--out", str(tmp_path / "eq")]) == 0
         lp = json.loads((tmp_path / "eq" / "equilibrium.json").read_text())["lp"]
         n, leaves = game.tree.n_nodes, game.tree.leaves.size
-        assert set(lp) == {"rows", "cols", "nnz", "nit", "presolve"}
+        assert set(lp) == {"rows", "cols", "nnz", "nit", "presolve", "objective"}
         assert (lp["rows"], lp["cols"]) == (n + 2 * leaves, 2 * n + leaves)
         assert lp["nnz"] > 0 and lp["nit"] > 0 and lp["presolve"] is True
+        assert lp["objective"] == pytest.approx(solve_scenario(game).value, abs=1e-9)
+
+    def test_one_best_response_pass_writes_the_surfaces(self, game_file, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(game, profile):
+            calls.append(1)
+            return best_response_values(game, profile)
+
+        monkeypatch.setattr("asymdynkin.oracle.best_response_values", counted)
+        monkeypatch.setattr("asymdynkin.cli.best_response_values", counted)
+        path, game = game_file
+        assert main(["oracle", "--game", str(path), "--out", str(tmp_path / "eq")]) == 0
+        assert len(calls) == 1
+        eq = json.loads((tmp_path / "eq" / "equilibrium.json").read_text())
+        surf = best_response_values(game, gameio.equilibrium_from_dict(eq, game.tree)[0])
+        written = eq["surfaces"]
+        for key, ref in (("u0_hat", surf.u_hat[0]), ("u1_hat", surf.u_hat[1]), ("v_hat", surf.v_hat),
+                         ("p", surf.p)):
+            assert np.array(written[key]).tobytes() == ref.tobytes()
+
+    def test_depth_ten_value_is_the_certified_value(self, tmp_path):
+        game = random_scenario_game(10, seed=5010)
+        path = tmp_path / "game.json"
+        gameio.write_json(path, gameio.game_to_dict(game))
+        assert main(["oracle", "--game", str(path), "--out", str(tmp_path / "eq")]) == 0
+        assert main(["verify", "--game", str(path), "--equilibrium", str(tmp_path / "eq" / "equilibrium.json"),
+                     "--out", str(tmp_path / "ver")]) == 0
+        eq = json.loads((tmp_path / "eq" / "equilibrium.json").read_text())
+        certs = json.loads((tmp_path / "ver" / "certificates.json").read_text())
+        assert certs["martingale"]["verdict"] == certs["stopping"]["verdict"] == "certified"
+        assert eq["value"] == certs["martingale"]["value"] == certs["declared_value"]
 
     def test_lp_numerical_failure_exits_5(self, game_file, tmp_path, capsys, monkeypatch):
         def failing_solve(game):

@@ -29,7 +29,6 @@ from asymdynkin.oracle import (
     build_matrix,
     count_stopping_rules,
     enumerate_stopping_rules,
-    mixture_to_generating,
     pure_gap,
     regime_matrices,
     solve_scenario,
@@ -41,6 +40,7 @@ from helpers import (
     ancestor_matrix,
     brute_force_expected,
     enumeration_value,
+    mixture_to_generating,
     random_game,
     random_tree,
     ref_ancestor_pairs,
@@ -233,6 +233,28 @@ class TestSolutionInvariants:
         assert (w0 * col[0] + w1 * col[1]).max() <= sol.value + 1e-9
         assert w0 * row[0].min() + w1 * row[1].min() >= sol.value - 1e-9
 
+    def test_profile_is_the_plan_levels(self, monkeypatch):
+        # no threshold-rule round trip: the profile is the levels of HiGHS's plans, bit for bit
+        def fail(*args):
+            raise AssertionError("support_rules called")
+
+        monkeypatch.setattr(oracle, "support_rules", fail)
+        game = random_scenario_game(4, seed=1190, prior=0.5)
+        tree, n = game.tree, game.tree.n_nodes
+        sol = solve_scenario(game)
+        solution, info = _run_highs(_sequence_form_lp(game), sol.lp.presolve)
+        x = np.array(solution.col_value)
+        plans = [x[:n], x[n:2 * n], -np.array(solution.row_dual)[:n]]
+        prof = sol.profile(tree)
+        for proc, plan in zip((prof.xi0, prof.xi1, prof.zeta), plans):
+            assert proc.levels.tobytes() == _plan_levels(plan, tree).tobytes()
+        surf = best_response_values(game, prof)
+        for got, ref in ((sol.surfaces.u_hat, surf.u_hat), (sol.surfaces.v_hat, surf.v_hat)):
+            assert got.tobytes() == ref.tobytes()
+        assert sol.value == surf.v_hat[0]
+        assert sol.lp.objective == info.objective_function_value
+        assert not hasattr(oracle, "mixture_to_generating")
+
     def test_constant_shift_moves_value_by_constant(self):
         game = random_scenario_game(2, seed=3, prior=0.5)
         base = solve_scenario(game).value
@@ -315,7 +337,9 @@ def _assert_lp_matches_reference(game):
     n_free = game.tree.leaves.size
     assert (row_lower.size, cost.size) == ref.shape
     # -inf <= A_ub x <= b_ub and A_eq x = 1; the plans are >= 0, the leaf prices free
-    want = [(indptr, ref.indptr), (indices, ref.indices), (data, ref.data), (cost, ref_cost),
+    # HiGHS takes int32 indices; scipy's are int64
+    want = [(indptr, ref.indptr.astype(np.int32)), (indices, ref.indices.astype(np.int32)),
+            (data, ref.data), (cost, ref_cost),
             (row_lower, np.concatenate([np.full(n_ub, -np.inf), np.ones(n_eq)])),
             (row_upper, np.concatenate([b_ub, np.ones(n_eq)])),
             (col_lower, np.concatenate([np.zeros(cost.size - n_free), np.full(n_free, -np.inf)])),
@@ -419,6 +443,14 @@ class TestDirectHiGHS:
         with pytest.raises(NumericalFailure, match="^LP solver failed: Infeasible$"):
             _run_highs(lp, presolve)
 
+    @pytest.mark.parametrize("presolve", [True, False])
+    def test_rejected_model_raises(self, presolve):
+        # min x subject to x <= 1 and x >= 0, with an infinite matrix entry
+        lp = (np.array([1.0]), np.array([0, 1], np.int32), np.array([0], np.int32), np.array([np.inf]),
+              *(np.array([v]) for v in (-np.inf, 1.0, 0.0, np.inf)))
+        with pytest.raises(NumericalFailure, match="^LP solver failed: HiGHS rejected the model$"):
+            _run_highs(lp, presolve)
+
     def test_open_gap_raises_after_both_attempts(self, monkeypatch):
         # a negative tolerance no gap meets; the spy passes every call on to HiGHS
         attempts, run_highs = [], oracle._run_highs
@@ -450,8 +482,15 @@ class TestSupportRules:
     def test_solution_rules_are_shared_threshold_rules(self):
         game = random_scenario_game(4, seed=1190, prior=0.5)
         sol = solve_scenario(game)
+        # the rule view is built on first read, once
+        assert "_support" not in vars(sol)
+        assert sol.rules is sol.rules and "_support" in vars(sol)
         prof = sol.profile(game.tree)
-        again, mixes = support_rules([prof.xi0.levels, prof.xi1.levels, prof.zeta.levels], game.tree)
+        levels = [prof.xi0.levels, prof.xi1.levels, prof.zeta.levels]
+        for x, mix in zip(levels, (sol.row_mix0, sol.row_mix1, sol.col_mix)):
+            np.testing.assert_allclose(mixture_to_generating(mix, sol.rules, game.tree).levels, x,
+                                       rtol=0, atol=1e-13)
+        again, mixes = support_rules(levels, game.tree)
         np.testing.assert_array_equal(again.level_matrix, sol.rules.level_matrix)
         for mix, ref in zip(mixes, (sol.row_mix0, sol.row_mix1, sol.col_mix)):
             np.testing.assert_allclose(mix, ref, rtol=0, atol=1e-13)
