@@ -29,7 +29,7 @@ for i in range(2):
 
 rules = enumerate_stopping_rules(game.tree)
 matrix = build_matrix(game, rules)
-upper, lower, gap = pure_gap(matrix.a)
+upper, lower, gap = pure_gap(matrix)
 print(f"\npure strategies: min-max = {upper:.6f}, max-min = {lower:.6f}, "
       f"gap = {gap:.6f}")
 

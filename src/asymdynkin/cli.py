@@ -1,12 +1,12 @@
 """Batch front-end: oracle -> verify pipelines and the dynamics toolchain.
 
 Exit codes: 0 success/certified, 1 certification rejected, 2 malformed
-input, 3 enumeration cap exceeded, 4 PDE non-convergence, 5 LP numerical
-failure (the equilibrium LP failed or left a duality gap).  Only ``oracle
---dump-matrix`` enumerates pure rules, under ``oracle --cap``; the ``oracle``
-LP and every ``verify`` check work on the tree's nodes and have no cap.  All
-randomness flows through --seed and every artifact embeds its run
-configuration, so identical invocations produce byte-identical outputs.
+input, 4 PDE non-convergence, 5 LP numerical failure (the equilibrium LP
+failed or left a duality gap); 3, once "enumeration cap exceeded", is retired.
+No command enumerates pure rules: the ``oracle`` LP and every ``verify`` check
+work on the tree's nodes, and neither draws a random number.  All randomness
+flows through the ``dynamics`` commands' --seed and every artifact embeds its
+run configuration, so identical invocations produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -32,14 +32,7 @@ from .dynamics import (
 )
 from .dynamics.model import model_from_dict, parse_expression
 from .dynamics.simulate import _time_axis
-from .oracle import (
-    DEFAULT_CAP,
-    EnumerationCapExceeded,
-    NumericalFailure,
-    build_matrix,
-    enumerate_stopping_rules,
-    solve_scenario,
-)
+from .oracle import NumericalFailure, solve_scenario
 from .scenario import (
     best_response_values,
     certify_mart,
@@ -73,21 +66,21 @@ def _load_game(path: str):
         return gameio.game_from_dict(data)
     except KeyError as exc:
         raise InputError(f"game: missing field {exc.args[0]!r}")
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise InputError(f"game: {exc}")
 
 
 def _base_config(args, command: str) -> dict:
     cfg = {"command": command}
-    for key in ("game", "equilibrium", "model", "out", "seed", "tol", "vtol", "cap",
-                "grid", "dt", "paths", "alpha", "conditional", "dump_matrix"):
+    for key in ("game", "equilibrium", "model", "out", "seed", "tol", "vtol",
+                "grid", "dt", "paths", "alpha", "conditional"):
         if hasattr(args, key):
             cfg[key] = getattr(args, key)
     return cfg
 
 
 def _check_options(args) -> None:
-    """Tolerances finite and non-negative, --alpha in (0, 1), --seed in [0, 2**64)."""
+    """Tolerances finite and non-negative, --alpha in (0, 1), a --seed in [0, 2**64)."""
     for key in ("tol", "vtol"):
         value = getattr(args, key, 0.0)
         if not (np.isfinite(value) and value >= 0.0):
@@ -95,15 +88,13 @@ def _check_options(args) -> None:
     alpha = getattr(args, "alpha", 0.5)
     if not 0.0 < alpha < 1.0:
         raise InputError(f"alpha: need a level in (0, 1), got {alpha!r}")
-    if not 0 <= args.seed < 2**64:
-        raise InputError(f"seed: need an integer in [0, 2**64), got {args.seed}")
+    seed = getattr(args, "seed", 0)
+    if not 0 <= seed < 2**64:
+        raise InputError(f"seed: need an integer in [0, 2**64), got {seed}")
 
 
 def cmd_oracle(args) -> int:
     game = _load_game(args.game)
-    gm = None
-    if args.dump_matrix:  # the only enumeration here: the cap is checked before any write
-        gm = build_matrix(game, enumerate_stopping_rules(game.tree, args.cap))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     sol = solve_scenario(game)
@@ -112,14 +103,6 @@ def cmd_oracle(args) -> int:
     payload["lp"] = dataclasses.asdict(sol.lp)
     payload["config"] = _base_config(args, "oracle")
     gameio.write_json(out / "equilibrium.json", payload)
-    if gm is not None:
-        lines = ["tau0,tau1," + ",".join(f"sigma{c}" for c in range(gm.n_cols))]
-        for r in range(gm.n_rows):
-            t0, t1 = gm.row_pairs[r]
-            lines.append(
-                f"{t0},{t1}," + ",".join(repr(float(v)) for v in gm.a[r])
-            )
-        (out / "matrix.csv").write_text("\n".join(lines) + "\n")
     print(f"oracle: value={sol.value!r} gap={sol.gap:.3e}")
     return 0
 
@@ -195,7 +178,7 @@ def _load_model(path: str):
             raise InputError(f"model: missing field {field!r}")
     try:
         return model_from_dict(data), data
-    except (ValueError, TypeError, IndexError) as exc:
+    except (ValueError, TypeError, IndexError, OverflowError) as exc:
         raise InputError(f"model: {exc}")
 
 
@@ -301,19 +284,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="compute an equilibrium by the sequence-form LP")
     p_oracle.add_argument("--game", required=True)
     p_oracle.add_argument("--out", required=True)
-    p_oracle.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                          help="pure-rule cap of --dump-matrix")
-    p_oracle.add_argument("--seed", type=int, default=0)
-    p_oracle.add_argument("--dump-matrix", action="store_true",
-                          help="also write the pair-indexed payoff matrix as CSV "
-                          "(small games only)")
 
     p_verify = sub.add_parser("verify", help="run reports and certificates on an equilibrium")
     p_verify.add_argument("--game", required=True)
     p_verify.add_argument("--equilibrium", required=True)
     p_verify.add_argument("--tol", type=float, default=1e-8)
     p_verify.add_argument("--out", required=True)
-    p_verify.add_argument("--seed", type=int, default=0)
 
     p_dyn = sub.add_parser("dynamics", help="simulate / pde / extract / verify")
     p_dyn.add_argument("action", choices=["simulate", "pde", "extract", "verify"])
@@ -349,9 +325,6 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except EnumerationCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except NoConvergence as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

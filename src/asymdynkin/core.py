@@ -79,6 +79,8 @@ class TimeGrid:
         object.__setattr__(self, "points", pts)
         if pts.ndim != 1 or pts.size < 2:
             raise ValueError("grid needs at least two points")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("grid times must be finite")
         if pts[0] != 0.0:
             raise ValueError("grid must start at 0")
         if np.any(np.diff(pts) <= 0):
@@ -114,8 +116,8 @@ class FiltrationTree:
         prob = np.asarray(self.prob, dtype=float)
         object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "prob", prob)
-        if parent.shape != prob.shape or parent.ndim != 1:
-            raise ValueError("parent/prob must be 1-d arrays of equal length")
+        if parent.shape != prob.shape or parent.ndim != 1 or parent.size == 0:
+            raise ValueError("parent/prob must be non-empty 1-d arrays of equal length")
         if parent[0] != -1 or np.any(parent[1:] < 0) or np.any(parent[1:] >= np.arange(1, parent.size)):
             raise ValueError("node ids must be topological with a single root at 0")
 

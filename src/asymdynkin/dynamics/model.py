@@ -119,6 +119,8 @@ class DiffusionModel:
 
     def __post_init__(self):
         lo, hi = self.domain
+        if not np.all(np.isfinite([self.x0, self.horizon, lo, hi])):
+            raise ValueError("x0, T and the domain ends must be finite")
         if not lo < hi:
             raise ValueError("empty domain")
         if not 0.0 <= self.prior <= 1.0:

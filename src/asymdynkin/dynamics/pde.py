@@ -214,7 +214,10 @@ def _masked_solve(factors: dict, a_base, mode: str, mask: np.ndarray, pinned: np
 
         free = (~mask).astype(float)
         a = sp.diags(free) @ a_base + sp.diags(mask.astype(float))
-        lu = factors[key] = spla.splu(a.tocsc())
+        try:
+            lu = factors[key] = spla.splu(a.tocsc())
+        except RuntimeError as exc:  # "Factor is exactly singular"
+            raise NoConvergence(f"the implicit {mode} system is singular: {exc}")
     return lu.solve(np.where(mask, pinned, rhs))
 
 
@@ -281,7 +284,8 @@ def pde_solve_system(
 
     ``f``, ``g``, ``h`` are payoff functions of (t, x) with f >= h >= g;
     terminal data is h(T, .) for all three surfaces.  Raises NoConvergence
-    if a slice fails to stabilize within ``_MAX_ITERS`` rounds.
+    if a slice fails to stabilize within ``_MAX_ITERS`` rounds or an implicit
+    system is singular.
     """
     import scipy.sparse as sp
 

@@ -65,10 +65,8 @@ def random_profile(tree: FiltrationTree, seed: int) -> StrategyProfile:
     rng = np.random.default_rng(seed)
 
     def one() -> GeneratingProcess:
-        levels = np.zeros(tree.n_nodes)
-        for n in range(tree.n_nodes):
-            pre = levels[tree.parent[n]] if n else 0.0
-            levels[n] = pre + (1.0 - pre) * rng.uniform(0.0, 0.6)
+        # each node stops a uniform share in [0, 0.6) of its parent's survival
+        levels = tree.scan(rng.uniform(0.0, 0.6, tree.n_nodes), lambda pre, u: pre + (1.0 - pre) * u)
         levels[tree.leaves] = 1.0
         return GeneratingProcess.from_levels(levels, tree)
 

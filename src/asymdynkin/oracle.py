@@ -23,9 +23,9 @@ u", weighted by the gaps between its sorted levels), ``ScenarioSolution.rules``.
 
 Enumeration of every pure adapted rule (``enumerate_stopping_rules``,
 ``regime_matrices``, the pair matrix of ``build_matrix`` and ``pure_gap``)
-stays only as the reference: for tests, the randomization-necessity witness
-and ``oracle --dump-matrix``.  The rule count grows doubly exponentially
-(677 at depth 4, 458 330 at depth 5), so it is guarded by a cap.
+stays only as the reference for tests and the randomization-necessity
+witness; no CLI command enumerates.  The rule count grows doubly
+exponentially (677 at depth 4, 458 330 at depth 5), so it is guarded by a cap.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ __all__ = [
     "EnumerationCapExceeded",
     "NumericalFailure",
     "RuleSet",
-    "GameMatrix",
     "ScenarioSolution",
     "count_stopping_rules",
     "enumerate_stopping_rules",
@@ -136,26 +135,11 @@ def regime_matrices(game: ScenarioGame, rules: RuleSet) -> tuple[np.ndarray, np.
     return out[0], out[1]
 
 
-@dataclass(frozen=True)
-class GameMatrix:
-    """Pair-row payoff matrix: rows are (tau0, tau1) pairs, columns sigma."""
-
-    a: np.ndarray
-    row_pairs: np.ndarray
-
-    @property
-    def n_rows(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def n_cols(self) -> int:
-        return self.a.shape[1]
-
-
 def build_matrix(
     game: ScenarioGame, rules: RuleSet, max_entries: int = 50_000_000
-) -> GameMatrix:
-    """Materialize the pair-indexed matrix (small games; tests and dumps)."""
+) -> np.ndarray:
+    """The pair-indexed matrix: row (tau0, tau1) at tau0 * len(rules) + tau1,
+    column sigma (small games; tests and the randomization witness)."""
     b0, b1 = regime_matrices(game, rules)
     r = len(rules)
     if r * r * b0.shape[1] > max_entries:
@@ -163,9 +147,7 @@ def build_matrix(
             f"pair matrix would have {r * r * b0.shape[1]} entries; use solve_scenario"
         )
     w0, w1 = 1.0 - game.prior, game.prior
-    pairs = np.stack(np.meshgrid(np.arange(r), np.arange(r), indexing="ij"), axis=-1).reshape(-1, 2)
-    a = w0 * b0[pairs[:, 0]] + w1 * b1[pairs[:, 1]]
-    return GameMatrix(a, pairs)
+    return (w0 * b0[:, None] + w1 * b1[None, :]).reshape(r * r, -1)
 
 
 def pure_gap(a: np.ndarray) -> tuple[float, float, float]:

@@ -70,7 +70,7 @@ def enumeration_value(game: ScenarioGame, pair: bool = False) -> float:
     """
     rules = enumerate_stopping_rules(game.tree)
     if pair:
-        blocks = [build_matrix(game, rules).a]
+        blocks = [build_matrix(game, rules)]
     else:
         blocks = [w * b for w, b in zip(game.weights, regime_matrices(game, rules))]
     a = np.vstack(blocks)

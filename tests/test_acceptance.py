@@ -164,7 +164,7 @@ def test_criterion_04_randomization_necessity_witness():
     assert game.tree.n_steps <= 3
     rules = enumerate_stopping_rules(game.tree)
     matrix = build_matrix(game, rules)  # exhaustive pair enumeration
-    _, _, gap = pure_gap(matrix.a)
+    _, _, gap = pure_gap(matrix)
     sol = solve_scenario(game)
     ok = gap >= 0.05 and sol.gap <= 1e-9
     _verdict(4, ok, f"shipped witness: pure gap {gap:.3f} (>= 0.05), "

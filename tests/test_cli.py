@@ -1,19 +1,23 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import asymdynkin
 from asymdynkin import gameio
 from asymdynkin.cli import main
 from asymdynkin.gamegen import random_scenario_game
-from asymdynkin.oracle import NumericalFailure, count_stopping_rules, solve_scenario
+from asymdynkin.oracle import NumericalFailure, solve_scenario
 from asymdynkin.scenario import StrategyProfile, best_response_values, certify_mart
 from asymdynkin.core import GeneratingProcess
 
@@ -70,21 +74,6 @@ class TestOracleCommand:
         bad = tmp_path / "bad.json"
         bad.write_text('{"grid": [0, 1')
         assert main(["oracle", "--game", str(bad), "--out", str(tmp_path / "o")]) == 2
-
-    def test_cap_exceeded_exits_3(self, game_file, tmp_path):
-        path, _ = game_file
-        rc = main(["oracle", "--game", str(path), "--dump-matrix", "--cap", "5",
-                   "--out", str(tmp_path / "o")])
-        assert rc == 3
-        assert not (tmp_path / "o").exists()
-
-    def test_dump_matrix_is_the_full_pair_matrix(self, game_file, tmp_path):
-        path, game = game_file
-        assert main(["oracle", "--game", str(path), "--dump-matrix", "--out", str(tmp_path / "o")]) == 0
-        rows = (tmp_path / "o" / "matrix.csv").read_text().splitlines()
-        n_rules = count_stopping_rules(game.tree)
-        assert len(rows) == 1 + n_rules**2
-        assert rows[0].split(",")[-1] == f"sigma{n_rules - 1}"
 
     def test_depth_eight_oracle_certifies(self, tmp_path):
         game = random_scenario_game(8, seed=11, prior=0.35)
@@ -193,13 +182,16 @@ class TestVerifyCommand:
         assert "martingale=certified stopping=certified" in capsys.readouterr().out
 
     def test_cap_option_is_gone(self, game_file, tmp_path):
+        # neither command enumerates pure rules or draws a random number
         path, _ = game_file
         assert main(["oracle", "--game", str(path), "--out", str(tmp_path / "eq")]) == 0
-        rc = main([
-            "verify", "--game", str(path), "--equilibrium", str(tmp_path / "eq" / "equilibrium.json"),
-            "--cap", "5", "--out", str(tmp_path / "ver"),
-        ])
-        assert rc == 2
+        verify = ["verify", "--game", str(path), "--equilibrium", str(tmp_path / "eq" / "equilibrium.json")]
+        for argv, extra in ((verify, ["--cap", "5"]), (verify, ["--seed", "1"]),
+                            (["oracle", "--game", str(path)], ["--dump-matrix"]),
+                            (["oracle", "--game", str(path)], ["--cap", "5"]),
+                            (["oracle", "--game", str(path)], ["--seed", "1"])):
+            assert main([*argv, *extra, "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
 
     def test_nodes_csv_is_pinned(self, game_file, tmp_path):
         # nodes.csv carries no run configuration, so its bytes only move with the numbers
@@ -269,6 +261,20 @@ class TestVerifyCommand:
         rc = main(["oracle", "--game", str(path), "--out", str(tmp_path / "eq")])
         assert rc == 2
         assert capsys.readouterr().err == "error: game: non-finite transition probability nan at node 1\n"
+
+    @pytest.mark.parametrize("patch, message", [
+        ({"tree": []}, "parent/prob must be non-empty"),
+        ({"tree": [{"id": 0, "parent": 2**63, "p": 1.0}]}, "int too large"),
+        ({"grid": [0.0, float("nan"), 1.0]}, "grid times must be finite"),
+    ], ids=["empty_tree", "huge_parent", "nan_grid"])
+    def test_malformed_game_exits_2(self, game_file, tmp_path, capsys, patch, message):
+        path, _ = game_file
+        path.write_text(json.dumps({**json.loads(path.read_text()), **patch}))
+        for argv in (["oracle"], ["verify", "--equilibrium", str(path)]):
+            capsys.readouterr()
+            assert main([*argv, "--game", str(path), "--out", str(tmp_path / "o")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: game: ") and message in err
 
     def test_one_regime_row_exits_2(self, game_file, tmp_path, capsys):
         path, _ = game_file
@@ -395,9 +401,19 @@ class TestDynamicsCommands:
         ("verify", ["--vtol", "inf"], {}),
         ("verify", ["--alpha", "-1"], {}),
         ("verify", ["--alpha", "1"], {}),
+        ("simulate", [], {"T": float("inf")}),
+        ("extract", [], {"T": float("inf")}),
+        ("verify", [], {"T": float("inf")}),
+        ("verify", [], {"x0": float("nan")}),
+        ("simulate", [], {"x0": float("inf")}),
+        ("pde", [], {"x0": float("nan")}),
+        ("extract", [], {"x0": float("inf")}),
+        ("simulate", [], {"domain": [-2.0, float("inf")]}),
     ], ids=["simulate_dt", "extract_dt", "verify_dt", "zero_dt", "even_pi_grid", "bad_f",
             "bad_h", "scalar_domain", "short_domain", "no_paths", "negative_paths",
-            "nan_tol", "negative_tol", "infinite_vtol", "negative_alpha", "unit_alpha"])
+            "nan_tol", "negative_tol", "infinite_vtol", "negative_alpha", "unit_alpha",
+            "simulate_infinite_T", "extract_infinite_T", "verify_infinite_T", "verify_nan_x0",
+            "simulate_infinite_x0", "pde_nan_x0", "extract_infinite_x0", "simulate_infinite_domain"])
     def test_bad_arguments_exit_2(self, model_file, tmp_path, capsys, action, extra, patch):
         # dt must divide T = 1, the pi count must be odd, expressions must parse,
         # and a verification without paths, or at alpha >= 1, would pass vacuously
@@ -532,3 +548,76 @@ class TestImports:
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": src}, timeout=120)
         assert proc.returncode == 0, proc.stderr
+
+
+def _field_paths(doc, prefix=()):
+    """Every key or index path into a JSON document, containers included."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return []
+    paths = []
+    for key, value in items:
+        paths.append(prefix + (key,))
+        paths += _field_paths(value, prefix + (key,))
+    return paths
+
+
+def _mutated(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+# type swaps, non-finite floats, an empty list and integers past int64 and float
+FUZZ_VALUES = ["x", None, True, {}, [], float("nan"), float("inf"), -float("inf"),
+               2**63, -(2**63) - 1, 10**400]
+FUZZ_GAME = gameio.game_to_dict(random_scenario_game(1, seed=5, prior=0.5))
+FUZZ_MODEL = {"mu0": "-0.4", "mu1": "0.4", "sigma": "0.5", "x0": 0.0, "pi": 0.5, "T": 1.0,
+              "domain": [-2.0, 2.0], "f": "0.6", "g": "-0.6", "h": "tanh(x)*0.5"}
+EXIT_CODES = {0, 1, 2, 4, 5}
+
+
+@pytest.fixture(scope="module")
+def fuzz_base(tmp_path_factory):
+    """A valid equilibrium of FUZZ_GAME and a surfaces.csv of FUZZ_MODEL."""
+    base = tmp_path_factory.mktemp("fuzz")
+    (base / "game.json").write_text(json.dumps(FUZZ_GAME))
+    (base / "model.json").write_text(json.dumps(FUZZ_MODEL))
+    assert main(["oracle", "--game", str(base / "game.json"), "--out", str(base)]) == 0
+    assert main(["dynamics", "pde", "--model", str(base / "model.json"), "--grid", "5x3x9",
+                 "--out", str(base)]) == 0
+    return base
+
+
+class TestMalformedInputFuzz:
+    """One field of a valid game.json or model.json mutated: every command ends
+    with a documented exit code, never an exception."""
+
+    @given(st.sampled_from(_field_paths(FUZZ_GAME)), st.sampled_from(FUZZ_VALUES))
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    def test_game_field(self, fuzz_base, path, value):
+        with tempfile.TemporaryDirectory(dir=fuzz_base) as tmp:
+            game = Path(tmp) / "game.json"
+            game.write_text(json.dumps(_mutated(FUZZ_GAME, path, value)))
+            assert main(["oracle", "--game", str(game), "--out", tmp]) in EXIT_CODES
+            assert main(["verify", "--game", str(game), "--equilibrium",
+                         str(fuzz_base / "equilibrium.json"), "--out", tmp]) in EXIT_CODES
+
+    @given(st.sampled_from(_field_paths(FUZZ_MODEL)), st.sampled_from(FUZZ_VALUES))
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    def test_model_field(self, fuzz_base, path, value):
+        with tempfile.TemporaryDirectory(dir=fuzz_base) as tmp:
+            model = Path(tmp) / "model.json"
+            model.write_text(json.dumps(_mutated(FUZZ_MODEL, path, value)))
+            shutil.copy(fuzz_base / "surfaces.csv", tmp)
+            dyn = ["--model", str(model), "--dt", "0.5", "--paths", "5", "--out", tmp]
+            for action in ("simulate", "extract", "verify"):
+                assert main(["dynamics", action, *dyn]) in EXIT_CODES
+            assert main(["dynamics", "pde", "--model", str(model), "--grid", "5x3x9",
+                         "--out", tmp]) in EXIT_CODES

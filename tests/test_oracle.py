@@ -87,14 +87,14 @@ class TestBuildMatrix:
     def test_both_stop_at_root(self):
         game, _ = dominance_game(prior=0.3)
         rules = enumerate_stopping_rules(game.tree)
-        gm = build_matrix(game, rules)
+        a = build_matrix(game, rules)
         root_rule = next(
             r for r, rule in enumerate(rules.rules) if rule.stops[0]
         )
         pair_row = root_rule * len(rules) + root_rule
         col = root_rule
         expected = 0.7 * game.payoffs.h[0, 0] + 0.3 * game.payoffs.h[1, 0]
-        assert gm.a[pair_row, col] == pytest.approx(expected, abs=1e-14)
+        assert a[pair_row, col] == pytest.approx(expected, abs=1e-14)
 
     def test_split_pair_row(self):
         # row (tau0 = stop at 0, tau1 = stop at T), column sigma = stop at T
@@ -102,11 +102,11 @@ class TestBuildMatrix:
         rules = enumerate_stopping_rules(game.tree)
         stop0 = next(r for r, rule in enumerate(rules.rules) if rule.stops[0])
         stopT = next(r for r, rule in enumerate(rules.rules) if not rule.stops[0])
-        gm = build_matrix(game, rules)
+        a = build_matrix(game, rules)
         pair_row = stop0 * len(rules) + stopT
         h1_T = game.tree.reach[game.tree.leaves] @ game.payoffs.h[1, game.tree.leaves]
         expected = 0.7 * game.payoffs.f[0, 0] + 0.3 * h1_T
-        assert gm.a[pair_row, stopT] == pytest.approx(expected, abs=1e-14)
+        assert a[pair_row, stopT] == pytest.approx(expected, abs=1e-14)
 
     def test_entry_matches_monte_carlo(self):
         game = random_scenario_game(2, seed=17, prior=0.4)
@@ -143,9 +143,9 @@ class TestBuildMatrix:
 class TestSolveZeroSum:
     def test_dominance_game_pure_saddle(self):
         game, _ = dominance_game(prior=0.5)
-        gm = build_matrix(game, enumerate_stopping_rules(game.tree))
+        a = build_matrix(game, enumerate_stopping_rules(game.tree))
         assert enumeration_value(game, pair=True) == pytest.approx(0.55, abs=1e-9)
-        assert pure_gap(gm.a)[2] == pytest.approx(0.0, abs=1e-12)
+        assert pure_gap(a)[2] == pytest.approx(0.0, abs=1e-12)
 
     def test_pair_solver_agrees_with_marginal_solver(self):
         for seed in range(4):

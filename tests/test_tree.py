@@ -5,6 +5,7 @@ leaves at the final depth and are numbered either level by level or depth
 first, so a level's node ids need not be contiguous.
 """
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -107,6 +108,17 @@ class TestLevelOrderAgainstPerNodeReferences:
         for node in range(tree.n_nodes):
             assert abs(ex_ante_check(game, prof, surf, node)
                        - ref_ex_ante(game, prof, surf.v_hat, node)) <= 1e-14
+
+    @pytest.mark.parametrize("seed, digest", [
+        (0, "8fed490448a6bad513b6ef6705ae93006d84e2a1fba972390e366fb63551bb09"),
+        (12345, "a1611768b3aab2ea38474e325967d560a67d2fa1a0031a66770ba98fce6976f8"),
+    ])
+    def test_random_profile_pinned(self, seed, digest):
+        # sha256 of the levels as the per-node loop drew them: the level scan
+        # does the same arithmetic on the same draws, node by node
+        prof = random_profile(binary_tree(10), seed)
+        levels = np.concatenate([prof.xi0.levels, prof.xi1.levels, prof.zeta.levels])
+        assert hashlib.sha256(levels.tobytes()).hexdigest() == digest
 
     def test_leaves_above_the_final_depth(self):
         # backward recursion reads leaves off is_leaf, not off the last level
