@@ -4,9 +4,10 @@ Exit codes: 0 success/certified, 1 certification rejected, 2 malformed
 input, 4 PDE non-convergence, 5 LP numerical failure (the equilibrium LP
 failed or left a duality gap); 3, once "enumeration cap exceeded", is retired.
 No command enumerates pure rules: the ``oracle`` LP and every ``verify`` check
-work on the tree's nodes, and neither draws a random number.  All randomness
-flows through the ``dynamics`` commands' --seed and every artifact embeds its
-run configuration, so identical invocations produce byte-identical outputs.
+work on the tree's nodes, and neither draws a random number.  Each command or
+``dynamics`` action takes only the options it reads, and every artifact embeds
+them with the command; all randomness flows through --seed, so identical
+invocations produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -70,17 +71,8 @@ def _load_game(path: str):
         raise InputError(f"game: {exc}")
 
 
-def _base_config(args, command: str) -> dict:
-    cfg = {"command": command}
-    for key in ("game", "equilibrium", "model", "out", "seed", "tol", "vtol",
-                "grid", "dt", "paths", "alpha", "conditional"):
-        if hasattr(args, key):
-            cfg[key] = getattr(args, key)
-    return cfg
-
-
 def _check_options(args) -> None:
-    """Tolerances finite and non-negative, --alpha in (0, 1), a --seed in [0, 2**64)."""
+    """Finite non-negative tolerances, --alpha in (0, 1), --seed in [0, 2**64), --paths >= 1."""
     for key in ("tol", "vtol"):
         value = getattr(args, key, 0.0)
         if not (np.isfinite(value) and value >= 0.0):
@@ -91,17 +83,24 @@ def _check_options(args) -> None:
     seed = getattr(args, "seed", 0)
     if not 0 <= seed < 2**64:
         raise InputError(f"seed: need an integer in [0, 2**64), got {seed}")
+    if getattr(args, "paths", 1) < 1:
+        raise InputError("paths: need at least one path")
+
+
+def _out_dir(args) -> Path:
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def cmd_oracle(args) -> int:
     game = _load_game(args.game)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     sol = solve_scenario(game)
     payload = gameio.equilibrium_to_dict(sol.profile(game.tree), sol.value, sol.surfaces)
     payload["gap"] = sol.gap
     payload["lp"] = dataclasses.asdict(sol.lp)
-    payload["config"] = _base_config(args, "oracle")
+    payload["config"] = vars(args)
     gameio.write_json(out / "equilibrium.json", payload)
     print(f"oracle: value={sol.value!r} gap={sol.gap:.3e}")
     return 0
@@ -125,15 +124,14 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         raise InputError(f"equilibrium: {exc}")
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     surfaces = best_response_values(game, profile)
     mrep = martingale_report(game, profile, surfaces, tol=args.tol)
     srep = support_report(game, profile, surfaces)
     cert_m = certify_mart(game, profile, surfaces, tol=args.tol)
     cert_s = certify_stop(game, profile, surfaces=surfaces, tol=args.tol)
     ex_ante = ex_ante_residuals(game, profile, surfaces).tolist()
-    cfg = _base_config(args, "verify")
+    cfg = vars(args)
 
     gameio.write_json(out / "martingale_report.json",
                       dict(gameio.martingale_report_to_dict(mrep), config=cfg))
@@ -163,114 +161,130 @@ def cmd_verify(args) -> int:
     return 0 if certified else 1
 
 
-def _parse_grid(spec: str) -> tuple[int, int, int]:
+def _pde_grid(spec: str, model) -> PDEGrid:
     try:
         mt, mpi, mx = (int(tok) for tok in spec.lower().split("x"))
-        return mt, mpi, mx
     except Exception:
         raise InputError(f"grid: expected MtxMpixMx, got {spec!r}")
+    try:
+        return PDEGrid.regular(model.horizon, model.domain, mt, mpi, mx)
+    except ValueError as exc:
+        raise InputError(f"grid: {exc}")
 
 
 def _load_model(path: str):
     data = _load_json(path, "model")
-    for field in ("mu0", "mu1", "sigma", "x0", "pi", "T", "domain"):
-        if field not in data:
-            raise InputError(f"model: missing field {field!r}")
     try:
         return model_from_dict(data), data
+    except KeyError as exc:
+        raise InputError(f"model: missing field {exc.args[0]!r}")
     except (ValueError, TypeError, IndexError, OverflowError) as exc:
         raise InputError(f"model: {exc}")
 
 
 def _payoff_callables(data: dict):
-    missing = [k for k in ("f", "g", "h") if k not in data]
-    if missing:
-        raise InputError(f"model: missing payoff field {missing[0]!r} (needed for pde/verify)")
     try:
-        fs = {k: parse_expression(data[k]) for k in ("f", "g", "h")}
+        exprs = [parse_expression(data[k]) for k in ("f", "g", "h")]
+    except KeyError as exc:
+        raise InputError(f"model: missing payoff field {exc.args[0]!r} (needed for pde/verify)")
     except (ValueError, TypeError) as exc:
         raise InputError(f"model: payoff expression: {exc}")
-    return (
-        lambda t, x: fs["f"](x) + 0.0 * np.asarray(t),
-        lambda t, x: fs["g"](x) + 0.0 * np.asarray(t),
-        lambda t, x: fs["h"](x) + 0.0 * np.asarray(t),
-    )
+    # payoffs of (t, x) that do not depend on t
+    return [lambda t, x, e=e: e(x) + 0.0 * np.asarray(t) for e in exprs]
 
 
-def cmd_dynamics(args) -> int:
+def _open_dynamics(args):
+    """The model, its JSON and the created --out of an action; a --dt must divide T."""
     model, data = _load_model(args.model)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    cfg = _base_config(args, f"dynamics {args.action}")
-    meta = {"seed": args.seed, "dt": args.dt, "grid": args.grid}
-    if args.action != "pde":
+    if hasattr(args, "dt"):
         try:
             _time_axis(model, args.dt)
         except ValueError as exc:
             raise InputError(f"dt: {exc}")
-        if args.paths < 1:
-            raise InputError("paths: need at least one path")
+    return model, data, _out_dir(args)
 
-    if args.action == "simulate":
-        device = RandomDevice(seed=args.seed)
-        sim = simulate_regime_paths if args.conditional else simulate_filter_paths
-        bundle = sim(model, args.paths, args.dt, device)
-        (out / "paths.csv").write_text(gameio.paths_csv(bundle, meta))
-        gameio.write_json(out / "paths_meta.json",
-                          {"exited": int(bundle.exited.sum()), "config": cfg})
-        print(f"simulate: {args.paths} paths, {bundle.t.size - 1} steps, "
-              f"exited={int(bundle.exited.sum())}")
-        return 0
 
-    if args.action == "pde":
-        f, g, h = _payoff_callables(data)
-        mt, mpi, mx = _parse_grid(args.grid)
-        try:
-            grid = PDEGrid.regular(model.horizon, model.domain, mt, mpi, mx)
-        except ValueError as exc:
-            raise InputError(f"grid: {exc}")
-        surfaces = pde_solve_system(model, f, g, h, grid, slice_tol=args.tol)
-        (out / "surfaces.csv").write_text(gameio.surfaces_csv(surfaces, meta))
-        gameio.write_json(out / "pde_meta.json",
-                          {"identity_residual": surfaces.identity_residual,
-                           **dataclasses.asdict(surfaces.stats), "config": cfg})
-        print(f"pde: grid {mt}x{mpi}x{mx}, identity residual "
-              f"{surfaces.identity_residual:.3e}")
-        return 0
-
+def _read_surfaces(out: Path):
     surf_path = out / "surfaces.csv"
     if not surf_path.exists():
         raise InputError(f"surfaces: {surf_path} not found (run 'dynamics pde' first)")
     try:
-        surfaces = gameio.surfaces_from_csv(surf_path.read_text())
+        return gameio.surfaces_from_csv(surf_path.read_text())
     except KeyError as exc:
         raise InputError(f"surfaces: missing column {exc.args[0]!r}")
     except (ValueError, IndexError) as exc:
         raise InputError(f"surfaces: {exc}")
+
+
+def cmd_simulate(args) -> int:
+    model, _, out = _open_dynamics(args)
+    sim = simulate_regime_paths if args.conditional else simulate_filter_paths
+    bundle = sim(model, args.paths, args.dt, RandomDevice(seed=args.seed))
+    (out / "paths.csv").write_text(gameio.paths_csv(bundle, vars(args)))
+    gameio.write_json(out / "paths_meta.json",
+                      {"exited": int(bundle.exited.sum()), "config": vars(args)})
+    print(f"simulate: {args.paths} paths, {bundle.t.size - 1} steps, "
+          f"exited={int(bundle.exited.sum())}")
+    return 0
+
+
+def cmd_pde(args) -> int:
+    model, data, out = _open_dynamics(args)
+    f, g, h = _payoff_callables(data)
+    grid = _pde_grid(args.grid, model)
+    surfaces = pde_solve_system(model, f, g, h, grid)
+    (out / "surfaces.csv").write_text(gameio.surfaces_csv(surfaces, vars(args)))
+    gameio.write_json(out / "pde_meta.json",
+                      {"identity_residual": surfaces.identity_residual,
+                       **dataclasses.asdict(surfaces.stats), "config": vars(args)})
+    print(f"pde: grid {'x'.join(map(str, grid.shape))}, identity residual "
+          f"{surfaces.identity_residual:.3e}")
+    return 0
+
+
+def cmd_extract(args) -> int:
+    model, _, out = _open_dynamics(args)
+    strategies = extract_strategies(_read_surfaces(out), model, args.dt)
+    bundle = simulate_regime_paths(model, args.paths, args.dt, RandomDevice(seed=args.seed))
+    traj = strategies.evaluate(bundle.x, psi=bundle.psi)
+    (out / "trajectories.csv").write_text(gameio.trajectories_csv(traj, vars(args)))
+    gameio.write_json(out / "extract_meta.json", {"config": vars(args)})
+    print(f"extract: {args.paths} strategy trajectories written")
+    return 0
+
+
+def cmd_dynamics_verify(args) -> int:
+    model, data, out = _open_dynamics(args)
+    surfaces = _read_surfaces(out)
     strategies = extract_strategies(surfaces, model, args.dt)
+    f, g, h = _payoff_callables(data)
+    report = mc_verify_sufficiency(
+        model, surfaces, strategies,
+        n=args.paths, dt=args.dt, alpha=args.alpha, tol=args.vtol,
+        device=RandomDevice(seed=args.seed), f=f, g=g, h=h,
+    )
+    gameio.write_json(out / "verify_report.json", {"report": report, "config": vars(args)})
+    print("dynamics verify: " + ("all conditions passed" if report["all_passed"]
+                                 else "some conditions FAILED"))
+    return 0 if report["all_passed"] else 1
 
-    if args.action == "extract":
-        device = RandomDevice(seed=args.seed)
-        bundle = simulate_regime_paths(model, args.paths, args.dt, device)
-        traj = strategies.evaluate(bundle.x, psi=bundle.psi)
-        (out / "trajectories.csv").write_text(gameio.trajectories_csv(traj, meta))
-        gameio.write_json(out / "extract_meta.json", {"config": cfg})
-        print(f"extract: {args.paths} strategy trajectories written")
-        return 0
 
-    if args.action == "verify":
-        f, g, h = _payoff_callables(data)
-        report = mc_verify_sufficiency(
-            model, surfaces, strategies,
-            n=args.paths, dt=args.dt, alpha=args.alpha, tol=args.vtol,
-            device=RandomDevice(seed=args.seed), f=f, g=g, h=h,
-        )
-        gameio.write_json(out / "verify_report.json", {"report": report, "config": cfg})
-        print("dynamics verify: " + ("all conditions passed" if report["all_passed"]
-                                     else "some conditions FAILED"))
-        return 0 if report["all_passed"] else 1
-
-    raise InputError(f"unknown dynamics action {args.action!r}")
+# each dynamics action: its command and the options it reads between --model and --out
+_DYNAMICS_ACTIONS = {
+    "simulate": (cmd_simulate, ("dt", "paths", "seed", "conditional")),
+    "pde": (cmd_pde, ("grid",)),
+    "extract": (cmd_extract, ("dt", "paths", "seed")),
+    "verify": (cmd_dynamics_verify, ("dt", "paths", "seed", "vtol", "alpha")),
+}
+_OPTION_SPECS = {
+    "grid": dict(default="41x11x81"),
+    "dt": dict(type=float, default=1e-2),
+    "paths": dict(type=int, default=1000),
+    "seed": dict(type=int, default=0),
+    "vtol": dict(type=float, default=5e-2, help="surface-level tolerance of the MC verification"),
+    "alpha": dict(type=float, default=0.05),
+    "conditional": dict(action="store_true", help="simulate conditionally on a drawn regime"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -284,44 +298,39 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="compute an equilibrium by the sequence-form LP")
     p_oracle.add_argument("--game", required=True)
     p_oracle.add_argument("--out", required=True)
+    p_oracle.set_defaults(run=cmd_oracle)
 
     p_verify = sub.add_parser("verify", help="run reports and certificates on an equilibrium")
     p_verify.add_argument("--game", required=True)
     p_verify.add_argument("--equilibrium", required=True)
     p_verify.add_argument("--tol", type=float, default=1e-8)
     p_verify.add_argument("--out", required=True)
+    p_verify.set_defaults(run=cmd_verify)
 
     p_dyn = sub.add_parser("dynamics", help="simulate / pde / extract / verify")
-    p_dyn.add_argument("action", choices=["simulate", "pde", "extract", "verify"])
-    p_dyn.add_argument("--model", required=True)
-    p_dyn.add_argument("--grid", default="41x11x81")
-    p_dyn.add_argument("--dt", type=float, default=1e-2)
-    p_dyn.add_argument("--paths", type=int, default=1000)
-    p_dyn.add_argument("--seed", type=int, default=0)
-    p_dyn.add_argument("--tol", type=float, default=1e-8,
-                       help="slice tolerance of the pde solve")
-    p_dyn.add_argument("--vtol", type=float, default=5e-2,
-                       help="surface-level tolerance of the statistical verification")
-    p_dyn.add_argument("--alpha", type=float, default=0.05)
-    p_dyn.add_argument("--conditional", action="store_true",
-                       help="simulate conditionally on a drawn regime")
-    p_dyn.add_argument("--out", required=True)
+    actions = p_dyn.add_subparsers(required=True)
+    for action, (run, options) in _DYNAMICS_ACTIONS.items():
+        p_action = actions.add_parser(action)
+        p_action.add_argument("--model", required=True)
+        for name in options:
+            p_action.add_argument(f"--{name}", **_OPTION_SPECS[name])
+        p_action.add_argument("--out", required=True)
+        p_action.set_defaults(run=run, command=f"dynamics {action}")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    run = args.run
+    # what is left is the run record that every artifact embeds: the command
+    # and the options it parsed
+    del args.run
     try:
         _check_options(args)
-        if args.command == "oracle":
-            return cmd_oracle(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        return cmd_dynamics(args)
+        return run(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

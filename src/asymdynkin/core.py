@@ -372,16 +372,18 @@ def validate_generating(
     violations: list[str] = []
     if proc.levels.shape != (tree.n_nodes,) or proc.steps.shape != (tree.n_nodes,):
         return ValidationReport(False, (f"ShapeMismatch: {proc.levels.shape[0]} values for {tree.n_nodes} nodes",))
-    for i in np.flatnonzero(~(np.isfinite(proc.levels) & np.isfinite(proc.steps))):
+    finite = np.isfinite(proc.levels) & np.isfinite(proc.steps)
+    for i in np.flatnonzero(~finite):
         violations.append(f"NonFinite: level {float(proc.levels[i])!r}, "
                           f"increment {float(proc.steps[i])!r} at node {i}")
     bad = np.flatnonzero(proc.steps < -tol)
     for i in bad:
         violations.append(f"NotMonotone: negative increment {proc.steps[i]!r} at node {i}")
-    # recompute levels as prefix sums and compare
-    drift = proc.levels - GeneratingProcess.from_steps(proc.steps, tree).levels
-    if np.max(np.abs(drift)) > 1e-9:
-        violations.append("NotMonotone: levels are not the prefix sums of the increments")
+    # recompute levels as prefix sums and compare; a non-finite process is rejected above
+    if finite.all():
+        drift = proc.levels - GeneratingProcess.from_steps(proc.steps, tree).levels
+        if np.max(np.abs(drift)) > 1e-9:
+            violations.append("NotMonotone: levels are not the prefix sums of the increments")
     leaves = tree.leaves
     for leaf in leaves[np.abs(proc.levels[leaves] - 1.0) > 1e-9]:
         violations.append(f"TerminalNotOne: level {proc.levels[leaf]!r} at leaf {leaf}")

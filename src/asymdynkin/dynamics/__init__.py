@@ -1,4 +1,10 @@
-"""Continuous-state companion: filtering simulation, PDE system, verification."""
+"""Continuous-state companion: filtering simulation, PDE system, verification.
+
+``model_from_dict`` builds a ``DiffusionModel`` from a ``model.json`` and keeps
+no copy of it; a ``PathBundle`` holds paths, regimes, exits and the filter's
+clamp, not the seed or step that made them; ``pde_solve_system``'s tolerances
+are fixed in ``pde``.
+"""
 
 from .generators import (
     TestFunction,
@@ -7,7 +13,7 @@ from .generators import (
     mc_generator_drift,
     standard_test_functions,
 )
-from .model import DiffusionModel, model_from_dict, model_to_dict, parse_expression
+from .model import DiffusionModel, model_from_dict, parse_expression
 from .pde import (
     NoConvergence,
     PDEGrid,

@@ -15,10 +15,12 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["DiffusionModel", "MODES", "parse_expression", "model_from_dict", "model_to_dict",
+__all__ = ["DiffusionModel", "MODES", "parse_expression", "model_from_dict",
            "generator_coefficients", "filter_step"]
 
 MODES = ("observation", "regime-0", "regime-1")
+# sigma must stay at or above this floor on the domain: w divides by it
+_SIGMA_MIN = 1e-6
 
 _TOKEN = re.compile(r"\s*(?:(\d+\.?\d*(?:[eE][+-]?\d+)?)|(x)|(tanh)|([()+\-*]))")
 
@@ -114,8 +116,6 @@ class DiffusionModel:
     prior: float
     horizon: float
     domain: tuple[float, float]
-    sigma_min: float = 1e-6
-    source: dict | None = None
 
     def __post_init__(self):
         lo, hi = self.domain
@@ -123,13 +123,15 @@ class DiffusionModel:
             raise ValueError("x0, T and the domain ends must be finite")
         if not lo < hi:
             raise ValueError("empty domain")
+        if not lo <= self.x0 <= hi:
+            raise ValueError(f"x0 {self.x0!r} lies outside the domain [{lo!r}, {hi!r}]")
         if not 0.0 <= self.prior <= 1.0:
             raise ValueError("prior must lie in [0, 1]")
         # validate the volatility floor by finite sampling on the domain
         xs = np.linspace(lo, hi, 257)
         s = np.asarray(self.sigma(xs), dtype=float)
-        if np.any(s < self.sigma_min):
-            raise ValueError(f"sigma drops below {self.sigma_min} on the domain")
+        if np.any(s < _SIGMA_MIN):
+            raise ValueError(f"sigma drops below {_SIGMA_MIN} on the domain")
 
     def w(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -175,6 +177,7 @@ def filter_step(model: DiffusionModel, x, psi, db):
 
 def model_from_dict(data: dict) -> DiffusionModel:
     """Build a model from the JSON schema {mu0, mu1, sigma, x0, pi, T, domain}."""
+    lo, hi = data["domain"]
     return DiffusionModel(
         mu0=parse_expression(data["mu0"]),
         mu1=parse_expression(data["mu1"]),
@@ -182,12 +185,5 @@ def model_from_dict(data: dict) -> DiffusionModel:
         x0=float(data["x0"]),
         prior=float(data["pi"]),
         horizon=float(data["T"]),
-        domain=(float(data["domain"][0]), float(data["domain"][1])),
-        source=dict(data),
+        domain=(float(lo), float(hi)),
     )
-
-
-def model_to_dict(model: DiffusionModel) -> dict:
-    if model.source is None:
-        raise ValueError("model was not built from expressions")
-    return dict(model.source)

@@ -48,8 +48,10 @@ class NoConvergence(RuntimeError):
     """A slice iteration failed to stabilize within the budget."""
 
 
-# a slice iteration gives up after _MAX_ITERS rounds; a cell belongs to a
+# a slice iteration stops once its largest change is at most _SLICE_TOL times
+# the slice's scale and gives up after _MAX_ITERS rounds; a cell belongs to a
 # stopping set when its value is within _SET_TOL of the obstacle
+_SLICE_TOL = 1e-8
 _MAX_ITERS = 200
 _SET_TOL = 1e-10
 
@@ -278,7 +280,6 @@ def pde_solve_system(
     g: Callable,
     h: Callable,
     grid: PDEGrid,
-    slice_tol: float = 1e-8,
 ) -> PDESurfaces:
     """Backward implicit region-iteration solve of the coupled variational system.
 
@@ -359,7 +360,7 @@ def pde_solve_system(
                 float(np.max(np.abs(new_v - v_cur))),
             )
             u_cur, v_cur = new_u, new_v
-            if delta <= slice_tol * scale:
+            if delta <= _SLICE_TOL * scale:
                 break
         else:
             raise NoConvergence(f"slice {k} (t={t}) did not stabilize; last delta {delta:.3e}")

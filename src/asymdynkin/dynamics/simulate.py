@@ -51,14 +51,7 @@ class PathBundle:
     psi: np.ndarray
     regime: np.ndarray | None
     exited: np.ndarray
-    seed: int
-    stream: int
-    dt: float
     max_clamp: float = 0.0
-
-    @property
-    def n_paths(self) -> int:
-        return self.x.shape[0]
 
 
 def _time_axis(model: DiffusionModel, dt: float) -> np.ndarray:
@@ -144,7 +137,7 @@ def simulate_filter_paths(
         max_clamp = max(max_clamp, float(np.max(raw - 1.0, initial=0.0)), float(np.max(-raw, initial=0.0)))
         psi[k + 1] = np.clip(raw, 0.0, 1.0)
         exited |= (x[k + 1] < lo) | (x[k + 1] > hi)
-    return PathBundle(t, x.T, psi.T, None, exited, device.seed, device.stream, dt, max_clamp)
+    return PathBundle(t, x.T, psi.T, None, exited, max_clamp)
 
 
 def simulate_regime_paths(
@@ -159,7 +152,7 @@ def simulate_regime_paths(
     t = _time_axis(model, dt)
     regime = (device.with_stream(device.stream + 1).uniforms(n) < model.prior).astype(np.int64)
     x, psi, exited = _regime_euler(model, regime, t.size - 1, dt, _draws(device, n, dt))
-    return PathBundle(t, x, psi, regime, exited, device.seed, device.stream, dt)
+    return PathBundle(t, x, psi, regime, exited)
 
 
 def simulate_fixed_regime(

@@ -231,7 +231,7 @@ def paths_csv(bundle, meta: dict) -> str:
     with_regime = bundle.regime is not None
     lines.append("path_id,t,X,psi" + (",J" if with_regime else ""))
     steps = bundle.t.size
-    for pid in range(bundle.n_paths):
+    for pid in range(bundle.x.shape[0]):
         regime = [np.full(steps, bundle.regime[pid])] if with_regime else []
         lines += _csv_lines(np.full(steps, pid), bundle.t, bundle.x[pid], bundle.psi[pid], *regime)
     return "\n".join(lines) + "\n"

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -49,6 +50,18 @@ def tree_digest(path):
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()
         for p in sorted(Path(path).iterdir())
     }
+
+
+def body_digest(path):
+    """sha256 of an artifact without its run record: a CSV's `#` lines, a JSON's `config`."""
+    text = Path(path).read_text()
+    if Path(path).suffix == ".json":
+        doc = json.loads(text)
+        del doc["config"]
+        text = json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    else:
+        text = "".join(ln for ln in text.splitlines(keepends=True) if not ln.startswith("#"))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 class TestOracleCommand:
@@ -287,6 +300,15 @@ class TestVerifyCommand:
         assert "two regime rows" in capsys.readouterr().err
 
 
+# each dynamics action takes only the options it reads: --model, these and --out
+ACTION_OPTIONS = {"simulate": {"--dt", "--paths", "--seed", "--conditional"}, "pde": {"--grid"},
+                  "extract": {"--dt", "--paths", "--seed"},
+                  "verify": {"--dt", "--paths", "--seed", "--vtol", "--alpha"}}
+# a valid value of each option of the verify command or of some dynamics action
+OPTION_VALUES = {"--grid": "5x3x9", "--dt": "0.5", "--paths": "3", "--seed": "1", "--tol": "1e-8",
+                 "--vtol": "0.05", "--alpha": "0.05", "--conditional": None}
+
+
 class TestDynamicsCommands:
     def test_simulate_w_zero_constant_psi(self, tmp_path):
         data = {
@@ -326,17 +348,26 @@ class TestDynamicsCommands:
         assert len(conditions) == 7  # (i) x2, (ii), (iii) x2, (iv), (v)
 
     def test_pipeline_artifacts_pinned(self, model_file, tmp_path, monkeypatch):
-        # sha256 of the test_full_pipeline artifacts as the per-row CSV writers
-        # wrote them; relative paths keep the embedded run configuration fixed
+        # sha256 of the test_full_pipeline artifacts, whole and without their run
+        # record; relative paths keep the embedded record fixed.  The second digest
+        # of each is the per-row CSV writers' output with the record left out, so
+        # the numbers stay pinned whatever options the record holds
         monkeypatch.chdir(tmp_path)
         dyn = ["--model", model_file.name, "--out", "pipe"]
         assert main(["dynamics", "pde", *dyn, "--grid", "21x11x41"]) == 0
         assert main(["dynamics", "extract", *dyn, "--dt", "0.05", "--paths", "10", "--seed", "1"]) == 0
         assert main(["dynamics", "verify", *dyn, "--dt", "0.05", "--paths", "400", "--seed", "2"]) == 0
         digests = tree_digest(tmp_path / "pipe")
-        assert digests["surfaces.csv"] == "19e9f872d2248333e78ab9b354063a34f09b8cb33fa843be182324ff1faf73d9"
-        assert digests["trajectories.csv"] == "a11354527fec9842f4530e8b4b0efa4d9dd718520da241dcd91b6077e17d96e7"
-        assert digests["verify_report.json"] == "8d9af61e8aac1b22c3e49a6e1480609607dbd3b1ee4bd7fbfbbb4dc5abb12498"
+        for name, digest, body in (
+            ("surfaces.csv", "286744ab9f2792fb3dbe48c8f275512f72fdda37dba0534f62213e31311ebaf8",
+             "eebe6c8bd00d42cf6b86afab760262acaad14fca25a6780f97c86f2be9aaa5dc"),
+            ("trajectories.csv", "a80146852a19e8cbecf40143f578b62b5c2e311b287d1833b5acffc7e7e29129",
+             "784da659a6c34904f13ca74978007ac0f0e48bb6428f359960da7446c2df1859"),
+            ("verify_report.json", "9b31055da6c123dd35ca78c86c5420b2d8fb54dd13ca8339d8cc4e971e8820e7",
+             "b335e875e4a9e99753c3d6fef73fcbe4b31a013cbe9a54a33b87e43412231f1a"),
+        ):
+            assert body_digest(tmp_path / "pipe" / name) == body, name
+            assert digests[name] == digest, name
 
     def test_pde_before_extract_required(self, model_file, tmp_path):
         rc = main([
@@ -396,8 +427,6 @@ class TestDynamicsCommands:
         ("simulate", [], {"domain": [1.0]}),
         ("verify", ["--paths", "0"], {}),
         ("simulate", ["--paths", "-1"], {}),
-        ("pde", ["--tol", "nan"], {}),
-        ("pde", ["--tol", "-0.5"], {}),
         ("verify", ["--vtol", "inf"], {}),
         ("verify", ["--alpha", "-1"], {}),
         ("verify", ["--alpha", "1"], {}),
@@ -409,23 +438,52 @@ class TestDynamicsCommands:
         ("pde", [], {"x0": float("nan")}),
         ("extract", [], {"x0": float("inf")}),
         ("simulate", [], {"domain": [-2.0, float("inf")]}),
+        ("simulate", [], {"x0": 9}),
+        ("extract", [], {"x0": 9}),
+        ("extract", [], {"x0": 2**63}),
+        ("simulate", [], {"domain": {}}),
+        ("simulate", [], {"domain": [-2.0, 2.0, 3.0]}),
     ], ids=["simulate_dt", "extract_dt", "verify_dt", "zero_dt", "even_pi_grid", "bad_f",
             "bad_h", "scalar_domain", "short_domain", "no_paths", "negative_paths",
-            "nan_tol", "negative_tol", "infinite_vtol", "negative_alpha", "unit_alpha",
+            "infinite_vtol", "negative_alpha", "unit_alpha",
             "simulate_infinite_T", "extract_infinite_T", "verify_infinite_T", "verify_nan_x0",
-            "simulate_infinite_x0", "pde_nan_x0", "extract_infinite_x0", "simulate_infinite_domain"])
+            "simulate_infinite_x0", "pde_nan_x0", "extract_infinite_x0", "simulate_infinite_domain",
+            "simulate_x0_outside_domain", "extract_x0_outside_domain", "extract_huge_x0",
+            "object_domain", "long_domain"])
     def test_bad_arguments_exit_2(self, model_file, tmp_path, capsys, action, extra, patch):
         # dt must divide T = 1, the pi count must be odd, expressions must parse,
-        # and a verification without paths, or at alpha >= 1, would pass vacuously
+        # x0 must lie in the domain, and a verification without paths, or at
+        # alpha >= 1, would pass vacuously
         out = tmp_path / "d"
         assert main(["dynamics", "pde", "--model", str(model_file), "--grid", "5x3x9",
                      "--out", str(out)]) == 0
         model_file.write_text(json.dumps({**json.loads(model_file.read_text()), **patch}))
         capsys.readouterr()
-        rc = main(["dynamics", action, "--model", str(model_file), "--paths", "5", *extra,
+        paths = [] if action == "pde" else ["--paths", "5"]
+        rc = main(["dynamics", action, "--model", str(model_file), *paths, *extra,
                    "--out", str(out)])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("action, option", [
+        (action, option) for action, takes in ACTION_OPTIONS.items()
+        for option in OPTION_VALUES if option not in takes
+    ])
+    def test_option_the_action_does_not_read_exits_2(self, model_file, tmp_path, capsys,
+                                                     action, option):
+        value = OPTION_VALUES[option]
+        capsys.readouterr()
+        rc = main(["dynamics", action, "--model", str(model_file), option,
+                   *([] if value is None else [value]), "--out", str(tmp_path / "d")])
+        assert rc == 2
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    def test_help_lists_the_options_read(self, capsys):
+        for action, takes in ACTION_OPTIONS.items():
+            assert main(["dynamics", action, "--help"]) == 0
+            listed = set(re.findall(r"(--[a-z]+)", capsys.readouterr().out))
+            assert listed == {"--help", "--model", "--out", *takes}, action
 
     @pytest.mark.parametrize("seed", ["-4", str(2**64)])
     def test_out_of_range_seed_exits_2(self, model_file, tmp_path, capsys, seed):
@@ -438,6 +496,14 @@ class TestDynamicsCommands:
     def test_largest_seed_runs(self, model_file, tmp_path):
         assert main(["dynamics", "simulate", "--model", str(model_file), "--dt", "0.5",
                      "--paths", "3", "--seed", str(2**64 - 1), "--out", str(tmp_path / "d")]) == 0
+
+    @pytest.mark.parametrize("text", ["5", "[]"])
+    def test_model_not_an_object_exits_2(self, tmp_path, capsys, text):
+        mpath = tmp_path / "m.json"
+        mpath.write_text(text)
+        for action in ("simulate", "pde"):
+            assert main(["dynamics", action, "--model", str(mpath), "--out", str(tmp_path / "d")]) == 2
+            assert capsys.readouterr().err.startswith("error: model: ")
 
     def test_missing_payoffs_named(self, tmp_path, capsys):
         data = {"mu0": "0.1", "mu1": "0.2", "sigma": "0.5",
@@ -471,17 +537,22 @@ class TestDeterminism:
 
     # sha256 of paths.csv as the path-major Euler loops wrote it: reruns agreeing
     # with each other is not enough, a change must not move a digit against them
-    @pytest.mark.parametrize("extra, digest", [
-        ([], "946edecc5b5201625daf1aacfab0b76b3c645f62751884f01b4553b0b2e0042d"),
-        (["--conditional"], "96f5ac5be8ce5afc5ad674b76f7ca6a730346d416eb2d4a21b3aecd7fdda8b34"),
+    # (the second digest is that of the rows without the `#` run record);
+    # relative paths keep the embedded run record fixed
+    @pytest.mark.parametrize("extra, digest, body", [
+        ([], "df48f0980bb59d74d0705a9ba553028a82017735256bed0bb7ab67ba60011ee2",
+         "24e0df6c981bf84ec4c75fe5bff66b2dacb7a52d402dbf3364f85903cd6dcc51"),
+        (["--conditional"], "92d86aca72608e4da89f6de8d6770eb5771f0761e712be7e4a19b796a8107299",
+         "4eb9993857b8461a7587e3e34cb60bc173ad4d8df5a353366659eeaf6222ad16"),
     ], ids=["filter", "conditional"])
-    def test_simulate_paths_pinned(self, model_file, tmp_path, extra, digest):
-        out = tmp_path / "d"
+    def test_simulate_paths_pinned(self, model_file, tmp_path, monkeypatch, extra, digest, body):
+        monkeypatch.chdir(tmp_path)
         assert main([
-            "dynamics", "simulate", "--model", str(model_file),
-            "--dt", "0.02", "--paths", "15", "--seed", "9", "--out", str(out), *extra,
+            "dynamics", "simulate", "--model", model_file.name,
+            "--dt", "0.02", "--paths", "15", "--seed", "9", "--out", "d", *extra,
         ]) == 0
-        assert tree_digest(out)["paths.csv"] == digest
+        assert body_digest(tmp_path / "d" / "paths.csv") == body
+        assert tree_digest(tmp_path / "d")["paths.csv"] == digest
 
     def test_surfaces_round_trip(self, model_file, tmp_path):
         out = tmp_path / "p"
@@ -596,8 +667,8 @@ def fuzz_base(tmp_path_factory):
 
 
 class TestMalformedInputFuzz:
-    """One field of a valid game.json or model.json mutated: every command ends
-    with a documented exit code, never an exception."""
+    """One field of a valid game.json, model.json or equilibrium.json mutated:
+    every command ends with a documented exit code, never an exception."""
 
     @given(st.sampled_from(_field_paths(FUZZ_GAME)), st.sampled_from(FUZZ_VALUES))
     @settings(max_examples=50, deadline=None, derandomize=True)
@@ -621,3 +692,14 @@ class TestMalformedInputFuzz:
                 assert main(["dynamics", action, *dyn]) in EXIT_CODES
             assert main(["dynamics", "pde", "--model", str(model), "--grid", "5x3x9",
                          "--out", tmp]) in EXIT_CODES
+
+    @given(st.data(), st.sampled_from(FUZZ_VALUES))
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    def test_equilibrium_field(self, fuzz_base, data, value):
+        doc = json.loads((fuzz_base / "equilibrium.json").read_text())
+        path = data.draw(st.sampled_from(_field_paths(doc)))
+        with tempfile.TemporaryDirectory(dir=fuzz_base) as tmp:
+            eq = Path(tmp) / "equilibrium.json"
+            eq.write_text(json.dumps(_mutated(doc, path, value)))
+            assert main(["verify", "--game", str(fuzz_base / "game.json"), "--equilibrium",
+                         str(eq), "--out", tmp]) in EXIT_CODES
