@@ -205,14 +205,12 @@ def _open_dynamics(args):
 
 
 def _read_surfaces(out: Path):
-    surf_path = out / "surfaces.csv"
+    surf_path = out / "surfaces.npy"
     if not surf_path.exists():
         raise InputError(f"surfaces: {surf_path} not found (run 'dynamics pde' first)")
     try:
-        return gameio.surfaces_from_csv(surf_path.read_text())
-    except KeyError as exc:
-        raise InputError(f"surfaces: missing column {exc.args[0]!r}")
-    except (ValueError, IndexError) as exc:
+        return gameio.surfaces_from_npy(surf_path)
+    except (ValueError, EOFError) as exc:  # np.load raises EOFError on an empty file
         raise InputError(f"surfaces: {exc}")
 
 
@@ -233,7 +231,7 @@ def cmd_pde(args) -> int:
     f, g, h = _payoff_callables(data)
     grid = _pde_grid(args.grid, model)
     surfaces = pde_solve_system(model, f, g, h, grid)
-    (out / "surfaces.csv").write_text(gameio.surfaces_csv(surfaces, vars(args)))
+    gameio.write_surfaces_npy(out / "surfaces.npy", surfaces)
     gameio.write_json(out / "pde_meta.json",
                       {"identity_residual": surfaces.identity_residual,
                        **dataclasses.asdict(surfaces.stats), "config": vars(args)})

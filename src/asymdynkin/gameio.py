@@ -1,7 +1,8 @@
-"""JSON/CSV schemas for games, equilibria, reports and PDE surfaces.
+"""JSON/CSV/.npy schemas for games, equilibria, reports and PDE surfaces.
 
 All writers are byte-deterministic: keys are sorted, floats use shortest
-round-trip repr, and no timestamps or environment data leak into artifacts.
+round-trip repr (or their float64 bytes in ``.npy``), and no timestamps or
+environment data leak into artifacts.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ __all__ = [
     "nodes_csv",
     "surfaces_csv",
     "surfaces_from_csv",
+    "write_surfaces_npy",
+    "surfaces_from_npy",
     "paths_csv",
     "trajectories_csv",
 ]
@@ -121,8 +124,8 @@ def equilibrium_from_dict(data: dict, tree: FiltrationTree) -> tuple[StrategyPro
 
 
 def write_json(path: Path, obj: dict) -> None:
-    path = Path(path)
-    path.write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")
+    # compact, so that json's C encoder writes it (an indent forces the Python one)
+    Path(path).write_text(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def certificate_to_dict(cert: Certificate) -> dict:
@@ -183,12 +186,21 @@ def _meta_lines(meta: dict) -> list[str]:
     return [f"# {k}={meta[k]!r}" for k in sorted(meta)]
 
 
+# the columns of the surfaces table: the CSV's header and the .npy's column order
+_SURFACE_COLUMNS = ("t", "pi", "x", "u0", "u1", "v", "in_S0", "in_S1", "in_S")
+
+
+def _axes(grid: PDEGrid) -> tuple[np.ndarray, ...]:
+    """The t, pi and x nodes, each broadcastable to the grid's (t, pi, x) shape."""
+    return grid.t[:, None, None], grid.pi[:, None], grid.x
+
+
 def surfaces_csv(surfaces: PDESurfaces, meta: dict) -> str:
     grid = surfaces.grid
     _, mpi, mx = grid.shape
     pi, x = np.repeat(grid.pi, mx), np.tile(grid.x, mpi)
     lines = _meta_lines(meta)
-    lines.append("t,pi,x,u0,u1,v,in_S0,in_S1,in_S")
+    lines.append(",".join(_SURFACE_COLUMNS))
     # a slice (or a path, below) at a time, so the Python floats of one chunk,
     # not of the whole array, sit beside the formatted lines
     for it, t in enumerate(grid.t):
@@ -208,20 +220,44 @@ def surfaces_from_csv(text: str) -> PDESurfaces:
     if header[:3] != ["t", "pi", "x"]:
         raise ValueError("surfaces CSV: unexpected header")
     data = np.loadtxt(rows[1:], delimiter=",", comments=None, ndmin=2)
+    cols = dict(zip(header, data.T, strict=True))
+    return _surfaces_from_table(np.column_stack([cols[name] for name in _SURFACE_COLUMNS]))
+
+
+def write_surfaces_npy(path: Path, surfaces: PDESurfaces) -> None:
+    """The CSV's table as one float64 (cells, 9) array, flags 0.0 or 1.0, in a ``.npy``."""
+    table = np.empty((*surfaces.grid.shape, len(_SURFACE_COLUMNS)))
+    for k, column in enumerate((*_axes(surfaces.grid), surfaces.u0, surfaces.u1, surfaces.v,
+                                surfaces.in_s0, surfaces.in_s1, surfaces.in_s)):
+        table[..., k] = column
+    with open(path, "wb") as fh:  # np.save would append ".npy" to a path without it
+        np.save(fh, table.reshape(-1, len(_SURFACE_COLUMNS)), allow_pickle=False)
+
+
+def surfaces_from_npy(path: Path) -> PDESurfaces:
+    with open(path, "rb") as fh:  # an .npz loads lazily from the open file: closed here
+        data = np.load(fh, allow_pickle=False)
+        if not (isinstance(data, np.ndarray) and data.dtype == np.float64 and data.ndim == 2
+                and data.shape[1] == len(_SURFACE_COLUMNS)):
+            found = f"{data.dtype} {data.shape}" if isinstance(data, np.ndarray) else type(data).__name__
+            raise ValueError(f"need one float64 array of shape (cells, {len(_SURFACE_COLUMNS)}), "
+                             f"found {found}")
+    return _surfaces_from_table(data)
+
+
+def _surfaces_from_table(data: np.ndarray) -> PDESurfaces:
+    """Surfaces from a (cells, 9) table of ``_SURFACE_COLUMNS``, as either reader found it."""
     grid = PDEGrid(*(np.unique(data[:, i]) for i in range(3)))
     shape = grid.shape
-    # every cell exactly once, in the order surfaces_csv writes them
-    axes = (grid.t[:, None, None], grid.pi[:, None], grid.x)
+    # every cell exactly once, in the order the writers write them
     if data.shape[0] != np.prod(shape) or not all(
         np.array_equal(data[:, i].reshape(shape), np.broadcast_to(axis, shape))
-        for i, axis in enumerate(axes)
+        for i, axis in enumerate(_axes(grid))
     ):
-        raise ValueError("surfaces CSV: rows are not the t, pi, x grid in order, each cell once")
-    cols = {name: data[:, i].reshape(shape) for i, name in enumerate(header)}
-    u0, u1, v = cols["u0"], cols["u1"], cols["v"]
-    flags = [cols[name] for name in ("in_S0", "in_S1", "in_S")]
+        raise ValueError("rows are not the t, pi, x grid in order, each cell once")
+    u0, u1, v, *flags = (data[:, i].reshape(shape) for i in range(3, len(_SURFACE_COLUMNS)))
     if not all(np.isin(flag, (0.0, 1.0)).all() for flag in flags):
-        raise ValueError("surfaces CSV: stopping-set flags must be 0 or 1")
+        raise ValueError("stopping-set flags must be 0 or 1")
     masks = [flag.astype(bool) for flag in flags]
     return PDESurfaces(grid, u0, u1, v, *masks, identity_residual(grid.pi, u0, u1, v, *masks))
 

@@ -30,16 +30,20 @@ exponentially (677 at depth 4, 458 330 at depth 5), so it is guarded by a cap.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
 from .core import FiltrationTree, GeneratingProcess, StoppingRule, flow_value, payoff_flows
 from .scenario import ScenarioGame, StrategyProfile, ValueSurfaces, best_response_values
 
-# scipy's HiGHS binding is imported inside ``_run_highs``: importing the
+# scipy's HiGHS binding is loaded by ``_highs`` on the first solve: importing the
 # package, and every CLI command that solves no LP, then skips scipy's load time
 
 __all__ = [
@@ -199,11 +203,30 @@ def _sequence_form_lp(game: ScenarioGame):
             np.concatenate([b_ub, row_lower[n:]]), col_lower, np.full(cost.size, np.inf))
 
 
+_HIGHS_MODULE = "scipy.optimize._highspy._core"
+
+
+def _highs():
+    """scipy's HiGHS binding, loaded from its file without running ``scipy.optimize``'s
+    ``__init__`` (most of an ``oracle`` command's start-up).  Registered under its own
+    name, it is the one module object that ``linprog`` also uses, whichever comes first."""
+    if _HIGHS_MODULE not in sys.modules:
+        import scipy
+
+        folder = Path(scipy.__file__).parent / "optimize" / "_highspy"
+        location = next(path for suffix in importlib.machinery.EXTENSION_SUFFIXES
+                        if (path := folder / f"_core{suffix}").exists())
+        spec = importlib.util.spec_from_file_location(_HIGHS_MODULE, location)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[_HIGHS_MODULE] = module
+        spec.loader.exec_module(module)
+    return sys.modules[_HIGHS_MODULE]
+
+
 def _run_highs(lp, presolve: bool):
     """(solution, info) of a fresh HiGHS run with ``_LP_OPTIONS``, or ``NumericalFailure``;
     the arrays go whole through ``passModel``'s array form, every column continuous."""
-    from scipy.optimize._highspy import _core as highs
-
+    highs = _highs()
     cost, indptr, indices, data, row_lower, row_upper, col_lower, col_upper = lp
     options, solver = highs.HighsOptions(), highs._Highs()
     for key, val in dict(_LP_OPTIONS, presolve="on" if presolve else "off").items():

@@ -358,62 +358,74 @@ class TestDynamicsCommands:
         assert main(["dynamics", "extract", *dyn, "--dt", "0.05", "--paths", "10", "--seed", "1"]) == 0
         assert main(["dynamics", "verify", *dyn, "--dt", "0.05", "--paths", "400", "--seed", "2"]) == 0
         digests = tree_digest(tmp_path / "pipe")
+        assert digests["surfaces.npy"] == "c99a43a6e9e427288b1236654d827fcb68aa9067e60899e92872421f720f4771"
+        # the table written back as the surfaces.csv the pde action wrote before
+        # surfaces.npy: every surface value and flag is the same to the last digit
+        surf = gameio.surfaces_from_npy(tmp_path / "pipe" / "surfaces.npy")
+        config = json.loads((tmp_path / "pipe" / "pde_meta.json").read_text())["config"]
+        (tmp_path / "surfaces.csv").write_text(gameio.surfaces_csv(surf, config))
+        assert body_digest(tmp_path / "surfaces.csv") == \
+            "eebe6c8bd00d42cf6b86afab760262acaad14fca25a6780f97c86f2be9aaa5dc"
         for name, digest, body in (
-            ("surfaces.csv", "286744ab9f2792fb3dbe48c8f275512f72fdda37dba0534f62213e31311ebaf8",
-             "eebe6c8bd00d42cf6b86afab760262acaad14fca25a6780f97c86f2be9aaa5dc"),
             ("trajectories.csv", "a80146852a19e8cbecf40143f578b62b5c2e311b287d1833b5acffc7e7e29129",
              "784da659a6c34904f13ca74978007ac0f0e48bb6428f359960da7446c2df1859"),
-            ("verify_report.json", "9b31055da6c123dd35ca78c86c5420b2d8fb54dd13ca8339d8cc4e971e8820e7",
+            ("verify_report.json", "97a971eaaa14d2d66e255bd76c0130b31a02391a3ae33362f77cd184d71b0bca",
              "b335e875e4a9e99753c3d6fef73fcbe4b31a013cbe9a54a33b87e43412231f1a"),
         ):
             assert body_digest(tmp_path / "pipe" / name) == body, name
             assert digests[name] == digest, name
 
-    def test_pde_before_extract_required(self, model_file, tmp_path):
+    def test_pde_before_extract_required(self, model_file, tmp_path, capsys):
         rc = main([
             "dynamics", "extract", "--model", str(model_file),
             "--out", str(tmp_path / "nowhere"),
         ])
         assert rc == 2
+        assert "run 'dynamics pde' first" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("damage", ["truncated", "uneven_x", "swapped_rows", "duplicated_row",
-                                        "bad_flag", "header_only"])
+    @pytest.mark.parametrize("damage", [
+        "truncated", "uneven_x", "swapped_rows", "duplicated_row", "bad_flag", "header_only",
+        # what np.load (allow_pickle=False) makes of a file that is not the float64 (cells, 9)
+        # table: an EOFError, an NpzFile, a ValueError, or the wrong array
+        "empty", "npz", "object", "csv_text", "float32", "one_dim", "eight_columns",
+    ])
     def test_malformed_surfaces_exits_2(self, model_file, tmp_path, capsys, damage):
         out = tmp_path / "d"
         assert main(["dynamics", "pde", "--model", str(model_file), "--grid", "11x5x21",
                      "--out", str(out)]) == 0
-        text = (out / "surfaces.csv").read_text()
-        lines = text.splitlines()
-        start = lines.index("t,pi,x,u0,u1,v,in_S0,in_S1,in_S") + 1
-        if damage == "truncated":
-            text = text[: len(text) // 2]
-        elif damage == "header_only":
-            text = "\n".join(lines[:start]) + "\n"
-        elif damage in ("swapped_rows", "duplicated_row", "bad_flag"):
-            # each keeps the grid and the row count, so only a row-by-row check sees it
-            first, second = start + 30, start + 31
-            if damage == "swapped_rows":
-                lines[first], lines[second] = lines[second], lines[first]
-            elif damage == "duplicated_row":
-                lines[second] = lines[first]
-            else:
-                lines[first] = lines[first][: lines[first].rindex(",")] + ",0.5"
-            text = "\n".join(lines) + "\n"
-        else:
+        path = out / "surfaces.npy"
+        table = np.load(path)
+        # each of these three keeps the grid and the row count, so only a row-by-row check sees it
+        if damage == "swapped_rows":
+            table[[30, 31]] = table[[31, 30]]
+        elif damage == "duplicated_row":
+            table[31] = table[30]
+        elif damage == "bad_flag":
+            table[30, -1] = 0.5
+        elif damage == "uneven_x":
             # move the second x node wherever it occurs: a consistent, non-uniform grid
-            x1 = lines[start + 1].split(",")[2]
-            for k in range(start, len(lines)):
-                cols = lines[k].split(",")
-                if cols[2] == x1:
-                    cols[2] = repr(float(x1) + 0.05)
-                    lines[k] = ",".join(cols)
-            text = "\n".join(lines) + "\n"
-        (out / "surfaces.csv").write_text(text)
+            x = table[:, 2]
+            x[x == x[1]] += 0.05
+        if damage == "truncated":
+            path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        elif damage == "empty":
+            path.write_bytes(b"")
+        elif damage == "npz":
+            with open(path, "wb") as fh:
+                np.savez(fh, table=table)
+        elif damage == "object":
+            np.save(path, table.astype(object), allow_pickle=True)
+        elif damage == "csv_text":
+            path.write_text("t,pi,x,u0,u1,v,in_S0,in_S1,in_S\n0.0,0.0,-2.0,0.6,0.6,0.6,0,0,0\n")
+        else:
+            np.save(path, {"header_only": table[:0], "float32": table.astype(np.float32),
+                           "one_dim": table.ravel(), "eight_columns": table[:, :8]}.get(damage, table))
         capsys.readouterr()
-        rc = main(["dynamics", "extract", "--model", str(model_file), "--dt", "0.05",
-                   "--paths", "5", "--seed", "1", "--out", str(out)])
-        assert rc == 2
-        assert "surfaces:" in capsys.readouterr().err
+        for action in ("extract", "verify"):
+            rc = main(["dynamics", action, "--model", str(model_file), "--dt", "0.05",
+                       "--paths", "5", "--seed", "1", "--out", str(out)])
+            assert rc == 2, action
+            assert capsys.readouterr().err.startswith("error: surfaces: "), action
 
     @pytest.mark.parametrize("action,extra,patch", [
         ("simulate", ["--dt", "0.03"], {}),
@@ -555,26 +567,32 @@ class TestDeterminism:
         assert tree_digest(tmp_path / "d")["paths.csv"] == digest
 
     def test_surfaces_round_trip(self, model_file, tmp_path):
+        # surfaces.npy -> CSV -> surfaces.npy: the same arrays and the same bytes
         out = tmp_path / "p"
         main(["dynamics", "pde", "--model", str(model_file), "--grid", "11x5x21",
               "--out", str(out)])
-        text = (out / "surfaces.csv").read_text()
-        surf = gameio.surfaces_from_csv(text)
-        again = gameio.surfaces_csv(surf, {"seed": 0, "dt": 0.01, "grid": "11x5x21"})
-        body = lambda s: [ln for ln in s.splitlines() if not ln.startswith("#")]
-        assert body(again) == body(text)
+        surf = gameio.surfaces_from_npy(out / "surfaces.npy")
+        again = gameio.surfaces_from_csv(gameio.surfaces_csv(surf, {"grid": "11x5x21"}))
+        for name in ("t", "pi", "x"):
+            assert np.array_equal(getattr(again.grid, name), getattr(surf.grid, name))
+        for name in ("u0", "u1", "v", "in_s0", "in_s1", "in_s"):
+            assert np.array_equal(getattr(again, name), getattr(surf, name))
+        gameio.write_surfaces_npy(tmp_path / "again.npy", again)
+        assert (tmp_path / "again.npy").read_bytes() == (out / "surfaces.npy").read_bytes()
 
     def test_surfaces_reader_matches_reference(self, model_file, tmp_path):
+        # the .npy reader against a per-cell float parse of the same table as CSV
         out = tmp_path / "p"
         assert main(["dynamics", "pde", "--model", str(model_file), "--grid", "21x11x41",
                      "--out", str(out)]) == 0
-        text = (out / "surfaces.csv").read_text()
-        got, want = gameio.surfaces_from_csv(text), ref_surfaces_from_csv(text)
-        for name in ("t", "pi", "x"):
-            assert np.array_equal(getattr(got.grid, name), getattr(want.grid, name))
-        for name in ("u0", "u1", "v", "in_s0", "in_s1", "in_s"):
-            assert np.array_equal(getattr(got, name), getattr(want, name))
-        assert got.identity_residual == want.identity_residual
+        got = gameio.surfaces_from_npy(out / "surfaces.npy")
+        text = gameio.surfaces_csv(got, {"grid": "21x11x41"})
+        for want in (ref_surfaces_from_csv(text), gameio.surfaces_from_csv(text)):
+            for name in ("t", "pi", "x"):
+                assert np.array_equal(getattr(got.grid, name), getattr(want.grid, name))
+            for name in ("u0", "u1", "v", "in_s0", "in_s1", "in_s"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+            assert got.identity_residual == want.identity_residual
 
     def test_pde_counters_deterministic(self, model_file, tmp_path):
         argv = ["dynamics", "pde", "--model", str(model_file), "--grid", "21x11x41",
@@ -592,7 +610,9 @@ class TestDeterminism:
 
 class TestImports:
     def test_commands_without_lp_or_pde_load_no_scipy(self, game_file, model_file, tmp_path):
-        # the import graph is per process, so it is checked in a fresh interpreter
+        # the import graph is per process, so it is checked in a fresh interpreter:
+        # oracle loads HiGHS's binding alone, never scipy.optimize, and only pde
+        # loads scipy.sparse
         path, _ = game_file
         eq = tmp_path / "eq"
         assert main(["oracle", "--game", str(path), "--out", str(eq)]) == 0
@@ -612,13 +632,50 @@ class TestImports:
                          "--out", {str(tmp_path / "ver")!r}]) == 0
             assert not loaded(), ("simulate, verify", loaded())
             assert main(["oracle", "--game", {str(path)!r}, "--out", {str(tmp_path / "eq2")!r}]) == 0
+            assert "scipy.optimize._highspy._core" in sys.modules
+            assert not loaded(), ("oracle", loaded())
             assert main(["dynamics", "pde", "--model", {str(model_file)!r}, "--grid", "5x3x9",
                          "--out", {str(tmp_path / "pde")!r}]) == 0
+            assert loaded() == ["scipy.sparse"], ("pde", loaded())
         """)
         src = str(Path(asymdynkin.__file__).parents[1])
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": src}, timeout=120)
         assert proc.returncode == 0, proc.stderr
+
+    def test_oracle_and_linprog_share_one_highs_binding(self):
+        # whichever of solve_scenario and linprog loads scipy's HiGHS binding
+        # first, both use the one module object and give the same numbers
+        script = textwrap.dedent("""
+            import sys
+            from asymdynkin import oracle
+            from asymdynkin.gamegen import random_scenario_game
+
+            def solve():
+                return oracle.solve_scenario(random_scenario_game(3, seed=5, prior=0.5))
+
+            def lin():
+                from scipy.optimize import linprog
+                return linprog([-1.0, -2.0], A_ub=[[1.0, 1.0], [1.0, 3.0]], b_ub=[4.0, 6.0],
+                               method="highs-ds")
+
+            first, second = (solve, lin) if sys.argv[1] == "oracle" else (lin, solve)
+            results = {f.__name__: f() for f in (first, second)}
+            from scipy.optimize._highspy import _highs_wrapper
+            core = sys.modules["scipy.optimize._highspy._core"]
+            assert oracle._highs() is core and _highs_wrapper._h is core
+            sol, lp = results["solve"], results["lin"]
+            print(sol.value.hex(), sol.lp.nit, lp.nit, [x.hex() for x in lp.x])
+        """)
+        src = str(Path(asymdynkin.__file__).parents[1])
+        outputs = []
+        for first in ("oracle", "linprog"):
+            proc = subprocess.run([sys.executable, "-c", script, first], capture_output=True,
+                                  text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].split()[0] == solve_scenario(random_scenario_game(3, seed=5, prior=0.5)).value.hex()
 
 
 def _field_paths(doc, prefix=()):
@@ -656,7 +713,7 @@ EXIT_CODES = {0, 1, 2, 4, 5}
 
 @pytest.fixture(scope="module")
 def fuzz_base(tmp_path_factory):
-    """A valid equilibrium of FUZZ_GAME and a surfaces.csv of FUZZ_MODEL."""
+    """A valid equilibrium of FUZZ_GAME and a surfaces.npy of FUZZ_MODEL."""
     base = tmp_path_factory.mktemp("fuzz")
     (base / "game.json").write_text(json.dumps(FUZZ_GAME))
     (base / "model.json").write_text(json.dumps(FUZZ_MODEL))
@@ -686,7 +743,7 @@ class TestMalformedInputFuzz:
         with tempfile.TemporaryDirectory(dir=fuzz_base) as tmp:
             model = Path(tmp) / "model.json"
             model.write_text(json.dumps(_mutated(FUZZ_MODEL, path, value)))
-            shutil.copy(fuzz_base / "surfaces.csv", tmp)
+            shutil.copy(fuzz_base / "surfaces.npy", tmp)
             dyn = ["--model", str(model), "--dt", "0.5", "--paths", "5", "--out", tmp]
             for action in ("simulate", "extract", "verify"):
                 assert main(["dynamics", action, *dyn]) in EXIT_CODES
