@@ -43,11 +43,17 @@ surf = pde_solve_system(flat, F, G, H, grid)
 print("degenerate model (w = 0):")
 print(f"  v pi-independent to {np.max(np.abs(surf.v - surf.v[:, :1, :])):.2e}")
 
+
+
+def identity_gap(surf):
+    """Largest |v - (pi u1 + (1-pi) u0)| over every cell of the grid."""
+    pi_col = surf.grid.pi[:, None]
+    return np.max(np.abs(surf.v - (pi_col * surf.u1 + (1.0 - pi_col) * surf.u0)))
+
+
 ref = reference_dynkin_1d(const(0.1), const(0.4), F, G, H, grid.t, grid.x)
-print(f"  sup|v - double-obstacle reference| = "
-      f"{np.max(np.abs(surf.v[:, grid.pi.size // 2, :] - ref)):.2e}")
-print(f"  identity |v - (pi u1 + (1-pi) u0)| on joint continuation: "
-      f"{surf.identity_residual:.2e}")
+print(f"  sup|v - double-obstacle reference| = {np.max(np.abs(surf.v - ref[:, None, :])):.2e}")
+print(f"  identity |v - (pi u1 + (1-pi) u0)| on every cell: {identity_gap(surf):.2e}")
 
 # --------------------------------------------------------------------------
 # hidden drift: the belief becomes a genuine state variable
@@ -61,7 +67,7 @@ surf = pde_solve_system(model, F, G, H, grid)
 print("\nhidden-drift model (w = 1.6):")
 print(f"  stopping sets cover {surf.in_s0.mean():.1%} (incarnation 0), "
       f"{surf.in_s1.mean():.1%} (incarnation 1), {surf.in_s.mean():.1%} (uninformed)")
-print(f"  identity residual on joint continuation: {surf.identity_residual:.2e}")
+print(f"  identity residual on every cell: {identity_gap(surf):.2e}")
 
 mid = grid.pi.size // 2
 root = surf.v[0, mid, grid.x.size // 2]

@@ -2,8 +2,8 @@
 
 ``model_from_dict`` builds a ``DiffusionModel`` from a ``model.json`` and keeps
 no copy of it; a ``PathBundle`` holds paths, regimes, exits and the filter's
-clamp, not the seed or step that made them; ``pde_solve_system``'s tolerances
-are fixed in ``pde``.
+clamp, not the seed or step that made them; ``pde_solve_system`` takes no
+tolerance, and its one margin, the stopping-set ``_SET_TOL``, is fixed in ``pde``.
 """
 
 from .generators import (

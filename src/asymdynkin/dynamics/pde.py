@@ -1,16 +1,18 @@
 """Coupled free-boundary system for the continuous-state stopping game.
 
 Three surfaces on a (t, pi, x) grid: per-regime informed values u0, u1 and
-the uninformed value v, solved backward in time.  Each slice runs one
-implicit (backward Euler) region iteration until the surfaces stabilize:
+the uninformed value v, solved backward in time.  Each slice is one projected
+splitting step, with no iteration inside it:
 
-* u_i obeys an implicit step of its regime generator off the opponent's
-  stopping set S = {v = g} and is pinned to g inside it (the opponent stops
-  first there), then projected onto u_i <= f;
-* v obeys the observation generator off the informed stopping sets and is
-  pinned to pi u1 + (1-pi) u0 inside S0 u S1, then projected onto v >= g;
+* each u_i takes one implicit (backward Euler) step of its regime generator
+  and is projected onto u_i <= f;
 * the belief-flattening constraint d_pi u_i = 0 is enforced across S0 u S1
-  by a one-sided copy from the adjacent continuation value.
+  by a one-sided copy from the adjacent continuation value, followed by the
+  same projection;
+* v is the ex-ante combination pi u1 + (1-pi) u0 of the stepped surfaces,
+  and the opponent's stopping set is S = {v <= g}.  On S the opponent stops
+  first, so u0, u1 and v are all pinned to g there; the identity
+  v = pi u1 + (1-pi) u0 then holds on every cell.
 
 The belief-run rule -- where the belief lands when an incarnation acts -- is
 ``_run_edges``: the first and last pi index of the run of action cells that
@@ -28,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import MODES, DiffusionModel, generator_coefficients
+from .model import DiffusionModel, generator_coefficients
 
 # scipy.sparse is imported inside the functions that use it: importing the
 # package, and every CLI command that solves no PDE, then skips its load time
@@ -45,14 +47,10 @@ __all__ = [
 
 
 class NoConvergence(RuntimeError):
-    """A slice iteration failed to stabilize within the budget."""
+    """A regime's implicit step system is singular, so the solve cannot proceed."""
 
 
-# a slice iteration stops once its largest change is at most _SLICE_TOL times
-# the slice's scale and gives up after _MAX_ITERS rounds; a cell belongs to a
-# stopping set when its value is within _SET_TOL of the obstacle
-_SLICE_TOL = 1e-8
-_MAX_ITERS = 200
+# a cell belongs to a stopping set when its value is within _SET_TOL of the obstacle
 _SET_TOL = 1e-10
 
 
@@ -99,9 +97,9 @@ class PDEGrid:
 class PDEStats:
     """Deterministic counters of one ``pde_solve_system`` run.
 
-    ``solves`` counts the masked linear solves of the region iteration and
-    ``factorisations`` the distinct (mode, mask) systems among them, each
-    LU-factorised once.
+    ``solves`` counts the implicit regime steps, one per regime and slice, so
+    2 (m_t - 1); ``factorisations`` counts the LU factors they share, one per
+    regime, so 2.
     """
 
     solves: int
@@ -131,7 +129,7 @@ class PDESurfaces:
 
 
 def _operator(model: DiffusionModel, grid: PDEGrid, mode: str):
-    """Sparse (CSR) spatial generator on the (pi, x) sheet for one mode of ``MODES``.
+    """Sparse (CSC) spatial generator on the (pi, x) sheet for one mode of ``MODES``.
 
     The coefficients are ``generator_coefficients``.  First derivatives are
     upwinded; the cross term is centered; x-boundaries are reflecting.
@@ -197,30 +195,7 @@ def _operator(model: DiffusionModel, grid: PDEGrid, mode: str):
     rows = np.concatenate([np.asarray(r).ravel() for r in rows])
     cols = np.concatenate([np.asarray(c).ravel() for c in cols])
     vals = np.concatenate([np.asarray(v).ravel() for v in vals])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-
-
-def _masked_solve(factors: dict, a_base, mode: str, mask: np.ndarray, pinned: np.ndarray,
-                  rhs: np.ndarray) -> np.ndarray:
-    """Solve A u = rhs with masked rows replaced by u = pinned.
-
-    ``a_base`` is the CSR system of ``mode``.  ``factors`` holds the LU factor
-    of each masked system met so far, keyed by (mode, mask bytes): the region
-    iteration meets a few systems many times, so it factorises only new ones.
-    """
-    key = (mode, mask.tobytes())
-    lu = factors.get(key)
-    if lu is None:
-        import scipy.sparse as sp
-        import scipy.sparse.linalg as spla
-
-        free = (~mask).astype(float)
-        a = sp.diags(free) @ a_base + sp.diags(mask.astype(float))
-        try:
-            lu = factors[key] = spla.splu(a.tocsc())
-        except RuntimeError as exc:  # "Factor is exactly singular"
-            raise NoConvergence(f"the implicit {mode} system is singular: {exc}")
-    return lu.solve(np.where(mask, pinned, rhs))
+    return sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
 
 
 def _run_edges(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -281,100 +256,61 @@ def pde_solve_system(
     h: Callable,
     grid: PDEGrid,
 ) -> PDESurfaces:
-    """Backward implicit region-iteration solve of the coupled variational system.
+    """Backward projected splitting solve of the coupled variational system.
 
     ``f``, ``g``, ``h`` are payoff functions of (t, x) with f >= h >= g;
-    terminal data is h(T, .) for all three surfaces.  Raises NoConvergence
-    if a slice fails to stabilize within ``_MAX_ITERS`` rounds or an implicit
-    system is singular.
+    terminal data is h(T, .) for all three surfaces.  Each regime's implicit
+    system is LU-factorised once; raises NoConvergence if one is singular.
     """
     import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
 
     mt, mpi, mx = grid.shape
     dt = grid.t[1] - grid.t[0]
-    eye = sp.identity(mpi * mx, format="csr")
-    a_imp = {mode: (eye - dt * _operator(model, grid, mode)).tocsr() for mode in MODES}
+    eye = sp.identity(mpi * mx, format="csc")
+    lus = []
+    for mode in ("regime-0", "regime-1"):
+        try:
+            lus.append(spla.splu(eye - dt * _operator(model, grid, mode)))
+        except RuntimeError as exc:  # "Factor is exactly singular"
+            raise NoConvergence(f"the implicit {mode} system is singular: {exc}")
 
     pi_col = grid.pi[:, None]
     u = np.empty((2, mt, mpi, mx))
     v = np.empty((mt, mpi, mx))
-    term = np.broadcast_to(np.asarray(h(grid.t[-1], grid.x)), (mpi, mx)).copy()
-    u[0, -1] = u[1, -1] = term
-    v[-1] = term
+    u[0, -1] = u[1, -1] = v[-1] = h(grid.t[-1], grid.x)
 
     def payoff_slices(t):
         ft = np.broadcast_to(np.asarray(f(t, grid.x), dtype=float), (mpi, mx))
         gt = np.broadcast_to(np.asarray(g(t, grid.x), dtype=float), (mpi, mx))
         return ft, gt
 
-    in_s0 = np.zeros((mt, mpi, mx), dtype=bool)
-    in_s1 = np.zeros((mt, mpi, mx), dtype=bool)
-    in_s = np.zeros((mt, mpi, mx), dtype=bool)
+    in_s0, in_s1, in_s = (np.zeros((mt, mpi, mx), dtype=bool) for _ in range(3))
     ft, gt = payoff_slices(grid.t[-1])
-    in_s0[-1] = u[0, -1] >= ft - _SET_TOL
-    in_s1[-1] = u[1, -1] >= ft - _SET_TOL
+    in_s0[-1] = in_s1[-1] = v[-1] >= ft - _SET_TOL
     in_s[-1] = v[-1] <= gt + _SET_TOL
 
-    scale = max(1.0, float(np.max(np.abs(term))))
-    factors: dict = {}
-    solves = 0
-
     for k in range(mt - 2, -1, -1):
-        t = grid.t[k]
-        ft, gt = payoff_slices(t)
-        u_next = [u[i, k + 1].reshape(-1) for i in range(2)]
-        v_next = v[k + 1].reshape(-1)
-        u_cur = [u[i, k + 1].copy() for i in range(2)]
-        v_cur = v[k + 1].copy()
-        # the opponent-stop pin for u uses the last converged stopping set
-        # (one-step time lag); the fully coupled within-slice fixed point can
-        # cycle, while this explicit treatment terminates and is O(dt)
-        s_mask = in_s[k + 1].reshape(-1)
-
-        for _ in range(_MAX_ITERS):
-            new_u = [
-                np.minimum(_masked_solve(factors, a_imp[mode], mode, s_mask, gt.reshape(-1),
-                                         u_next[i]).reshape(mpi, mx), ft)
-                for i, mode in enumerate(("regime-0", "regime-1"))
-            ]
-            s_i_new = [new_u[i] >= ft - _SET_TOL for i in range(2)]
-            only1 = s_i_new[1] & ~s_i_new[0]
-            only0 = s_i_new[0] & ~s_i_new[1]
-            # belief jumps flatten the opponent's surface across each run
-            new_u[0] = np.minimum(_pi_copy(new_u[0], only1, from_below=True), ft)
-            new_u[1] = np.minimum(_pi_copy(new_u[1], only0, from_below=False), ft)
-            s_i_new = [new_u[i] >= ft - _SET_TOL for i in range(2)]
-
-            informed_mask = s_i_new[0] | s_i_new[1]
-            pinned_v = pi_col * new_u[1] + (1.0 - pi_col) * new_u[0]
-            sol_v = _masked_solve(
-                factors, a_imp["observation"], "observation", informed_mask.reshape(-1),
-                pinned_v.reshape(-1), v_next,
-            )
-            solves += 3
-            new_v = np.maximum(sol_v.reshape(mpi, mx), gt)
-
-            delta = max(
-                float(np.max(np.abs(new_u[0] - u_cur[0]))),
-                float(np.max(np.abs(new_u[1] - u_cur[1]))),
-                float(np.max(np.abs(new_v - v_cur))),
-            )
-            u_cur, v_cur = new_u, new_v
-            if delta <= _SLICE_TOL * scale:
-                break
-        else:
-            raise NoConvergence(f"slice {k} (t={t}) did not stabilize; last delta {delta:.3e}")
-
-        u[0, k], u[1, k], v[k] = u_cur[0], u_cur[1], v_cur
-        in_s0[k] = u_cur[0] >= ft - _SET_TOL
-        in_s1[k] = u_cur[1] >= ft - _SET_TOL
-        in_s[k] = v_cur <= gt + _SET_TOL
+        ft, gt = payoff_slices(grid.t[k])
+        step = [np.minimum(lu.solve(u[i, k + 1].reshape(-1)).reshape(mpi, mx), ft)
+                for i, lu in enumerate(lus)]
+        s0, s1 = (w >= ft - _SET_TOL for w in step)
+        # belief jumps flatten the opponent's surface across each run
+        step[0] = np.minimum(_pi_copy(step[0], s1 & ~s0, from_below=True), ft)
+        step[1] = np.minimum(_pi_copy(step[1], s0 & ~s1, from_below=False), ft)
+        v_c = pi_col * step[1] + (1.0 - pi_col) * step[0]
+        # the opponent stops first on S: pinning all three surfaces to g there
+        # keeps the identity exact on S too
+        in_s[k] = v_c <= gt + _SET_TOL
+        u[0, k], u[1, k], v[k] = (np.where(in_s[k], gt, w) for w in (step[0], step[1], v_c))
+        in_s0[k] = u[0, k] >= ft - _SET_TOL
+        in_s1[k] = u[1, k] >= ft - _SET_TOL
 
     # the terminal slice is data, not a solve: its residual is rounding only
     resid = identity_residual(grid.pi, u[0, :-1], u[1, :-1], v[:-1],
                               in_s0[:-1], in_s1[:-1], in_s[:-1])
     return PDESurfaces(grid, u[0], u[1], v, in_s0, in_s1, in_s, resid,
-                       PDEStats(solves, len(factors)))
+                       PDEStats(2 * (mt - 1), len(lus)))
 
 
 def reference_dynkin_1d(

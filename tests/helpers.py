@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
-from scipy.sparse.linalg import spsolve
 
 from asymdynkin.core import (
     FiltrationTree,
@@ -581,17 +580,8 @@ def ref_strategy_evaluate(smap, x_paths: np.ndarray, psi: np.ndarray | None = No
     return p_out, xi[0], xi[1], zeta
 
 
-# References for the PDE solve's factor cache and the vectorised surfaces
-# reader: the solve must give the same surfaces when every masked system is
-# factorised afresh, and the reader the same arrays as a per-cell float parse.
-
-
-def ref_masked_solve(a_base, mask: np.ndarray, pinned: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve A u = rhs with masked rows replaced by u = pinned, factorising every call."""
-    free = (~mask).astype(float)
-    a = sparse.diags(free) @ a_base + sparse.diags(mask.astype(float))
-    b = np.where(mask, pinned, rhs)
-    return spsolve(a.tocsc(), b)
+# Reference for the vectorised surfaces reader: the same arrays as a per-cell
+# float parse.
 
 
 def ref_surfaces_from_csv(text: str) -> PDESurfaces:

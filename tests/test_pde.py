@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -20,11 +21,11 @@ from asymdynkin.dynamics import (
     simulate_regime_paths,
     standard_test_functions,
 )
-from asymdynkin.dynamics import pde
+from asymdynkin.dynamics import NoConvergence, pde
 from asymdynkin.dynamics.model import parse_expression
 from asymdynkin.dynamics.pde import PDEStats, PDESurfaces, _operator, _pi_copy
 
-from helpers import ref_masked_solve, ref_pi_copy, ref_strategy_evaluate
+from helpers import ref_pi_copy, ref_strategy_evaluate
 
 
 def const(c):
@@ -54,6 +55,37 @@ def generic():
     )
     grid = PDEGrid.regular(1.0, model.domain, m_t=41, m_pi=13, m_x=61)
     return model, grid, pde_solve_system(model, F, G, H, grid)
+
+
+def _moving_sets():
+    # x-dependent obstacles: the stopping sets S and S1 change from slice to slice
+    model = DiffusionModel(
+        mu0=const(-0.6), mu1=const(0.6), sigma=const(0.5),
+        x0=0.0, prior=0.5, horizon=1.0, domain=(-2.0, 2.0),
+    )
+    clipx = lambda t, x: np.clip(np.asarray(x) + 0.0 * np.asarray(t), -1.0, 1.0)
+    payoffs = (lambda t, x: clipx(t, x) + 0.15, lambda t, x: clipx(t, x) - 0.15, clipx)
+    return model, PDEGrid.regular(1.0, model.domain, 21, 9, 41), payoffs
+
+
+@pytest.fixture(scope="module")
+def moving():
+    model, grid, payoffs = _moving_sets()
+    return model, grid, pde_solve_system(model, *payoffs, grid)
+
+
+@pytest.fixture(scope="module")
+def model_b():
+    # asymmetric drifts, prior 0.3 and narrow obstacles that both bind near x = 0
+    model = DiffusionModel(
+        mu0=const(-0.2), mu1=const(0.5), sigma=const(0.5),
+        x0=0.0, prior=0.3, horizon=1.0, domain=(-2.0, 2.0),
+    )
+    f = lambda t, x: 0.1 + 0.0 * np.asarray(t) + 0.0 * np.asarray(x)
+    g = lambda t, x: -0.1 + 0.0 * np.asarray(t) + 0.0 * np.asarray(x)
+    h = lambda t, x: np.clip(np.asarray(x) + 0.0 * np.asarray(t), -0.1, 0.1)
+    grid = PDEGrid.regular(1.0, model.domain, m_t=101, m_pi=21, m_x=101)
+    return model, grid, pde_solve_system(model, f, g, h, grid)
 
 
 class TestGrid:
@@ -107,10 +139,12 @@ class TestDegenerateReduction:
         assert np.max(np.abs(surf.v - surf.v[:, :1, :])) <= 1e-8
 
     def test_matches_reference_double_obstacle(self, degenerate):
+        # with w = 0 each regime step is the reference's step-then-clip, so all
+        # three surfaces match it on every pi row
         model, grid, surf = degenerate
         ref = reference_dynkin_1d(const(0.1), const(0.4), F, G, H, grid.t, grid.x)
-        mid = grid.pi.size // 2
-        assert np.max(np.abs(surf.v[:, mid, :] - ref)) <= 5e-2
+        for name in ("v", "u0", "u1"):
+            assert np.max(np.abs(getattr(surf, name) - ref[:, None, :])) <= 1e-8, name
 
     def test_identity_residual_small(self, degenerate):
         _, _, surf = degenerate
@@ -135,25 +169,52 @@ class TestGenericModel:
         _, _, surf = generic
         assert surf.identity_residual <= 5e-2
 
-    def test_grid_refinement_shrinks_probe_deltas(self):
+    def test_grid_refinement_shrinks_probe_errors(self):
+        # every surface moves closer to the finest level at each refinement
         model = DiffusionModel(
             mu0=const(-0.4), mu1=const(0.4), sigma=const(0.5),
             x0=0.0, prior=0.5, horizon=0.5, domain=(-2.0, 2.0),
         )
         probes = [(0.5, 0.0), (0.25, 0.4), (0.75, -0.4)]
         vals = []
-        for mt, mpi, mx in [(11, 5, 21), (21, 9, 41), (41, 17, 81)]:
+        for mt, mpi, mx in [(11, 5, 21), (21, 9, 41), (41, 17, 81), (81, 33, 161)]:
             grid = PDEGrid.regular(0.5, model.domain, mt, mpi, mx)
             surf = pde_solve_system(model, F, G, H, grid)
-            at = []
-            for p, x in probes:
-                ip = int(round(p * (mpi - 1)))
-                ix = int(round((x + 2.0) / 4.0 * (mx - 1)))
-                at.append(surf.v[0, ip, ix])
-            vals.append(np.asarray(at))
-        d1 = np.abs(vals[1] - vals[0]).max()
-        d2 = np.abs(vals[2] - vals[1]).max()
-        assert d2 < d1
+            ip = [int(round(p * (mpi - 1))) for p, _ in probes]
+            ix = [int(round((x + 2.0) / 4.0 * (mx - 1))) for _, x in probes]
+            vals.append({name: getattr(surf, name)[0, ip, ix] for name in ("v", "u0", "u1")})
+        for name in ("v", "u0", "u1"):
+            errors = [np.abs(level[name] - vals[-1][name]).max() for level in vals[:-1]]
+            assert errors[0] > errors[1] > errors[2], (name, errors)
+
+
+class TestSplittingStructure:
+    @pytest.mark.parametrize("case", ["generic", "degenerate", "moving"])
+    def test_two_factors_and_exact_identity(self, request, case):
+        _, grid, surf = request.getfixturevalue(case)
+        assert surf.stats == PDEStats(2 * (grid.t.size - 1), 2)
+        pi_col = grid.pi[:, None]
+        assert np.max(np.abs(surf.v - (pi_col * surf.u1 + (1.0 - pi_col) * surf.u0))) <= 1e-15
+
+    def test_singular_step_raises_no_convergence(self, monkeypatch):
+        model, _, payoffs = _moving_sets()
+        grid = PDEGrid.regular(1.0, model.domain, 3, 3, 5)
+        dt, n = grid.t[1] - grid.t[0], grid.pi.size * grid.x.size
+        # L = I / dt makes the implicit step I - dt L the zero matrix
+        monkeypatch.setattr(pde, "_operator", lambda *_: scipy.sparse.identity(n, format="csc") / dt)
+        with pytest.raises(NoConvergence, match="regime-0 system is singular"):
+            pde_solve_system(model, *payoffs, grid)
+
+    @pytest.mark.parametrize("case", [
+        "generic", "model_b",
+        pytest.param("moving", marks=pytest.mark.xfail(strict=True, reason=(
+            "v keeps a concave kink in pi where S meets S1; refinement does not remove it"))),
+    ])
+    def test_v_is_convex_in_pi(self, request, case):
+        # the informed player minimizes, so the value is convex in the prior
+        _, _, surf = request.getfixturevalue(case)
+        v = surf.v
+        assert np.min(v[:, 2:] - 2.0 * v[:, 1:-1] + v[:, :-2]) >= -1e-9
 
 
 class TestStrategyExtraction:
@@ -358,48 +419,14 @@ class TestRunEdges:
             assert np.any((xi[:, :-1] > 1e-9) & (xi[:, :-1] < 1.0 - 1e-9))
 
 
-def _moving_sets():
-    # x-dependent obstacles: the stopping sets S and S1 change from slice to slice
-    model = DiffusionModel(
-        mu0=const(-0.6), mu1=const(0.6), sigma=const(0.5),
-        x0=0.0, prior=0.5, horizon=1.0, domain=(-2.0, 2.0),
-    )
-    clipx = lambda t, x: np.clip(np.asarray(x) + 0.0 * np.asarray(t), -1.0, 1.0)
-    payoffs = (lambda t, x: clipx(t, x) + 0.15, lambda t, x: clipx(t, x) - 0.15, clipx)
-    return model, PDEGrid.regular(1.0, model.domain, 21, 9, 41), payoffs
-
-
-class TestFactorCache:
-    @pytest.mark.parametrize("case", ["generic", "degenerate", "moving"])
-    def test_cache_matches_refactorising(self, request, monkeypatch, case):
-        if case == "moving":
-            model, grid, payoffs = _moving_sets()
-            cached = pde_solve_system(model, *payoffs, grid)
-        else:
-            model, grid, cached = request.getfixturevalue(case)
-            payoffs = (F, G, H)
-        systems = []
-
-        def uncached(factors, a_base, mode, mask, pinned, rhs):
-            systems.append((mode, mask.tobytes()))
-            return ref_masked_solve(a_base, mask, pinned, rhs)
-
-        monkeypatch.setattr(pde, "_masked_solve", uncached)
-        fresh = pde_solve_system(model, *payoffs, grid)
-        for name in ("u0", "u1", "v", "in_s0", "in_s1", "in_s"):
-            assert np.array_equal(getattr(cached, name), getattr(fresh, name)), name
-        assert cached.stats == PDEStats(len(systems), len(set(systems)))
-        # the sets move in all three cases, so some mode meets several masks
-        assert 3 < cached.stats.factorisations < cached.stats.solves
-
-
 class TestPinnedArtifacts:
-    # sha256 of the CSV text as the per-column copy and per-path reflection
-    # loops wrote it: a change must not move a digit against them
+    # sha256 of the CSV text of the splitting solve's surfaces and of the
+    # trajectories the per-path reflection loop drew: a change must not move a
+    # digit against them
     def test_surfaces_csv_pinned(self, generic):
         _, _, surf = generic
         text = gameio.surfaces_csv(surf, {"grid": "41x13x61"})
-        assert _sha256(text) == "fb29a3a8a424bc915477bed83f916a0e3d3bf37e48c8952714c3de84052cb9b1"
+        assert _sha256(text) == "3a7e74550100590f7843e54051128a00ba8fa2660fce4f2e37ba8f800efa1eee"
 
     def test_trajectories_csv_pinned(self, generic):
         model, _, surf = generic
