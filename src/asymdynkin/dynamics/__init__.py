@@ -1,9 +1,11 @@
-"""Continuous-state companion: filtering simulation, PDE system, verification.
+"""Continuous-state companion: the diffusion pipeline of the stopping game.
 
-``model_from_dict`` builds a ``DiffusionModel`` from a ``model.json`` and keeps
-no copy of it; a ``PathBundle`` holds paths, regimes, exits and the filter's
-clamp, not the seed or step that made them; ``pde_solve_system`` takes no
-tolerance, and its one margin, the stopping-set ``_SET_TOL``, is fixed in ``pde``.
+``model`` holds the two-regime diffusion and its generator coefficients,
+``simulate`` the Euler paths of the state and its posterior, ``generators``
+the analytic generators and their Monte Carlo check, ``pde`` the coupled
+(u0, u1, v) free-boundary solver, ``strategies`` the strategy maps read off
+its surfaces, and ``verify`` the Monte Carlo check of the sufficiency
+conditions.
 """
 
 from .generators import (

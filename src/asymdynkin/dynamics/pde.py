@@ -14,6 +14,11 @@ splitting step, with no iteration inside it:
   first, so u0, u1 and v are all pinned to g there; the identity
   v = pi u1 + (1-pi) u0 then holds on every cell.
 
+The regime generators come from ``_operator``, which applies one stencil rule
+to each of the x and pi axes: centred diffusion, upwinded drift.  The
+identity's residual is ``PDESurfaces.identity_residual``, derived from the
+surfaces alone, so the solver and the file readers report the same number.
+
 The belief-run rule -- where the belief lands when an incarnation acts -- is
 ``_run_edges``: the first and last pi index of the run of action cells that
 holds each cell.  The copy above and ``strategies.StrategyMap`` both read it.
@@ -26,6 +31,7 @@ artificial boundary data is imposed there.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -41,7 +47,6 @@ __all__ = [
     "PDESurfaces",
     "NoConvergence",
     "pde_solve_system",
-    "identity_residual",
     "reference_dynkin_1d",
 ]
 
@@ -121,81 +126,55 @@ class PDESurfaces:
     in_s0: np.ndarray
     in_s1: np.ndarray
     in_s: np.ndarray
-    identity_residual: float
     stats: PDEStats | None = None
 
     def u(self, i: int) -> np.ndarray:
         return self.u1 if i else self.u0
 
+    @cached_property
+    def identity_residual(self) -> float:
+        """Largest |v - (pi u1 + (1-pi) u0)| over the continuation cells of slices 0 ... m_t-2.
+
+        The terminal slice is data, not a solve, so it is left out; 0.0 when
+        every cell of those slices lies in a stopping set.
+        """
+        cont = ~(self.in_s0 | self.in_s1 | self.in_s)[:-1]
+        pi = self.grid.pi[:, None]
+        gap = np.abs(self.v - (pi * self.u1 + (1.0 - pi) * self.u0))[:-1]
+        return float(np.max(gap[cont], initial=0.0))
+
 
 def _operator(model: DiffusionModel, grid: PDEGrid, mode: str):
     """Sparse (CSC) spatial generator on the (pi, x) sheet for one mode of ``MODES``.
 
-    The coefficients are ``generator_coefficients``.  First derivatives are
-    upwinded; the cross term is centered; x-boundaries are reflecting.
+    Per axis with step h, from ``generator_coefficients``: diffusion a is centred,
+    (a, -2a, a) / h^2, and drift b upwinded, b+ / h forward and b- / h backward.  x
+    adds reflecting end rows; pi keeps interior rows only (its coefficients vanish
+    at 0 and 1).  The cross term is centred on the doubly interior block.
     """
     import scipy.sparse as sp
 
-    pi, x = grid.pi, grid.x
-    mpi, mx = pi.size, x.size
-    dpi = pi[1] - pi[0]
-    dx = x[1] - x[0]
-    P, X = np.meshgrid(pi, x, indexing="ij")
+    P, X = np.meshgrid(grid.pi, grid.x, indexing="ij")
     ax, bpi, dxx, dpp, cross = generator_coefficients(model, P, X, mode)
-
-    def flat(i, j):
-        return i * mx + j
-
-    rows, cols, vals = [], [], []
-
-    def add(r, c, v):
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
-
-    I, J = np.meshgrid(np.arange(mpi), np.arange(mx), indexing="ij")
-    center = flat(I, J)
-
-    # x diffusion with reflecting boundaries
-    coef = dxx / dx**2
-    inner = J[:, 1:-1]
-    add(center[:, 1:-1].ravel(), flat(I[:, 1:-1], inner + 1).ravel(), coef[:, 1:-1].ravel())
-    add(center[:, 1:-1].ravel(), flat(I[:, 1:-1], inner - 1).ravel(), coef[:, 1:-1].ravel())
-    add(center[:, 1:-1].ravel(), center[:, 1:-1].ravel(), (-2 * coef[:, 1:-1]).ravel())
-    for j, nb in ((0, 1), (mx - 1, mx - 2)):
-        add(center[:, j], flat(I[:, j], np.full(mpi, nb)), 2 * coef[:, j])
-        add(center[:, j], center[:, j], -2 * coef[:, j])
-
-    # upwinded x drift (zero flux at the boundaries)
-    ap = np.maximum(ax, 0.0) / dx
-    am = np.minimum(ax, 0.0) / dx
-    add(center[:, 1:-1].ravel(), flat(I[:, 1:-1], inner + 1).ravel(), ap[:, 1:-1].ravel())
-    add(center[:, 1:-1].ravel(), center[:, 1:-1].ravel(), (-ap[:, 1:-1] + am[:, 1:-1]).ravel())
-    add(center[:, 1:-1].ravel(), flat(I[:, 1:-1], inner - 1).ravel(), (-am[:, 1:-1]).ravel())
-
-    # pi diffusion and upwinded pi drift (coefficients vanish at pi = 0, 1)
-    ip = I[1:-1, :]
-    coefp = dpp / dpi**2
-    add(center[1:-1, :].ravel(), flat(ip + 1, J[1:-1, :]).ravel(), coefp[1:-1, :].ravel())
-    add(center[1:-1, :].ravel(), flat(ip - 1, J[1:-1, :]).ravel(), coefp[1:-1, :].ravel())
-    add(center[1:-1, :].ravel(), center[1:-1, :].ravel(), (-2 * coefp[1:-1, :]).ravel())
-    bp = np.maximum(bpi, 0.0) / dpi
-    bm = np.minimum(bpi, 0.0) / dpi
-    add(center[1:-1, :].ravel(), flat(ip + 1, J[1:-1, :]).ravel(), bp[1:-1, :].ravel())
-    add(center[1:-1, :].ravel(), center[1:-1, :].ravel(), (-bp[1:-1, :] + bm[1:-1, :]).ravel())
-    add(center[1:-1, :].ravel(), flat(ip - 1, J[1:-1, :]).ravel(), (-bm[1:-1, :]).ravel())
-
-    # centered cross term on the doubly interior block
-    cc = cross[1:-1, 1:-1] / (4.0 * dpi * dx)
-    ii, jj = I[1:-1, 1:-1], J[1:-1, 1:-1]
-    for spi, sxj, sgn in ((1, 1, 1.0), (1, -1, -1.0), (-1, 1, -1.0), (-1, -1, 1.0)):
-        add(flat(ii, jj).ravel(), flat(ii + spi, jj + sxj).ravel(), (sgn * cc).ravel())
-
-    n = mpi * mx
-    rows = np.concatenate([np.asarray(r).ravel() for r in rows])
-    cols = np.concatenate([np.asarray(c).ravel() for c in cols])
-    vals = np.concatenate([np.asarray(v).ravel() for v in vals])
-    return sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
+    dpi, dx, mx = grid.pi[1] - grid.pi[0], grid.x[1] - grid.x[0], grid.x.size
+    # (cells, column offset in the flat (pi, x) index, coefficient) of each block of entries
+    terms = []
+    for inner, stride, step, diff, drift in (((slice(None), slice(1, -1)), 1, dx, dxx, ax),
+                                             ((slice(1, -1), slice(None)), mx, dpi, dpp, bpi)):
+        a, up, down = diff / step**2, np.maximum(drift, 0.0) / step, np.minimum(drift, 0.0) / step
+        terms += [(inner, stride, a), (inner, -stride, a), (inner, 0, -2 * a)]
+        if stride == 1:  # reflecting x ends: the ghost node mirrors the inner neighbour
+            terms += [((slice(None), end), off, c) for end, nb in ((0, 1), (-1, -1))
+                      for off, c in ((nb, 2 * a), (0, -2 * a))]
+        terms += [(inner, stride, up), (inner, 0, -up + down), (inner, -stride, -down)]
+    cc = cross / (4.0 * dpi * dx)
+    terms += [((slice(1, -1), slice(1, -1)), spi * mx + sxj, sgn * cc)
+              for spi, sxj, sgn in ((1, 1, 1.0), (1, -1, -1.0), (-1, 1, -1.0), (-1, -1, 1.0))]
+    center = np.arange(P.size).reshape(P.shape)
+    rows = np.concatenate([center[cells].ravel() for cells, _, _ in terms])
+    cols = np.concatenate([center[cells].ravel() + off for cells, off, _ in terms])
+    vals = np.concatenate([c[cells].ravel() for cells, _, c in terms])
+    return sp.csc_matrix((vals, (rows, cols)), shape=(P.size, P.size))
 
 
 def _run_edges(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -234,19 +213,6 @@ def _pi_copy(u_other: np.ndarray, run_mask: np.ndarray, from_below: bool) -> np.
     mpi = u_other.shape[-2]
     ok = run_mask & (land >= 0) & (land < mpi)
     return np.where(ok, np.take_along_axis(u_other, np.clip(land, 0, mpi - 1), axis=-2), u_other)
-
-
-def identity_residual(pi: np.ndarray, u0, u1, v, in_s0, in_s1, in_s) -> float:
-    """Largest |v - (pi u1 + (1-pi) u0)| over the continuation cells.
-
-    The arrays are (..., pi, x) surfaces and stopping sets; 0.0 when every
-    cell lies in a stopping set.
-    """
-    cont = ~(in_s0 | in_s1 | in_s)
-    if not cont.any():
-        return 0.0
-    pi_col = pi[:, None]
-    return float(np.abs(v - (pi_col * u1 + (1.0 - pi_col) * u0))[cont].max())
 
 
 def pde_solve_system(
@@ -306,11 +272,7 @@ def pde_solve_system(
         in_s0[k] = u[0, k] >= ft - _SET_TOL
         in_s1[k] = u[1, k] >= ft - _SET_TOL
 
-    # the terminal slice is data, not a solve: its residual is rounding only
-    resid = identity_residual(grid.pi, u[0, :-1], u[1, :-1], v[:-1],
-                              in_s0[:-1], in_s1[:-1], in_s[:-1])
-    return PDESurfaces(grid, u[0], u[1], v, in_s0, in_s1, in_s, resid,
-                       PDEStats(2 * (mt - 1), len(lus)))
+    return PDESurfaces(grid, u[0], u[1], v, in_s0, in_s1, in_s, PDEStats(2 * (mt - 1), len(lus)))
 
 
 def reference_dynkin_1d(

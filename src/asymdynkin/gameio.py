@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import FiltrationTree, GeneratingProcess, PayoffTriple, TimeGrid
-from .dynamics.pde import PDEGrid, PDESurfaces, identity_residual
+from .dynamics.pde import PDEGrid, PDESurfaces
 from .scenario import (
     Certificate,
     MartingaleReport,
@@ -256,10 +256,11 @@ def _surfaces_from_table(data: np.ndarray) -> PDESurfaces:
     ):
         raise ValueError("rows are not the t, pi, x grid in order, each cell once")
     u0, u1, v, *flags = (data[:, i].reshape(shape) for i in range(3, len(_SURFACE_COLUMNS)))
+    if not all(np.isfinite(w).all() for w in (u0, u1, v)):
+        raise ValueError("u0, u1 and v must be finite")
     if not all(np.isin(flag, (0.0, 1.0)).all() for flag in flags):
         raise ValueError("stopping-set flags must be 0 or 1")
-    masks = [flag.astype(bool) for flag in flags]
-    return PDESurfaces(grid, u0, u1, v, *masks, identity_residual(grid.pi, u0, u1, v, *masks))
+    return PDESurfaces(grid, u0, u1, v, *(flag.astype(bool) for flag in flags))
 
 
 def paths_csv(bundle, meta: dict) -> str:

@@ -21,7 +21,7 @@ from asymdynkin.core import (
     realized_payoff,
 )
 from asymdynkin.dynamics.model import filter_step
-from asymdynkin.dynamics.pde import PDEGrid, PDESurfaces, identity_residual
+from asymdynkin.dynamics.pde import PDEGrid, PDESurfaces
 from asymdynkin.oracle import RuleSet, build_matrix, enumerate_stopping_rules, regime_matrices
 from asymdynkin.scenario import Certificate, ScenarioGame
 
@@ -604,5 +604,4 @@ def ref_surfaces_from_csv(text: str) -> PDESurfaces:
     flags = [cols[name] for name in ("in_S0", "in_S1", "in_S")]
     if not all(np.isin(flag, (0.0, 1.0)).all() for flag in flags):
         raise ValueError("surfaces CSV: stopping-set flags must be 0 or 1")
-    masks = [flag.astype(bool) for flag in flags]
-    return PDESurfaces(grid, u0, u1, v, *masks, identity_residual(grid.pi, u0, u1, v, *masks))
+    return PDESurfaces(grid, u0, u1, v, *(flag.astype(bool) for flag in flags))

@@ -385,6 +385,7 @@ class TestDynamicsCommands:
 
     @pytest.mark.parametrize("damage", [
         "truncated", "uneven_x", "swapped_rows", "duplicated_row", "bad_flag", "header_only",
+        "nan_value", "inf_value",
         # what np.load (allow_pickle=False) makes of a file that is not the float64 (cells, 9)
         # table: an EOFError, an NpzFile, a ValueError, or the wrong array
         "empty", "npz", "object", "csv_text", "float32", "one_dim", "eight_columns",
@@ -402,6 +403,10 @@ class TestDynamicsCommands:
             table[31] = table[30]
         elif damage == "bad_flag":
             table[30, -1] = 0.5
+        elif damage == "nan_value":
+            table[:, 5] = np.nan  # every v
+        elif damage == "inf_value":
+            table[30, 3] = np.inf  # one u0 cell
         elif damage == "uneven_x":
             # move the second x node wherever it occurs: a consistent, non-uniform grid
             x = table[:, 2]

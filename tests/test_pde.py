@@ -98,16 +98,56 @@ class TestGrid:
         assert 0.5 in grid.pi
 
 
+def _tanh_model():
+    # x-dependent drifts and sigma, so the belief coefficients vary along x
+    return DiffusionModel(
+        mu0=parse_expression("-0.3 + 0.5*tanh(x)"), mu1=parse_expression("0.4 - 0.1*x"),
+        sigma=parse_expression("0.5 + 0.2*tanh(x)"),
+        x0=0.0, prior=0.5, horizon=1.0, domain=(-1.0, 1.5),
+    )
+
+
+# sha256 of the canonical CSC arrays (indptr, indices, data) of ``_operator``
+_OPERATOR_DIGESTS = {
+    ("generic", "observation"): "3d223017eca5b0f7c7188ed2663149ef8adb7fc914172234478a532e8ef5311f",
+    ("generic", "regime-0"): "577ab95db68de716e960718afa1c887b645c7b46bde45aa5a6ed1bf604283f8d",
+    ("generic", "regime-1"): "e090ad954da3bb4426c609675052c24d6869cca7bb326e7c2159acda5b05f618",
+    # w = 0: the three modes coincide
+    ("degenerate", "observation"): "ea9566997874b328eb3b407d88ef194ef9ebc42b458be288c036380a3f7a2b31",
+    ("degenerate", "regime-0"): "ea9566997874b328eb3b407d88ef194ef9ebc42b458be288c036380a3f7a2b31",
+    ("degenerate", "regime-1"): "ea9566997874b328eb3b407d88ef194ef9ebc42b458be288c036380a3f7a2b31",
+    ("tanh", "observation"): "caff73c10c02e220f71b6a79d6759eb0a579da182dee76461d5401d31528e62d",
+    ("tanh", "regime-0"): "b0338c5759476eea1c1e47c4c4ed85c9545c7a65d5a28a67dbb4a8a5b2da445c",
+    ("tanh", "regime-1"): "e1d4609776530e600c689d00f15daaa36a28db0c4e1865f5dc171075618ad0fc",
+    # one interior pi row and one interior x column
+    ("tanh_5x3x3", "observation"): "08aa62f9c2dad25ae2785566639dc5bdf037824a3486854ee01b345bf6d21b23",
+    ("tanh_5x3x3", "regime-0"): "e4c4ab2e9fc85187a70e2440957ae9332c344ae18c505433b8976d5a41cba08e",
+    ("tanh_5x3x3", "regime-1"): "db1de5d149227432e97c5ba5764dac59e3b348dfd87e20378f7ff9e8e452ed35",
+}
+
+
 class TestOperator:
+    @pytest.mark.parametrize("case, mode", list(_OPERATOR_DIGESTS))
+    def test_operator_pinned(self, request, case, mode):
+        # a rewrite of the stencil must not move a bit of the assembled matrix
+        if case.startswith("tanh"):
+            model = _tanh_model()
+            grid = PDEGrid.regular(1.0, model.domain, *((3, 9, 11) if case == "tanh" else (5, 3, 3)))
+        else:
+            model, grid, _ = request.getfixturevalue(case)
+        op = _operator(model, grid, mode)
+        op.sum_duplicates()
+        op.sort_indices()
+        digest = hashlib.sha256()
+        for arr in (op.indptr, op.indices, op.data):
+            digest.update(np.ascontiguousarray(arr).tobytes())
+        assert digest.hexdigest() == _OPERATOR_DIGESTS[case, mode]
+
     @pytest.mark.parametrize("mode", ["observation", "regime-0", "regime-1"])
     def test_operator_matches_analytic_generator(self, mode):
-        # x-dependent mu0 and sigma; the assembled stencil is exact on linear
-        # functions, and on squares up to the upwind term |drift| * step
-        model = DiffusionModel(
-            mu0=parse_expression("-0.3 + 0.5*tanh(x)"), mu1=parse_expression("0.4 - 0.1*x"),
-            sigma=parse_expression("0.5 + 0.2*tanh(x)"),
-            x0=0.0, prior=0.5, horizon=1.0, domain=(-1.0, 1.5),
-        )
+        # the assembled stencil is exact on linear functions, and on squares
+        # up to the upwind term |drift| * step
+        model = _tanh_model()
         grid = PDEGrid.regular(1.0, model.domain, 3, 9, 11)
         dpi, dx = grid.pi[1] - grid.pi[0], grid.x[1] - grid.x[0]
         op = _operator(model, grid, mode)
@@ -188,6 +228,14 @@ class TestGenericModel:
             assert errors[0] > errors[1] > errors[2], (name, errors)
 
 
+class TestIdentityResidual:
+    def test_npy_round_trip_keeps_residual(self, generic, tmp_path):
+        _, _, surf = generic
+        path = tmp_path / "surfaces.npy"
+        gameio.write_surfaces_npy(path, surf)
+        assert gameio.surfaces_from_npy(path).identity_residual == surf.identity_residual
+
+
 class TestSplittingStructure:
     @pytest.mark.parametrize("case", ["generic", "degenerate", "moving"])
     def test_two_factors_and_exact_identity(self, request, case):
@@ -236,7 +284,6 @@ class TestStrategyExtraction:
 
         all_stop = PDESurfaces(
             grid, surf.u0, surf.u1, surf.v, surf.in_s0, surf.in_s1, forced,
-            surf.identity_residual,
         )
         smap = extract_strategies(all_stop, model, dt=0.05)
         x = np.zeros((3, 11))
@@ -321,8 +368,8 @@ class TestMCVerify:
 
         scaled = PDESurfaces(
             grid, surf.u0, surf.u1, surf.v * 1.1 + 0.2, surf.in_s0, surf.in_s1, surf.in_s,
-            surf.identity_residual,
         )
+        assert scaled.identity_residual > 5e-2
         smap = extract_strategies(scaled, model, dt=0.05)
         rep = mc_verify_sufficiency(
             model, scaled, smap, n=500, dt=0.05,
@@ -354,7 +401,7 @@ class TestMCVerify:
         assert rep["all_passed"]
         empty = PDESurfaces(
             grid, surf.u0, surf.u1, surf.v, surf.in_s0, surf.in_s1,
-            np.zeros_like(surf.in_s), surf.identity_residual,
+            np.zeros_like(surf.in_s),
         )
         bad = extract_strategies(empty, model, dt=0.025)
         rep2 = mc_verify_sufficiency(
@@ -412,7 +459,7 @@ class TestRunEdges:
         rng = np.random.default_rng(3)
         in_s0, in_s1 = (rng.random((2,) + surf.in_s.shape) < 0.35)
         sets = PDESurfaces(grid, surf.u0, surf.u1, surf.v, in_s0, in_s1,
-                           rng.random(surf.in_s.shape) < 0.01, surf.identity_residual)
+                           rng.random(surf.in_s.shape) < 0.01)
         x, psi = _paths(model, "regime", 200, 0.01, 7)
         traj = _assert_evaluate_matches_reference(extract_strategies(sets, model, dt=0.01), x, psi)
         for xi in (traj.xi0, traj.xi1):
