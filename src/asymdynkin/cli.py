@@ -16,12 +16,13 @@ import argparse
 import dataclasses
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from . import gameio
-from .core import RandomDevice
+from .core import PayoffTriple, RandomDevice
 from .dynamics import (
     NoConvergence,
     PDEGrid,
@@ -51,24 +52,31 @@ class InputError(ValueError):
     """Malformed configuration or input file (exit code 2)."""
 
 
-def _load_json(path: str, kind: str) -> dict:
-    p = Path(path)
-    if not p.exists():
-        raise InputError(f"{kind}: file not found: {path}")
+@contextmanager
+def _reading(kind: str):
+    """Report what reading ``kind`` raises on malformed input as an InputError (exit 2).
+
+    An absent key is a missing field; a bad value, a wrong type or index, an
+    overflow, nesting too deep to recurse into, or a truncated file (np.load
+    raises EOFError on an empty one) is ``<kind>: <message>``.
+    """
     try:
-        return json.loads(p.read_text())
+        yield
     except json.JSONDecodeError as exc:
         raise InputError(f"{kind}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
-
-
-def _load_game(path: str):
-    data = _load_json(path, "game")
-    try:
-        return gameio.game_from_dict(data)
     except KeyError as exc:
-        raise InputError(f"game: missing field {exc.args[0]!r}")
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise InputError(f"game: {exc}")
+        raise InputError(f"{kind}: missing field {exc.args[0]!r}")
+    except (ValueError, TypeError, IndexError, OverflowError, RecursionError, EOFError) as exc:
+        raise InputError(f"{kind}: {exc}")
+
+
+def _load_json(path: str, kind: str, parse=lambda data: data):
+    """``parse`` of the JSON document at ``path``, read as ``kind``."""
+    p = Path(path)
+    if not p.is_file():
+        raise InputError(f"{kind}: file not found: {path}")
+    with _reading(kind):
+        return parse(json.loads(p.read_text()))
 
 
 def _check_options(args) -> None:
@@ -94,7 +102,7 @@ def _out_dir(args) -> Path:
 
 
 def cmd_oracle(args) -> int:
-    game = _load_game(args.game)
+    game = _load_json(args.game, "game", gameio.game_from_dict)
     out = _out_dir(args)
     sol = solve_scenario(game)
     payload = gameio.equilibrium_to_dict(sol.profile(game.tree), sol.value, sol.surfaces)
@@ -107,22 +115,15 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    game = _load_game(args.game)
+    game = _load_json(args.game, "game", gameio.game_from_dict)
     data = _load_json(args.equilibrium, "equilibrium")
-    try:
+    with _reading("equilibrium"):
         profile, value = gameio.equilibrium_from_dict(data, game.tree)
-    except KeyError as exc:
-        raise InputError(f"equilibrium: missing field {exc.args[0]!r}")
-    except Exception as exc:
-        raise InputError(f"equilibrium: {exc}")
-    for name in ("xi0", "xi1", "zeta"):
-        if len(data[name]) != game.tree.n_nodes:
-            raise InputError(f"equilibrium: {name} has {len(data[name])} levels for "
-                             f"{game.tree.n_nodes} tree nodes")
-    try:
+        for name in ("xi0", "xi1", "zeta"):
+            if len(data[name]) != game.tree.n_nodes:
+                raise ValueError(f"{name} has {len(data[name])} levels for "
+                                 f"{game.tree.n_nodes} tree nodes")
         profile.validate(game.tree)
-    except ValueError as exc:
-        raise InputError(f"equilibrium: {exc}")
 
     out = _out_dir(args)
     surfaces = best_response_values(game, profile)
@@ -162,56 +163,45 @@ def cmd_verify(args) -> int:
 
 
 def _pde_grid(spec: str, model) -> PDEGrid:
-    try:
-        mt, mpi, mx = (int(tok) for tok in spec.lower().split("x"))
-    except Exception:
-        raise InputError(f"grid: expected MtxMpixMx, got {spec!r}")
-    try:
-        return PDEGrid.regular(model.horizon, model.domain, mt, mpi, mx)
-    except ValueError as exc:
-        raise InputError(f"grid: {exc}")
+    with _reading("grid"):
+        tokens = spec.lower().split("x")
+        if len(tokens) != 3 or not all(tok.strip().isdigit() for tok in tokens):
+            raise ValueError(f"expected MtxMpixMx, got {spec!r}")
+        return PDEGrid.regular(model.horizon, model.domain, *map(int, tokens))
 
 
-def _load_model(path: str):
-    data = _load_json(path, "model")
-    try:
-        return model_from_dict(data), data
-    except KeyError as exc:
-        raise InputError(f"model: missing field {exc.args[0]!r}")
-    except (ValueError, TypeError, IndexError, OverflowError) as exc:
-        raise InputError(f"model: {exc}")
+def _payoff_callables(data: dict, model):
+    """f, g and h as functions of (t, x) that do not depend on t.
 
-
-def _payoff_callables(data: dict):
-    try:
+    On the model's sample points they must pass the tree pipeline's payoff
+    rule, ``PayoffTriple.check_order``.
+    """
+    missing = [k for k in ("f", "g", "h") if k not in data]
+    if missing:
+        raise InputError(f"model: missing payoff field {missing[0]!r} (needed for pde/verify)")
+    with _reading("model: payoff expression"):
         exprs = [parse_expression(data[k]) for k in ("f", "g", "h")]
-    except KeyError as exc:
-        raise InputError(f"model: missing payoff field {exc.args[0]!r} (needed for pde/verify)")
-    except (ValueError, TypeError) as exc:
-        raise InputError(f"model: payoff expression: {exc}")
-    # payoffs of (t, x) that do not depend on t
+    xs = model.sample_points()
+    with _reading("model"), np.errstate(all="ignore"):  # inf - inf is non-finite, not a warning
+        PayoffTriple(*(e(xs) for e in exprs)).check_order()
     return [lambda t, x, e=e: e(x) + 0.0 * np.asarray(t) for e in exprs]
 
 
 def _open_dynamics(args):
     """The model, its JSON and the created --out of an action; a --dt must divide T."""
-    model, data = _load_model(args.model)
+    model, data = _load_json(args.model, "model", lambda data: (model_from_dict(data), data))
     if hasattr(args, "dt"):
-        try:
+        with _reading("dt"):
             _time_axis(model, args.dt)
-        except ValueError as exc:
-            raise InputError(f"dt: {exc}")
     return model, data, _out_dir(args)
 
 
 def _read_surfaces(out: Path):
     surf_path = out / "surfaces.npy"
-    if not surf_path.exists():
+    if not surf_path.is_file():
         raise InputError(f"surfaces: {surf_path} not found (run 'dynamics pde' first)")
-    try:
+    with _reading("surfaces"):
         return gameio.surfaces_from_npy(surf_path)
-    except (ValueError, EOFError) as exc:  # np.load raises EOFError on an empty file
-        raise InputError(f"surfaces: {exc}")
 
 
 def cmd_simulate(args) -> int:
@@ -228,7 +218,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_pde(args) -> int:
     model, data, out = _open_dynamics(args)
-    f, g, h = _payoff_callables(data)
+    f, g, h = _payoff_callables(data, model)
     grid = _pde_grid(args.grid, model)
     surfaces = pde_solve_system(model, f, g, h, grid)
     gameio.write_surfaces_npy(out / "surfaces.npy", surfaces)
@@ -255,7 +245,7 @@ def cmd_dynamics_verify(args) -> int:
     model, data, out = _open_dynamics(args)
     surfaces = _read_surfaces(out)
     strategies = extract_strategies(surfaces, model, args.dt)
-    f, g, h = _payoff_callables(data)
+    f, g, h = _payoff_callables(data, model)
     report = mc_verify_sufficiency(
         model, surfaces, strategies,
         n=args.paths, dt=args.dt, alpha=args.alpha, tol=args.vtol,

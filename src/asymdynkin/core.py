@@ -476,10 +476,15 @@ class PayoffTriple:
 
     def validate(self, tree: FiltrationTree) -> None:
         for name in ("f", "g", "h"):
-            arr = getattr(self, name)
-            if arr.shape[-1] != tree.n_nodes:
+            if getattr(self, name).shape[-1] != tree.n_nodes:
                 raise ShapeMismatchError(f"payoff {name} has wrong node count")
-            if not np.all(np.isfinite(arr)):
+        self.check_order()
+
+    def check_order(self) -> None:
+        """The payoff rule: raise ValueError unless f, g and h are finite with
+        f >= h >= g (1e-12 slack)."""
+        for name in ("f", "g", "h"):
+            if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"payoff {name} contains non-finite values")
         if np.any(self.f < self.h - 1e-12) or np.any(self.h < self.g - 1e-12):
             raise ValueError("ordering f >= h >= g violated")

@@ -127,11 +127,20 @@ class DiffusionModel:
             raise ValueError(f"x0 {self.x0!r} lies outside the domain [{lo!r}, {hi!r}]")
         if not 0.0 <= self.prior <= 1.0:
             raise ValueError("prior must lie in [0, 1]")
-        # validate the volatility floor by finite sampling on the domain
-        xs = np.linspace(lo, hi, 257)
-        s = np.asarray(self.sigma(xs), dtype=float)
-        if np.any(s < _SIGMA_MIN):
+        # validate the coefficients by finite sampling on the domain
+        xs = self.sample_points()
+        with np.errstate(all="ignore"):  # inf - inf reads as non-finite, not as a warning
+            coefficients = {name: np.asarray(getattr(self, name)(xs), dtype=float)
+                            for name in ("mu0", "mu1", "sigma")}
+        for name, values in coefficients.items():
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} is not finite on the domain")
+        if np.any(coefficients["sigma"] < _SIGMA_MIN):
             raise ValueError(f"sigma drops below {_SIGMA_MIN} on the domain")
+
+    def sample_points(self) -> np.ndarray:
+        """The 257 points across the domain at which coefficients and payoffs are checked."""
+        return np.linspace(*self.domain, 257)
 
     def w(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)

@@ -263,22 +263,23 @@ def _surfaces_from_table(data: np.ndarray) -> PDESurfaces:
     return PDESurfaces(grid, u0, u1, v, *(flag.astype(bool) for flag in flags))
 
 
-def paths_csv(bundle, meta: dict) -> str:
+def _per_path_csv(meta: dict, t: np.ndarray, **columns: np.ndarray) -> str:
+    """A ``path_id,t,<columns>`` table, one row per path and step; each column is (paths, steps)."""
     lines = _meta_lines(meta)
-    with_regime = bundle.regime is not None
-    lines.append("path_id,t,X,psi" + (",J" if with_regime else ""))
-    steps = bundle.t.size
-    for pid in range(bundle.x.shape[0]):
-        regime = [np.full(steps, bundle.regime[pid])] if with_regime else []
-        lines += _csv_lines(np.full(steps, pid), bundle.t, bundle.x[pid], bundle.psi[pid], *regime)
+    lines.append(",".join(("path_id", "t", *columns)))
+    n_paths = next(iter(columns.values())).shape[0]
+    for pid in range(n_paths):
+        lines += _csv_lines(np.full(t.size, pid), t, *(col[pid] for col in columns.values()))
     return "\n".join(lines) + "\n"
+
+
+def paths_csv(bundle, meta: dict) -> str:
+    # the drawn regime, if any, repeated along each path
+    regime = {} if bundle.regime is None else {
+        "J": np.broadcast_to(bundle.regime[:, None], bundle.x.shape)}
+    return _per_path_csv(meta, bundle.t, X=bundle.x, psi=bundle.psi, **regime)
 
 
 def trajectories_csv(traj, meta: dict) -> str:
-    lines = _meta_lines(meta)
-    lines.append("path_id,t,X,psi,p,xi0,xi1,zeta")
-    steps = traj.t.size
-    for pid in range(traj.x.shape[0]):
-        lines += _csv_lines(np.full(steps, pid), traj.t, traj.x[pid], traj.psi[pid], traj.p[pid],
-                            traj.xi0[pid], traj.xi1[pid], traj.zeta[pid])
-    return "\n".join(lines) + "\n"
+    return _per_path_csv(meta, traj.t, X=traj.x, psi=traj.psi, p=traj.p,
+                         xi0=traj.xi0, xi1=traj.xi1, zeta=traj.zeta)

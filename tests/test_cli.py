@@ -532,6 +532,76 @@ class TestDynamicsCommands:
         assert "'f'" in capsys.readouterr().err
 
 
+def _assert_input_error(capsys, argv, kind):
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {kind}: ") and "Traceback" not in err, err
+    return err
+
+
+class TestReadersExit2:
+    """Input that got past the readers: nesting deeper than the recursion limit,
+    non-finite drift or volatility, and payoffs that break the tree pipeline's
+    payoff rule (finite, f >= h >= g) on the model's sample points."""
+
+    def test_deeply_nested_game_json(self, game_file, tmp_path, capsys):
+        path, _ = game_file
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000 + "]" * 100000)
+        _assert_input_error(capsys, ["oracle", "--game", str(deep), "--out", str(tmp_path / "o")],
+                            "game")
+        _assert_input_error(capsys, ["verify", "--game", str(path), "--equilibrium", str(deep),
+                                     "--out", str(tmp_path / "o")], "equilibrium")
+
+    @pytest.mark.parametrize("patch", [
+        {"mu0": "-" * 3000 + "0.4"},
+        {"mu0": "(" * 3000 + "0.4" + ")" * 3000},
+        # parses in a loop, but its evaluation nests one call per term
+        {"mu1": "0" + "+0" * 3000},
+        {"f": "(" * 3000 + "0.6" + ")" * 3000},
+        {"sigma": "1e400"},
+        {"mu0": "1e400"},
+        {"mu1": "1e400-1e400"},
+    ], ids=["minus_chain", "nested_parens", "plus_chain", "nested_payoff", "infinite_sigma",
+            "infinite_mu0", "nan_mu1"])
+    def test_model_exits_2(self, model_file, tmp_path, capsys, patch):
+        model_file.write_text(json.dumps({**json.loads(model_file.read_text()), **patch}))
+        out = str(tmp_path / "d")
+        if "f" not in patch:
+            _assert_input_error(capsys, ["dynamics", "simulate", "--model", str(model_file),
+                                         "--dt", "0.5", "--paths", "3", "--out", out], "model")
+        _assert_input_error(capsys, ["dynamics", "pde", "--model", str(model_file),
+                                     "--grid", "5x3x9", "--out", out], "model")
+
+    @pytest.mark.parametrize("patch, message", [
+        ({"h": "1e400-1e400"}, "payoff h contains non-finite values"),
+        ({"f": "1e400"}, "payoff f contains non-finite values"),
+        ({"f": "-1", "g": "1"}, "ordering f >= h >= g violated"),
+        ({"h": "x"}, "ordering f >= h >= g violated"),  # |h| > 0.6 on part of [-2, 2]
+    ], ids=["nan_h", "infinite_f", "f_below_g", "h_outside_the_band"])
+    def test_payoff_rule(self, model_file, tmp_path, capsys, patch, message):
+        out = str(tmp_path / "d")
+        assert main(["dynamics", "pde", "--model", str(model_file), "--grid", "5x3x9",
+                     "--out", out]) == 0
+        model_file.write_text(json.dumps({**json.loads(model_file.read_text()), **patch}))
+        for action in (["pde", "--grid", "5x3x9"], ["verify", "--dt", "0.5", "--paths", "3"]):
+            err = _assert_input_error(capsys, ["dynamics", action[0], "--model", str(model_file),
+                                               *action[1:], "--out", out], "model")
+            assert message in err
+
+    def test_payoff_rule_slack(self, model_file, tmp_path):
+        # the rule's 1e-12 slack: h above f by 1e-13 passes
+        model_file.write_text(json.dumps({**json.loads(model_file.read_text()),
+                                          "f": "0.5", "h": "0.5 + 1e-13", "g": "0"}))
+        assert main(["dynamics", "pde", "--model", str(model_file), "--grid", "5x3x9",
+                     "--out", str(tmp_path / "d")]) == 0
+
+    def test_directory_as_input_file(self, tmp_path, capsys):
+        _assert_input_error(capsys, ["oracle", "--game", str(tmp_path), "--out", str(tmp_path / "o")],
+                            "game")
+
+
 class TestDeterminism:
     def test_oracle_and_verify_byte_identical(self, game_file, tmp_path):
         path, _ = game_file

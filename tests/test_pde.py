@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -482,3 +483,21 @@ class TestPinnedArtifacts:
         assert np.any(traj.xi1[:, :-1] > 0.0)  # informed incarnations act before the horizon
         text = gameio.trajectories_csv(traj, {"dt": 0.01})
         assert _sha256(text) == "7203d130abe3b570a937783a07322f94c5dd514539ec730593dcb97b5cd2c8bf"
+
+    # sha256 of the compact report JSON of the MC verification: its per-path
+    # sums and bands must not move a bit with the layout of the trajectories.
+    # On the moving sets the monotone and flat excesses are non-zero, so the
+    # sums themselves reach the digest
+    @pytest.mark.parametrize("case, n, dt, seed, digest", [
+        ("generic", 500, 0.025, 3, "d986693b3c5a151a6ad553fd957cb3a5a1d7df3c14cfb9701ea2e12e18a34fea"),
+        ("moving", 300, 0.01, 29, "a3c779c757ffc704bc75cb49f1fb37b25742c86da0bbbfb1dc4c80e3f00d9942"),
+    ])
+    def test_mc_verify_report_pinned(self, request, case, n, dt, seed, digest):
+        model, _, surf = request.getfixturevalue(case)
+        payoffs = (F, G, H) if case == "generic" else _moving_sets()[2]
+        rep = mc_verify_sufficiency(
+            model, surf, extract_strategies(surf, model, dt=dt), n=n, dt=dt,
+            device=RandomDevice(seed), **dict(zip("fgh", payoffs)),
+        )
+        text = json.dumps(rep, sort_keys=True, separators=(",", ":"))
+        assert _sha256(text) == digest
