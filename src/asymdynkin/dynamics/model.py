@@ -137,6 +137,13 @@ class DiffusionModel:
                 raise ValueError(f"{name} is not finite on the domain")
         if np.any(coefficients["sigma"] < _SIGMA_MIN):
             raise ValueError(f"sigma drops below {_SIGMA_MIN} on the domain")
+        # the filter steps with w, the PDE with sigma**2 and w**2: an overflow is an input error
+        with np.errstate(all="ignore"):
+            sigma, w = coefficients["sigma"], self.w(xs)
+            if not np.isfinite(sigma * sigma).all():
+                raise ValueError("sigma**2 is not finite on the domain")
+            if not np.isfinite(w * w).all():
+                raise ValueError("w = (mu1 - mu0) / sigma or its square is not finite on the domain")
 
     def sample_points(self) -> np.ndarray:
         """The 257 points across the domain at which coefficients and payoffs are checked."""

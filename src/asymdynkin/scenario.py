@@ -26,7 +26,6 @@ from .core import (
     IndexOutOfRangeError,
     PayoffTriple,
     ShapeMismatchError,
-    flow_value,
     payoff_flows,
     validate_generating,
 )
@@ -152,15 +151,12 @@ def _informed_flows(game: ScenarioGame, zeta: GeneratingProcess):
     return payoff_flows(pay.f, pay.g, pay.h, zeta.levels, zeta.steps)
 
 
-def _uninformed_flows(game: ScenarioGame, profile: StrategyProfile, nodes=slice(None)):
-    """Prior-weighted (stop, run) flows of the uninformed player against (xi0, xi1).
-
-    ``nodes`` selects the nodes to evaluate (all by default).
-    """
+def _uninformed_flows(game: ScenarioGame, profile: StrategyProfile):
+    """Prior-weighted (stop, run) flows of the uninformed player against (xi0, xi1)."""
     pay, w = game.payoffs, game.weights
-    levels = np.array([profile.xi0.levels[nodes], profile.xi1.levels[nodes]])
-    steps = np.array([profile.xi0.steps[nodes], profile.xi1.steps[nodes]])
-    stop, run = payoff_flows(pay.g[:, nodes], pay.f[:, nodes], pay.h[:, nodes], levels, steps)
+    levels = np.array([profile.xi0.levels, profile.xi1.levels])
+    steps = np.array([profile.xi0.steps, profile.xi1.steps])
+    stop, run = payoff_flows(pay.g, pay.f, pay.h, levels, steps)
     return w @ stop, w @ run
 
 
@@ -401,37 +397,38 @@ def support_report(
 def ex_ante_check(
     game: ScenarioGame, profile: StrategyProfile, surfaces: ValueSurfaces, node: int = 0
 ) -> float:
-    """|remaining-payoff expectation - survival x value| at a tree node.
+    """``ex_ante_residuals(game, profile, surfaces)[node]``, read from a memo.
 
-    The left side sums the profile's payoff flow over the subtree of ``node``
-    exactly, weighted by the probability of reaching each node from ``node``;
-    the right side is the opponent-survival weight times the uninformed value
-    surface.  The two agree (to rounding) at equilibrium; at the root the
-    check reduces to |E[P(xi, zeta)] - v_hat(root)|.  Reads only the
-    subtree's block of ``FiltrationTree.subtree``; ``ex_ante_residuals``
-    gives every node at once.  Raises ``IndexOutOfRangeError`` for a node
-    outside [0, n_nodes).
+    The first call for a (game, profile) computes the whole residual table and
+    memoises it on ``surfaces``, keyed by the identity (``is``) of ``game`` and
+    ``profile``, which the memo holds, so no other object can take over their
+    ids; a call with another game or profile computes it again.  Like
+    ``FiltrationTree.subtree``, the memo assumes that no array of the three is
+    changed in place between calls.  Raises ``IndexOutOfRangeError`` for a
+    node outside [0, n_nodes).
     """
-    tree, zeta = game.tree, profile.zeta
-    if not 0 <= node < tree.n_nodes:
-        raise IndexOutOfRangeError(f"node {node} outside [0, {tree.n_nodes})")
-    start, sub, rel = tree.subtree
-    block = slice(start[node], start[node + 1])
-    below = sub[block]
-    stop, run = _uninformed_flows(game, profile, below)
-    lhs = float(flow_value(rel[block], stop, run, zeta.levels[below], zeta.steps[below]))
-    # GeneratingProcess.pre_levels at one node, read without its O(n) array
-    pre = zeta.levels[tree.parent[node]] if node else 0.0
-    return abs(lhs - float((1.0 - pre) * surfaces.v_hat[node]))
+    n = game.tree.n_nodes
+    if not 0 <= node < n:
+        raise IndexOutOfRangeError(f"node {node} outside [0, {n})")
+    memo = surfaces.__dict__.get("_ex_ante")
+    if memo is None or memo[0] is not game or memo[1] is not profile:
+        memo = game, profile, ex_ante_residuals(game, profile, surfaces)
+        surfaces.__dict__["_ex_ante"] = memo  # frozen: bypass __setattr__ as cached_property does
+    return float(memo[2][node])
 
 
 def ex_ante_residuals(
     game: ScenarioGame, profile: StrategyProfile, surfaces: ValueSurfaces
 ) -> np.ndarray:
-    """``ex_ante_check`` at every node, in one pass over ``FiltrationTree.subtree``.
+    """|remaining-payoff expectation - survival x value| at every tree node.
 
-    Each node's left side is the ``np.add.reduceat`` of relative reach times
-    the node-wise payoff flow over its block of the subtree table.
+    At node a the left side is sum over the subtree of a of rel(a, m) times
+    the uninformed player's payoff flow at m, stop_m dzeta_m + run_m (1 -
+    zeta_m), with rel the reach from a (``FiltrationTree.subtree``); the right
+    side is (1 - zeta_pre(a)) v_hat(a).  The two agree to rounding at
+    equilibrium, and at the root the residual is |E[P(xi, zeta)] - v_hat(root)|.
+    One ``np.add.reduceat`` over the subtree table gives every node at once;
+    ``ex_ante_check`` reads single nodes from a memo of this table.
     """
     tree, zeta = game.tree, profile.zeta
     start, sub, rel = tree.subtree

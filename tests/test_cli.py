@@ -542,8 +542,9 @@ def _assert_input_error(capsys, argv, kind):
 
 class TestReadersExit2:
     """Input that got past the readers: nesting deeper than the recursion limit,
-    non-finite drift or volatility, and payoffs that break the tree pipeline's
-    payoff rule (finite, f >= h >= g) on the model's sample points."""
+    non-finite drift, volatility or signal-to-noise ratio w, and payoffs that
+    break the tree pipeline's payoff rule (finite, f >= h >= g) on the model's
+    sample points."""
 
     def test_deeply_nested_game_json(self, game_file, tmp_path, capsys):
         path, _ = game_file
@@ -563,8 +564,13 @@ class TestReadersExit2:
         {"sigma": "1e400"},
         {"mu0": "1e400"},
         {"mu1": "1e400-1e400"},
+        # finite drifts whose w = (mu1 - mu0) / sigma, or its square, overflows
+        {"mu0": "-1e308", "mu1": "1e308"},
+        {"mu1": "1e200*x"},
+        # a finite volatility whose square, in the PDE's a_x = sigma**2 / 2, overflows
+        {"sigma": "1e200"},
     ], ids=["minus_chain", "nested_parens", "plus_chain", "nested_payoff", "infinite_sigma",
-            "infinite_mu0", "nan_mu1"])
+            "infinite_mu0", "nan_mu1", "infinite_w", "infinite_w_squared", "infinite_sigma_squared"])
     def test_model_exits_2(self, model_file, tmp_path, capsys, patch):
         model_file.write_text(json.dumps({**json.loads(model_file.read_text()), **patch}))
         out = str(tmp_path / "d")
@@ -686,10 +692,13 @@ class TestImports:
     def test_commands_without_lp_or_pde_load_no_scipy(self, game_file, model_file, tmp_path):
         # the import graph is per process, so it is checked in a fresh interpreter:
         # oracle loads HiGHS's binding alone, never scipy.optimize, and only pde
-        # loads scipy.sparse
+        # loads scipy.sparse; extract and dynamics verify read the surfaces that
+        # a pde run here wrote
         path, _ = game_file
-        eq = tmp_path / "eq"
+        eq, dyn = tmp_path / "eq", tmp_path / "dyn"
         assert main(["oracle", "--game", str(path), "--out", str(eq)]) == 0
+        assert main(["dynamics", "pde", "--model", str(model_file), "--grid", "21x11x41",
+                     "--out", str(dyn)]) == 0
         script = textwrap.dedent(f"""
             import sys
             import asymdynkin, asymdynkin.cli, asymdynkin.gameio, asymdynkin.dynamics
@@ -705,6 +714,12 @@ class TestImports:
                          "--equilibrium", {str(eq / "equilibrium.json")!r},
                          "--out", {str(tmp_path / "ver")!r}]) == 0
             assert not loaded(), ("simulate, verify", loaded())
+            dyn = ["--model", {str(model_file)!r}, "--out", {str(dyn)!r}]
+            assert main(["dynamics", "extract", *dyn, "--dt", "0.05", "--paths", "10"]) == 0
+            assert not loaded(), ("extract", loaded())
+            assert main(["dynamics", "verify", *dyn, "--dt", "0.05", "--paths", "400",
+                         "--seed", "2"]) == 0
+            assert not loaded(), ("dynamics verify", loaded())
             assert main(["oracle", "--game", {str(path)!r}, "--out", {str(tmp_path / "eq2")!r}]) == 0
             assert "scipy.optimize._highspy._core" in sys.modules
             assert not loaded(), ("oracle", loaded())

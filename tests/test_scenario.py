@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from asymdynkin import scenario
 from asymdynkin.core import (
     GeneratingProcess,
     IndexOutOfRangeError,
@@ -240,6 +241,65 @@ class TestExAnteCheck:
         for node in (-1, n):
             with pytest.raises(IndexOutOfRangeError, match=rf"^node {node} outside \[0, {n}\)$"):
                 ex_ante_check(game, prof, surf, node)
+
+
+class TestExAnteMemo:
+    """``ex_ante_check`` reads one ``ex_ante_residuals`` table per (game, profile)."""
+
+    @pytest.fixture
+    def deep(self):
+        game = random_scenario_game(10, seed=7, prior=0.3)
+        prof = random_profile(game.tree, seed=8)
+        return game, prof, best_response_values(game, prof)
+
+    @pytest.fixture
+    def tables(self, monkeypatch):
+        # the games and profiles of every table ex_ante_check computes
+        keys = []
+
+        def counted(game, profile, surfaces):
+            keys.append((game, profile))
+            return ex_ante_residuals(game, profile, surfaces)
+
+        monkeypatch.setattr(scenario, "ex_ante_residuals", counted)
+        return keys
+
+    def test_another_profile_or_game_recomputes(self, deep):
+        game, prof_a, surf = deep
+        prof_b = random_profile(game.tree, seed=9)
+        game_b = dataclasses.replace(game, prior=0.9)
+        nodes = range(game.tree.n_nodes)
+        for g, p in ((game, prof_a), (game, prof_b), (game_b, prof_b), (game, prof_a)):
+            table = ex_ante_residuals(g, p, surf)
+            assert [ex_ante_check(g, p, surf, k) for k in nodes] == table.tolist()
+        assert not np.array_equal(ex_ante_residuals(game, prof_b, surf),
+                                  ex_ante_residuals(game, prof_a, surf))
+        assert not np.array_equal(ex_ante_residuals(game_b, prof_b, surf),
+                                  ex_ante_residuals(game, prof_b, surf))
+
+    def test_one_table_per_loop(self, deep, tables):
+        game, prof, surf = deep
+        for k in range(game.tree.n_nodes):
+            ex_ante_check(game, prof, surf, k)
+        assert len(tables) == 1
+        # an equal game that is another object is another key
+        twin = dataclasses.replace(game)
+        ex_ante_check(twin, prof, surf, 3)
+        ex_ante_check(twin, prof, surf, 4)
+        assert len(tables) == 2 and tables[1][0] is twin
+
+    def test_node_outside_the_tree_raises_before_the_table(self, deep, tables):
+        game, prof, surf = deep
+        n = game.tree.n_nodes
+        for node in (-1, n):
+            with pytest.raises(IndexOutOfRangeError, match=rf"^node {node} outside \[0, {n}\)$"):
+                ex_ante_check(game, prof, surf, node)
+        assert not tables
+        ex_ante_check(game, prof, surf, n - 1)
+        for node in (-1, n):
+            with pytest.raises(IndexOutOfRangeError):
+                ex_ante_check(game, prof, surf, node)
+        assert len(tables) == 1
 
 
 class TestCertifyMart:
