@@ -206,16 +206,23 @@ class TestVerifyCommand:
             assert main([*argv, *extra, "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o").exists()
 
-    def test_nodes_csv_is_pinned(self, game_file, tmp_path):
+    @pytest.mark.parametrize("game, digest", [
+        pytest.param(random_scenario_game(3, seed=5, prior=0.5),
+                     "b55929d46f4c5d1cdb4e66c12348bfb53ac796019a48950a861117a26dea8317", id="prior 0.5"),
+        # weights (0.65, 0.35) are not exact halves, so this case sees the order of every prior mix
+        pytest.param(random_scenario_game(6, seed=11, prior=0.35),
+                     "a970ef54dc5ce4fb6c143067264eccf15e6453f30f09fe6a6e252ff040f020ce", id="prior 0.35"),
+    ])
+    def test_nodes_csv_is_pinned(self, tmp_path, game, digest):
         # nodes.csv carries no run configuration, so its bytes only move with the numbers
-        path, _ = game_file
+        path = tmp_path / "game.json"
+        gameio.write_json(path, gameio.game_to_dict(game))
         assert main(["oracle", "--game", str(path), "--out", str(tmp_path / "eq")]) == 0
         assert main([
             "verify", "--game", str(path), "--equilibrium", str(tmp_path / "eq" / "equilibrium.json"),
             "--out", str(tmp_path / "ver"),
         ]) == 0
-        digest = hashlib.sha256((tmp_path / "ver" / "nodes.csv").read_bytes()).hexdigest()
-        assert digest == "b55929d46f4c5d1cdb4e66c12348bfb53ac796019a48950a861117a26dea8317"
+        assert hashlib.sha256((tmp_path / "ver" / "nodes.csv").read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("mutation", ["nan_root", "zeta_leaf_half", "zeta_decreasing", "xi1_root_above_one"])
     def test_invalid_equilibrium_exits_2(self, tmp_path, capsys, mutation):
