@@ -86,10 +86,7 @@ levels[0] = min(1.0, levels[0] + 0.25)
 for m in range(1, game.tree.n_nodes):
     levels[m] = max(levels[m], levels[game.tree.parent[m]])
 levels[game.tree.leaves] = 1.0
-damaged = ad.StrategyProfile(
-    xi0=profile.xi0, xi1=profile.xi1,
-    zeta=ad.GeneratingProcess.from_levels(levels, game.tree),
-)
+damaged = ad.StrategyProfile(profile.xi, ad.GeneratingProcess.from_levels(levels, game.tree))
 damaged_surf = ad.best_response_values(game, damaged)
 cert_bad = ad.certify_stop(game, damaged, surfaces=damaged_surf)
 print(f"damaged profile -> {cert_bad.verdict} "

@@ -118,11 +118,7 @@ def cmd_verify(args) -> int:
     game = _load_json(args.game, "game", gameio.game_from_dict)
     data = _load_json(args.equilibrium, "equilibrium")
     with _reading("equilibrium"):
-        profile, value = gameio.equilibrium_from_dict(data, game.tree)
-        for name in ("xi0", "xi1", "zeta"):
-            if len(data[name]) != game.tree.n_nodes:
-                raise ValueError(f"{name} has {len(data[name])} levels for "
-                                 f"{game.tree.n_nodes} tree nodes")
+        profile, value = gameio.equilibrium_from_dict(data, game)
         profile.validate(game.tree)
 
     out = _out_dir(args)

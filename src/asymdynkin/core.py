@@ -535,6 +535,15 @@ def flow_value(
     return (own_steps * reach) @ stop.T + ((1.0 - own_levels) * reach) @ run.T
 
 
+def _type_mix(weights, values):
+    """sum_k weights[k] values[k] over the leading (type) axis, added in type order from the
+    first term, not from 0, so a -0.0 keeps its sign; every mix over the types goes through here."""
+    total = weights[0] * values[0]
+    for k in range(1, len(weights)):
+        total = total + weights[k] * values[k]
+    return total
+
+
 def _exact_single(
     tree: FiltrationTree,
     f: np.ndarray,
@@ -560,17 +569,16 @@ def expected_payoff_exact(
 ) -> float:
     """Exact expected payoff of a randomized profile.
 
-    For regime games pass ``xi`` as a pair (xi0, xi1) of informed incarnations
-    together with the prior P(J = 1); the expectation then averages the
-    per-regime values with weights (1 - prior, prior).
+    For regime games pass ``xi`` as one informed incarnation per payoff row,
+    in row order, together with the prior P(J = 1); the expectation then
+    mixes the per-regime values with weights (1 - prior, prior).
     """
     if payoffs.per_regime:
         if prior is None:
             raise ValueError("regime payoffs need a prior")
-        xi0, xi1 = xi
-        v0 = _exact_single(tree, payoffs.f[0], payoffs.g[0], payoffs.h[0], xi0, zeta)
-        v1 = _exact_single(tree, payoffs.f[1], payoffs.g[1], payoffs.h[1], xi1, zeta)
-        return (1.0 - prior) * v0 + prior * v1
+        values = [_exact_single(tree, f, g, h, x, zeta)
+                  for f, g, h, x in zip(payoffs.f, payoffs.g, payoffs.h, xi, strict=True)]
+        return _type_mix((1.0 - prior, prior), values)
     return _exact_single(tree, payoffs.f, payoffs.g, payoffs.h, xi, zeta)
 
 

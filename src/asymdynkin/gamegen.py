@@ -41,12 +41,8 @@ def dominance_game(prior: float = 0.5) -> tuple[ScenarioGame, StrategyProfile]:
     h = np.array([[1.0, -0.6, -0.5], [1.2, -0.7, -0.4]])
     g = np.array([[0.5, -0.9, -0.8], [0.6, -1.0, -0.9]])
     game = ScenarioGame(tree, PayoffTriple(f=f, g=g, h=h), prior)
-    profile = StrategyProfile(
-        xi0=GeneratingProcess.jump_at_depth(1, tree),
-        xi1=GeneratingProcess.jump_at_depth(1, tree),
-        zeta=GeneratingProcess.jump_at_depth(0, tree),
-    )
-    return game, profile
+    wait = GeneratingProcess.jump_at_depth(1, tree)
+    return game, StrategyProfile((wait,) * len(game.weights), GeneratingProcess.jump_at_depth(0, tree))
 
 
 def all_continue_game(prior: float = 0.5) -> tuple[ScenarioGame, StrategyProfile]:
@@ -57,11 +53,11 @@ def all_continue_game(prior: float = 0.5) -> tuple[ScenarioGame, StrategyProfile
     g = np.array([[-1.0, -0.2, -0.1], [-1.1, -0.25, -0.15]])
     game = ScenarioGame(tree, PayoffTriple(f=f, g=g, h=h), prior)
     jump_end = GeneratingProcess.jump_at_depth(1, tree)
-    return game, StrategyProfile(xi0=jump_end, xi1=jump_end, zeta=jump_end)
+    return game, StrategyProfile((jump_end,) * len(game.weights), jump_end)
 
 
 def random_profile(tree: FiltrationTree, seed: int) -> StrategyProfile:
-    """Valid random strategy profile (independent per component)."""
+    """Valid random profile of a two-type game, its components drawn in the order xi[0], xi[1], zeta."""
     rng = np.random.default_rng(seed)
 
     def one() -> GeneratingProcess:
@@ -70,4 +66,4 @@ def random_profile(tree: FiltrationTree, seed: int) -> StrategyProfile:
         levels[tree.leaves] = 1.0
         return GeneratingProcess.from_levels(levels, tree)
 
-    return StrategyProfile(xi0=one(), xi1=one(), zeta=one())
+    return StrategyProfile((one(), one()), one())

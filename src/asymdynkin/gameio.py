@@ -2,7 +2,8 @@
 
 All writers are byte-deterministic: keys are sorted, floats use shortest
 round-trip repr (or their float64 bytes in ``.npy``), and no timestamps or
-environment data leak into artifacts.
+environment data leak into artifacts.  Per-type keys and columns carry the
+type index k < K (``xi{k}``, ``u{k}_hat``, ``U{k}``, ``Z{k}``), in type order.
 """
 
 from __future__ import annotations
@@ -98,29 +99,30 @@ def game_from_dict(data: dict) -> ScenarioGame:
 def equilibrium_to_dict(
     profile: StrategyProfile, value: float, surfaces: ValueSurfaces | None = None
 ) -> dict:
-    out = {
-        "xi0": _floats(profile.xi0.levels),
-        "xi1": _floats(profile.xi1.levels),
-        "zeta": _floats(profile.zeta.levels),
-        "value": float(value),
-    }
+    out = {f"xi{k}": _floats(x.levels) for k, x in enumerate(profile.xi)}
+    out.update(zeta=_floats(profile.zeta.levels), value=float(value))
     if surfaces is not None:
-        out["surfaces"] = {
-            "u0_hat": _floats(surfaces.u_hat[0]),
-            "u1_hat": _floats(surfaces.u_hat[1]),
-            "v_hat": _floats(surfaces.v_hat),
-            "p": _floats(surfaces.p),
-        }
+        out["surfaces"] = {f"u{k}_hat": _floats(u) for k, u in enumerate(surfaces.u_hat)}
+        out["surfaces"].update(v_hat=_floats(surfaces.v_hat), p=_floats(surfaces.p))
     return out
 
 
-def equilibrium_from_dict(data: dict, tree: FiltrationTree) -> tuple[StrategyProfile, float]:
-    profile = StrategyProfile(
-        xi0=GeneratingProcess.from_levels(np.asarray(data["xi0"], dtype=float), tree),
-        xi1=GeneratingProcess.from_levels(np.asarray(data["xi1"], dtype=float), tree),
-        zeta=GeneratingProcess.from_levels(np.asarray(data["zeta"], dtype=float), tree),
-    )
-    return profile, float(data["value"])
+def _process(data: dict, key: str, tree: FiltrationTree) -> GeneratingProcess:
+    """The process whose levels ``data[key]`` lists, one JSON number per tree node."""
+    try:
+        levels = np.array(data[key])  # no dtype: strings, booleans and nulls keep theirs
+    except ValueError as exc:  # ragged nesting
+        raise ValueError(f"{key}: {exc}") from None
+    if levels.shape != (tree.n_nodes,) or levels.dtype.kind not in "iuf":
+        raise ValueError(f"{key}: need a list of {tree.n_nodes} numbers, got shape {levels.shape} "
+                         f"of {levels.dtype}")
+    return GeneratingProcess.from_levels(levels, tree)
+
+
+def equilibrium_from_dict(data: dict, game: ScenarioGame) -> tuple[StrategyProfile, float]:
+    """The profile and declared value of ``game`` that ``data`` holds: ``xi{k}`` per type, ``zeta``."""
+    xi = tuple(_process(data, f"xi{k}", game.tree) for k in range(len(game.weights)))
+    return StrategyProfile(xi, _process(data, "zeta", game.tree)), float(data["value"])
 
 
 def write_json(path: Path, obj: dict) -> None:
@@ -144,7 +146,7 @@ def martingale_report_to_dict(rep: MartingaleReport) -> dict:
     out = {
         "m0_drift": _floats(rep.m0_drift),
         "n0_drift": _floats(rep.n0_drift),
-        "m0_node_class": [rep.node_classification(rep.m0_drift[i]) for i in range(2)],
+        "m0_node_class": [rep.node_classification(d) for d in rep.m0_drift],
         "n0_node_class": rep.node_classification(rep.n0_drift),
         "m0_submartingale": [bool(b) for b in rep.m0_submartingale],
         "m0_martingale_where_active": [bool(b) for b in rep.m0_martingale_on_active],
@@ -176,9 +178,10 @@ def support_report_to_dict(rep: SupportReport) -> dict:
 
 
 def nodes_csv(game: ScenarioGame, surfaces: ValueSurfaces, support: SupportReport) -> str:
-    lines = ["node,p,U0,U1,V,Z0,Z1,Y2"]
-    lines += _csv_lines(np.arange(game.tree.n_nodes), surfaces.p, surfaces.u[0], surfaces.u[1],
-                        surfaces.v, support.z[0], support.z[1], support.y2)
+    types = range(len(game.weights))
+    lines = [",".join(["node", "p", *(f"U{k}" for k in types), "V", *(f"Z{k}" for k in types), "Y2"])]
+    lines += _csv_lines(np.arange(game.tree.n_nodes), surfaces.p, *surfaces.u, surfaces.v,
+                        *support.z, support.y2)
     return "\n".join(lines) + "\n"
 
 

@@ -2,20 +2,21 @@
 
 A generating process is a realization plan (Koller, Megiddo & von Stengel
 1996): its steps a >= 0 satisfy E a = 1 for the leaf x node path incidence
-E.  Against the uninformed steps b the regime-i payoff is bilinear,
-c_i a + d_i b + a M_i b, read off the one first-to-stop flow
-``core.payoff_flows``; E and M_i live on the tree's (node, ancestor-or-self)
+E.  Against the uninformed steps b the type-k payoff is bilinear,
+c_k a + d_k b + a M_k b, read off the one first-to-stop flow
+``core.payoff_flows``; E and M_k live on the tree's (node, ancestor-or-self)
 pairs, which ``_sequence_form_lp`` reads off the tree's subtree table and
 writes straight into the LP.  Dualizing the uninformed player's inner
-maximum gives ``solve_scenario``'s single LP
+maximum gives ``solve_scenario``'s single LP over the type axis, one plan
+a_k per type k < K and the prior weights w = ``game.weights``,
 
-    min over (a0, a1, y)  sum_i w_i c_i a_i + 1 y
-    subject to            E^T y - sum_i w_i M_i^T a_i >= sum_i w_i d_i,
-                          E a_i = 1,  a_i >= 0,
+    min over (a_0, ..., a_{K-1}, y)  sum_k w_k c_k a_k + 1 y
+    subject to                       E^T y - sum_k w_k M_k^T a_k >= sum_k w_k d_k,
+                                     E a_k = 1,  a_k >= 0,
 
-whose size is O(n_nodes), in one call to HiGHS's dual simplex through the
+whose size is O(K n_nodes), in one call to HiGHS's dual simplex through the
 binding scipy ships (``_run_highs``); b is read off the duals of the >= rows.
-The plans' levels are the equilibrium's three generating processes; their
+The plans' levels are the equilibrium's K + 1 generating processes; their
 best-response surfaces measure the gap and give the value v_hat(root) that
 ``verify`` certifies.  ``support_rules`` writes a process as a mixture of at
 most n_nodes + 1 threshold rules ("stop at the first node whose level exceeds
@@ -40,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import FiltrationTree, GeneratingProcess, StoppingRule, flow_value, payoff_flows
+from .core import FiltrationTree, GeneratingProcess, StoppingRule, _type_mix, flow_value, payoff_flows
 from .scenario import ScenarioGame, StrategyProfile, ValueSurfaces, best_response_values
 
 # scipy's HiGHS binding is loaded by ``_highs`` on the first solve: importing the
@@ -62,7 +63,7 @@ __all__ = [
 ]
 
 DEFAULT_CAP = 20_000
-GAP_TOL = 1e-9
+GAP_TOL = 1e-9  # the root duality gap; ``scenario``'s docstring relates it to the node-wise 1e-8
 # the HiGHS options of scipy's "highs-ds" LP method but for the feasibility
 # tolerances, set to 1e-10, the tightest that HiGHS accepts
 _LP_OPTIONS = dict(solver="simplex", simplex_strategy=1, highs_debug_level=0,  # dual simplex, no debug
@@ -128,15 +129,11 @@ def enumerate_stopping_rules(tree: FiltrationTree, cap: int = DEFAULT_CAP) -> Ru
     return RuleSet(rules, stop, tree.scan(stop, np.maximum))
 
 
-def regime_matrices(game: ScenarioGame, rules: RuleSet) -> tuple[np.ndarray, np.ndarray]:
-    """Exact pure-vs-pure payoff matrices B_i[tau, sigma], one per regime."""
-    pay = game.payoffs
-    S, L = rules.stop_matrix, rules.level_matrix
-    out = []
-    for i in range(2):
-        stop, run = payoff_flows(pay.f[i], pay.g[i], pay.h[i], L, S)
-        out.append(flow_value(game.tree.reach, stop, run, L, S))
-    return out[0], out[1]
+def regime_matrices(game: ScenarioGame, rules: RuleSet) -> tuple[np.ndarray, ...]:
+    """Exact pure-vs-pure payoff matrices B_k[tau, sigma], one per type."""
+    pay, S, L = game.payoffs, rules.stop_matrix, rules.level_matrix
+    return tuple(flow_value(game.tree.reach, *payoff_flows(f, g, h, L, S), L, S)
+                 for f, g, h in zip(pay.f, pay.g, pay.h))
 
 
 def build_matrix(
@@ -150,7 +147,7 @@ def build_matrix(
         raise EnumerationCapExceeded(
             f"pair matrix would have {r * r * b0.shape[1]} entries; use solve_scenario"
         )
-    w0, w1 = 1.0 - game.prior, game.prior
+    w0, w1 = game.weights
     return (w0 * b0[:, None] + w1 * b1[None, :]).reshape(r * r, -1)
 
 
@@ -169,14 +166,14 @@ def _sequence_form_lp(game: ScenarioGame):
     indices, rows -inf <= A_ub x <= b_ub and A_eq x = 1.  Probing each flow of
     ``core.payoff_flows`` at the opponent's (level, step) (Z, dZ) = (0, 0),
     (1, 0), (0, 1) gives its constant and slopes.  For each strict ancestor m
-    of n, M_i[n, m] is n's stop Z-slope and M_i[m, n] minus its run dZ-slope
-    (the run flow has no constant and no Z-slope).  Exact zeros of M_i are
-    dropped before weighting by w_i.  The pairs come from ``tree.subtree``.
+    of n, M_k[n, m] is n's stop Z-slope and M_k[m, n] minus its run dZ-slope
+    (the run flow has no constant and no Z-slope).  Exact zeros of M_k are
+    dropped before weighting by w_k.  The pairs come from ``tree.subtree``.
     """
     tree, w, pay, r = game.tree, game.weights, game.payoffs, game.tree.reach
-    n, n_leaves = tree.n_nodes, tree.leaves.size
+    n, n_leaves, k_types = tree.n_nodes, tree.leaves.size, len(game.weights)
     probe_z, probe_dz = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])[:, :, None, None]
-    flows = np.stack(payoff_flows(pay.f, pay.g, pay.h, probe_z, probe_dz))  # (stop/run, probe, regime, n)
+    flows = np.stack(payoff_flows(pay.f, pay.g, pay.h, probe_z, probe_dz))  # (stop/run, probe, type, n)
     (stop_z, stop_dz), (_, run_dz) = r * (flows[:, 1:] - flows[:, :1])
     start, node, _ = tree.subtree
     anc = np.repeat(np.arange(n), np.diff(start))
@@ -186,19 +183,17 @@ def _sequence_form_lp(game: ScenarioGame):
     m_val = np.concatenate([stop_z[:, below], -run_dz[:, below], (stop_z + stop_dz) - run_dz], axis=1)
     leaf = tree.is_leaf[node]
     path_node, leaf_row = anc[leaf], np.searchsorted(tree.leaves, node[leaf])
-    # rows 0..n-1: A_ub = [w_0 M_0^T, w_1 M_1^T, -E^T];  rows n..: A_eq = [[E, 0, 0], [0, E, 0]]
-    entries = [(m_col[k], i * n + m_row[k], w[i] * m_val[i, k]) for i, k in enumerate(m_val != 0.0)]
-    entries.append((path_node, 2 * n + leaf_row, -np.ones(leaf_row.size)))
-    entries += [(n + i * n_leaves + leaf_row, i * n + path_node, np.ones(leaf_row.size)) for i in range(2)]
+    # rows 0..n-1: A_ub = [w_0 M_0^T, ..., w_{K-1} M_{K-1}^T, -E^T];  rows n..: A_eq, E a_k = 1 per type
+    entries = [(m_col[j], k * n + m_row[j], w[k] * m_val[k, j]) for k, j in enumerate(m_val != 0.0)]
+    entries.append((path_node, k_types * n + leaf_row, -np.ones(leaf_row.size)))
+    entries += [(n + k * n_leaves + leaf_row, k * n + path_node, np.ones(leaf_row.size)) for k in range(k_types)]
     row, col, val = (np.concatenate(k) for k in zip(*entries))
     order = np.lexsort((row, col))
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(col, minlength=2 * n + n_leaves))]).astype(np.int32)
-    c = r * flows[0, 0]
-    cost = np.concatenate([w[0] * c[0], w[1] * c[1], np.ones(n_leaves)])
-    d = 0.0 + run_dz  # a sum from 0.0: a zero-reach node's -0.0 becomes 0.0
-    b_ub = -(w[0] * d[0] + w[1] * d[1])
-    row_lower = np.concatenate([np.full(n, -np.inf), np.ones(2 * n_leaves)])
-    col_lower = np.repeat([0.0, -np.inf], [2 * n, n_leaves])
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(col, minlength=k_types * n + n_leaves))]).astype(np.int32)
+    cost = np.concatenate([*(w[:, None] * (r * flows[0, 0])), np.ones(n_leaves)])
+    b_ub = -_type_mix(w, 0.0 + run_dz)  # 0.0 +: a zero-reach node's -0.0 becomes 0.0
+    row_lower = np.concatenate([np.full(n, -np.inf), np.ones(k_types * n_leaves)])
+    col_lower = np.repeat([0.0, -np.inf], [k_types * n, n_leaves])
     return (cost, indptr, row[order].astype(np.int32), val[order], row_lower,
             np.concatenate([b_ub, row_lower[n:]]), col_lower, np.full(cost.size, np.inf))
 
@@ -260,12 +255,12 @@ class LPStats:
 class ScenarioSolution:
     """Equilibrium of a scenario game from the sequence-form LP.
 
-    ``processes`` are the generating processes whose steps are the LP's plans,
+    ``processes`` are the K + 1 generating processes whose steps are the LP's plans,
     ``surfaces`` their best-response values, and ``value`` is v_hat at the root,
     not the LP objective, which HiGHS reaches after dropping matrix entries
     below its ``small_matrix_value``.  The threshold-rule view ``rules``,
-    ``row_mix0``, ``row_mix1``, ``col_mix`` (see ``support_rules``) is built
-    from ``tree`` when first read.
+    ``row_mix0``, ``row_mix1`` (the mixes of types 0 and 1), ``col_mix`` (see
+    ``support_rules``) is built from ``tree`` when first read.
     """
 
     value: float
@@ -282,12 +277,12 @@ class ScenarioSolution:
     @cached_property
     def _support(self) -> tuple[RuleSet, list[np.ndarray]]:
         prof = self.processes
-        return support_rules([prof.xi0.levels, prof.xi1.levels, prof.zeta.levels], self.tree)
+        return support_rules([*(x.levels for x in prof.xi), prof.zeta.levels], self.tree)
 
     rules = property(lambda self: self._support[0])
     row_mix0 = property(lambda self: self._support[1][0])
     row_mix1 = property(lambda self: self._support[1][1])
-    col_mix = property(lambda self: self._support[1][2])
+    col_mix = property(lambda self: self._support[1][-1])
 
 
 def support_rules(levels: list[np.ndarray], tree: FiltrationTree) -> tuple[RuleSet, list[np.ndarray]]:
@@ -323,13 +318,13 @@ def _plan_levels(steps: np.ndarray, tree: FiltrationTree) -> np.ndarray:
 
 
 def solve_scenario(game: ScenarioGame, gap_tol: float = GAP_TOL) -> ScenarioSolution:
-    """Equilibrium oracle: one sequence-form LP, O(n_nodes) in size.
+    """Equilibrium oracle: one sequence-form LP, O(K n_nodes) in size.
 
-    min over (a0, a1, y) of sum_i w_i c_i a_i + 1 y subject to
-    E^T y - sum_i w_i M_i^T a_i >= sum_i w_i d_i and E a_i = 1, a_i >= 0.
+    min over (a_0, ..., a_{K-1}, y) of sum_k w_k c_k a_k + 1 y subject to
+    E^T y - sum_k w_k M_k^T a_k >= sum_k w_k d_k and E a_k = 1, a_k >= 0.
     The uninformed steps b are the duals of the >= rows.  Each attempt is one
     fresh HiGHS dual-simplex run with ``_LP_OPTIONS``, the options of scipy's
-    "highs-ds" method.  The gap is |v_hat(root) - sum_i w_i u_hat_i(root)| of
+    "highs-ds" method.  The gap is |v_hat(root) - sum_k w_k u_hat_k(root)| of
     ``best_response_values`` against the plans' profile, and the value is
     v_hat(root); one re-solve with presolve off refines a solution whose gap
     is not closed.
@@ -340,10 +335,11 @@ def solve_scenario(game: ScenarioGame, gap_tol: float = GAP_TOL) -> ScenarioSolu
     for presolve in (True, False):
         solution, info = _run_highs(lp, presolve)
         x = np.array(solution.col_value)
-        plans = [x[:n], x[n:2 * n], -np.array(solution.row_dual)[:n]]
-        profile = StrategyProfile(*(GeneratingProcess.from_levels(_plan_levels(p, tree), tree) for p in plans))
+        plans = [*np.split(x[:len(w) * n], len(w)), -np.array(solution.row_dual)[:n]]
+        *xi, zeta = (GeneratingProcess.from_levels(_plan_levels(p, tree), tree) for p in plans)
+        profile = StrategyProfile(tuple(xi), zeta)
         surf = best_response_values(game, profile)
-        gap = abs(float(surf.v_hat[0] - w @ surf.u_hat[:, 0]))
+        gap = abs(float(surf.v_hat[0] - _type_mix(w, surf.u_hat[:, 0])))
         if gap <= gap_tol:
             stats = LPStats(*size, info.simplex_iteration_count, presolve, info.objective_function_value)
             return ScenarioSolution(float(surf.v_hat[0]), gap, stats, profile, surf, tree)

@@ -1,17 +1,24 @@
-"""Binary-regime stopping games where one player observes the regime.
+"""Regime stopping games where one player observes the regime.
 
-The informed player (minimizer) has two incarnations, one per regime value;
-the uninformed player (maximizer) holds a belief about the regime that is
-updated from the opponent's inaction.  This module computes best-response
-value surfaces by exact backward recursion and produces node-by-node
-martingale, support and consistency reports together with two independent
-saddle-point certifiers.  The backward recursion runs per level of the tree,
-deepest first, with every node of a level updated at once; the root-to-leaf
-sums use the tree's level-order scan.
+The informed player (minimizer) has one incarnation per type, the regime it
+observes; the uninformed player (maximizer) holds a belief about the type,
+updated from the opponent's inaction.  A profile holds K processes ``xi[k]``;
+informed flows, surfaces and drifts are (K, n) arrays, K is read from
+``game.weights`` or that axis, and every mix over the types is the ordered
+sum ``core._type_mix``, so relabelling the types moves no bit.  Best-response
+surfaces come from exact backward recursion, per level of the tree and
+deepest first; on them the module builds node-by-node martingale, support
+and consistency reports and two independent saddle-point certifiers.
 
 Value surfaces are kept in un-normalized "hat" form (weighted by the
 opponent's survival); normalization by survival divides them out with the
 0/0 = 1 convention, so exhausted branches never see a division.
+
+Tolerances: the node-wise checks use ``DEFAULT_TOL`` = 1e-8; the oracle's
+LP runs at HiGHS's feasibility tolerance 1e-10 (``oracle._LP_OPTIONS``) and
+accepts a root duality gap up to ``oracle.GAP_TOL`` = 1e-9.  A hat drift of
+tau at a node of reach r moves the root objective by about r tau, so an
+epsilon-optimal vertex may drift by epsilon / r at a deep node, above 1e-8.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from .core import (
     IndexOutOfRangeError,
     PayoffTriple,
     ShapeMismatchError,
+    _type_mix,
     payoff_flows,
     validate_generating,
 )
@@ -53,15 +61,13 @@ _SURVIVAL_FLOOR = 1e-15  # below this a survival weight counts as exhausted
 
 @dataclass(frozen=True)
 class ScenarioGame:
-    """Finite tree + per-regime payoff triples + prior P(regime = 1)."""
+    """Finite tree + payoff triples for K = 2 types (regimes) + prior P(regime = 1)."""
 
     tree: FiltrationTree
     payoffs: PayoffTriple
     prior: float
 
     def __post_init__(self):
-        if not self.payoffs.per_regime:
-            raise ValueError("scenario games need regime-indexed payoffs (2, n_nodes)")
         pay = self.payoffs
         if any(a.ndim != 2 or a.shape[0] != 2 for a in (pay.f, pay.g, pay.h)):
             raise ShapeMismatchError("scenario payoffs need exactly two regime rows (2, n_nodes)")
@@ -79,18 +85,17 @@ class ScenarioGame:
 
 @dataclass(frozen=True)
 class StrategyProfile:
-    """Informed incarnations (xi0, xi1) and the uninformed process zeta."""
+    """Informed incarnations ``xi[k]``, one per type, and the uninformed process zeta."""
 
-    xi0: GeneratingProcess
-    xi1: GeneratingProcess
+    xi: tuple[GeneratingProcess, ...]
     zeta: GeneratingProcess
 
-    def xi(self, i: int) -> GeneratingProcess:
-        return self.xi1 if i else self.xi0
+    xi0 = property(lambda self: self.xi[0], doc="The type-0 incarnation, ``xi[0]``.")
+    xi1 = property(lambda self: self.xi[1], doc="The type-1 incarnation, ``xi[1]``.")
 
     def validate(self, tree: FiltrationTree) -> None:
-        for name in ("xi0", "xi1", "zeta"):
-            rep = validate_generating(getattr(self, name), tree)
+        for name, proc in [*((f"xi{k}", x) for k, x in enumerate(self.xi)), ("zeta", self.zeta)]:
+            rep = validate_generating(proc, tree)
             if not rep:
                 raise ValueError(f"{name}: " + "; ".join(rep.violations))
 
@@ -120,7 +125,7 @@ def _safe_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 class ValueSurfaces:
     """Per-node best-response values of both players against a profile.
 
-    ``u_hat[i]`` is the regime-i informed value weighted by the opponent's
+    ``u_hat[k]`` (K rows) is the type-k informed value weighted by the opponent's
     survival (1 - zeta_pre); ``v_hat`` the uninformed value weighted by the
     prior-averaged informed survival.  ``u``/``v`` are the normalized
     versions, ``p`` the belief path, and the ``*_stops`` masks record the
@@ -146,55 +151,58 @@ class ValueSurfaces:
 
 
 def _informed_flows(game: ScenarioGame, zeta: GeneratingProcess):
-    """(stop, run) flows of both informed incarnations against ``zeta``, (2, n) each."""
+    """(stop, run) flows of every informed incarnation against ``zeta``, (K, n) each."""
     pay = game.payoffs
     return payoff_flows(pay.f, pay.g, pay.h, zeta.levels, zeta.steps)
 
 
 def _uninformed_flows(game: ScenarioGame, profile: StrategyProfile):
-    """Prior-weighted (stop, run) flows of the uninformed player against (xi0, xi1)."""
+    """Prior-mixed (stop, run) flows of the uninformed player against the incarnations."""
     pay, w = game.payoffs, game.weights
-    levels = np.array([profile.xi0.levels, profile.xi1.levels])
-    steps = np.array([profile.xi0.steps, profile.xi1.steps])
+    levels = np.array([x.levels for x in profile.xi])
+    steps = np.array([x.steps for x in profile.xi])
     stop, run = payoff_flows(pay.g, pay.f, pay.h, levels, steps)
-    return w @ stop, w @ run
+    return _type_mix(w, stop), _type_mix(w, run)
+
+
+def _informed_survival(game: ScenarioGame, profile: StrategyProfile):
+    """(xi_pre, surv): the incarnations' pre-levels, (K, n), and the prior mix of 1 - xi_pre."""
+    xi_pre = np.array([x.pre_levels(game.tree) for x in profile.xi])
+    return xi_pre, _type_mix(game.weights, 1.0 - xi_pre)
 
 
 def best_response_values(game: ScenarioGame, profile: StrategyProfile) -> ValueSurfaces:
     """Backward recursion for both players' best responses to ``profile``.
 
-    Informed incarnation i (zeta fixed): at a leaf the stop value (h_i *
-    dzeta, as zeta is 1 there); inside, min(stop, g_i * dzeta + E[next]).
-    Uninformed (xi0, xi1 fixed): max of the prior-averaged stop bound against
-    sum_i pi_i f_i dxi_i + E[next].  Ties prefer continuation.
+    Informed incarnation k (zeta fixed): at a leaf the stop value (h_k *
+    dzeta, as zeta is 1 there); inside, min(stop, g_k * dzeta + E[next]).
+    Uninformed (every xi_k fixed): max of the prior-mixed stop bound against
+    sum_k w_k f_k dxi_k + E[next].  Ties prefer continuation.
     """
-    tree, w = game.tree, game.weights
-    n = tree.n_nodes
-    if profile.zeta.n_nodes != n or profile.xi0.n_nodes != n or profile.xi1.n_nodes != n:
-        raise ShapeMismatchError("profile node count disagrees with game tree")
+    tree, n = game.tree, game.tree.n_nodes
+    if len(profile.xi) != len(game.weights) or any(x.n_nodes != n for x in (*profile.xi, profile.zeta)):
+        raise ShapeMismatchError("profile type or node count disagrees with game")
 
     stop_u, run_u = _informed_flows(game, profile.zeta)
     stop_v, run_v = _uninformed_flows(game, profile)
-    # rows: incarnation 0, incarnation 1, then the uninformed player negated,
-    # so that every row minimizes (max(a, b) = -min(-a, -b) exactly)
+    # rows: one per incarnation, then the uninformed player negated, so that
+    # every row minimizes (max(a, b) = -min(-a, -b) exactly)
     stop = np.vstack([stop_u, -stop_v])
     run = np.vstack([run_u, -run_v])
     hat = stop.copy()  # leaves stop; internal nodes are set level by level
-    stops = np.zeros((3, n), dtype=bool)
+    stops = np.zeros(stop.shape, dtype=bool)
     for lvl in reversed(tree.levels):
         lvl = lvl[~tree.is_leaf[lvl]]
         cont = run[:, lvl] + tree.expectation_step(hat)[:, lvl]
         stops[:, lvl] = stop[:, lvl] < cont
         hat[:, lvl] = np.where(stops[:, lvl], stop[:, lvl], cont)
-    u_hat, v_hat = hat[:2], -hat[2]
-    informed_stops, uninformed_stops = stops[:2], stops[2]
+    u_hat, v_hat = hat[:-1], -hat[-1]
+    informed_stops, uninformed_stops = stops[:-1], stops[-1]
 
-    zeta_pre = profile.zeta.pre_levels(tree)
-    xi_pre = np.stack([profile.xi(i).pre_levels(tree) for i in range(2)])
-    surv_v = w[0] * (1.0 - xi_pre[0]) + w[1] * (1.0 - xi_pre[1])
-    u = _safe_ratio(u_hat, 1.0 - zeta_pre)
+    xi_pre, surv_v = _informed_survival(game, profile)
+    u = _safe_ratio(u_hat, 1.0 - profile.zeta.pre_levels(tree))
     v = _safe_ratio(v_hat, surv_v)
-    p, degenerate = belief_update(game.prior, xi_pre[0], xi_pre[1])
+    p, degenerate = belief_update(game.prior, *xi_pre)
     return ValueSurfaces(u_hat, v_hat, u, v, p, degenerate, informed_stops, uninformed_stops)
 
 
@@ -209,8 +217,8 @@ def _drift(tree: FiltrationTree, values: np.ndarray) -> np.ndarray:
 class MartingaleReport:
     """Exact one-step drifts of the auxiliary value systems.
 
-    ``m0_drift[i]`` is the drift of sum_{s<t} g_i dzeta + u_hat_i (should be
-    a submartingale, and a martingale wherever incarnation i still survives);
+    ``m0_drift[k]`` is the drift of sum_{s<t} g_k dzeta + u_hat_k (should be
+    a submartingale, and a martingale wherever incarnation k still survives);
     ``n0_drift`` the analogous supermartingale drift on the uninformed side.
     Override drifts check an arbitrary candidate strategy against the same
     equilibrium surfaces.
@@ -227,15 +235,12 @@ class MartingaleReport:
 
     @property
     def m0_submartingale(self) -> np.ndarray:
-        return np.array([self.m0_drift[i][self.internal].min(initial=0.0) >= -self.tol for i in range(2)])
+        return self.m0_drift.min(axis=-1, initial=0.0, where=self.internal) >= -self.tol
 
     @property
     def m0_martingale_on_active(self) -> np.ndarray:
-        out = []
-        for i in range(2):
-            mask = self.internal & self.xi_active[i]
-            out.append(np.abs(self.m0_drift[i][mask]).max(initial=0.0) <= self.tol)
-        return np.array(out)
+        mask = self.internal & self.xi_active
+        return np.abs(self.m0_drift).max(axis=-1, initial=0.0, where=mask) <= self.tol
 
     @property
     def n0_supermartingale(self) -> bool:
@@ -294,7 +299,7 @@ def martingale_report(
     game: ScenarioGame,
     profile: StrategyProfile,
     surfaces: ValueSurfaces,
-    xi_override: tuple[GeneratingProcess, GeneratingProcess] | None = None,
+    xi_override: tuple[GeneratingProcess, ...] | None = None,
     zeta_override: GeneratingProcess | None = None,
     tol: float = DEFAULT_TOL,
 ) -> MartingaleReport:
@@ -308,10 +313,8 @@ def martingale_report(
 
     m_over = None
     if xi_override is not None:
-        m_over = np.stack([
-            _override_drift(tree, stop_u[i], run_u[i], xi_override[i], surfaces.u_hat[i])
-            for i in range(2)
-        ])
+        m_over = np.stack([_override_drift(tree, s, r, x, u) for s, r, x, u
+                           in zip(stop_u, run_u, xi_override, surfaces.u_hat, strict=True)])
     n_over = None
     if zeta_override is not None:
         n_over = _override_drift(tree, stop_v, run_v, zeta_override, surfaces.v_hat)
@@ -320,7 +323,7 @@ def martingale_report(
         m0_drift=m0_drift,
         n0_drift=n0_drift,
         internal=~tree.is_leaf,
-        xi_active=np.stack([profile.xi(i).levels < 1.0 - 1e-12 for i in range(2)]),
+        xi_active=np.array([x.levels for x in profile.xi]) < 1.0 - 1e-12,
         zeta_active=profile.zeta.levels < 1.0 - 1e-12,
         tol=tol,
         m_override_drift=m_over,
@@ -332,11 +335,12 @@ def martingale_report(
 class SupportReport:
     """Support slacks and flat-off residuals of a profile at its surfaces.
 
-    ``z[i] = u_hat_i - informed stop bound`` (non-positive at equilibrium),
+    ``z[k] = u_hat_k - informed stop bound`` (non-positive at equilibrium),
     ``y2 = v_hat - uninformed stop bound`` (non-negative); the flat-off sums
     accumulate slack x stopping mass along each root-to-leaf path and vanish
     exactly when mass sits only where the slack is zero.  ``consistency`` is
-    |<p, U> - V| on the still-in-play set Gamma2.
+    |<belief, U> - V|, the belief (1 - p, p) mixing the K rows of U, on the
+    still-in-play set Gamma2.
     """
 
     z: np.ndarray
@@ -375,22 +379,19 @@ def support_report(
     z = surfaces.u_hat - _informed_flows(game, profile.zeta)[0]
     y2 = surfaces.v_hat - _uninformed_flows(game, profile)[0]
 
-    contrib_inf = z[0] * profile.xi0.steps + z[1] * profile.xi1.steps
+    xi_steps = np.array([x.steps for x in profile.xi])
+    contrib_inf = _type_mix(xi_steps, z)
     contrib_uni = y2 * profile.zeta.steps
     flat_inf = contrib_inf[tree.paths].sum(axis=1)
     flat_uni = contrib_uni[tree.paths].sum(axis=1)
 
-    xi_pre = np.stack([profile.xi(i).pre_levels(tree) for i in range(2)])
+    xi_pre = np.array([x.pre_levels(tree) for x in profile.xi])
     zeta_pre = profile.zeta.pre_levels(tree)
-    gamma2 = (np.minimum(xi_pre[0], xi_pre[1]) < 1.0 - 1e-12) & (zeta_pre < 1.0 - 1e-12)
-    consistency = np.abs(
-        surfaces.p * surfaces.u[1] + (1.0 - surfaces.p) * surfaces.u[0] - surfaces.v
-    )
+    gamma2 = (xi_pre.min(axis=0) < 1.0 - 1e-12) & (zeta_pre < 1.0 - 1e-12)
+    consistency = np.abs(_type_mix(np.stack([1.0 - surfaces.p, surfaces.p]), surfaces.u) - surfaces.v)
 
     interior = ~tree.is_leaf
-    simt = interior & (profile.zeta.steps > 1e-12) & (
-        (profile.xi0.steps > 1e-12) | (profile.xi1.steps > 1e-12)
-    )
+    simt = interior & (profile.zeta.steps > 1e-12) & (xi_steps > 1e-12).any(axis=0)
     return SupportReport(z, y2, flat_inf, flat_uni, consistency, gamma2, np.flatnonzero(simt))
 
 
@@ -465,12 +466,11 @@ def certify_mart(
     root values match across players.  Certified implies value = V at root.
     A NaN fails every check it reaches.
     """
-    tree, w = game.tree, game.weights
+    tree = game.tree
     report = martingale_report(game, profile, surfaces, tol=tol)
     violations: list[tuple[str, int, float]] = []
 
-    for i in range(2):
-        d = report.m0_drift[i]
+    for i, d in enumerate(report.m0_drift):
         for node in np.flatnonzero(report.internal & ~(d >= -tol)):
             violations.append((f"(i) M0[{i}] submartingale", int(node), float(d[node])))
     d = report.n0_drift
@@ -481,20 +481,19 @@ def certify_mart(
     stop_u = _informed_flows(game, profile.zeta)[0]
     stop_v = _uninformed_flows(game, profile)[0]
     alive_u = ~(zeta_pre >= 1.0 - 1e-12)
-    for i in range(2):
-        resid = (surfaces.u_hat[i] - stop_u[i]) / np.maximum(1.0 - zeta_pre, _SURVIVAL_FLOOR)
+    resid_u = (surfaces.u_hat - stop_u) / np.maximum(1.0 - zeta_pre, _SURVIVAL_FLOOR)
+    for i, resid in enumerate(resid_u):
         for node in np.flatnonzero(alive_u & ~(resid <= tol)):
             violations.append((f"(iii) obstacle U[{i}]", int(node), float(resid[node])))
 
-    xi_pre = np.stack([profile.xi(i).pre_levels(tree) for i in range(2)])
-    surv_v = w[0] * (1.0 - xi_pre[0]) + w[1] * (1.0 - xi_pre[1])
+    surv_v = _informed_survival(game, profile)[1]
     alive_v = ~(surv_v <= _SURVIVAL_FLOOR)
     resid_v = (stop_v - surfaces.v_hat) / np.maximum(surv_v, _SURVIVAL_FLOOR)
     for node in np.flatnonzero(alive_v & ~(resid_v <= tol)):
         violations.append(("(iv) obstacle V", int(node), float(resid_v[node])))
 
     u0, v0 = surfaces.root_values()
-    gap = abs(w[0] * u0[0] + w[1] * u0[1] - v0)
+    gap = abs(_type_mix(game.weights, u0) - v0)
     if not gap <= tol:
         violations.append(("(v) root values", 0, float(gap)))
 
@@ -546,14 +545,14 @@ def certify_stop(
 
     Verifies that no pure adapted stopping rule beats the candidate values
     against the candidate profile -- (i) per informed incarnation, (ii) for
-    the uninformed player -- plus (iii) the root identity <prior, U0> = V0.
+    the uninformed player -- plus (iii) the root identity <prior, U0> = V0,
+    with one ``u_root`` entry per type.
     The best pure deviation comes from one leaf-to-root pass in plan
     coordinates (``_best_pure_rules``), reach-weighted and independent of the
     best-response recursion; each check reports at most that deviation, at
     the smallest stop-node id of the rule.  A NaN fails every check.  Root
     values default to the supplied surfaces' roots.
     """
-    tree, w = game.tree, game.weights
     if u_root is None or v_root is None:
         if surfaces is None:
             raise ValueError("need either root values or surfaces")
@@ -563,15 +562,15 @@ def certify_stop(
     stop_u, run_u = _informed_flows(game, profile.zeta)
     stop_v, run_v = _uninformed_flows(game, profile)
     # the uninformed player maximizes: negated, its row minimizes as well
-    best, _, first = _best_pure_rules(tree, np.vstack([stop_u, -stop_v]), np.vstack([run_u, -run_v]))
+    best, _, first = _best_pure_rules(game.tree, np.vstack([stop_u, -stop_v]), np.vstack([run_u, -run_v]))
     violations: list[tuple[str, int, float]] = []
-    for i in range(2):
-        if not best[i] >= u_root[i] - tol:
-            violations.append((f"(i) pure tau regime {i}", int(first[i]), float(best[i] - u_root[i])))
-    if not -best[2] <= v_root + tol:
-        violations.append(("(ii) pure sigma", int(first[2]), float(-best[2] - v_root)))
+    for i, (b, u) in enumerate(zip(best[:-1], u_root, strict=True)):
+        if not b >= u - tol:
+            violations.append((f"(i) pure tau regime {i}", int(first[i]), float(b - u)))
+    if not -best[-1] <= v_root + tol:
+        violations.append(("(ii) pure sigma", int(first[-1]), float(-best[-1] - v_root)))
 
-    gap = abs(w[0] * u_root[0] + w[1] * u_root[1] - v_root)
+    gap = abs(_type_mix(game.weights, u_root) - v_root)
     if not gap <= tol:
         violations.append(("(iii) root values", 0, float(gap)))
 

@@ -343,9 +343,9 @@ def _ref_flows(game, profile):
     z, dz = profile.zeta.levels, profile.zeta.steps
     stop_u = pay.f * (1.0 - z) + pay.h * dz
     run_u = pay.g * dz
-    stop_v = sum(w[i] * (pay.g[i] * (1.0 - profile.xi(i).levels) + pay.h[i] * profile.xi(i).steps)
+    stop_v = sum(w[i] * (pay.g[i] * (1.0 - profile.xi[i].levels) + pay.h[i] * profile.xi[i].steps)
                  for i in range(2))
-    run_v = sum(w[i] * pay.f[i] * profile.xi(i).steps for i in range(2))
+    run_v = sum(w[i] * pay.f[i] * profile.xi[i].steps for i in range(2))
     return stop_u, run_u, stop_v, run_v
 
 

@@ -117,10 +117,7 @@ def _perturb_zeta(game, profile, mass=0.1):
     for m in range(target + 1, tree.n_nodes):
         levels[m] = max(levels[m], levels[tree.parent[m]])
     levels[tree.leaves] = 1.0
-    return ad.StrategyProfile(
-        xi0=profile.xi0, xi1=profile.xi1,
-        zeta=GeneratingProcess.from_levels(levels, tree),
-    )
+    return ad.StrategyProfile(profile.xi, GeneratingProcess.from_levels(levels, tree))
 
 
 def test_criterion_03_sufficient_conditions(battery):

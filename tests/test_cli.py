@@ -95,7 +95,7 @@ class TestOracleCommand:
         assert main(["oracle", "--game", str(path), "--out", str(tmp_path / "eq")]) == 0
         eq = json.loads((tmp_path / "eq" / "equilibrium.json").read_text())
         assert eq["gap"] <= 1e-9
-        profile, value = gameio.equilibrium_from_dict(eq, game.tree)
+        profile, value = gameio.equilibrium_from_dict(eq, game)
         cert = certify_mart(game, profile, best_response_values(game, profile))
         assert cert.certified
         assert abs(cert.value - value) <= 1e-8
@@ -123,7 +123,7 @@ class TestOracleCommand:
         assert main(["oracle", "--game", str(path), "--out", str(tmp_path / "eq")]) == 0
         assert len(calls) == 1
         eq = json.loads((tmp_path / "eq" / "equilibrium.json").read_text())
-        surf = best_response_values(game, gameio.equilibrium_from_dict(eq, game.tree)[0])
+        surf = best_response_values(game, gameio.equilibrium_from_dict(eq, game)[0])
         written = eq["surfaces"]
         for key, ref in (("u0_hat", surf.u_hat[0]), ("u1_hat", surf.u_hat[1]), ("v_hat", surf.v_hat),
                          ("p", surf.p)):
@@ -169,10 +169,7 @@ class TestVerifyCommand:
         for m in range(1, game.tree.n_nodes):
             levels[m] = max(levels[m], levels[game.tree.parent[m]])
         levels[game.tree.leaves] = 1.0
-        bad = StrategyProfile(
-            xi0=prof.xi0, xi1=prof.xi1,
-            zeta=GeneratingProcess.from_levels(levels, game.tree),
-        )
+        bad = StrategyProfile(prof.xi, GeneratingProcess.from_levels(levels, game.tree))
         eq_path = tmp_path / "bad_eq.json"
         gameio.write_json(eq_path, gameio.equilibrium_to_dict(bad, sol.value))
         rc = main([
@@ -211,7 +208,7 @@ class TestVerifyCommand:
                      "b55929d46f4c5d1cdb4e66c12348bfb53ac796019a48950a861117a26dea8317", id="prior 0.5"),
         # weights (0.65, 0.35) are not exact halves, so this case sees the order of every prior mix
         pytest.param(random_scenario_game(6, seed=11, prior=0.35),
-                     "a970ef54dc5ce4fb6c143067264eccf15e6453f30f09fe6a6e252ff040f020ce", id="prior 0.35"),
+                     "5ed262e4afa7ebcf1ece6c35f3f3b5709f00511a9b07c92403fff5ca6e1fe605", id="prior 0.35"),
     ])
     def test_nodes_csv_is_pinned(self, tmp_path, game, digest):
         # nodes.csv carries no run configuration, so its bytes only move with the numbers
@@ -224,7 +221,8 @@ class TestVerifyCommand:
         ]) == 0
         assert hashlib.sha256((tmp_path / "ver" / "nodes.csv").read_bytes()).hexdigest() == digest
 
-    @pytest.mark.parametrize("mutation", ["nan_root", "zeta_leaf_half", "zeta_decreasing", "xi1_root_above_one"])
+    @pytest.mark.parametrize("mutation", ["nan_root", "zeta_leaf_half", "zeta_decreasing", "xi1_root_above_one",
+                                          "xi1_short", "zeta_nested"])
     def test_invalid_equilibrium_exits_2(self, tmp_path, capsys, mutation):
         game = random_scenario_game(2, seed=321, prior=0.5)
         path = tmp_path / "game.json"
@@ -240,15 +238,21 @@ class TestVerifyCommand:
             eq["zeta"][0] = 0.8
             for node in tree.levels[1]:
                 eq["zeta"][int(node)] = 0.3
-        else:
+        elif mutation == "xi1_root_above_one":
             eq["xi1"][0] = 1.7
+        elif mutation == "xi1_short":
+            eq["xi1"].pop()
+        else:
+            eq["zeta"] = [[x] for x in eq["zeta"]]
         eq_path = tmp_path / "bad_eq.json"
         gameio.write_json(eq_path, eq)
         capsys.readouterr()
         rc = main(["verify", "--game", str(path), "--equilibrium", str(eq_path),
                    "--out", str(tmp_path / "ver")])
         assert rc == 2
-        assert capsys.readouterr().err.startswith("error: equilibrium:")
+        # the message names the key that is wrong
+        key = "xi0" if mutation == "nan_root" else mutation.split("_")[0]
+        assert capsys.readouterr().err.startswith(f"error: equilibrium: {key}:")
 
     def test_nan_tol_exits_2(self, game_file, tmp_path, capsys):
         # every comparison against a NaN tolerance is false, which used to certify

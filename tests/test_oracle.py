@@ -299,8 +299,8 @@ class TestSequenceForm:
             prof = random_profile(tree, seed=seed % 1000 + k)
             b = prof.zeta.steps
             for i, (c, d, m) in enumerate(forms):
-                a = prof.xi(i).steps
-                exact = expected_payoff_exact(tree, game.payoffs.regime(i), prof.xi(i), prof.zeta)
+                a = prof.xi[i].steps
+                exact = expected_payoff_exact(tree, game.payoffs.regime(i), prof.xi[i], prof.zeta)
                 assert abs(c @ a + d @ b + a @ (m @ b) - exact) <= 1e-13
 
     def test_ancestor_matrix_gives_levels_and_paths(self):

@@ -95,7 +95,7 @@ class TestBestResponseValues:
             game.prior,
         )
         prof = random_profile(game.tree, 5)
-        prof = StrategyProfile(xi0=prof.xi0, xi1=prof.xi0, zeta=prof.zeta)
+        prof = StrategyProfile((prof.xi0, prof.xi0), prof.zeta)
         surf = best_response_values(sym, prof)
         np.testing.assert_allclose(surf.u_hat[0], surf.u_hat[1], atol=1e-15)
 
@@ -103,7 +103,7 @@ class TestBestResponseValues:
         game = random_scenario_game(3, seed=8, prior=0.35)
         tree = game.tree
         jump_end = GeneratingProcess.jump_at_depth(tree.n_steps, tree)
-        prof = StrategyProfile(xi0=jump_end, xi1=jump_end, zeta=jump_end)
+        prof = StrategyProfile((jump_end, jump_end), jump_end)
         surf = best_response_values(game, prof)
         w = game.weights
         running = w[0] * game.payoffs.g[0] + w[1] * game.payoffs.g[1]
@@ -191,10 +191,7 @@ class TestSupportReport:
                 sub.append(m)
         levels[sub] = np.maximum(levels[sub], 0.5)
         levels[game.tree.leaves] = 1.0
-        bad = StrategyProfile(
-            xi0=prof.xi0, xi1=prof.xi1,
-            zeta=GeneratingProcess.from_levels(levels, game.tree),
-        )
+        bad = StrategyProfile(prof.xi, GeneratingProcess.from_levels(levels, game.tree))
         bad_rep = support_report(game, bad, surf)
         assert bad_rep.max_flat_off > 1e-8
 
@@ -209,11 +206,7 @@ class TestExAnteCheck:
         # both players fully stopped below the root: zeta jumped at 0 and we
         # exhaust xi at depth 1 too
         tree = game.tree
-        prof = StrategyProfile(
-            xi0=GeneratingProcess.jump_at_depth(1, tree),
-            xi1=GeneratingProcess.jump_at_depth(1, tree),
-            zeta=prof.zeta,
-        )
+        prof = StrategyProfile((GeneratingProcess.jump_at_depth(1, tree),) * 2, prof.zeta)
         surf = best_response_values(game, prof)
         leaf = int(tree.leaves[0])
         assert ex_ante_check(game, prof, surf, leaf) == pytest.approx(0.0, abs=1e-15)
@@ -373,10 +366,7 @@ class TestCertifyStop:
         for m in range(1, game.tree.n_nodes):
             levels[m] = max(levels[m], levels[game.tree.parent[m]])
         levels[game.tree.leaves] = 1.0
-        bad = StrategyProfile(
-            xi0=prof.xi0, xi1=prof.xi1,
-            zeta=GeneratingProcess.from_levels(levels, game.tree),
-        )
+        bad = StrategyProfile(prof.xi, GeneratingProcess.from_levels(levels, game.tree))
         bad_surf = best_response_values(game, bad)
         stop_cert = certify_stop(game, bad, surfaces=bad_surf)
         mart_cert = certify_mart(game, bad, bad_surf)
@@ -390,10 +380,10 @@ class TestCertifyStop:
         # the informed flows run against zeta, the uninformed ones against xi
         levels = prof.zeta.levels.copy()
         levels[0] = np.nan
-        bad = StrategyProfile(prof.xi0, prof.xi1, GeneratingProcess.from_levels(levels, game.tree))
+        bad = StrategyProfile(prof.xi, GeneratingProcess.from_levels(levels, game.tree))
         cert = certify_stop(game, bad, u_root, v_root)
         assert [c for c, _, _ in cert.violations] == ["(i) pure tau regime 0", "(i) pure tau regime 1"]
-        bad = StrategyProfile(GeneratingProcess.from_levels(levels, game.tree), prof.xi1, prof.zeta)
+        bad = StrategyProfile((GeneratingProcess.from_levels(levels, game.tree), prof.xi1), prof.zeta)
         cert = certify_stop(game, bad, u_root, v_root)
         assert [c for c, _, _ in cert.violations] == ["(ii) pure sigma"]
 
@@ -427,7 +417,7 @@ def _assert_matches_enumeration(game, prof, eq_roots):
         assert first[k] in first_stop[vals <= vals.min() + 1e-12]
 
     forms = sequence_form(game, ancestor_matrix(game.tree))
-    q = sum(w * (d + m.T @ prof.xi(i).steps) for i, (w, (_, d, m)) in enumerate(zip(game.weights, forms)))
+    q = sum(w * (d + m.T @ prof.xi[i].steps) for i, (w, (_, d, m)) in enumerate(zip(game.weights, forms)))
     for i, (c, _, m) in enumerate(forms):
         np.testing.assert_allclose(p[i], c + m @ prof.zeta.steps, rtol=0, atol=1e-13)
     np.testing.assert_allclose(-p[2], q, rtol=0, atol=1e-13)
@@ -472,6 +462,48 @@ class TestCrossCertifierAgreement:
         assert a == b
 
 
+def _relabelled(game, prof):
+    """The same game and profile with the two types' names swapped: payoff rows, prior, incarnations."""
+    pay = game.payoffs
+    swapped = PayoffTriple(f=pay.f[::-1], g=pay.g[::-1], h=pay.h[::-1])
+    return ScenarioGame(game.tree, swapped, 1.0 - game.prior), StrategyProfile(prof.xi[::-1], prof.zeta)
+
+
+def _analysis(game, prof):
+    """Surfaces, both reports and both certificates, as ``verify`` computes them."""
+    surf = best_response_values(game, prof)
+    return (surf, martingale_report(game, prof, surf), support_report(game, prof, surf),
+            certify_mart(game, prof, surf), certify_stop(game, prof, surfaces=surf))
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestRelabelling:
+    """Which type is called 0 changes no bit: every mix over the types is one ordered sum."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("depth", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("prior", [0.25, 0.375])  # 1 - (1 - p) == p, so the weights swap exactly
+    def test_swapped_types_give_the_same_bits(self, prior, depth, seed):
+        game = random_scenario_game(depth, seed=10 * depth + seed, prior=prior)
+        prof = random_profile(game.tree, seed=seed)
+        swapped = _relabelled(game, prof)
+        assert swapped[0].prior == 1.0 - prior and 1.0 - swapped[0].prior == prior
+        surf, mrep, srep, cert_m, cert_s = _analysis(game, prof)
+        surf_s, mrep_s, srep_s, cert_m_s, cert_s_s = _analysis(*swapped)
+        for rows, rows_s in [(surf.u_hat, surf_s.u_hat), (mrep.m0_drift, mrep_s.m0_drift), (srep.z, srep_s.z)]:
+            _same_bits(rows[::-1], rows_s)
+        for same, same_s in [(surf.v_hat, surf_s.v_hat), (surf.v, surf_s.v), (mrep.n0_drift, mrep_s.n0_drift),
+                             (srep.y2, srep_s.y2), (cert_m.value, cert_m_s.value), (cert_s.value, cert_s_s.value)]:
+            _same_bits(same, same_s)
+        assert (cert_m.verdict, cert_s.verdict) == (cert_m_s.verdict, cert_s_s.verdict)
+        np.testing.assert_allclose(surf_s.p, 1.0 - surf.p, rtol=0, atol=1e-15)
+        assert abs(solve_scenario(swapped[0]).value - solve_scenario(game).value) <= 1e-12
+
+
 class TestTruncationConsistency:
     @pytest.mark.parametrize("node", [1, 2, 3, 6])
     def test_truncated_profile_reproduces_normalized_surfaces(self, node):
@@ -483,11 +515,8 @@ class TestTruncationConsistency:
         prof = random_profile(tree, 78)
         surf = best_response_values(game, prof)
         rule = StoppingRule.at_depth(int(tree.depth[node]), tree)
-        trunc = StrategyProfile(
-            xi0=truncate_control(prof.xi0, rule, tree),
-            xi1=truncate_control(prof.xi1, rule, tree),
-            zeta=truncate_control(prof.zeta, rule, tree),
-        )
+        trunc = StrategyProfile(tuple(truncate_control(x, rule, tree) for x in prof.xi),
+                                truncate_control(prof.zeta, rule, tree))
         restarted = ScenarioGame(tree, game.payoffs, prior=float(surf.p[node]))
         tsurf = best_response_values(restarted, trunc)
         in_subtree = np.zeros(tree.n_nodes, dtype=bool)
