@@ -32,7 +32,7 @@ from .dynamics import (
     simulate_filter_paths,
     simulate_regime_paths,
 )
-from .dynamics.model import model_from_dict, parse_expression
+from .dynamics.model import expression_field, model_from_dict
 from .dynamics.simulate import _time_axis
 from .oracle import NumericalFailure, solve_scenario
 from .scenario import (
@@ -176,7 +176,7 @@ def _payoff_callables(data: dict, model):
     if missing:
         raise InputError(f"model: missing payoff field {missing[0]!r} (needed for pde/verify)")
     with _reading("model: payoff expression"):
-        exprs = [parse_expression(data[k]) for k in ("f", "g", "h")]
+        exprs = [expression_field(data, k) for k in ("f", "g", "h")]
     xs = model.sample_points()
     with _reading("model"), np.errstate(all="ignore"):  # inf - inf is non-finite, not a warning
         PayoffTriple(*(e(xs) for e in exprs)).check_order()

@@ -68,6 +68,27 @@ class IndexOutOfRangeError(IndexError):
     """A stopping index lies outside the path's grid, or a node id outside the tree."""
 
 
+def json_numbers(key: str, value, shape: tuple | None = None, integer: bool = False) -> np.ndarray:
+    """The JSON numbers ``value`` (of ``shape``, if given) as float64, or int64 if ``integer``.
+
+    Booleans, strings, nulls, objects, ragged nesting, integers past 64 bits
+    and, where ``integer`` asks for integers, fractions are refused with a
+    ValueError that names ``key``; NaN and infinities pass, for the readers'
+    own checks to report.
+    """
+    try:
+        arr = np.array(value)  # no dtype: strings, booleans and nulls keep theirs
+    except ValueError as exc:  # ragged nesting
+        raise ValueError(f"{key}: {exc}") from None
+    kinds = "iu" if integer else "iuf"
+    if (arr.size and arr.dtype.kind not in kinds) or shape not in (None, arr.shape):
+        what = "integers" if integer else "numbers"
+        need = "" if shape is None else f" of shape {shape}"
+        raise ValueError(f"{key}: need JSON {what}{need}, got shape {arr.shape} of {arr.dtype}")
+    # a value past int64 raises OverflowError ("Python int too large") here
+    return np.array(value, dtype=np.int64 if integer else float)
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Strictly increasing times t_0 = 0 < t_1 < ... < t_N = horizon."""

@@ -5,100 +5,69 @@ PDE and the generator checks share: ``generator_coefficients`` gives the
 coefficients of the (X, psi) generator in each mode of ``MODES``, and
 ``filter_step`` is the Euler update psi + w(X) psi (1 - psi) dB of the
 filter SDE.
+
+Coefficients and payoffs are expressions in ``x`` whose grammar is Python's,
+restricted twice.  A token check admits only decimal numbers, ``x``, ``tanh``,
+parentheses, ``+``, ``-``, ``*`` and whitespace; of the tree ``ast.parse``
+then builds, a whitelist -- ``+``, ``-`` and ``*``, unary minus, ``tanh`` of
+one argument, ``x`` and number constants -- compiles into numpy closures, and
+any other node is a ValueError.  Python evaluates nothing.
 """
 
 from __future__ import annotations
 
+import ast
 import re
+import reprlib
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-__all__ = ["DiffusionModel", "MODES", "parse_expression", "model_from_dict",
+from ..core import json_numbers
+
+__all__ = ["DiffusionModel", "MODES", "parse_expression", "expression_field", "model_from_dict",
            "generator_coefficients", "filter_step"]
 
 MODES = ("observation", "regime-0", "regime-1")
 # sigma must stay at or above this floor on the domain: w divides by it
 _SIGMA_MIN = 1e-6
 
-_TOKEN = re.compile(r"\s*(?:(\d+\.?\d*(?:[eE][+-]?\d+)?)|(x)|(tanh)|([()+\-*]))")
+# the tokens, read left to right without backtracking (a possessive loop), and whitespace
+_TOKENS = re.compile(r"(?:\s|\d+\.?\d*(?:[eE][+-]?\d+)?|x|tanh|[()+\-*])*+")
+_BINARY = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply}
 
 
 def parse_expression(src: str) -> Callable[[np.ndarray], np.ndarray]:
-    """Compile a tiny arithmetic grammar into a vectorized callable.
+    """Compile an expression of the module's grammar into a vectorized callable of ``x``."""
+    if not _TOKENS.fullmatch(src):
+        raise ValueError(f"bad token in expression {reprlib.repr(src)}")
+    text = " ".join(src.split())
+    try:
+        tree = ast.parse(text, mode="eval")
+    except (SyntaxError, MemoryError) as exc:  # MemoryError: CPython's parser stack is full
+        raise ValueError(f"bad expression {reprlib.repr(src)}: "
+                         f"{getattr(exc, 'msg', 'nested too deep')}") from None
 
-    Grammar: numbers, the state symbol ``x``, ``+``, ``-``, ``*``, ``tanh(...)``
-    and parentheses -- enough for constants and affine/tanh drifts without
-    ever touching ``eval``.
-    """
-    tokens: list[str] = []
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN.match(src, pos)
-        if not m:
-            raise ValueError(f"bad token in expression at {src[pos:]!r}")
-        tokens.append(m.group(m.lastindex))
-        pos = m.end()
-    tokens.append("<end>")
-    idx = 0
+    def build(node):
+        match node:
+            case ast.BinOp(left, op, right) if type(op) in _BINARY:
+                fn, a, b = _BINARY[type(op)], build(left), build(right)
+                return lambda x: fn(a(x), b(x))
+            case ast.UnaryOp(ast.USub(), operand):
+                inner = build(operand)
+                return lambda x: -inner(x)
+            case ast.Call(ast.Name("tanh"), [arg], []):
+                inner = build(arg)
+                return lambda x: np.tanh(inner(x))
+            case ast.Name("x"):
+                return lambda x: np.asarray(x, dtype=float)
+            case ast.Constant():  # its text, not its value: 0x10 is a Python int but no float
+                val = float(ast.get_source_segment(text, node))
+                return lambda x: np.full_like(np.asarray(x, dtype=float), val)
+        raise ValueError(f"{reprlib.repr(ast.get_source_segment(text, node))} is outside the grammar")
 
-    def peek() -> str:
-        return tokens[idx]
-
-    def take(expected: str | None = None) -> str:
-        nonlocal idx
-        tok = tokens[idx]
-        if expected is not None and tok != expected:
-            raise ValueError(f"expected {expected!r}, found {tok!r}")
-        idx += 1
-        return tok
-
-    def expr():
-        node = term()
-        while peek() in "+-":
-            op = take()
-            rhs = term()
-            node = (lambda a, b: (lambda x: a(x) + b(x))) (node, rhs) if op == "+" else (
-                lambda a, b: (lambda x: a(x) - b(x))
-            )(node, rhs)
-        return node
-
-    def term():
-        node = factor()
-        while peek() == "*":
-            take()
-            rhs = factor()
-            node = (lambda a, b: (lambda x: a(x) * b(x)))(node, rhs)
-        return node
-
-    def factor():
-        tok = peek()
-        if tok == "-":
-            take()
-            inner = factor()
-            return lambda x: -inner(x)
-        if tok == "(":
-            take()
-            inner = expr()
-            take(")")
-            return inner
-        if tok == "tanh":
-            take()
-            take("(")
-            inner = expr()
-            take(")")
-            return lambda x: np.tanh(inner(x))
-        if tok == "x":
-            take()
-            return lambda x: np.asarray(x, dtype=float)
-        take()
-        val = float(tok)
-        return lambda x: np.full_like(np.asarray(x, dtype=float), val)
-
-    out = expr()
-    take("<end>")
-    return out
+    return build(tree.body)
 
 
 @dataclass(frozen=True)
@@ -191,15 +160,16 @@ def filter_step(model: DiffusionModel, x, psi, db):
     return psi + model.w(x) * psi * (1.0 - psi) * db
 
 
+def expression_field(data: dict, key: str) -> Callable[[np.ndarray], np.ndarray]:
+    """``parse_expression`` of ``data[key]``, which must be a string."""
+    if not isinstance(data[key], str):
+        raise ValueError(f"{key}: need an expression string, got {type(data[key]).__name__}")
+    return parse_expression(data[key])
+
+
 def model_from_dict(data: dict) -> DiffusionModel:
     """Build a model from the JSON schema {mu0, mu1, sigma, x0, pi, T, domain}."""
-    lo, hi = data["domain"]
-    return DiffusionModel(
-        mu0=parse_expression(data["mu0"]),
-        mu1=parse_expression(data["mu1"]),
-        sigma=parse_expression(data["sigma"]),
-        x0=float(data["x0"]),
-        prior=float(data["pi"]),
-        horizon=float(data["T"]),
-        domain=(float(lo), float(hi)),
-    )
+    mu0, mu1, sigma = (expression_field(data, key) for key in ("mu0", "mu1", "sigma"))
+    x0, prior, horizon = (float(json_numbers(key, data[key], shape=())) for key in ("x0", "pi", "T"))
+    domain = tuple(json_numbers("domain", data["domain"], shape=(2,)).tolist())
+    return DiffusionModel(mu0, mu1, sigma, x0, prior, horizon, domain)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import FiltrationTree, GeneratingProcess, PayoffTriple, TimeGrid
+from .core import FiltrationTree, GeneratingProcess, PayoffTriple, TimeGrid, json_numbers
 from .dynamics.pde import PDEGrid, PDESurfaces
 from .scenario import (
     Certificate,
@@ -77,21 +77,25 @@ def game_to_dict(game: ScenarioGame) -> dict:
 
 
 def game_from_dict(data: dict) -> ScenarioGame:
-    nodes = sorted(data["tree"], key=lambda n: n["id"])
-    if [n["id"] for n in nodes] != list(range(len(nodes))):
+    """The game ``data`` holds; every field is JSON numbers, node ids and parents integers."""
+    nodes = data["tree"]
+
+    def column(key, integer=False):
+        return json_numbers(f"tree: {key}", [n[key] for n in nodes], (len(nodes),), integer)
+
+    ids = column("id", integer=True)
+    if sorted(ids.tolist()) != list(range(len(nodes))):
         raise ValueError("tree: node ids must be 0..n-1")
-    parent = np.array([n["parent"] for n in nodes], dtype=np.int64)
-    prob = np.array([n["p"] for n in nodes], dtype=float)
-    tree = FiltrationTree(parent, prob, TimeGrid(np.asarray(data["grid"], dtype=float)))
+    order = np.argsort(ids)
+    tree = FiltrationTree(column("parent", integer=True)[order], column("p")[order],
+                          TimeGrid(json_numbers("grid", data["grid"])))
     tree.validate()
-    pay = data["payoffs"]
-    f = np.asarray(pay["f"], dtype=float)
-    g = np.asarray(pay["g"], dtype=float)
-    h = np.asarray(pay["h"], dtype=float)
+    f, g, h = (json_numbers(f"payoffs: {key}", data["payoffs"][key]) for key in ("f", "g", "h"))
     if f.ndim == 1:
         f, g, h = (np.stack([a, a]) for a in (f, g, h))
     # build the game first so a wrong regime count reports as a shape error
-    game = ScenarioGame(tree, PayoffTriple(f=f, g=g, h=h), float(data["prior"]))
+    game = ScenarioGame(tree, PayoffTriple(f=f, g=g, h=h),
+                        float(json_numbers("prior", data["prior"], shape=())))
     game.payoffs.validate(tree)
     return game
 
@@ -109,20 +113,14 @@ def equilibrium_to_dict(
 
 def _process(data: dict, key: str, tree: FiltrationTree) -> GeneratingProcess:
     """The process whose levels ``data[key]`` lists, one JSON number per tree node."""
-    try:
-        levels = np.array(data[key])  # no dtype: strings, booleans and nulls keep theirs
-    except ValueError as exc:  # ragged nesting
-        raise ValueError(f"{key}: {exc}") from None
-    if levels.shape != (tree.n_nodes,) or levels.dtype.kind not in "iuf":
-        raise ValueError(f"{key}: need a list of {tree.n_nodes} numbers, got shape {levels.shape} "
-                         f"of {levels.dtype}")
-    return GeneratingProcess.from_levels(levels, tree)
+    return GeneratingProcess.from_levels(json_numbers(key, data[key], shape=(tree.n_nodes,)), tree)
 
 
 def equilibrium_from_dict(data: dict, game: ScenarioGame) -> tuple[StrategyProfile, float]:
     """The profile and declared value of ``game`` that ``data`` holds: ``xi{k}`` per type, ``zeta``."""
     xi = tuple(_process(data, f"xi{k}", game.tree) for k in range(len(game.weights)))
-    return StrategyProfile(xi, _process(data, "zeta", game.tree)), float(data["value"])
+    value = float(json_numbers("value", data["value"], shape=()))
+    return StrategyProfile(xi, _process(data, "zeta", game.tree)), value
 
 
 def write_json(path: Path, obj: dict) -> None:

@@ -7,6 +7,8 @@ bug in the package cannot hide in its own oracle.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
@@ -605,3 +607,89 @@ def ref_surfaces_from_csv(text: str) -> PDESurfaces:
     if not all(np.isin(flag, (0.0, 1.0)).all() for flag in flags):
         raise ValueError("surfaces CSV: stopping-set flags must be 0 or 1")
     return PDESurfaces(grid, u0, u1, v, *(flag.astype(bool) for flag in flags))
+
+
+# Reference for dynamics.model.parse_expression: the tokenizer and
+# recursive-descent parser that Python's parser and an AST whitelist replaced.
+# Both must accept the same strings and give bit-identical values, except that
+# this one refuses trailing whitespace and reads an integer with a leading
+# zero (01) as a number, which Python refuses.
+
+
+_REF_TOKEN = re.compile(r"\s*(?:(\d+\.?\d*(?:[eE][+-]?\d+)?)|(x)|(tanh)|([()+\-*]))")
+
+
+def ref_parse_expression(src: str):
+    """The hand-written tokenizer and recursive-descent parser of the expression grammar.
+
+    Grammar: numbers, the state symbol ``x``, ``+``, ``-``, ``*``, ``tanh(...)``
+    and parentheses -- enough for constants and affine/tanh drifts without
+    ever touching ``eval``.
+    """
+    tokens: list[str] = []
+    pos = 0
+    while pos < len(src):
+        m = _REF_TOKEN.match(src, pos)
+        if not m:
+            raise ValueError(f"bad token in expression at {src[pos:]!r}")
+        tokens.append(m.group(m.lastindex))
+        pos = m.end()
+    tokens.append("<end>")
+    idx = 0
+
+    def peek() -> str:
+        return tokens[idx]
+
+    def take(expected: str | None = None) -> str:
+        nonlocal idx
+        tok = tokens[idx]
+        if expected is not None and tok != expected:
+            raise ValueError(f"expected {expected!r}, found {tok!r}")
+        idx += 1
+        return tok
+
+    def expr():
+        node = term()
+        while peek() in "+-":
+            op = take()
+            rhs = term()
+            node = (lambda a, b: (lambda x: a(x) + b(x))) (node, rhs) if op == "+" else (
+                lambda a, b: (lambda x: a(x) - b(x))
+            )(node, rhs)
+        return node
+
+    def term():
+        node = factor()
+        while peek() == "*":
+            take()
+            rhs = factor()
+            node = (lambda a, b: (lambda x: a(x) * b(x)))(node, rhs)
+        return node
+
+    def factor():
+        tok = peek()
+        if tok == "-":
+            take()
+            inner = factor()
+            return lambda x: -inner(x)
+        if tok == "(":
+            take()
+            inner = expr()
+            take(")")
+            return inner
+        if tok == "tanh":
+            take()
+            take("(")
+            inner = expr()
+            take(")")
+            return lambda x: np.tanh(inner(x))
+        if tok == "x":
+            take()
+            return lambda x: np.asarray(x, dtype=float)
+        take()
+        val = float(tok)
+        return lambda x: np.full_like(np.asarray(x, dtype=float), val)
+
+    out = expr()
+    take("<end>")
+    return out

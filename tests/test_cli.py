@@ -222,7 +222,8 @@ class TestVerifyCommand:
         assert hashlib.sha256((tmp_path / "ver" / "nodes.csv").read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("mutation", ["nan_root", "zeta_leaf_half", "zeta_decreasing", "xi1_root_above_one",
-                                          "xi1_short", "zeta_nested"])
+                                          "xi1_short", "zeta_nested", "value_true", "value_string",
+                                          "value_list", "zeta_string"])
     def test_invalid_equilibrium_exits_2(self, tmp_path, capsys, mutation):
         game = random_scenario_game(2, seed=321, prior=0.5)
         path = tmp_path / "game.json"
@@ -242,6 +243,10 @@ class TestVerifyCommand:
             eq["xi1"][0] = 1.7
         elif mutation == "xi1_short":
             eq["xi1"].pop()
+        elif mutation.startswith("value_"):
+            eq["value"] = {"value_true": True, "value_string": "abc", "value_list": [0.5]}[mutation]
+        elif mutation == "zeta_string":
+            eq["zeta"][0] = str(eq["zeta"][0])
         else:
             eq["zeta"] = [[x] for x in eq["zeta"]]
         eq_path = tmp_path / "bad_eq.json"
@@ -290,7 +295,20 @@ class TestVerifyCommand:
         ({"tree": []}, "parent/prob must be non-empty"),
         ({"tree": [{"id": 0, "parent": 2**63, "p": 1.0}]}, "int too large"),
         ({"grid": [0.0, float("nan"), 1.0]}, "grid times must be finite"),
-    ], ids=["empty_tree", "huge_parent", "nan_grid"])
+        # a JSON number of the wrong kind, a boolean or a numeric string is refused by name
+        ({"tree": [{"id": 0, "parent": -1, "p": 1.0}, {"id": 1, "parent": 0.5, "p": 1.0}]},
+         "tree: parent: need JSON integers"),
+        ({"tree": [{"id": 0, "parent": -1, "p": 1.0}, {"id": 1, "parent": 0.9, "p": 1.0}]},
+         "tree: parent: need JSON integers"),
+        ({"tree": [{"id": 0.0, "parent": -1, "p": 1.0}]}, "tree: id: need JSON integers"),
+        ({"tree": [{"id": 0, "parent": -1, "p": "1"}]}, "tree: p: need JSON numbers"),
+        ({"prior": True}, "prior: need JSON numbers"),
+        ({"prior": "0.5"}, "prior: need JSON numbers"),
+        ({"grid": [0.0, "0.5", 1.0]}, "grid: need JSON numbers"),
+        ({"payoffs": {"f": [["0.9"]], "g": [[0.0]], "h": [[0.5]]}}, "payoffs: f: need JSON numbers"),
+        ({"payoffs": {"f": [[0.9]], "g": [[0.0]], "h": [[False]]}}, "payoffs: h: need JSON numbers"),
+    ], ids=["empty_tree", "huge_parent", "nan_grid", "half_parent", "fractional_parent", "float_id",
+            "string_p", "true_prior", "string_prior", "string_grid", "string_f", "false_h"])
     def test_malformed_game_exits_2(self, game_file, tmp_path, capsys, patch, message):
         path, _ = game_file
         path.write_text(json.dumps({**json.loads(path.read_text()), **patch}))
@@ -580,8 +598,16 @@ class TestReadersExit2:
         {"mu1": "1e200*x"},
         # a finite volatility whose square, in the PDE's a_x = sigma**2 / 2, overflows
         {"sigma": "1e200"},
+        # outside Python's grammar, the token check or the AST whitelist
+        {"mu0": "0x10"}, {"mu0": "1_0"}, {"mu0": ".5"}, {"mu0": "x # c"}, {"mu0": "x/2"},
+        {"mu0": "x**2"}, {"mu0": "tanh(x, 1)"}, {"mu0": "tanh(x=1)"},
+        # CPython's parser raises MemoryError here, and allows 200 nested parentheses
+        {"mu0": "-" * 100000 + "0.4"},
+        {"mu0": "(" * 201 + "0.4" + ")" * 201},
     ], ids=["minus_chain", "nested_parens", "plus_chain", "nested_payoff", "infinite_sigma",
-            "infinite_mu0", "nan_mu1", "infinite_w", "infinite_w_squared", "infinite_sigma_squared"])
+            "infinite_mu0", "nan_mu1", "infinite_w", "infinite_w_squared", "infinite_sigma_squared",
+            "hex", "underscore", "bare_fraction", "comment", "division", "power", "tanh_two_args",
+            "tanh_keyword", "huge_minus_chain", "201_parentheses"])
     def test_model_exits_2(self, model_file, tmp_path, capsys, patch):
         model_file.write_text(json.dumps({**json.loads(model_file.read_text()), **patch}))
         out = str(tmp_path / "d")
@@ -592,11 +618,42 @@ class TestReadersExit2:
                                      "--grid", "5x3x9", "--out", out], "model")
 
     @pytest.mark.parametrize("patch, message", [
+        ({"x0": True}, "x0: need JSON numbers of shape ()"),
+        ({"pi": "0.5"}, "pi: need JSON numbers of shape ()"),
+        ({"T": "1"}, "T: need JSON numbers of shape ()"),
+        ({"domain": ["-2", "2"]}, "domain: need JSON numbers of shape (2,)"),
+        ({"mu0": -0.4}, "mu0: need an expression string, got float"),
+        ({"sigma": None}, "sigma: need an expression string, got NoneType"),
+    ], ids=["true_x0", "string_pi", "string_T", "string_domain", "number_mu0", "null_sigma"])
+    def test_model_field_types(self, model_file, tmp_path, capsys, patch, message):
+        # a boolean or a numeric string is no JSON number, and a number no expression
+        model_file.write_text(json.dumps({**json.loads(model_file.read_text()), **patch}))
+        for action in (["simulate", "--dt", "0.5", "--paths", "3"], ["pde", "--grid", "5x3x9"]):
+            err = _assert_input_error(capsys, ["dynamics", *action, "--model", str(model_file),
+                                               "--out", str(tmp_path / "d")], "model")
+            assert message in err
+
+    @pytest.mark.parametrize("mu0", ["-0.4 ", "\t-0.4\n"], ids=["trailing_space", "tab_newline"])
+    def test_whitespace_around_an_expression(self, model_file, tmp_path, mu0):
+        # whitespace around an expression is no part of it
+        out = {}
+        for name, expr in (("plain", "-0.4"), ("spaced", mu0)):
+            model_file.write_text(json.dumps({**json.loads(model_file.read_text()), "mu0": expr}))
+            out[name] = tmp_path / name
+            assert main(["dynamics", "simulate", "--model", str(model_file), "--dt", "0.1",
+                         "--paths", "5", "--seed", "3", "--out", str(out[name])]) == 0
+            assert main(["dynamics", "pde", "--model", str(model_file), "--grid", "5x3x9",
+                         "--out", str(out[name])]) == 0
+        assert body_digest(out["plain"] / "paths.csv") == body_digest(out["spaced"] / "paths.csv")
+        assert (out["plain"] / "surfaces.npy").read_bytes() == (out["spaced"] / "surfaces.npy").read_bytes()
+
+    @pytest.mark.parametrize("patch, message", [
         ({"h": "1e400-1e400"}, "payoff h contains non-finite values"),
         ({"f": "1e400"}, "payoff f contains non-finite values"),
         ({"f": "-1", "g": "1"}, "ordering f >= h >= g violated"),
         ({"h": "x"}, "ordering f >= h >= g violated"),  # |h| > 0.6 on part of [-2, 2]
-    ], ids=["nan_h", "infinite_f", "f_below_g", "h_outside_the_band"])
+        ({"f": 0.6}, "f: need an expression string, got float"),
+    ], ids=["nan_h", "infinite_f", "f_below_g", "h_outside_the_band", "number_f"])
     def test_payoff_rule(self, model_file, tmp_path, capsys, patch, message):
         out = str(tmp_path / "d")
         assert main(["dynamics", "pde", "--model", str(model_file), "--grid", "5x3x9",

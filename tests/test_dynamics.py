@@ -1,4 +1,6 @@
 import dataclasses
+import random
+import re
 import tracemalloc
 import warnings
 
@@ -19,7 +21,7 @@ from asymdynkin.dynamics import (
     standard_test_functions,
 )
 from asymdynkin.dynamics.simulate import filter_self_convergence
-from helpers import ref_filter_paths, ref_psi_from_innovation, ref_regime_euler
+from helpers import ref_filter_paths, ref_parse_expression, ref_psi_from_innovation, ref_regime_euler
 
 
 def const(c):
@@ -49,6 +51,103 @@ class TestExpressionGrammar:
             parse_expression("__import__('os')")
         with pytest.raises(ValueError):
             parse_expression("x / 2")
+
+    # test_cli's test_model_exits_2 runs the other malformed expressions through the CLI
+    @pytest.mark.parametrize("src", ["+x", "tanh", "tanh(*x)", "()", "(x)(2)", "", " ",
+                                     pytest.param("-" * 100000 + "0.4", id="100000_signs")])
+    def test_refuses(self, src):
+        with pytest.raises(ValueError):
+            parse_expression(src)
+
+    def test_whitespace_anywhere(self):
+        x = np.linspace(-3.0, 3.0, 41)
+        want = parse_expression("0.5*tanh(2*x)-1")(x)
+        for src in ("0.5*tanh(2*x)-1 ", "\t0.5 * tanh ( 2*x )\n- 1\n", " 0.5*tanh(2*x)-1\r\n"):
+            assert parse_expression(src)(x).tobytes() == want.tobytes()
+
+    def test_nesting_limit_is_pythons(self):
+        # CPython's parser allows 200 nested parentheses; a chain of signs is
+        # limited by the recursion depth
+        assert parse_expression("(" * 200 + "x" + ")" * 200)(1.0) == 1.0
+        assert parse_expression("tanh(" * 100 + "(" * 100 + "0" + ")" * 200)(1.0) == 0.0
+        assert parse_expression("-" * 900 + "1")(1.0) == 1.0
+
+    def test_numbers_are_decimal_literals(self):
+        # a literal is read from its text, so Python's other integer forms stay out
+        assert parse_expression("1e400")(0.0) == np.inf
+        assert parse_expression("9" * 400)(0.0) == np.inf
+        assert parse_expression("00 + 01.5 + 2. + 1.E+1")(0.0) == 13.5
+        for src in ("0x10", "0x1e5", "01", "007"):
+            with pytest.raises(ValueError):
+                parse_expression(src)
+
+    def test_matches_reference_parser(self):
+        """Seeded differential fuzz against the hand-written parser that this one replaced.
+
+        Grammar-generated strings and random token sequences, neither with
+        trailing whitespace (the reference refuses it): both parsers accept the
+        same strings, except integers with a leading zero, and give
+        bit-identical values at 41 points."""
+        rng = random.Random(20260)
+        x = np.linspace(-3.0, 3.0, 41)
+        gaps = ("", "", "", " ", "  ", "\t", "\n")
+
+        def digits():
+            return "".join(rng.choices("0123456789", k=rng.randint(1, 3)))
+
+        def number():
+            if rng.random() < 0.03:  # the tokens 0, x and digits: a Python int, but no number
+                return "0x" + digits()
+            text = digits()
+            if rng.random() < 0.5:
+                text += "." + (digits() if rng.random() < 0.7 else "")
+            if rng.random() < 0.2:
+                text += rng.choice("eE") + rng.choice(["", "+", "-"]) + digits()
+            return text
+
+        def grammar(depth):
+            kind = rng.randrange(6 if depth < 5 else 2)
+            if kind == 0:
+                return [number()]
+            if kind == 1:
+                return ["x"]
+            if kind == 2:
+                return ["-", *grammar(depth + 1)]
+            if kind == 3:
+                return ["(", *grammar(depth + 1), ")"]
+            if kind == 4:
+                return ["tanh", "(", *grammar(depth + 1), ")"]
+            return [*grammar(depth + 1), rng.choice("+-*"), *grammar(depth + 1)]
+
+        vocabulary = ["x", "tanh", "(", ")", "+", "-", "*", "/", ".", "e", "_"]
+
+        def tokens():
+            return [number() if rng.random() < 0.3 else rng.choice(vocabulary)
+                    for _ in range(rng.randint(1, 8))]
+
+        def join(toks):
+            return rng.choice(gaps) + "".join(t + rng.choice(gaps) for t in toks[:-1]) + toks[-1]
+
+        def outcome(parse, src):
+            try:
+                fn = parse(src)
+            except ValueError:
+                return None
+            with np.errstate(all="ignore"):
+                return np.asarray(fn(x), dtype=float).tobytes()
+
+        accepted = refused = leading_zero = 0
+        for k in range(22000):
+            src = join(grammar(0) if k % 2 else tokens())
+            want, got = outcome(ref_parse_expression, src), outcome(parse_expression, src)
+            # Python refuses an integer literal such as 01, which the reference reads as 1.0
+            if any(re.fullmatch(r"0+[1-9]\d*", t) for t in re.findall(r"\d+\.?\d*(?:[eE][+-]?\d+)?", src)):
+                leading_zero += want is not None
+                want = None
+            assert got == want, repr(src)
+            accepted += got is not None
+            refused += got is None
+        assert accepted > 8000 and refused > 8000 and leading_zero > 100
 
     def test_model_from_dict(self):
         m = model_from_dict(
