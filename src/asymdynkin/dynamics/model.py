@@ -161,10 +161,13 @@ def filter_step(model: DiffusionModel, x, psi, db):
 
 
 def expression_field(data: dict, key: str) -> Callable[[np.ndarray], np.ndarray]:
-    """``parse_expression`` of ``data[key]``, which must be a string."""
+    """``parse_expression`` of ``data[key]``, which must be a string; an error names ``key``."""
     if not isinstance(data[key], str):
         raise ValueError(f"{key}: need an expression string, got {type(data[key]).__name__}")
-    return parse_expression(data[key])
+    try:
+        return parse_expression(data[key])
+    except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep for ast
+        raise ValueError(f"{key}: {exc}") from None
 
 
 def model_from_dict(data: dict) -> DiffusionModel:

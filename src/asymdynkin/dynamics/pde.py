@@ -36,10 +36,13 @@ from typing import Callable
 
 import numpy as np
 
+from .._compiled import scipy_extension
 from .model import DiffusionModel, generator_coefficients
 
-# scipy.sparse is imported inside the functions that use it: importing the
-# package, and every CLI command that solves no PDE, then skips its load time
+# the implicit steps are factored by SuperLU's binding alone, loaded on the
+# first solve: importing the package, and every CLI command, then skips the
+# load time and memory of scipy's sparse package, which only the reference
+# solver ``reference_dynkin_1d`` imports
 
 __all__ = [
     "PDEGrid",
@@ -144,16 +147,38 @@ class PDESurfaces:
         return float(np.max(gap[cont], initial=0.0))
 
 
+def _csc(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int):
+    """Canonical CSC arrays (indptr, indices, data) of the n x n matrix of the triplets.
+
+    Entries are sorted by (column, row); the values of a repeated position are
+    added up in input order from the first, as scipy's sparse constructor does.
+    The indices are int32, as SuperLU takes them.
+    """
+    order = np.lexsort((rows, cols))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    first = np.ones(rows.size, dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    data = vals[first]
+    np.add.at(data, np.cumsum(first)[~first] - 1, vals[~first])
+    return _indptr(cols[first], n), rows[first].astype(np.int32), data
+
+
+def _indptr(cols: np.ndarray, n: int) -> np.ndarray:
+    """Column pointers of CSC entries sorted by column."""
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
+    return indptr
+
+
 def _operator(model: DiffusionModel, grid: PDEGrid, mode: str):
-    """Sparse (CSC) spatial generator on the (pi, x) sheet for one mode of ``MODES``.
+    """Spatial generator on the (pi, x) sheet for one mode of ``MODES``, as ``_csc`` arrays.
 
     Per axis with step h, from ``generator_coefficients``: diffusion a is centred,
     (a, -2a, a) / h^2, and drift b upwinded, b+ / h forward and b- / h backward.  x
     adds reflecting end rows; pi keeps interior rows only (its coefficients vanish
-    at 0 and 1).  The cross term is centred on the doubly interior block.
+    at 0 and 1).  The cross term is centred on the doubly interior block.  Every
+    cell stores its diagonal entry.
     """
-    import scipy.sparse as sp
-
     P, X = np.meshgrid(grid.pi, grid.x, indexing="ij")
     ax, bpi, dxx, dpp, cross = generator_coefficients(model, P, X, mode)
     dpi, dx, mx = grid.pi[1] - grid.pi[0], grid.x[1] - grid.x[0], grid.x.size
@@ -174,7 +199,33 @@ def _operator(model: DiffusionModel, grid: PDEGrid, mode: str):
     rows = np.concatenate([center[cells].ravel() for cells, _, _ in terms])
     cols = np.concatenate([center[cells].ravel() + off for cells, off, _ in terms])
     vals = np.concatenate([c[cells].ravel() for cells, _, c in terms])
-    return sp.csc_matrix((vals, (rows, cols)), shape=(P.size, P.size))
+    return _csc(rows, cols, vals, P.size)
+
+
+def _implicit_matrix(op, dt: float):
+    """CSC arrays of I - dt L for the ``_csc`` arrays of a generator L that stores its diagonal.
+
+    The entries are formed as scipy's sparse subtraction forms them: 1 - m on
+    the diagonal and 0 - m elsewhere, m = dt times L's entry, exact zeros dropped.
+    """
+    indptr, indices, data = op
+    n = indptr.size - 1
+    cols = np.repeat(np.arange(n), np.diff(indptr))
+    m = dt * data
+    vals = np.where(indices == cols, 1.0 - m, 0.0 - m)
+    keep = vals != 0.0
+    return _indptr(cols[keep], n), indices[keep], vals[keep]
+
+
+# splu's default options; SuperLU's own defaults stand for the Nones
+_SPLU_OPTIONS = dict(DiagPivotThresh=None, ColPerm=None, PanelSize=None, Relax=None)
+
+
+def _factor(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray):
+    """SuperLU factor of a CSC matrix, as ``splu`` computes it; RuntimeError if singular."""
+    superlu = scipy_extension("sparse.linalg._dsolve._superlu")
+    return superlu.gstrf(indptr.size - 1, data.size, data, indices, indptr,
+                         csc_construct_func=None, ilu=False, options=_SPLU_OPTIONS)
 
 
 def _run_edges(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -228,16 +279,12 @@ def pde_solve_system(
     terminal data is h(T, .) for all three surfaces.  Each regime's implicit
     system is LU-factorised once; raises NoConvergence if one is singular.
     """
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-
     mt, mpi, mx = grid.shape
     dt = grid.t[1] - grid.t[0]
-    eye = sp.identity(mpi * mx, format="csc")
     lus = []
     for mode in ("regime-0", "regime-1"):
         try:
-            lus.append(spla.splu(eye - dt * _operator(model, grid, mode)))
+            lus.append(_factor(*_implicit_matrix(_operator(model, grid, mode), dt)))
         except RuntimeError as exc:  # "Factor is exactly singular"
             raise NoConvergence(f"the implicit {mode} system is singular: {exc}")
 

@@ -16,6 +16,11 @@ The first-to-stop flow is ``core.payoff_flows``: (i) and (ii) add up its
 (iii) reuses the fixed-regime paths of (i), and (iv) the regime-conditional
 paths of (ii); the paths come from the Euler loop in ``simulate``.
 
+Each of the three path sets is simulated and checked inside one function,
+so its arrays are freed before the next set is drawn.  The strategy maps run
+once on all of a set's paths; the lookups, the flows and the assembly of
+M_hat / N_hat run ``_BLOCK`` paths at a time into one whole array.
+
 All checks are report-only: each condition returns pass/fail with its
 confidence band, never an exception.
 """
@@ -33,33 +38,37 @@ from .strategies import StrategyMap
 __all__ = ["mc_verify_sufficiency", "simulate_fixed_regime"]
 
 
-def _lookup(surface: np.ndarray, grid, t: np.ndarray, p: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Bilinear (pi, x) interpolation at the nearest time slice.
+# paths per block of the lookups, the flows and the M_hat / N_hat assembly: a
+# block's temporaries stay a small share of one (paths, steps) array
+_BLOCK = 250
+
+
+def _lookup(flat: np.ndarray, grid, t: np.ndarray, p: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Bilinear (pi, x) interpolation at the nearest time slice of a surface raveled to ``flat``.
 
     ``t`` may be a shared time axis, which the indexing broadcasts against
     (paths, steps) arrays; belief jumps land between pi-nodes, so
     piecewise-linear interpolation keeps the lookup error quadratic in the
-    mesh instead of linear.
+    mesh instead of linear.  The four corner terms are formed and added up
+    in place, in a fixed order.
     """
     ti = grid.time_index(t)
+    mpi, mx = grid.pi.size, grid.x.size
     dpi = grid.pi[1] - grid.pi[0]
     dx = grid.x[1] - grid.x[0]
-    fp = np.clip(p / dpi, 0.0, grid.pi.size - 1.0)
-    fx = np.clip((x - grid.x[0]) / dx, 0.0, grid.x.size - 1.0)
-    i0 = np.minimum(fp.astype(int), grid.pi.size - 2)
-    j0 = np.minimum(fx.astype(int), grid.x.size - 2)
+    fp = np.clip(p / dpi, 0.0, mpi - 1.0)
+    fx = np.clip((x - grid.x[0]) / dx, 0.0, mx - 1.0)
+    i0 = np.minimum(fp.astype(int), mpi - 2)
+    j0 = np.minimum(fx.astype(int), mx - 2)
     wp = fp - i0
     wx = fx - j0
-    s00 = surface[ti, i0, j0]
-    s01 = surface[ti, i0, j0 + 1]
-    s10 = surface[ti, i0 + 1, j0]
-    s11 = surface[ti, i0 + 1, j0 + 1]
-    return (
-        (1 - wp) * (1 - wx) * s00
-        + (1 - wp) * wx * s01
-        + wp * (1 - wx) * s10
-        + wp * wx * s11
-    )
+    corner = (ti * mpi + i0) * mx + j0  # the flat index of (ti, i0, j0)
+    out = (1 - wp) * (1 - wx)
+    out *= flat.take(corner)
+    for weight, offset in (((1 - wp) * wx, 1), (wp * (1 - wx), mx), (wp * wx, mx + 1)):
+        weight *= flat.take(corner + offset)
+        out += weight
+    return out
 
 
 def _band(sample: np.ndarray) -> tuple[float, float]:
@@ -108,21 +117,74 @@ def _left_limits(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return before, levels - before
 
 
-def _obstacle_check(stop, survival, value, sign: float, tol: float, alpha: float) -> dict:
-    """Share of points with sign (stop / survival - value) >= -tol where no one has stopped.
+def _assemble(flows, n: int, steps: int, sign: float, tol: float, alpha: float):
+    """M_hat (or N_hat) of every path and the obstacle report, a block of paths at a time.
 
-    stop / survival is the payoff of stopping now given that nobody has; it
-    bounds the informed values from above (sign +1) and the uninformed value
-    from below (sign -1).
+    ``flows(b)`` returns (stop, run, survival, value) on the paths of slice b:
+    the value process is sum_{s<k} run_s + survival_k value_k.  The obstacle
+    report is the share of points with sign (stop / survival - value) >= -tol
+    where no one has stopped; stop / survival is the payoff of stopping now
+    given that nobody has, which bounds the informed values from above (sign
+    +1) and the uninformed value from below (sign -1).
     """
-    alive = survival > 1e-12
-    slack = sign * (stop[alive] / survival[alive] - value[alive])
-    frac = float(np.mean(slack >= -tol)) if slack.size else 1.0
-    return {
-        "fraction_ok": frac,
-        "passed": bool(frac >= 1.0 - alpha),
-        "worst_slack": float(slack.min(initial=0.0)),
-    }
+    values = np.empty((n, steps + 1), order="F")  # the layout that fixes the order of the sums
+    ok = count = 0
+    worst = 0.0
+    for lo in range(0, n, _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        stop, run, survival, value = flows(block)
+        values[block] = _left_limits(np.cumsum(run, axis=1))[0] + survival * value
+        alive = survival > 1e-12
+        slack = sign * (stop[alive] / survival[alive] - value[alive])
+        ok += int(np.count_nonzero(slack >= -tol))
+        count += slack.size
+        worst = min(worst, float(slack.min(initial=0.0)))
+    frac = ok / count if count else 1.0
+    return values, {"fraction_ok": frac, "passed": bool(frac >= 1.0 - alpha), "worst_slack": worst}
+
+
+def _informed_paths(model, surfaces, strategies, i: int, n: int, dt: float, device, payoffs,
+                    tol: float, alpha: float):
+    """(i) and (iii) along regime-i paths: M_hat, its active mask and the U^i obstacle report."""
+    x = simulate_fixed_regime(model, i, n, dt, device)
+    traj = strategies.evaluate(x)
+    surface = surfaces.u(i).ravel()
+
+    def flows(b):
+        uvals = _lookup(surface, surfaces.grid, traj.t, traj.p[b], x[b])
+        zeta_pre, dz = _left_limits(traj.zeta[b])
+        stop, run = payoff_flows(*payoffs(traj.t, x[b]), traj.zeta[b], dz)
+        return stop, run, 1.0 - zeta_pre, uvals
+
+    m_hat, obstacle = _assemble(flows, n, x.shape[1] - 1, +1.0, tol, alpha)
+    return m_hat, (traj.xi1 if i else traj.xi0)[:, :-1] < 1.0 - 1e-12, obstacle
+
+
+def _observation_paths(model, surfaces, strategies, n: int, dt: float, device, payoffs,
+                       tol: float, alpha: float):
+    """(ii) and (iv) under the observation law: N_hat, its active mask and the V obstacle report.
+
+    The informed side is the psi-weighted incarnations.
+    """
+    bundle = simulate_regime_paths(model, n, dt, device)
+    traj = strategies.evaluate(bundle.x, psi=bundle.psi)
+    surface = surfaces.v.ravel()
+
+    def flows(b):
+        x, psi = bundle.x[b], bundle.psi[b]
+        vvals = _lookup(surface, surfaces.grid, traj.t, traj.p[b], x)
+        fv, gv, hv = payoffs(traj.t, x)
+        stop = run = survival = 0.0
+        for weight, xi in ((1.0 - psi, traj.xi0[b]), (psi, traj.xi1[b])):
+            xi_pre, dxi = _left_limits(xi)
+            stop_i, run_i = payoff_flows(gv, fv, hv, xi, dxi)
+            stop = stop + weight * stop_i
+            run = run + weight * run_i
+            survival = survival + weight * (1.0 - xi_pre)
+        return stop, run, survival, vvals
+
+    n_hat, obstacle = _assemble(flows, n, bundle.x.shape[1] - 1, -1.0, tol, alpha)
+    return n_hat, traj.zeta[:, :-1] < 1.0 - 1e-12, obstacle
 
 
 def mc_verify_sufficiency(
@@ -157,41 +219,26 @@ def mc_verify_sufficiency(
         return [np.asarray(fn(t[None, :], x), dtype=float) for fn in (f, g, h)]
 
     # (i) informed-side submartingales and (iii) informed obstacles along
-    # fixed-regime paths
+    # fixed-regime paths; each path set's arrays are freed before the next
     for i in range(2):
-        x = simulate_fixed_regime(model, i, n, dt, device.with_stream(device.stream + 10 + i))
-        traj = strategies.evaluate(x)
-        uvals = _lookup(surfaces.u(i), grid, traj.t, traj.p, x)
-        zeta_pre, dz = _left_limits(traj.zeta)
-        stop, run = payoff_flows(*payoffs(traj.t, x), traj.zeta, dz)
-        survival = 1.0 - zeta_pre
-        m_hat = _left_limits(np.cumsum(run, axis=1))[0] + survival * uvals
-        active = (traj.xi1 if i else traj.xi0)[:, :-1] < 1.0 - 1e-12
+        m_hat, active, obstacle = _informed_paths(
+            model, surfaces, strategies, i, n, dt, device.with_stream(device.stream + 10 + i),
+            payoffs, tol, alpha)
         report[f"(i) M0 regime {i}"] = _mean_increment_checks(m_hat, active, +1.0, atol)
-        report[f"(iii) obstacle U{i}"] = _obstacle_check(stop, survival, uvals, +1.0, tol, alpha)
+        report[f"(iii) obstacle U{i}"] = obstacle
 
     # (ii) uninformed-side supermartingale and (iv) uninformed obstacle under
-    # the observation law; the informed side is the psi-weighted incarnations
-    bundle = simulate_regime_paths(model, n, dt, device.with_stream(device.stream + 20))
-    traj = strategies.evaluate(bundle.x, psi=bundle.psi)
-    vvals = _lookup(surfaces.v, grid, traj.t, traj.p, bundle.x)
-    fv, gv, hv = payoffs(traj.t, bundle.x)
-    stop = run = survival = 0.0
-    for weight, xi in ((1.0 - bundle.psi, traj.xi0), (bundle.psi, traj.xi1)):
-        xi_pre, dxi = _left_limits(xi)
-        stop_i, run_i = payoff_flows(gv, fv, hv, xi, dxi)
-        stop = stop + weight * stop_i
-        run = run + weight * run_i
-        survival = survival + weight * (1.0 - xi_pre)
-    n_hat = _left_limits(np.cumsum(run, axis=1))[0] + survival * vvals
-    active = traj.zeta[:, :-1] < 1.0 - 1e-12
+    # the observation law
+    n_hat, active, obstacle = _observation_paths(
+        model, surfaces, strategies, n, dt, device.with_stream(device.stream + 20), payoffs,
+        tol, alpha)
     report["(ii) N0"] = _mean_increment_checks(n_hat, active, -1.0, atol)
-    report["(iv) obstacle V"] = _obstacle_check(stop, survival, vvals, -1.0, tol, alpha)
+    report["(iv) obstacle V"] = obstacle
 
     # (v) root identity
     pi0 = model.prior
     point = (np.array([0.0]), np.array([pi0]), np.array([model.x0]))
-    v0, u0, u1 = (float(_lookup(s, grid, *point)[0])
+    v0, u0, u1 = (float(_lookup(s.ravel(), grid, *point)[0])
                   for s in (surfaces.v, surfaces.u0, surfaces.u1))
     gap = abs(v0 - (pi0 * u1 + (1.0 - pi0) * u0))
     report["(v) root identity"] = {"residual": gap, "passed": bool(gap <= tol)}

@@ -44,17 +44,20 @@ def _floats(arr) -> list:
     return np.asarray(arr, dtype=float).tolist()
 
 
-def _csv_lines(*columns) -> list[str]:
-    """One CSV line per row of equal-length columns.
+def _text(col):
+    """The CSV texts of a column, as an iterator.
 
     Integer and boolean columns print as integers, every other column as the
     shortest round-trip repr of a float.
     """
-    texts = []
-    for col in columns:
-        col = np.asarray(col)
-        values = col.astype(int).tolist() if col.dtype.kind in "biu" else _floats(col)
-        texts.append(map(repr, values))
+    col = np.asarray(col)
+    values = col.astype(int).tolist() if col.dtype.kind in "biu" else _floats(col)
+    return map(repr, values)
+
+
+def _csv_lines(*columns) -> list[str]:
+    """One CSV line per row of equal-length columns, each an array or a list of its texts."""
+    texts = [col if isinstance(col, list) else _text(col) for col in columns]
     return [",".join(row) for row in zip(*texts, strict=True)]
 
 
@@ -246,9 +249,17 @@ def surfaces_from_npy(path: Path) -> PDESurfaces:
     return _surfaces_from_table(data)
 
 
+def _distinct(column: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of a column, as np.unique gives them; np.unique imports numpy.ma."""
+    values = np.sort(column)
+    keep = np.ones(values.size, dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
 def _surfaces_from_table(data: np.ndarray) -> PDESurfaces:
     """Surfaces from a (cells, 9) table of ``_SURFACE_COLUMNS``, as either reader found it."""
-    grid = PDEGrid(*(np.unique(data[:, i]) for i in range(3)))
+    grid = PDEGrid(*(_distinct(data[:, i]) for i in range(3)))
     shape = grid.shape
     # every cell exactly once, in the order the writers write them
     if data.shape[0] != np.prod(shape) or not all(
@@ -269,8 +280,11 @@ def _per_path_csv(meta: dict, t: np.ndarray, **columns: np.ndarray) -> str:
     lines = _meta_lines(meta)
     lines.append(",".join(("path_id", "t", *columns)))
     n_paths = next(iter(columns.values())).shape[0]
+    # the t column is formatted once for the table and each path id once for
+    # its path, the other columns a path at a time
+    t_text = list(_text(t))
     for pid in range(n_paths):
-        lines += _csv_lines(np.full(t.size, pid), t, *(col[pid] for col in columns.values()))
+        lines += _csv_lines([repr(pid)] * t.size, t_text, *(col[pid] for col in columns.values()))
     return "\n".join(lines) + "\n"
 
 

@@ -31,16 +31,13 @@ exponentially (677 at depth 4, 458 330 at depth 5), so it is guarded by a cap.
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
+from ._compiled import scipy_extension
 from .core import FiltrationTree, GeneratingProcess, StoppingRule, _type_mix, flow_value, payoff_flows
 from .scenario import ScenarioGame, StrategyProfile, ValueSurfaces, best_response_values
 
@@ -198,24 +195,10 @@ def _sequence_form_lp(game: ScenarioGame):
             np.concatenate([b_ub, row_lower[n:]]), col_lower, np.full(cost.size, np.inf))
 
 
-_HIGHS_MODULE = "scipy.optimize._highspy._core"
-
-
 def _highs():
-    """scipy's HiGHS binding, loaded from its file without running ``scipy.optimize``'s
-    ``__init__`` (most of an ``oracle`` command's start-up).  Registered under its own
-    name, it is the one module object that ``linprog`` also uses, whichever comes first."""
-    if _HIGHS_MODULE not in sys.modules:
-        import scipy
-
-        folder = Path(scipy.__file__).parent / "optimize" / "_highspy"
-        location = next(path for suffix in importlib.machinery.EXTENSION_SUFFIXES
-                        if (path := folder / f"_core{suffix}").exists())
-        spec = importlib.util.spec_from_file_location(_HIGHS_MODULE, location)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[_HIGHS_MODULE] = module
-        spec.loader.exec_module(module)
-    return sys.modules[_HIGHS_MODULE]
+    """scipy's HiGHS binding, without ``scipy.optimize``'s ``__init__`` (most of an
+    ``oracle`` command's start-up); ``linprog`` uses the same module object."""
+    return scipy_extension("optimize._highspy._core")
 
 
 def _run_highs(lp, presolve: bool):

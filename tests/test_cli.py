@@ -8,6 +8,7 @@ import sys
 import tempfile
 import textwrap
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import asymdynkin
-from asymdynkin import gameio
+from asymdynkin import _compiled, gameio
 from asymdynkin.cli import main
 from asymdynkin.gamegen import random_scenario_game
 from asymdynkin.oracle import NumericalFailure, solve_scenario
@@ -611,11 +612,16 @@ class TestReadersExit2:
     def test_model_exits_2(self, model_file, tmp_path, capsys, patch):
         model_file.write_text(json.dumps({**json.loads(model_file.read_text()), **patch}))
         out = str(tmp_path / "d")
+        # the message starts with the field at fault, or names w's ingredients
+        names_field = re.compile(rf"error: model: (payoff expression: )?({'|'.join(patch)})\b"
+                                 r"|error: model: w = \(mu1 - mu0\) / sigma ")
         if "f" not in patch:
-            _assert_input_error(capsys, ["dynamics", "simulate", "--model", str(model_file),
-                                         "--dt", "0.5", "--paths", "3", "--out", out], "model")
-        _assert_input_error(capsys, ["dynamics", "pde", "--model", str(model_file),
-                                     "--grid", "5x3x9", "--out", out], "model")
+            err = _assert_input_error(capsys, ["dynamics", "simulate", "--model", str(model_file),
+                                               "--dt", "0.5", "--paths", "3", "--out", out], "model")
+            assert names_field.match(err), err
+        err = _assert_input_error(capsys, ["dynamics", "pde", "--model", str(model_file),
+                                           "--grid", "5x3x9", "--out", out], "model")
+        assert names_field.match(err), err
 
     @pytest.mark.parametrize("patch, message", [
         ({"x0": True}, "x0: need JSON numbers of shape ()"),
@@ -759,9 +765,9 @@ class TestDeterminism:
 class TestImports:
     def test_commands_without_lp_or_pde_load_no_scipy(self, game_file, model_file, tmp_path):
         # the import graph is per process, so it is checked in a fresh interpreter:
-        # oracle loads HiGHS's binding alone, never scipy.optimize, and only pde
-        # loads scipy.sparse; extract and dynamics verify read the surfaces that
-        # a pde run here wrote
+        # oracle loads HiGHS's binding alone and pde SuperLU's, never the scipy
+        # package around them, and no command loads numpy.ma; extract and
+        # dynamics verify read the surfaces that a pde run here wrote
         path, _ = game_file
         eq, dyn = tmp_path / "eq", tmp_path / "dyn"
         assert main(["oracle", "--game", str(path), "--out", str(eq)]) == 0
@@ -773,7 +779,8 @@ class TestImports:
             from asymdynkin.cli import main
 
             def loaded():
-                return [m for m in ("scipy.optimize", "scipy.sparse") if m in sys.modules]
+                return [m for m in ("scipy", "scipy.optimize", "scipy.sparse", "numpy.ma")
+                        if m in sys.modules]
 
             assert not loaded(), ("import", loaded())
             assert main(["dynamics", "simulate", "--model", {str(model_file)!r}, "--dt", "0.05",
@@ -793,7 +800,8 @@ class TestImports:
             assert not loaded(), ("oracle", loaded())
             assert main(["dynamics", "pde", "--model", {str(model_file)!r}, "--grid", "5x3x9",
                          "--out", {str(tmp_path / "pde")!r}]) == 0
-            assert loaded() == ["scipy.sparse"], ("pde", loaded())
+            assert "scipy.sparse.linalg._dsolve._superlu" in sys.modules
+            assert not loaded(), ("pde", loaded())
         """)
         src = str(Path(asymdynkin.__file__).parents[1])
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
@@ -833,6 +841,57 @@ class TestImports:
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
         assert outputs[0].split()[0] == solve_scenario(random_scenario_game(3, seed=5, prior=0.5)).value.hex()
+
+    def test_pde_and_splu_share_one_superlu_binding(self):
+        # whichever of pde_solve_system and splu loads scipy's SuperLU binding
+        # first, both use the one module object and give the same numbers
+        script = textwrap.dedent("""
+            import hashlib, sys
+            import numpy as np
+            from asymdynkin._compiled import scipy_extension
+            from asymdynkin.dynamics import PDEGrid, model_from_dict, pde_solve_system
+
+            def solve():
+                model = model_from_dict({"mu0": "-0.4", "mu1": "0.4", "sigma": "0.5", "x0": 0.0,
+                                         "pi": 0.5, "T": 1.0, "domain": [-2.0, 2.0]})
+                surf = pde_solve_system(model, lambda t, x: 0.6 + 0.0 * x, lambda t, x: -0.6 + 0.0 * x,
+                                        lambda t, x: 0.5 * np.tanh(x) + 0.0 * t,
+                                        PDEGrid.regular(1.0, model.domain, 11, 5, 21))
+                return hashlib.sha256(b"".join(a.tobytes() for a in (surf.u0, surf.u1, surf.v))).hexdigest()
+
+            def splu():
+                import scipy.sparse
+                import scipy.sparse.linalg
+                lu = scipy.sparse.linalg.splu(scipy.sparse.csc_matrix([[2.0, 1.0], [0.5, 3.0]]))
+                return type(lu), [x.hex() for x in lu.solve(np.array([1.0, 2.0]))]
+
+            first, second = (solve, splu) if sys.argv[1] == "pde" else (splu, solve)
+            results = {f.__name__: f() for f in (first, second)}
+            from scipy.sparse.linalg._dsolve import linsolve
+            core = sys.modules["scipy.sparse.linalg._dsolve._superlu"]
+            assert scipy_extension("sparse.linalg._dsolve._superlu") is core
+            assert linsolve._superlu is core and results["splu"][0] is core.SuperLU
+            print(results["solve"], results["splu"][1])
+        """)
+        src = str(Path(asymdynkin.__file__).parents[1])
+        outputs = []
+        for first in ("pde", "splu"):
+            proc = subprocess.run([sys.executable, "-c", script, first], capture_output=True,
+                                  text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("scipy_found", [True, False], ids=["file_missing", "no_scipy"])
+    def test_missing_compiled_module_raises_import_error(self, monkeypatch, tmp_path, scipy_found):
+        # the loader names where it looked and the scipy version this needs
+        name = "sparse.linalg._dsolve._superlu"
+        monkeypatch.delitem(sys.modules, f"scipy.{name}", raising=False)
+        spec = SimpleNamespace(submodule_search_locations=[str(tmp_path)]) if scipy_found else None
+        monkeypatch.setattr(_compiled, "find_spec", lambda _: spec)
+        where = str(tmp_path / "sparse" / "linalg" / "_dsolve" / "_superlu") if scipy_found else "not installed"
+        with pytest.raises(ImportError, match=re.escape(where) + ".*scipy>=1\\.17"):
+            _compiled.scipy_extension(name)
 
 
 def _field_paths(doc, prefix=()):

@@ -10,10 +10,14 @@ import pytest
 from asymdynkin.core import RandomDevice
 from asymdynkin.dynamics import (
     DiffusionModel,
+    PDEGrid,
     analytic_generator,
+    extract_strategies,
     generator_check,
+    mc_verify_sufficiency,
     model_from_dict,
     parse_expression,
+    pde_solve_system,
     psi_from_innovation,
     simulate_filter_paths,
     simulate_fixed_regime,
@@ -365,7 +369,8 @@ class TestPathMemory:
     """Path simulators hold their output arrays and nothing of that size besides.
 
     At 2 000 paths x 500 steps one (paths, steps + 1) float array is 8.0 MB; a
-    transpose copy of any path array would add a whole array to the peak.
+    transpose copy of any path array would add a whole array to the peak.  The
+    Monte Carlo verifier holds one path set's arrays at a time.
     """
 
     n, dt = 2000, 2e-3
@@ -383,6 +388,21 @@ class TestPathMemory:
         x = simulate_fixed_regime(model, 1, self.n, self.dt, RandomDevice(1))
         peak = traced_peak(psi_from_innovation, model, x, self.dt)
         assert peak <= 1.1 * self.array
+
+    def test_mc_verify_peak(self, model):
+        # one path set (paths, its posterior, the strategy evaluation, M_hat)
+        # at a time, with the lookups and flows done a block of paths at a
+        # time: holding every path-sized array of the three checks at once
+        # comes to about 26 arrays
+        dt = 1e-2
+        payoffs = dict(f=lambda t, x: 0.6 + 0.0 * x + 0.0 * t, g=lambda t, x: -0.6 + 0.0 * x + 0.0 * t,
+                       h=lambda t, x: 0.5 * np.tanh(x) + 0.0 * t)
+        grid = PDEGrid.regular(1.0, model.domain, 21, 11, 41)
+        surf = pde_solve_system(model, *payoffs.values(), grid)
+        strategies = extract_strategies(surf, model, dt)
+        peak = traced_peak(lambda: mc_verify_sufficiency(model, surf, strategies, self.n, dt,
+                                                         device=RandomDevice(1), **payoffs))
+        assert peak <= 14 * self.n * 101 * 8
 
 
 class TestGenerators:

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.sparse.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -24,7 +25,8 @@ from asymdynkin.dynamics import (
 )
 from asymdynkin.dynamics import NoConvergence, pde
 from asymdynkin.dynamics.model import parse_expression
-from asymdynkin.dynamics.pde import PDEStats, PDESurfaces, _operator, _pi_copy
+from asymdynkin.dynamics.pde import (PDEStats, PDESurfaces, _factor, _implicit_matrix, _operator,
+                                     _pi_copy)
 
 from helpers import ref_pi_copy, ref_strategy_evaluate
 
@@ -127,22 +129,52 @@ _OPERATOR_DIGESTS = {
 }
 
 
+_TANH_GRIDS = {"tanh": (3, 9, 11), "tanh_5x3x3": (5, 3, 3), "tanh_101x21x101": (101, 21, 101)}
+
+
+def _operator_case(request, case):
+    """(model, grid) of a tanh case or of a solved fixture."""
+    if case in _TANH_GRIDS:
+        model = _tanh_model()
+        return model, PDEGrid.regular(1.0, model.domain, *_TANH_GRIDS[case])
+    model, grid, _ = request.getfixturevalue(case)
+    return model, grid
+
+
+def _scipy_csc(op):
+    """The scipy matrix of ``_operator``'s (indptr, indices, data)."""
+    n = op[0].size - 1
+    return scipy.sparse.csc_matrix(op[::-1], shape=(n, n))
+
+
 class TestOperator:
     @pytest.mark.parametrize("case, mode", list(_OPERATOR_DIGESTS))
     def test_operator_pinned(self, request, case, mode):
         # a rewrite of the stencil must not move a bit of the assembled matrix
-        if case.startswith("tanh"):
-            model = _tanh_model()
-            grid = PDEGrid.regular(1.0, model.domain, *((3, 9, 11) if case == "tanh" else (5, 3, 3)))
-        else:
-            model, grid, _ = request.getfixturevalue(case)
-        op = _operator(model, grid, mode)
-        op.sum_duplicates()
-        op.sort_indices()
+        op = _operator(*_operator_case(request, case), mode)
+        assert [a.dtype for a in op] == [np.int32, np.int32, np.float64]
         digest = hashlib.sha256()
-        for arr in (op.indptr, op.indices, op.data):
+        for arr in op:
             digest.update(np.ascontiguousarray(arr).tobytes())
         assert digest.hexdigest() == _OPERATOR_DIGESTS[case, mode]
+
+    @pytest.mark.parametrize("mode", ["regime-0", "regime-1"])
+    @pytest.mark.parametrize("case", ["generic", "model_b", "tanh", "tanh_101x21x101"])
+    def test_implicit_step_matches_scipy(self, request, case, mode):
+        # I - dt L formed by hand is scipy's sparse difference to the bit, and its
+        # SuperLU factor solves exactly as splu's does
+        model, grid = _operator_case(request, case)
+        dt = grid.t[1] - grid.t[0]
+        op = _operator(model, grid, mode)
+        want = scipy.sparse.identity(op[0].size - 1, format="csc") - dt * _scipy_csc(op)
+        want.sum_duplicates()
+        got = _implicit_matrix(op, dt)
+        for a, b in zip(got, (want.indptr, want.indices, want.data)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        lu, ref = _factor(*got), scipy.sparse.linalg.splu(want)
+        rhs = np.random.default_rng(0).standard_normal((3, op[0].size - 1))
+        for b in (*rhs, np.tanh(np.tile(grid.x, grid.pi.size))):
+            assert lu.solve(b).tobytes() == ref.solve(b).tobytes()
 
     @pytest.mark.parametrize("mode", ["observation", "regime-0", "regime-1"])
     def test_operator_matches_analytic_generator(self, mode):
@@ -151,7 +183,7 @@ class TestOperator:
         model = _tanh_model()
         grid = PDEGrid.regular(1.0, model.domain, 3, 9, 11)
         dpi, dx = grid.pi[1] - grid.pi[0], grid.x[1] - grid.x[0]
-        op = _operator(model, grid, mode)
+        op = _scipy_csc(_operator(model, grid, mode))
         P, X = np.meshgrid(grid.pi, grid.x, indexing="ij")
         phis = {phi.name: phi for phi in standard_test_functions()}
         worst = 0.0
@@ -250,7 +282,8 @@ class TestSplittingStructure:
         grid = PDEGrid.regular(1.0, model.domain, 3, 3, 5)
         dt, n = grid.t[1] - grid.t[0], grid.pi.size * grid.x.size
         # L = I / dt makes the implicit step I - dt L the zero matrix
-        monkeypatch.setattr(pde, "_operator", lambda *_: scipy.sparse.identity(n, format="csc") / dt)
+        eye = (np.arange(n + 1, dtype=np.int32), np.arange(n, dtype=np.int32), np.full(n, 1.0 / dt))
+        monkeypatch.setattr(pde, "_operator", lambda *_: eye)
         with pytest.raises(NoConvergence, match="regime-0 system is singular"):
             pde_solve_system(model, *payoffs, grid)
 
