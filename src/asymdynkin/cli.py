@@ -204,7 +204,7 @@ def cmd_simulate(args) -> int:
     model, _, out = _open_dynamics(args)
     sim = simulate_regime_paths if args.conditional else simulate_filter_paths
     bundle = sim(model, args.paths, args.dt, RandomDevice(seed=args.seed))
-    (out / "paths.csv").write_text(gameio.paths_csv(bundle, vars(args)))
+    gameio.paths_csv(out / "paths.csv", bundle, vars(args))
     gameio.write_json(out / "paths_meta.json",
                       {"exited": int(bundle.exited.sum()), "config": vars(args)})
     print(f"simulate: {args.paths} paths, {bundle.t.size - 1} steps, "
@@ -231,7 +231,7 @@ def cmd_extract(args) -> int:
     strategies = extract_strategies(_read_surfaces(out), model, args.dt)
     bundle = simulate_regime_paths(model, args.paths, args.dt, RandomDevice(seed=args.seed))
     traj = strategies.evaluate(bundle.x, psi=bundle.psi)
-    (out / "trajectories.csv").write_text(gameio.trajectories_csv(traj, vars(args)))
+    gameio.trajectories_csv(out / "trajectories.csv", traj, vars(args))
     gameio.write_json(out / "extract_meta.json", {"config": vars(args)})
     print(f"extract: {args.paths} strategy trajectories written")
     return 0

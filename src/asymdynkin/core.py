@@ -26,6 +26,11 @@ below a node, weighted by the probability of reaching them from it, read the
 cached subtree table ``FiltrationTree.subtree``: one entry per
 (node, ancestor-or-self) pair, grouped by ancestor, so one node's sum costs
 the size of its subtree and every node's sum is one ``np.add.reduceat``.
+
+The belief rules both pipelines share are stated once, here: the weights
+(1 - p, p) of a belief p, ``_belief_weights``; every mix over the types,
+``_type_mix``; the Bayes update ``_posterior``; the thresholds
+``_SURVIVAL_FLOOR`` (survival exhausted) and ``_ACTIVE_BELOW`` (still in play).
 """
 
 from __future__ import annotations
@@ -58,6 +63,8 @@ __all__ = [
 ]
 
 MONOTONE_TOL = 1e-12  # absolute slack for prefix-sum rounding
+_SURVIVAL_FLOOR = 1e-15  # at or below this a survival weight counts as exhausted
+_ACTIVE_BELOW = 1.0 - 1e-12  # a player whose level is below this is still in play
 
 
 class ShapeMismatchError(ValueError):
@@ -565,6 +572,24 @@ def _type_mix(weights, values):
     return total
 
 
+def _belief_weights(p):
+    """The type weights (1 - p, p) of a belief p = P(type 1), for ``_type_mix``."""
+    return 1.0 - p, p
+
+
+def _safe_ratio(num, den, fallback=1.0):
+    """num / den, or ``fallback`` where den is at or below ``_SURVIVAL_FLOOR`` (exhausted)."""
+    dead = den <= _SURVIVAL_FLOOR
+    return np.where(dead, fallback, num / np.where(dead, 1.0, den))
+
+
+def _posterior(weights, survivals, fallback):
+    """(p, degenerate): P(type 1) = w_1 s_1 / sum_k w_k s_k after survivals s_k, and the
+    mask of where that sum is exhausted and p is ``fallback``."""
+    den = _type_mix(weights, survivals)
+    return _safe_ratio(weights[1] * survivals[1], den, fallback), den <= _SURVIVAL_FLOOR
+
+
 def _exact_single(
     tree: FiltrationTree,
     f: np.ndarray,
@@ -599,7 +624,7 @@ def expected_payoff_exact(
             raise ValueError("regime payoffs need a prior")
         values = [_exact_single(tree, f, g, h, x, zeta)
                   for f, g, h, x in zip(payoffs.f, payoffs.g, payoffs.h, xi, strict=True)]
-        return _type_mix((1.0 - prior, prior), values)
+        return _type_mix(_belief_weights(prior), values)
     return _exact_single(tree, payoffs.f, payoffs.g, payoffs.h, xi, zeta)
 
 

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..core import json_numbers
+from ..core import _belief_weights, _type_mix, json_numbers
 
 __all__ = ["DiffusionModel", "MODES", "parse_expression", "expression_field", "model_from_dict",
            "generator_coefficients", "filter_step"]
@@ -124,7 +124,7 @@ class DiffusionModel:
 
     def mu_bar(self, x, psi) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return np.asarray(self.mu0(x)) * (1.0 - psi) + np.asarray(self.mu1(x)) * psi
+        return _type_mix(_belief_weights(psi), (np.asarray(self.mu0(x)), np.asarray(self.mu1(x))))
 
 
 def generator_coefficients(model: DiffusionModel, pi, x, mode: str) -> tuple:

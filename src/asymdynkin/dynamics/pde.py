@@ -9,13 +9,14 @@ splitting step, with no iteration inside it:
 * the belief-flattening constraint d_pi u_i = 0 is enforced across S0 u S1
   by a one-sided copy from the adjacent continuation value, followed by the
   same projection;
-* v is the ex-ante combination pi u1 + (1-pi) u0 of the stepped surfaces,
-  and the opponent's stopping set is S = {v <= g}.  On S the opponent stops
-  first, so u0, u1 and v are all pinned to g there; the identity
-  v = pi u1 + (1-pi) u0 then holds on every cell.
+* v is the ex-ante mix pi u1 + (1-pi) u0 (``core._type_mix``) of the stepped
+  surfaces, and the opponent's stopping set is S = {v <= g}.  On S the
+  opponent stops first, so u0, u1 and v are all pinned to g there; the
+  identity v = pi u1 + (1-pi) u0 then holds on every cell.
 
 The regime generators come from ``_operator``, which applies one stencil rule
-to each of the x and pi axes: centred diffusion, upwinded drift.  The
+to each of the x and pi axes (centred diffusion, upwinded drift) and builds
+its CSC arrays with ``_compiled.csc_arrays``, as the oracle's LP does.  The
 identity's residual is ``PDESurfaces.identity_residual``, derived from the
 surfaces alone, so the solver and the file readers report the same number.
 
@@ -36,7 +37,8 @@ from typing import Callable
 
 import numpy as np
 
-from .._compiled import scipy_extension
+from .._compiled import csc_arrays, scipy_extension
+from ..core import _belief_weights, _type_mix
 from .model import DiffusionModel, generator_coefficients
 
 # the implicit steps are factored by SuperLU's binding alone, loaded on the
@@ -142,36 +144,12 @@ class PDESurfaces:
         every cell of those slices lies in a stopping set.
         """
         cont = ~(self.in_s0 | self.in_s1 | self.in_s)[:-1]
-        pi = self.grid.pi[:, None]
-        gap = np.abs(self.v - (pi * self.u1 + (1.0 - pi) * self.u0))[:-1]
+        gap = np.abs(self.v - _type_mix(_belief_weights(self.grid.pi[:, None]), (self.u0, self.u1)))[:-1]
         return float(np.max(gap[cont], initial=0.0))
 
 
-def _csc(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int):
-    """Canonical CSC arrays (indptr, indices, data) of the n x n matrix of the triplets.
-
-    Entries are sorted by (column, row); the values of a repeated position are
-    added up in input order from the first, as scipy's sparse constructor does.
-    The indices are int32, as SuperLU takes them.
-    """
-    order = np.lexsort((rows, cols))
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    first = np.ones(rows.size, dtype=bool)
-    first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-    data = vals[first]
-    np.add.at(data, np.cumsum(first)[~first] - 1, vals[~first])
-    return _indptr(cols[first], n), rows[first].astype(np.int32), data
-
-
-def _indptr(cols: np.ndarray, n: int) -> np.ndarray:
-    """Column pointers of CSC entries sorted by column."""
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
-    return indptr
-
-
 def _operator(model: DiffusionModel, grid: PDEGrid, mode: str):
-    """Spatial generator on the (pi, x) sheet for one mode of ``MODES``, as ``_csc`` arrays.
+    """Spatial generator on the (pi, x) sheet for one mode of ``MODES``, as ``csc_arrays``.
 
     Per axis with step h, from ``generator_coefficients``: diffusion a is centred,
     (a, -2a, a) / h^2, and drift b upwinded, b+ / h forward and b- / h backward.  x
@@ -199,11 +177,11 @@ def _operator(model: DiffusionModel, grid: PDEGrid, mode: str):
     rows = np.concatenate([center[cells].ravel() for cells, _, _ in terms])
     cols = np.concatenate([center[cells].ravel() + off for cells, off, _ in terms])
     vals = np.concatenate([c[cells].ravel() for cells, _, c in terms])
-    return _csc(rows, cols, vals, P.size)
+    return csc_arrays(rows, cols, vals, P.size)
 
 
 def _implicit_matrix(op, dt: float):
-    """CSC arrays of I - dt L for the ``_csc`` arrays of a generator L that stores its diagonal.
+    """CSC arrays of I - dt L for the CSC arrays of a generator L that stores its diagonal.
 
     The entries are formed as scipy's sparse subtraction forms them: 1 - m on
     the diagonal and 0 - m elsewhere, m = dt times L's entry, exact zeros dropped.
@@ -214,7 +192,7 @@ def _implicit_matrix(op, dt: float):
     m = dt * data
     vals = np.where(indices == cols, 1.0 - m, 0.0 - m)
     keep = vals != 0.0
-    return _indptr(cols[keep], n), indices[keep], vals[keep]
+    return csc_arrays(indices[keep], cols[keep], vals[keep], n)
 
 
 # splu's default options; SuperLU's own defaults stand for the Nones
@@ -288,7 +266,7 @@ def pde_solve_system(
         except RuntimeError as exc:  # "Factor is exactly singular"
             raise NoConvergence(f"the implicit {mode} system is singular: {exc}")
 
-    pi_col = grid.pi[:, None]
+    weights = _belief_weights(grid.pi[:, None])
     u = np.empty((2, mt, mpi, mx))
     v = np.empty((mt, mpi, mx))
     u[0, -1] = u[1, -1] = v[-1] = h(grid.t[-1], grid.x)
@@ -311,7 +289,7 @@ def pde_solve_system(
         # belief jumps flatten the opponent's surface across each run
         step[0] = np.minimum(_pi_copy(step[0], s1 & ~s0, from_below=True), ft)
         step[1] = np.minimum(_pi_copy(step[1], s0 & ~s1, from_below=False), ft)
-        v_c = pi_col * step[1] + (1.0 - pi_col) * step[0]
+        v_c = _type_mix(weights, step)
         # the opponent stops first on S: pinning all three surfaces to g there
         # keeps the identity exact on S too
         in_s[k] = v_c <= gt + _SET_TOL

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core import _belief_weights, _posterior
 from .model import DiffusionModel
 from .pde import PDESurfaces, _run_edges
 from .simulate import psi_from_innovation
@@ -87,13 +88,10 @@ class StrategyMap:
         p_out = np.empty((steps + 1, n))
         stopped_unin = np.zeros(n, dtype=bool)
 
-        def posterior(psik, fallback):
-            den = psik * s[1] + (1.0 - psik) * s[0]
-            return np.where(den > 1e-15, psik * s[1] / np.maximum(den, 1e-300), fallback)
-
         for k in range(steps):
             psik = psi[:, k]
-            p = posterior(psik, psik)
+            weights = _belief_weights(psik)
+            p = _posterior(weights, s, psik)[0]
             # discrete reflection: push the belief back to the edge node of
             # the action run (the grid image of the free boundary), so the
             # value stays on the obstacle instead of overshooting into the
@@ -107,11 +105,11 @@ class StrategyMap:
                 push = acts & (hi > lo)
                 hi, lo = hi[push], lo[push]
                 s[i, push] *= 1.0 - np.clip((hi - lo) / np.maximum(hi * (1.0 - lo), 1e-300), 0.0, 1.0)
-            p = p_out[k] = posterior(psik, p)
+            p = p_out[k] = _posterior(weights, s, p)[0]
             stopped_unin |= surf.in_s[time_idx[k], _nearest(gpi, p), xj]
             zeta[k] = stopped_unin
             xi[:, k] = 1.0 - s
-        p_out[steps] = posterior(psi[:, steps], psi[:, steps])
+        p_out[steps] = _posterior(_belief_weights(psi[:, steps]), s, psi[:, steps])[0]
         return TrajectorySet(t, x_paths, psi, p_out.T, xi[0].T, xi[1].T, zeta.T)
 
 

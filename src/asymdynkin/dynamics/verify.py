@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import RandomDevice, payoff_flows
+from ..core import _ACTIVE_BELOW, RandomDevice, _belief_weights, _type_mix, payoff_flows
 from .model import DiffusionModel
 from .pde import PDESurfaces
 from .simulate import simulate_fixed_regime, simulate_regime_paths
@@ -157,7 +157,7 @@ def _informed_paths(model, surfaces, strategies, i: int, n: int, dt: float, devi
         return stop, run, 1.0 - zeta_pre, uvals
 
     m_hat, obstacle = _assemble(flows, n, x.shape[1] - 1, +1.0, tol, alpha)
-    return m_hat, (traj.xi1 if i else traj.xi0)[:, :-1] < 1.0 - 1e-12, obstacle
+    return m_hat, (traj.xi1 if i else traj.xi0)[:, :-1] < _ACTIVE_BELOW, obstacle
 
 
 def _observation_paths(model, surfaces, strategies, n: int, dt: float, device, payoffs,
@@ -174,17 +174,14 @@ def _observation_paths(model, surfaces, strategies, n: int, dt: float, device, p
         x, psi = bundle.x[b], bundle.psi[b]
         vvals = _lookup(surface, surfaces.grid, traj.t, traj.p[b], x)
         fv, gv, hv = payoffs(traj.t, x)
-        stop = run = survival = 0.0
-        for weight, xi in ((1.0 - psi, traj.xi0[b]), (psi, traj.xi1[b])):
+        per_type = []  # each incarnation's stop, run and survival, then mixed by the belief psi
+        for xi in (traj.xi0[b], traj.xi1[b]):
             xi_pre, dxi = _left_limits(xi)
-            stop_i, run_i = payoff_flows(gv, fv, hv, xi, dxi)
-            stop = stop + weight * stop_i
-            run = run + weight * run_i
-            survival = survival + weight * (1.0 - xi_pre)
-        return stop, run, survival, vvals
+            per_type.append((*payoff_flows(gv, fv, hv, xi, dxi), 1.0 - xi_pre))
+        return (*(_type_mix(_belief_weights(psi), kind) for kind in zip(*per_type)), vvals)
 
     n_hat, obstacle = _assemble(flows, n, bundle.x.shape[1] - 1, -1.0, tol, alpha)
-    return n_hat, traj.zeta[:, :-1] < 1.0 - 1e-12, obstacle
+    return n_hat, traj.zeta[:, :-1] < _ACTIVE_BELOW, obstacle
 
 
 def mc_verify_sufficiency(
@@ -236,11 +233,10 @@ def mc_verify_sufficiency(
     report["(iv) obstacle V"] = obstacle
 
     # (v) root identity
-    pi0 = model.prior
-    point = (np.array([0.0]), np.array([pi0]), np.array([model.x0]))
+    point = (np.array([0.0]), np.array([model.prior]), np.array([model.x0]))
     v0, u0, u1 = (float(_lookup(s.ravel(), grid, *point)[0])
                   for s in (surfaces.v, surfaces.u0, surfaces.u1))
-    gap = abs(v0 - (pi0 * u1 + (1.0 - pi0) * u0))
+    gap = abs(v0 - _type_mix(_belief_weights(model.prior), (u0, u1)))
     report["(v) root identity"] = {"residual": gap, "passed": bool(gap <= tol)}
 
     report["all_passed"] = all(

@@ -186,8 +186,9 @@ def nodes_csv(game: ScenarioGame, surfaces: ValueSurfaces, support: SupportRepor
     return "\n".join(lines) + "\n"
 
 
-def _meta_lines(meta: dict) -> list[str]:
-    return [f"# {k}={meta[k]!r}" for k in sorted(meta)]
+def _csv_head(meta: dict, columns) -> list[str]:
+    """The lines above a CSV's rows: ``# key=value`` per entry of ``meta``, sorted, then the header."""
+    return [*(f"# {k}={meta[k]!r}" for k in sorted(meta)), ",".join(columns)]
 
 
 # the columns of the surfaces table: the CSV's header and the .npy's column order
@@ -199,20 +200,19 @@ def _axes(grid: PDEGrid) -> tuple[np.ndarray, ...]:
     return grid.t[:, None, None], grid.pi[:, None], grid.x
 
 
+def _surfaces_table(surfaces: PDESurfaces) -> np.ndarray:
+    """The float64 (cells, 9) table of ``_SURFACE_COLUMNS``, flags 0.0 or 1.0, cells in (t, pi, x) order."""
+    columns = (*_axes(surfaces.grid), surfaces.u0, surfaces.u1, surfaces.v,
+               surfaces.in_s0, surfaces.in_s1, surfaces.in_s)
+    return np.stack(np.broadcast_arrays(*columns), axis=-1, dtype=float).reshape(-1, len(_SURFACE_COLUMNS))
+
+
 def surfaces_csv(surfaces: PDESurfaces, meta: dict) -> str:
-    grid = surfaces.grid
-    _, mpi, mx = grid.shape
-    pi, x = np.repeat(grid.pi, mx), np.tile(grid.x, mpi)
-    lines = _meta_lines(meta)
-    lines.append(",".join(_SURFACE_COLUMNS))
-    # a slice (or a path, below) at a time, so the Python floats of one chunk,
-    # not of the whole array, sit beside the formatted lines
-    for it, t in enumerate(grid.t):
-        lines += _csv_lines(
-            np.full(pi.size, t), pi, x,
-            *(arr[it].ravel() for arr in (surfaces.u0, surfaces.u1, surfaces.v,
-                                          surfaces.in_s0, surfaces.in_s1, surfaces.in_s)),
-        )
+    lines = _csv_head(meta, _SURFACE_COLUMNS)
+    # a time slice at a time, so the Python floats of one slice, not of the
+    # whole table, sit beside the formatted lines; the flags print as integers
+    for rows in np.split(_surfaces_table(surfaces), surfaces.grid.t.size):
+        lines += _csv_lines(*rows[:, :6].T, *rows[:, 6:].T.astype(bool))
     return "\n".join(lines) + "\n"
 
 
@@ -229,13 +229,9 @@ def surfaces_from_csv(text: str) -> PDESurfaces:
 
 
 def write_surfaces_npy(path: Path, surfaces: PDESurfaces) -> None:
-    """The CSV's table as one float64 (cells, 9) array, flags 0.0 or 1.0, in a ``.npy``."""
-    table = np.empty((*surfaces.grid.shape, len(_SURFACE_COLUMNS)))
-    for k, column in enumerate((*_axes(surfaces.grid), surfaces.u0, surfaces.u1, surfaces.v,
-                                surfaces.in_s0, surfaces.in_s1, surfaces.in_s)):
-        table[..., k] = column
+    """The CSV's table, ``_surfaces_table``, in a ``.npy``."""
     with open(path, "wb") as fh:  # np.save would append ".npy" to a path without it
-        np.save(fh, table.reshape(-1, len(_SURFACE_COLUMNS)), allow_pickle=False)
+        np.save(fh, _surfaces_table(surfaces), allow_pickle=False)
 
 
 def surfaces_from_npy(path: Path) -> PDESurfaces:
@@ -275,26 +271,25 @@ def _surfaces_from_table(data: np.ndarray) -> PDESurfaces:
     return PDESurfaces(grid, u0, u1, v, *(flag.astype(bool) for flag in flags))
 
 
-def _per_path_csv(meta: dict, t: np.ndarray, **columns: np.ndarray) -> str:
-    """A ``path_id,t,<columns>`` table, one row per path and step; each column is (paths, steps)."""
-    lines = _meta_lines(meta)
-    lines.append(",".join(("path_id", "t", *columns)))
-    n_paths = next(iter(columns.values())).shape[0]
+def _write_per_path_csv(path: Path, meta: dict, t: np.ndarray, **columns: np.ndarray) -> None:
+    """Write a ``path_id,t,<columns>`` table, one row per path and step, each column (paths, steps),
+    a path's lines at a time: the memory it takes does not grow with the number of paths."""
     # the t column is formatted once for the table and each path id once for
     # its path, the other columns a path at a time
     t_text = list(_text(t))
-    for pid in range(n_paths):
-        lines += _csv_lines([repr(pid)] * t.size, t_text, *(col[pid] for col in columns.values()))
-    return "\n".join(lines) + "\n"
+    with open(path, "w") as fh:
+        fh.write("\n".join(_csv_head(meta, ("path_id", "t", *columns))) + "\n")
+        for pid, rows in enumerate(zip(*columns.values())):
+            fh.write("\n".join(_csv_lines([repr(pid)] * t.size, t_text, *rows)) + "\n")
 
 
-def paths_csv(bundle, meta: dict) -> str:
+def paths_csv(path: Path, bundle, meta: dict) -> None:
     # the drawn regime, if any, repeated along each path
     regime = {} if bundle.regime is None else {
         "J": np.broadcast_to(bundle.regime[:, None], bundle.x.shape)}
-    return _per_path_csv(meta, bundle.t, X=bundle.x, psi=bundle.psi, **regime)
+    _write_per_path_csv(path, meta, bundle.t, X=bundle.x, psi=bundle.psi, **regime)
 
 
-def trajectories_csv(traj, meta: dict) -> str:
-    return _per_path_csv(meta, traj.t, X=traj.x, psi=traj.psi, p=traj.p,
-                         xi0=traj.xi0, xi1=traj.xi1, zeta=traj.zeta)
+def trajectories_csv(path: Path, traj, meta: dict) -> None:
+    _write_per_path_csv(path, meta, traj.t, X=traj.x, psi=traj.psi, p=traj.p,
+                        xi0=traj.xi0, xi1=traj.xi1, zeta=traj.zeta)

@@ -37,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._compiled import scipy_extension
+from ._compiled import csc_arrays, scipy_extension
 from .core import FiltrationTree, GeneratingProcess, StoppingRule, _type_mix, flow_value, payoff_flows
 from .scenario import ScenarioGame, StrategyProfile, ValueSurfaces, best_response_values
 
@@ -62,9 +62,10 @@ __all__ = [
 DEFAULT_CAP = 20_000
 GAP_TOL = 1e-9  # the root duality gap; ``scenario``'s docstring relates it to the node-wise 1e-8
 # the HiGHS options of scipy's "highs-ds" LP method but for the feasibility
-# tolerances, set to 1e-10, the tightest that HiGHS accepts
+# tolerances, set to 1e-10, and the matrix entries HiGHS drops, those below
+# 1e-12 rather than 1e-9: each the least that HiGHS accepts
 _LP_OPTIONS = dict(solver="simplex", simplex_strategy=1, highs_debug_level=0,  # dual simplex, no debug
-                   output_flag=False, log_to_console=False,
+                   output_flag=False, log_to_console=False, small_matrix_value=1e-12,
                    primal_feasibility_tolerance=1e-10, dual_feasibility_tolerance=1e-10)
 
 
@@ -144,8 +145,7 @@ def build_matrix(
         raise EnumerationCapExceeded(
             f"pair matrix would have {r * r * b0.shape[1]} entries; use solve_scenario"
         )
-    w0, w1 = game.weights
-    return (w0 * b0[:, None] + w1 * b1[None, :]).reshape(r * r, -1)
+    return _type_mix(game.weights, (b0[:, None], b1[None, :])).reshape(r * r, -1)
 
 
 def pure_gap(a: np.ndarray) -> tuple[float, float, float]:
@@ -184,14 +184,13 @@ def _sequence_form_lp(game: ScenarioGame):
     entries = [(m_col[j], k * n + m_row[j], w[k] * m_val[k, j]) for k, j in enumerate(m_val != 0.0)]
     entries.append((path_node, k_types * n + leaf_row, -np.ones(leaf_row.size)))
     entries += [(n + k * n_leaves + leaf_row, k * n + path_node, np.ones(leaf_row.size)) for k in range(k_types)]
-    row, col, val = (np.concatenate(k) for k in zip(*entries))
-    order = np.lexsort((row, col))
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(col, minlength=k_types * n + n_leaves))]).astype(np.int32)
+    # no position repeats, so ``csc_arrays`` only sorts them
+    indptr, indices, data = csc_arrays(*(np.concatenate(k) for k in zip(*entries)), k_types * n + n_leaves)
     cost = np.concatenate([*(w[:, None] * (r * flows[0, 0])), np.ones(n_leaves)])
     b_ub = -_type_mix(w, 0.0 + run_dz)  # 0.0 +: a zero-reach node's -0.0 becomes 0.0
     row_lower = np.concatenate([np.full(n, -np.inf), np.ones(k_types * n_leaves)])
     col_lower = np.repeat([0.0, -np.inf], [k_types * n, n_leaves])
-    return (cost, indptr, row[order].astype(np.int32), val[order], row_lower,
+    return (cost, indptr, indices, data, row_lower,
             np.concatenate([b_ub, row_lower[n:]]), col_lower, np.full(cost.size, np.inf))
 
 
@@ -240,8 +239,8 @@ class ScenarioSolution:
 
     ``processes`` are the K + 1 generating processes whose steps are the LP's plans,
     ``surfaces`` their best-response values, and ``value`` is v_hat at the root,
-    not the LP objective, which HiGHS reaches after dropping matrix entries
-    below its ``small_matrix_value``.  The threshold-rule view ``rules``,
+    not the LP objective, which HiGHS reaches within its tolerances and without
+    any matrix entry below its ``small_matrix_value`` of 1e-12.  The threshold-rule view ``rules``,
     ``row_mix0``, ``row_mix1`` (the mixes of types 0 and 1), ``col_mix`` (see
     ``support_rules``) is built from ``tree`` when first read.
     """

@@ -33,6 +33,11 @@ from .core import (
     IndexOutOfRangeError,
     PayoffTriple,
     ShapeMismatchError,
+    _ACTIVE_BELOW,
+    _SURVIVAL_FLOOR,
+    _belief_weights,
+    _posterior,
+    _safe_ratio,
     _type_mix,
     payoff_flows,
     validate_generating,
@@ -56,7 +61,6 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-8
-_SURVIVAL_FLOOR = 1e-15  # below this a survival weight counts as exhausted
 
 
 @dataclass(frozen=True)
@@ -80,7 +84,7 @@ class ScenarioGame:
 
     @property
     def weights(self) -> np.ndarray:
-        return np.array([1.0 - self.prior, self.prior])
+        return np.array(_belief_weights(self.prior))
 
 
 @dataclass(frozen=True)
@@ -106,19 +110,11 @@ def belief_update(prior: float, xi0_pre, xi1_pre):
     Returns (p, degenerate): where both survival weights vanish the belief is
     reported as the prior with the degenerate flag set.
     """
-    s0 = (1.0 - prior) * (1.0 - np.asarray(xi0_pre, dtype=float))
-    s1 = prior * (1.0 - np.asarray(xi1_pre, dtype=float))
-    den = s0 + s1
-    degenerate = den <= _SURVIVAL_FLOOR
-    p = np.where(degenerate, prior, s1 / np.where(degenerate, 1.0, den))
+    survivals = [1.0 - np.asarray(x, dtype=float) for x in (xi0_pre, xi1_pre)]
+    p, degenerate = _posterior(_belief_weights(prior), survivals, prior)
     if p.ndim == 0:
         return float(p), bool(degenerate)
     return p, degenerate
-
-
-def _safe_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    dead = den <= _SURVIVAL_FLOOR
-    return np.where(dead, 1.0, num / np.where(dead, 1.0, den))
 
 
 @dataclass(frozen=True)
@@ -171,6 +167,14 @@ def _informed_survival(game: ScenarioGame, profile: StrategyProfile):
     return xi_pre, _type_mix(game.weights, 1.0 - xi_pre)
 
 
+def _player_flows(game: ScenarioGame, profile: StrategyProfile):
+    """(stop, run), (K + 1, n) each: one row per incarnation, then the uninformed
+    player's row negated, so that every row minimizes (max(a, b) = -min(-a, -b) exactly)."""
+    stop_u, run_u = _informed_flows(game, profile.zeta)
+    stop_v, run_v = _uninformed_flows(game, profile)
+    return np.vstack([stop_u, -stop_v]), np.vstack([run_u, -run_v])
+
+
 def best_response_values(game: ScenarioGame, profile: StrategyProfile) -> ValueSurfaces:
     """Backward recursion for both players' best responses to ``profile``.
 
@@ -183,12 +187,7 @@ def best_response_values(game: ScenarioGame, profile: StrategyProfile) -> ValueS
     if len(profile.xi) != len(game.weights) or any(x.n_nodes != n for x in (*profile.xi, profile.zeta)):
         raise ShapeMismatchError("profile type or node count disagrees with game")
 
-    stop_u, run_u = _informed_flows(game, profile.zeta)
-    stop_v, run_v = _uninformed_flows(game, profile)
-    # rows: one per incarnation, then the uninformed player negated, so that
-    # every row minimizes (max(a, b) = -min(-a, -b) exactly)
-    stop = np.vstack([stop_u, -stop_v])
-    run = np.vstack([run_u, -run_v])
+    stop, run = _player_flows(game, profile)
     hat = stop.copy()  # leaves stop; internal nodes are set level by level
     stops = np.zeros(stop.shape, dtype=bool)
     for lvl in reversed(tree.levels):
@@ -197,13 +196,12 @@ def best_response_values(game: ScenarioGame, profile: StrategyProfile) -> ValueS
         stops[:, lvl] = stop[:, lvl] < cont
         hat[:, lvl] = np.where(stops[:, lvl], stop[:, lvl], cont)
     u_hat, v_hat = hat[:-1], -hat[-1]
-    informed_stops, uninformed_stops = stops[:-1], stops[-1]
 
     xi_pre, surv_v = _informed_survival(game, profile)
     u = _safe_ratio(u_hat, 1.0 - profile.zeta.pre_levels(tree))
     v = _safe_ratio(v_hat, surv_v)
     p, degenerate = belief_update(game.prior, *xi_pre)
-    return ValueSurfaces(u_hat, v_hat, u, v, p, degenerate, informed_stops, uninformed_stops)
+    return ValueSurfaces(u_hat, v_hat, u, v, p, degenerate, stops[:-1], stops[-1])
 
 
 def _drift(tree: FiltrationTree, values: np.ndarray) -> np.ndarray:
@@ -323,8 +321,8 @@ def martingale_report(
         m0_drift=m0_drift,
         n0_drift=n0_drift,
         internal=~tree.is_leaf,
-        xi_active=np.array([x.levels for x in profile.xi]) < 1.0 - 1e-12,
-        zeta_active=profile.zeta.levels < 1.0 - 1e-12,
+        xi_active=np.array([x.levels for x in profile.xi]) < _ACTIVE_BELOW,
+        zeta_active=profile.zeta.levels < _ACTIVE_BELOW,
         tol=tol,
         m_override_drift=m_over,
         n_override_drift=n_over,
@@ -387,8 +385,8 @@ def support_report(
 
     xi_pre = np.array([x.pre_levels(tree) for x in profile.xi])
     zeta_pre = profile.zeta.pre_levels(tree)
-    gamma2 = (xi_pre.min(axis=0) < 1.0 - 1e-12) & (zeta_pre < 1.0 - 1e-12)
-    consistency = np.abs(_type_mix(np.stack([1.0 - surfaces.p, surfaces.p]), surfaces.u) - surfaces.v)
+    gamma2 = (xi_pre.min(axis=0) < _ACTIVE_BELOW) & (zeta_pre < _ACTIVE_BELOW)
+    consistency = np.abs(_type_mix(_belief_weights(surfaces.p), surfaces.u) - surfaces.v)
 
     interior = ~tree.is_leaf
     simt = interior & (profile.zeta.steps > 1e-12) & (xi_steps > 1e-12).any(axis=0)
@@ -480,7 +478,7 @@ def certify_mart(
     zeta_pre = profile.zeta.pre_levels(tree)
     stop_u = _informed_flows(game, profile.zeta)[0]
     stop_v = _uninformed_flows(game, profile)[0]
-    alive_u = ~(zeta_pre >= 1.0 - 1e-12)
+    alive_u = ~(zeta_pre >= _ACTIVE_BELOW)
     resid_u = (surfaces.u_hat - stop_u) / np.maximum(1.0 - zeta_pre, _SURVIVAL_FLOOR)
     for i, resid in enumerate(resid_u):
         for node in np.flatnonzero(alive_u & ~(resid <= tol)):
@@ -559,10 +557,8 @@ def certify_stop(
         u_root, v_root = surfaces.root_values()
     u_root = np.asarray(u_root, dtype=float)
 
-    stop_u, run_u = _informed_flows(game, profile.zeta)
-    stop_v, run_v = _uninformed_flows(game, profile)
     # the uninformed player maximizes: negated, its row minimizes as well
-    best, _, first = _best_pure_rules(game.tree, np.vstack([stop_u, -stop_v]), np.vstack([run_u, -run_v]))
+    best, _, first = _best_pure_rules(game.tree, *_player_flows(game, profile))
     violations: list[tuple[str, int, float]] = []
     for i, (b, u) in enumerate(zip(best[:-1], u_root, strict=True)):
         if not b >= u - tol:

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from asymdynkin import gameio
 from asymdynkin.core import RandomDevice
 from asymdynkin.dynamics import (
     DiffusionModel,
@@ -403,6 +404,14 @@ class TestPathMemory:
         peak = traced_peak(lambda: mc_verify_sufficiency(model, surf, strategies, self.n, dt,
                                                          device=RandomDevice(1), **payoffs))
         assert peak <= 14 * self.n * 101 * 8
+
+    def test_paths_csv_streams(self, model, tmp_path):
+        # paths.csv is written a path's lines at a time: the text of 1 000 paths
+        # x 101 steps is about 5 MB, the lines of one path about 5 kB
+        bundle = simulate_filter_paths(model, 1000, 1e-2, RandomDevice(1))
+        peak = traced_peak(gameio.paths_csv, tmp_path / "paths.csv", bundle, {"dt": 0.01})
+        assert (tmp_path / "paths.csv").stat().st_size > 4_500_000
+        assert peak <= 2_000_000
 
 
 class TestGenerators:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from asymdynkin import oracle
+from asymdynkin._compiled import csc_arrays
 from asymdynkin.core import (
     GeneratingProcess,
     PayoffTriple,
@@ -358,6 +359,20 @@ def _assert_pairs_are_the_climbing_pairs(tree):
 
 
 class TestLPAssembly:
+    def test_csc_arrays_match_scipy(self):
+        # a rectangular matrix with repeated positions (ten pairs and a triple)
+        # and empty columns, the first and the last among them: the arrays are
+        # scipy's canonical CSC arrays, with int32 indices as HiGHS takes them
+        rng = np.random.default_rng(7)
+        rows, cols = rng.integers(0, 9, 48), rng.choice([1, 2, 4, 5, 6, 9, 10, 12], 48)
+        vals = rng.standard_normal(48)
+        ref = sparse.csc_array((vals, (rows, cols)), shape=(9, 14))
+        got = csc_arrays(rows, cols, vals, 14)
+        want = (ref.indptr.astype(np.int32), ref.indices.astype(np.int32), ref.data)
+        assert ref.nnz == 36 and np.count_nonzero(np.diff(ref.indptr) == 0) == 6
+        for x, y in zip(got, want, strict=True):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
     def test_battery_games(self):
         for i in range(200):
             _assert_lp_matches_reference(_battery_game(i))
@@ -450,6 +465,23 @@ class TestDirectHiGHS:
               *(np.array([v]) for v in (-np.inf, 1.0, 0.0, np.inf)))
         with pytest.raises(NumericalFailure, match="^LP solver failed: HiGHS rejected the model$"):
             _run_highs(lp, presolve)
+
+    def test_every_matrix_entry_is_kept(self):
+        # the depth-12 LP has 13 entries at or below 1e-9, HiGHS's default
+        # small_matrix_value; with _LP_OPTIONS passModel keeps all of them
+        highs = oracle._highs()
+        lp = _sequence_form_lp(random_scenario_game(12, 5012))
+        cost, indptr, indices, data, row_lower, row_upper, col_lower, col_upper = lp
+        assert np.count_nonzero(np.abs(data) <= 1e-9) == 13
+        options, solver = highs.HighsOptions(), highs._Highs()
+        for key, val in oracle._LP_OPTIONS.items():
+            setattr(options, key, val)
+        solver.passOptions(options)
+        status = solver.passModel(cost.size, row_lower.size, data.size, highs.MatrixFormat.kColwise,
+                                  highs.ObjSense.kMinimize, 0.0, cost, col_lower, col_upper, row_lower,
+                                  row_upper, indptr, indices, data, np.zeros(cost.size, np.int32))
+        assert status == highs.HighsStatus.kOk
+        assert solver.getNumNz() == data.size == 536_582
 
     def test_open_gap_raises_after_both_attempts(self, monkeypatch):
         # a negative tolerance no gap meets; the spy passes every call on to HiGHS

@@ -509,12 +509,13 @@ class TestPinnedArtifacts:
         text = gameio.surfaces_csv(surf, {"grid": "41x13x61"})
         assert _sha256(text) == "3a7e74550100590f7843e54051128a00ba8fa2660fce4f2e37ba8f800efa1eee"
 
-    def test_trajectories_csv_pinned(self, generic):
+    def test_trajectories_csv_pinned(self, generic, tmp_path):
         model, _, surf = generic
         x, psi = _paths(model, "regime", 200, 0.01, 5)
         traj = extract_strategies(surf, model, dt=0.01).evaluate(x, psi=psi)
         assert np.any(traj.xi1[:, :-1] > 0.0)  # informed incarnations act before the horizon
-        text = gameio.trajectories_csv(traj, {"dt": 0.01})
+        gameio.trajectories_csv(tmp_path / "trajectories.csv", traj, {"dt": 0.01})
+        text = (tmp_path / "trajectories.csv").read_text()
         assert _sha256(text) == "7203d130abe3b570a937783a07322f94c5dd514539ec730593dcb97b5cd2c8bf"
 
     # sha256 of the compact report JSON of the MC verification: its per-path
