@@ -525,6 +525,8 @@ class TestPinnedArtifacts:
     @pytest.mark.parametrize("case, n, dt, seed, digest", [
         ("generic", 500, 0.025, 3, "d986693b3c5a151a6ad553fd957cb3a5a1d7df3c14cfb9701ea2e12e18a34fea"),
         ("moving", 300, 0.01, 29, "a3c779c757ffc704bc75cb49f1fb37b25742c86da0bbbfb1dc4c80e3f00d9942"),
+        # the size of the benchmark's `dynamics verify`: 2 000 paths at dt 0.01
+        ("generic", 2000, 0.01, 0, "526f8fe557c8d82fcdf6c93fe44b0fb428baf801d9a4ff189033c181452722e3"),
     ])
     def test_mc_verify_report_pinned(self, request, case, n, dt, seed, digest):
         model, _, surf = request.getfixturevalue(case)
