@@ -13,14 +13,19 @@ gap is one of the acceptance checks.
 The filter update itself is ``model.filter_step``.  Every simulation of X
 under a regime drift -- the regime-conditional paths, the fixed-regime paths
 of the Monte Carlo verification and the self-convergence study -- goes
-through one Euler loop, ``_regime_euler``, which also accumulates the
+through one Euler loop, ``_regime_rows``, which also accumulates the
 Girsanov log-likelihood behind the Bayes posterior when the caller wants it.
 
-Every loop fills time-major ``(steps + 1, paths)`` buffers one contiguous
-row per step and returns their transposes: views indexed ``[path, step]``,
-with no copy, whose per-step columns are contiguous.  Writing column k + 1
-of a path-major array instead touches one cache line per path on every
-step.
+That loop and the innovation filter's, ``_innovation_rows``, are row
+generators: each yields one time row per step, a vector over the paths, and
+holds nothing of path-set size besides.  Their collectors, ``_regime_euler``
+and ``psi_from_innovation``, fill time-major ``(steps + 1, paths)`` buffers
+with those rows and return their transposes: views indexed ``[path, step]``,
+with no copy, whose per-step columns are contiguous, as
+``simulate_filter_paths`` does for its own loop.  Writing column k + 1 of a
+path-major array instead touches one cache line per path on every step.  A
+caller that reads each step once, like the Monte Carlo verification,
+consumes the rows and never holds a whole path set.
 """
 
 from __future__ import annotations
@@ -63,46 +68,68 @@ def _time_axis(model: DiffusionModel, dt: float) -> np.ndarray:
     return np.linspace(0.0, model.horizon, n_steps + 1)
 
 
-def _regime_euler(
+def _regime_rows(
     model: DiffusionModel, regime: np.ndarray, steps: int, dt: float, increments,
     posterior: bool = True,
 ):
-    """Euler paths of X under each path's regime drift, with the Bayes posterior.
+    """Rows (x_k, psi_k), k = 0 .. steps, of Euler paths of X under each path's regime drift.
 
     ``increments(k)`` returns the Brownian increments of step k, so each
     caller keeps its own draw order.  The posterior is sigmoid(log-likelihood
     + logit(prior)) with the Girsanov log-likelihood ratio of mu1 against
     mu0; a prior of 0 or 1 gives an infinite logit and a constant posterior.
-    Returns (x, psi, exited) with x and psi of shape (paths, steps + 1); psi
-    is None when ``posterior`` is false, and the likelihood is then skipped.
+    psi_k is None when ``posterior`` is false, and the likelihood is then
+    skipped.
     """
     n = regime.size
-    lo, hi = model.domain
-    x = np.empty((steps + 1, n))
-    x[0] = model.x0
-    exited = np.zeros(n, dtype=bool)
-    psi = None
+    xk = np.full(n, model.x0, dtype=float)
+    pk = None
     if posterior:
-        psi = np.empty((steps + 1, n))
-        psi[0] = model.prior
+        pk = np.full(n, model.prior, dtype=float)
         loglik = np.zeros(n)
         if model.prior in (0.0, 1.0):
             logit0 = np.inf if model.prior == 1.0 else -np.inf
         else:
             logit0 = float(np.log(model.prior / (1.0 - model.prior)))
+    yield xk, pk
     for k in range(steps):
-        xk = x[k]
         m0 = np.asarray(model.mu0(xk), dtype=float)
         m1 = np.asarray(model.mu1(xk), dtype=float)
         s = np.asarray(model.sigma(xk), dtype=float)
         dx = np.where(regime == 1, m1, m0) * dt + s * increments(k)
-        x[k + 1] = xk + dx
-        if psi is not None:
+        xk = xk + dx
+        if posterior:
             loglik += (m1 - m0) / s**2 * dx - 0.5 * (m1**2 - m0**2) / s**2 * dt
             with np.errstate(over="ignore"):
-                psi[k + 1] = 1.0 / (1.0 + np.exp(-(loglik + logit0)))
-        exited |= (x[k + 1] < lo) | (x[k + 1] > hi)
+                pk = 1.0 / (1.0 + np.exp(-(loglik + logit0)))
+        del m0, m1, s, dx  # only the state crosses the yield
+        yield xk, pk
+
+
+def _regime_euler(
+    model: DiffusionModel, regime: np.ndarray, steps: int, dt: float, increments,
+    posterior: bool = True,
+):
+    """``_regime_rows`` collected: (x, psi, exited) with x and psi of shape (paths, steps + 1).
+
+    psi is None when ``posterior`` is false; ``exited`` marks the paths that
+    left the domain.
+    """
+    lo, hi = model.domain
+    x = np.empty((steps + 1, regime.size))
+    psi = np.empty((steps + 1, regime.size)) if posterior else None
+    exited = np.zeros(regime.size, dtype=bool)
+    for k, (xk, pk) in enumerate(_regime_rows(model, regime, steps, dt, increments, posterior)):
+        x[k] = xk
+        if posterior:
+            psi[k] = pk
+        exited |= (xk < lo) | (xk > hi)
     return x.T, None if psi is None else psi.T, exited
+
+
+def _draw_regime(model: DiffusionModel, n: int, device: RandomDevice) -> np.ndarray:
+    """Each path's regime J, 1 with probability ``prior``, from the stream after ``device``'s."""
+    return (device.with_stream(device.stream + 1).uniforms(n) < model.prior).astype(np.int64)
 
 
 def _draws(device: RandomDevice, n: int, dt: float):
@@ -150,7 +177,7 @@ def simulate_regime_paths(
     against mu0; the sigmoid form keeps it in (0, 1) without clamping.
     """
     t = _time_axis(model, dt)
-    regime = (device.with_stream(device.stream + 1).uniforms(n) < model.prior).astype(np.int64)
+    regime = _draw_regime(model, n, device)
     x, psi, exited = _regime_euler(model, regime, t.size - 1, dt, _draws(device, n, dt))
     return PathBundle(t, x, psi, regime, exited)
 
@@ -186,7 +213,7 @@ def filter_self_convergence(
     steps = int(round(model.horizon / dt_min))
     rng = device.generator()
     dw_fine = rng.standard_normal((n, steps)) * np.sqrt(dt_min)
-    regime = (device.with_stream(device.stream + 1).uniforms(n) < model.prior).astype(np.int64)
+    regime = _draw_regime(model, n, device)
 
     out = []
     for dt in dts:
@@ -217,10 +244,24 @@ def psi_from_innovation(model: DiffusionModel, x: np.ndarray, dt: float) -> np.n
     # time-major: free for simulator output, whose transpose is contiguous
     xt = np.ascontiguousarray(x.T)
     psi = np.empty(xt.shape)
-    psi[0] = model.prior
-    for k in range(xt.shape[0] - 1):
-        xk, pk = xt[k], psi[k]
-        s = np.asarray(model.sigma(xk), dtype=float)
-        db = (xt[k + 1] - xk - model.mu_bar(xk, pk) * dt) / s
-        psi[k + 1] = np.clip(filter_step(model, xk, pk, db), 0.0, 1.0)
+    for k, (_, pk) in enumerate(_innovation_rows(model, xt, dt)):
+        psi[k] = pk
     return psi.T
+
+
+def _innovation_rows(model: DiffusionModel, x_rows, dt: float):
+    """Rows (x_k, psi_k) of the filter-SDE posterior along the time rows ``x_rows`` of X.
+
+    psi_{k+1} is read off the step from x_k to x_{k+1}, so each row is
+    yielded as soon as its x_k arrives.
+    """
+    rows = iter(x_rows)
+    xk = next(rows)
+    pk = np.full(xk.shape, model.prior, dtype=float)
+    yield xk, pk
+    for x_next in rows:
+        s = np.asarray(model.sigma(xk), dtype=float)
+        db = (x_next - xk - model.mu_bar(xk, pk) * dt) / s
+        xk, pk = x_next, np.clip(filter_step(model, xk, pk, db), 0.0, 1.0)
+        del s, db  # only the state crosses the yield
+        yield xk, pk

@@ -14,9 +14,12 @@ for incarnation 1, which moves p down, and (edge, p) for incarnation 0,
 which moves it up.  The edge is ``pde._run_edges``, the rule the PDE's
 belief-flattening copy uses.
 
-Like every simulation loop, the evaluation fills time-major
-``(steps + 1, paths)`` buffers one contiguous row per step, reflecting all
-paths at once with whole-array operations, and returns their transposes.
+Like the Euler loops of ``simulate``, the evaluation is written once, as a
+row generator, ``StrategyMap._rows``: it reflects all paths at once with
+whole-array operations and yields one time row per step, each a fresh vector
+over the paths.  ``evaluate`` collects the rows into time-major
+``(steps + 1, paths)`` buffers and returns their transposes; the Monte Carlo
+verification consumes them a step at a time.
 """
 
 from __future__ import annotations
@@ -63,40 +66,50 @@ class StrategyMap:
         """Run the strategy maps along observed X-paths.
 
         ``psi`` defaults to the innovation-filter posterior computed from the
-        paths themselves; survivals of the two incarnations evolve through
-        the one push rule, and zeta jumps at the first entry into the
-        uninformed stopping set.  Everyone stops at the horizon.  ``p``,
-        ``xi0``, ``xi1`` and ``zeta`` are transposed views of time-major
-        buffers, indexed ``[path, step]`` like ``x_paths``.
+        paths themselves.  ``p``, ``xi0``, ``xi1`` and ``zeta`` are transposed
+        views of time-major buffers, indexed ``[path, step]`` like ``x_paths``.
         """
         n, steps = x_paths.shape[0], x_paths.shape[1] - 1
-        surf = self.surfaces
-        gpi, gx = surf.grid.pi, surf.grid.x
         if psi is None:
             psi = psi_from_innovation(self.model, x_paths, self.dt)
         t = np.arange(steps + 1) * self.dt
+        levels = np.empty((4, steps + 1, n))  # p, xi0, xi1, zeta
+        for k, row in enumerate(self._rows(zip(x_paths.T, psi.T), t)):
+            levels[:, k] = row[2:]
+        return TrajectorySet(t, x_paths, psi, *(level.T for level in levels))
+
+    def _rows(self, rows, t: np.ndarray):
+        """Rows (x, psi, p, xi0, xi1, zeta) of the strategy maps at the times ``t``.
+
+        ``rows`` yields the observed (x_k, psi_k) of every time in ``t``.
+        Survivals of the two incarnations evolve through the one push rule,
+        and zeta jumps at the first entry into the uninformed stopping set.
+        Everyone stops at the last time.
+        """
+        surf = self.surfaces
+        gpi, gx = surf.grid.pi, surf.grid.x
         time_idx = surf.grid.time_index(t)
+        steps = t.size - 1
         # incarnation 1 pushes the belief down to the first node of its run,
         # incarnation 0 up to the last node of its run
         floor1 = gpi[_run_edges(surf.in_s1)[0]]
         ceil0 = gpi[_run_edges(surf.in_s0)[1]]
 
-        s = np.ones((2, n))  # informed survivals 1 - xi_i
-        # the last row stays 1: a forced terminal stop for everyone left
-        xi = np.ones((2, steps + 1, n))
-        zeta = np.ones((steps + 1, n))
-        p_out = np.empty((steps + 1, n))
-        stopped_unin = np.zeros(n, dtype=bool)
-
-        for k in range(steps):
-            psik = psi[:, k]
+        for k, (xk, psik) in enumerate(rows):
+            if k == 0:
+                s = np.ones((2, xk.size))  # informed survivals 1 - xi_i
+                stopped_unin = np.zeros(xk.size, dtype=bool)
             weights = _belief_weights(psik)
+            if k == steps:  # a forced terminal stop for everyone left
+                done = np.ones(xk.size)
+                yield xk, psik, _posterior(weights, s, psik)[0], done, done, done
+                return
             p = _posterior(weights, s, psik)[0]
             # discrete reflection: push the belief back to the edge node of
             # the action run (the grid image of the free boundary), so the
             # value stays on the obstacle instead of overshooting into the
             # continuation region by a full cell
-            xj = _nearest(gx, x_paths[:, k] - gx[0])
+            xj = _nearest(gx, xk - gx[0])
             cell = (time_idx[k], _nearest(gpi, p), xj)
             in_s1, in_s0 = surf.in_s1[cell], surf.in_s0[cell]
             s[:, in_s1 & in_s0] = 0.0
@@ -105,12 +118,10 @@ class StrategyMap:
                 push = acts & (hi > lo)
                 hi, lo = hi[push], lo[push]
                 s[i, push] *= 1.0 - np.clip((hi - lo) / np.maximum(hi * (1.0 - lo), 1e-300), 0.0, 1.0)
-            p = p_out[k] = _posterior(weights, s, p)[0]
+            p = _posterior(weights, s, p)[0]
             stopped_unin |= surf.in_s[time_idx[k], _nearest(gpi, p), xj]
-            zeta[k] = stopped_unin
-            xi[:, k] = 1.0 - s
-        p_out[steps] = _posterior(_belief_weights(psi[:, steps]), s, psi[:, steps])[0]
-        return TrajectorySet(t, x_paths, psi, p_out.T, xi[0].T, xi[1].T, zeta.T)
+            del weights, xj, cell, in_s1, in_s0, acts, push, hi, lo  # only the state crosses the yield
+            yield xk, psik, p, 1.0 - s[0], 1.0 - s[1], stopped_unin.astype(float)
 
 
 def extract_strategies(surfaces: PDESurfaces, model: DiffusionModel, dt: float) -> StrategyMap:

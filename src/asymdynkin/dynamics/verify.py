@@ -16,10 +16,12 @@ The first-to-stop flow is ``core.payoff_flows``: (i) and (ii) add up its
 (iii) reuses the fixed-regime paths of (i), and (iv) the regime-conditional
 paths of (ii); the paths come from the Euler loop in ``simulate``.
 
-Each of the three path sets is simulated and checked inside one function,
-so its arrays are freed before the next set is drawn.  The strategy maps run
-once on all of a set's paths; the lookups, the flows and the assembly of
-M_hat / N_hat run ``_BLOCK`` paths at a time into one whole array.
+Each of the three path sets is one time-major pass: the row generators of
+the simulation, the posterior filter and the strategy maps hand over one time
+row at a time, and the checks keep only per-path vectors -- the running sum
+of the flows, the previous value and the per-path totals of the increments
+-- besides their running bands and obstacle counts.  No whole (paths, steps)
+array is ever held, so memory grows with the paths alone.
 
 All checks are report-only: each condition returns pass/fail with its
 confidence band, never an exception.
@@ -32,22 +34,20 @@ import numpy as np
 from ..core import _ACTIVE_BELOW, RandomDevice, _belief_weights, _type_mix, payoff_flows
 from .model import DiffusionModel
 from .pde import PDESurfaces
-from .simulate import simulate_fixed_regime, simulate_regime_paths
+# the whole-array simulators stay bound here, where bench/workloads.py's
+# traced mode patches them, although the checks stream their row forms
+from .simulate import (_draw_regime, _draws, _innovation_rows, _regime_rows, _time_axis,
+                       simulate_fixed_regime, simulate_regime_paths)
 from .strategies import StrategyMap
 
 __all__ = ["mc_verify_sufficiency", "simulate_fixed_regime"]
-
-
-# paths per block of the lookups, the flows and the M_hat / N_hat assembly: a
-# block's temporaries stay a small share of one (paths, steps) array
-_BLOCK = 250
 
 
 def _lookup(flat: np.ndarray, grid, t: np.ndarray, p: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Bilinear (pi, x) interpolation at the nearest time slice of a surface raveled to ``flat``.
 
     ``t`` may be a shared time axis, which the indexing broadcasts against
-    (paths, steps) arrays; belief jumps land between pi-nodes, so
+    ``p`` and ``x``; belief jumps land between pi-nodes, so
     piecewise-linear interpolation keeps the lookup error quadratic in the
     mesh instead of linear.  The four corner terms are formed and added up
     in place, in a fixed order.
@@ -77,111 +77,124 @@ def _band(sample: np.ndarray) -> tuple[float, float]:
     return sample.mean(), 4.0 * se
 
 
-def _mean_increment_checks(values: np.ndarray, active: np.ndarray, sign: float, atol: float):
-    """Banded tests of E[dM] sign and flatness on the active set.
+def _path_set_checks(flows, sign: float, atol: float, tol: float, alpha: float):
+    """Banded tests of E[dM] sign and flatness, and the obstacle report, one step at a time.
 
+    ``flows`` yields each step's (stop, run, survival, value, active) on all
+    paths; the value process is M_k = sum_{s<k} run_s + survival_k value_k.
     ``sign`` +1 demands non-negative mean increments (submartingale), -1
     non-positive.  Flatness is tested on the sub-sample where ``active``
     holds at the step's left endpoint, both step by step and through the
     per-path accumulated active increments (the aggregate statistic has far
     more power against slowly leaking drifts).  ``passed`` holds when both do.
+
+    The obstacle report is the share of points with sign (stop / survival -
+    value) >= -tol where no one has stopped; stop / survival is the payoff of
+    stopping now given that nobody has, which bounds the informed values from
+    above (sign +1) and the uninformed value from below (sign -1).
+
+    The sums run in step order, as numpy's do along the time axis of the
+    Fortran-ordered (paths, steps) arrays this replaces: the running sum of
+    ``run`` starts from the first term itself, so a -0.0 keeps its sign, and
+    the per-path totals start from 0.  A single path's totals are summed
+    pairwise, as numpy sums a contiguous row.
     """
-    inc = np.diff(values, axis=1)
-    worst_side = worst_flat = 0.0
-    for k in range(inc.shape[1]):
-        col, sel = inc[:, k], active[:, k]
-        mean, band = _band(col)
-        worst_side = max(worst_side, -sign * mean - band)
-        if sel.sum() > 1:
-            mean, band = _band(col[sel])
-            worst_flat = max(worst_flat, abs(mean) - band)
+    worst_side = worst_flat = worst_slack = 0.0
+    ok = count = 0
+    ran = total = total_active = 0.0
+    lone = []
+    for k, (stop, run, survival, value, active) in enumerate(flows):
+        alive = survival > 1e-12
+        slack = sign * (stop[alive] / survival[alive] - value[alive])
+        ok += int(np.count_nonzero(slack >= -tol))
+        count += slack.size
+        worst_slack = min(worst_slack, float(slack.min(initial=0.0)))
+        level = ran + survival * value
+        ran = run if k == 0 else ran + run
+        # hold only the running vectors while the next step is computed
+        del stop, run, survival, value, alive, slack
+        if k:
+            inc = level - prev
+            mean, band = _band(inc)
+            worst_side = max(worst_side, -sign * mean - band)
+            if prev_active.sum() > 1:
+                mean, band = _band(inc[prev_active])
+                worst_flat = max(worst_flat, abs(mean) - band)
+            if inc.size > 1:
+                total = total + inc
+                total_active = total_active + inc * prev_active
+            else:  # numpy adds a lone path's increments pairwise, so keep them
+                lone.append((inc, inc * prev_active))
+            del inc
+        prev, prev_active = level, active
+    if lone:
+        total, total_active = (np.concatenate(part).sum(keepdims=True) for part in zip(*lone))
     # aggregate statistics over per-path totals
-    mean, band = _band(inc.sum(axis=1))
+    mean, band = _band(total)
     worst_side = max(worst_side, -sign * mean - band)
-    mean, band = _band((inc * active).sum(axis=1))
+    mean, band = _band(total_active)
     worst_flat = max(worst_flat, abs(mean) - band)
     monotone_ok, flat_ok = bool(worst_side <= atol), bool(worst_flat <= atol)
+    frac = ok / count if count else 1.0
     return {
         "monotone_ok": monotone_ok,
         "flat_ok": flat_ok,
         "passed": monotone_ok and flat_ok,
         "worst_side_excess": float(worst_side),
         "worst_flat_excess": float(worst_flat),
-    }
+    }, {"fraction_ok": frac, "passed": bool(frac >= 1.0 - alpha), "worst_slack": worst_slack}
 
 
-def _left_limits(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-path left limits (0 before the first step) and increments along time."""
-    before = np.zeros_like(levels)
-    before[:, 1:] = levels[:, :-1]
-    return before, levels - before
+def _trajectory_rows(model, strategies, n: int, dt: float, device, regime: int | None):
+    """Rows (t, x, psi, p, xi0, xi1, zeta) of the strategy maps along one simulated path set.
 
-
-def _assemble(flows, n: int, steps: int, sign: float, tol: float, alpha: float):
-    """M_hat (or N_hat) of every path and the obstacle report, a block of paths at a time.
-
-    ``flows(b)`` returns (stop, run, survival, value) on the paths of slice b:
-    the value process is sum_{s<k} run_s + survival_k value_k.  The obstacle
-    report is the share of points with sign (stop / survival - value) >= -tol
-    where no one has stopped; stop / survival is the payoff of stopping now
-    given that nobody has, which bounds the informed values from above (sign
-    +1) and the uninformed value from below (sign -1).
+    With a ``regime`` the paths follow that regime's drift and are filtered
+    by the innovation filter, as ``simulate_fixed_regime`` and ``evaluate``
+    do; with None the regime is drawn per path and the Bayes posterior
+    filters, as in ``simulate_regime_paths``.  ``t`` is the step's time as a
+    one-element axis, which broadcasts against the paths.
     """
-    values = np.empty((n, steps + 1), order="F")  # the layout that fixes the order of the sums
-    ok = count = 0
-    worst = 0.0
-    for lo in range(0, n, _BLOCK):
-        block = slice(lo, lo + _BLOCK)
-        stop, run, survival, value = flows(block)
-        values[block] = _left_limits(np.cumsum(run, axis=1))[0] + survival * value
-        alive = survival > 1e-12
-        slack = sign * (stop[alive] / survival[alive] - value[alive])
-        ok += int(np.count_nonzero(slack >= -tol))
-        count += slack.size
-        worst = min(worst, float(slack.min(initial=0.0)))
-    frac = ok / count if count else 1.0
-    return values, {"fraction_ok": frac, "passed": bool(frac >= 1.0 - alpha), "worst_slack": worst}
+    steps = _time_axis(model, dt).size - 1
+    if regime is None:
+        rows = _regime_rows(model, _draw_regime(model, n, device), steps, dt, _draws(device, n, dt))
+    else:
+        paths = _regime_rows(model, np.full(n, regime), steps, dt, _draws(device, n, dt),
+                             posterior=False)
+        rows = _innovation_rows(model, (x for x, _ in paths), dt)
+    t = np.arange(steps + 1) * strategies.dt  # evaluate's clock
+    for k, row in enumerate(strategies._rows(rows, t)):
+        yield (t[k:k + 1], *row)
 
 
-def _informed_paths(model, surfaces, strategies, i: int, n: int, dt: float, device, payoffs,
-                    tol: float, alpha: float):
-    """(i) and (iii) along regime-i paths: M_hat, its active mask and the U^i obstacle report."""
-    x = simulate_fixed_regime(model, i, n, dt, device)
-    traj = strategies.evaluate(x)
+def _informed_flows(rows, surfaces, i: int, payoffs, n: int):
+    """(i) and (iii) along regime-i paths: M_hat's flows against zeta, U^i, and xi_i's activity.
+
+    Each step's vectors are yielded unnamed, so none outlives its step here.
+    """
     surface = surfaces.u(i).ravel()
-
-    def flows(b):
-        uvals = _lookup(surface, surfaces.grid, traj.t, traj.p[b], x[b])
-        zeta_pre, dz = _left_limits(traj.zeta[b])
-        stop, run = payoff_flows(*payoffs(traj.t, x[b]), traj.zeta[b], dz)
-        return stop, run, 1.0 - zeta_pre, uvals
-
-    m_hat, obstacle = _assemble(flows, n, x.shape[1] - 1, +1.0, tol, alpha)
-    return m_hat, (traj.xi1 if i else traj.xi0)[:, :-1] < _ACTIVE_BELOW, obstacle
+    zeta_pre = np.zeros(n)
+    for t, x, _, p, xi0, xi1, zeta in rows:
+        yield (*payoff_flows(*payoffs(t, x), zeta, zeta - zeta_pre), 1.0 - zeta_pre,
+               _lookup(surface, surfaces.grid, t, p, x), (xi1 if i else xi0) < _ACTIVE_BELOW)
+        zeta_pre = zeta
 
 
-def _observation_paths(model, surfaces, strategies, n: int, dt: float, device, payoffs,
-                       tol: float, alpha: float):
-    """(ii) and (iv) under the observation law: N_hat, its active mask and the V obstacle report.
-
-    The informed side is the psi-weighted incarnations.
-    """
-    bundle = simulate_regime_paths(model, n, dt, device)
-    traj = strategies.evaluate(bundle.x, psi=bundle.psi)
+def _observation_flows(rows, surfaces, payoffs, n: int):
+    """(ii) and (iv) under the observation law: N_hat's flows, V, and zeta's activity."""
     surface = surfaces.v.ravel()
+    xi_pre = (np.zeros(n), np.zeros(n))
+    for t, x, psi, p, *xi, zeta in rows:
+        yield (*_mixed_flows(payoffs(t, x), psi, xi, xi_pre),
+               _lookup(surface, surfaces.grid, t, p, x), zeta < _ACTIVE_BELOW)
+        xi_pre = xi
 
-    def flows(b):
-        x, psi = bundle.x[b], bundle.psi[b]
-        vvals = _lookup(surface, surfaces.grid, traj.t, traj.p[b], x)
-        fv, gv, hv = payoffs(traj.t, x)
-        per_type = []  # each incarnation's stop, run and survival, then mixed by the belief psi
-        for xi in (traj.xi0[b], traj.xi1[b]):
-            xi_pre, dxi = _left_limits(xi)
-            per_type.append((*payoff_flows(gv, fv, hv, xi, dxi), 1.0 - xi_pre))
-        return (*(_type_mix(_belief_weights(psi), kind) for kind in zip(*per_type)), vvals)
 
-    n_hat, obstacle = _assemble(flows, n, bundle.x.shape[1] - 1, -1.0, tol, alpha)
-    return n_hat, traj.zeta[:, :-1] < _ACTIVE_BELOW, obstacle
+def _mixed_flows(payoffs, psi, xi, xi_pre):
+    """The informed side of N_hat: each incarnation's stop, run and survival, mixed by the belief psi."""
+    fv, gv, hv = payoffs
+    per_type = [(*payoff_flows(gv, fv, hv, level, level - pre), 1.0 - pre)
+                for level, pre in zip(xi, xi_pre)]
+    return [_type_mix(_belief_weights(psi), kind) for kind in zip(*per_type)]
 
 
 def mc_verify_sufficiency(
@@ -203,6 +216,8 @@ def mc_verify_sufficiency(
     ``f``, ``g`` and ``h`` are the payoff functions of (t, x) that the
     surfaces were solved with; they have no default.
     """
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n!r}")
     if device is None:
         device = RandomDevice(seed=0)
     grid = surfaces.grid
@@ -213,24 +228,20 @@ def mc_verify_sufficiency(
     report: dict = {}
 
     def payoffs(t, x):
-        return [np.asarray(fn(t[None, :], x), dtype=float) for fn in (f, g, h)]
+        return [np.asarray(fn(t, x), dtype=float) for fn in (f, g, h)]
 
     # (i) informed-side submartingales and (iii) informed obstacles along
-    # fixed-regime paths; each path set's arrays are freed before the next
+    # fixed-regime paths
     for i in range(2):
-        m_hat, active, obstacle = _informed_paths(
-            model, surfaces, strategies, i, n, dt, device.with_stream(device.stream + 10 + i),
-            payoffs, tol, alpha)
-        report[f"(i) M0 regime {i}"] = _mean_increment_checks(m_hat, active, +1.0, atol)
-        report[f"(iii) obstacle U{i}"] = obstacle
+        rows = _trajectory_rows(model, strategies, n, dt, device.with_stream(device.stream + 10 + i), i)
+        report[f"(i) M0 regime {i}"], report[f"(iii) obstacle U{i}"] = _path_set_checks(
+            _informed_flows(rows, surfaces, i, payoffs, n), +1.0, atol, tol, alpha)
 
     # (ii) uninformed-side supermartingale and (iv) uninformed obstacle under
     # the observation law
-    n_hat, active, obstacle = _observation_paths(
-        model, surfaces, strategies, n, dt, device.with_stream(device.stream + 20), payoffs,
-        tol, alpha)
-    report["(ii) N0"] = _mean_increment_checks(n_hat, active, -1.0, atol)
-    report["(iv) obstacle V"] = obstacle
+    rows = _trajectory_rows(model, strategies, n, dt, device.with_stream(device.stream + 20), None)
+    report["(ii) N0"], report["(iv) obstacle V"] = _path_set_checks(
+        _observation_flows(rows, surfaces, payoffs, n), -1.0, atol, tol, alpha)
 
     # (v) root identity
     point = (np.array([0.0]), np.array([model.prior]), np.array([model.x0]))

@@ -17,6 +17,7 @@ from asymdynkin.core import (
     FiltrationTree,
     GeneratingProcess,
     PayoffTriple,
+    RandomDevice,
     TimeGrid,
     flow_value,
     payoff_flows,
@@ -24,6 +25,8 @@ from asymdynkin.core import (
 )
 from asymdynkin.dynamics.model import filter_step
 from asymdynkin.dynamics.pde import PDEGrid, PDESurfaces
+from asymdynkin.dynamics.simulate import simulate_fixed_regime, simulate_regime_paths
+from asymdynkin.dynamics.verify import _lookup
 from asymdynkin.oracle import RuleSet, build_matrix, enumerate_stopping_rules, regime_matrices
 from asymdynkin.scenario import Certificate, ScenarioGame
 
@@ -693,3 +696,123 @@ def ref_parse_expression(src: str):
     out = expr()
     take("<end>")
     return out
+
+
+# The whole-array Monte Carlo verifier that dynamics.verify streams: each path
+# set is simulated, evaluated and held as (paths, steps + 1) arrays, and M_hat /
+# N_hat are assembled a block of paths at a time into one Fortran-ordered
+# array, whose sums along time run in step order.  The streaming verifier must
+# reproduce its reports bit for bit.
+
+_REF_BLOCK = 250
+
+
+def _ref_band(sample: np.ndarray) -> tuple[float, float]:
+    se = sample.std(ddof=1) / np.sqrt(sample.size) if sample.size > 1 else 0.0
+    return sample.mean(), 4.0 * se
+
+
+def _ref_mean_increment_checks(values: np.ndarray, active: np.ndarray, sign: float, atol: float):
+    inc = np.diff(values, axis=1)
+    worst_side = worst_flat = 0.0
+    for k in range(inc.shape[1]):
+        col, sel = inc[:, k], active[:, k]
+        mean, band = _ref_band(col)
+        worst_side = max(worst_side, -sign * mean - band)
+        if sel.sum() > 1:
+            mean, band = _ref_band(col[sel])
+            worst_flat = max(worst_flat, abs(mean) - band)
+    mean, band = _ref_band(inc.sum(axis=1))
+    worst_side = max(worst_side, -sign * mean - band)
+    mean, band = _ref_band((inc * active).sum(axis=1))
+    worst_flat = max(worst_flat, abs(mean) - band)
+    monotone_ok, flat_ok = bool(worst_side <= atol), bool(worst_flat <= atol)
+    return {
+        "monotone_ok": monotone_ok,
+        "flat_ok": flat_ok,
+        "passed": monotone_ok and flat_ok,
+        "worst_side_excess": float(worst_side),
+        "worst_flat_excess": float(worst_flat),
+    }
+
+
+def _ref_left_limits(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    before = np.zeros_like(levels)
+    before[:, 1:] = levels[:, :-1]
+    return before, levels - before
+
+
+def _ref_assemble(flows, n: int, steps: int, sign: float, tol: float, alpha: float):
+    values = np.empty((n, steps + 1), order="F")
+    ok = count = 0
+    worst = 0.0
+    for lo in range(0, n, _REF_BLOCK):
+        block = slice(lo, lo + _REF_BLOCK)
+        stop, run, survival, value = flows(block)
+        values[block] = _ref_left_limits(np.cumsum(run, axis=1))[0] + survival * value
+        alive = survival > 1e-12
+        slack = sign * (stop[alive] / survival[alive] - value[alive])
+        ok += int(np.count_nonzero(slack >= -tol))
+        count += slack.size
+        worst = min(worst, float(slack.min(initial=0.0)))
+    frac = ok / count if count else 1.0
+    return values, {"fraction_ok": frac, "passed": bool(frac >= 1.0 - alpha), "worst_slack": worst}
+
+
+def ref_mc_verify_sufficiency(model, surfaces, strategies, n: int, dt: float, alpha: float = 0.05,
+                              tol: float = 5e-2, device=None, *, f, g, h) -> dict:
+    """``mc_verify_sufficiency`` on whole (paths, steps + 1) arrays of each path set."""
+    if device is None:
+        device = RandomDevice(seed=0)
+    grid = surfaces.grid
+    atol = 1e-9 + 0.05 * tol
+    active_below = 1.0 - 1e-12
+    report: dict = {}
+
+    def payoffs(t, x):
+        return [np.asarray(fn(t[None, :], x), dtype=float) for fn in (f, g, h)]
+
+    for i in range(2):
+        x = simulate_fixed_regime(model, i, n, dt, device.with_stream(device.stream + 10 + i))
+        traj = strategies.evaluate(x)
+        surface = surfaces.u(i).ravel()
+
+        def flows(b):
+            uvals = _lookup(surface, grid, traj.t, traj.p[b], x[b])
+            zeta_pre, dz = _ref_left_limits(traj.zeta[b])
+            stop, run = payoff_flows(*payoffs(traj.t, x[b]), traj.zeta[b], dz)
+            return stop, run, 1.0 - zeta_pre, uvals
+
+        m_hat, obstacle = _ref_assemble(flows, n, x.shape[1] - 1, +1.0, tol, alpha)
+        active = (traj.xi1 if i else traj.xi0)[:, :-1] < active_below
+        report[f"(i) M0 regime {i}"] = _ref_mean_increment_checks(m_hat, active, +1.0, atol)
+        report[f"(iii) obstacle U{i}"] = obstacle
+        del x, traj, m_hat, active
+
+    bundle = simulate_regime_paths(model, n, dt, device.with_stream(device.stream + 20))
+    traj = strategies.evaluate(bundle.x, psi=bundle.psi)
+    surface = surfaces.v.ravel()
+
+    def flows(b):
+        x, psi = bundle.x[b], bundle.psi[b]
+        vvals = _lookup(surface, grid, traj.t, traj.p[b], x)
+        fv, gv, hv = payoffs(traj.t, x)
+        per_type = []
+        for xi in (traj.xi0[b], traj.xi1[b]):
+            xi_pre, dxi = _ref_left_limits(xi)
+            per_type.append((*payoff_flows(gv, fv, hv, xi, dxi), 1.0 - xi_pre))
+        return (*((1.0 - psi) * k0 + psi * k1 for k0, k1 in zip(*per_type)), vvals)
+
+    n_hat, obstacle = _ref_assemble(flows, n, bundle.x.shape[1] - 1, -1.0, tol, alpha)
+    report["(ii) N0"] = _ref_mean_increment_checks(n_hat, traj.zeta[:, :-1] < active_below, -1.0, atol)
+    report["(iv) obstacle V"] = obstacle
+
+    point = (np.array([0.0]), np.array([model.prior]), np.array([model.x0]))
+    v0, u0, u1 = (float(_lookup(s.ravel(), grid, *point)[0])
+                  for s in (surfaces.v, surfaces.u0, surfaces.u1))
+    gap = abs(v0 - ((1.0 - model.prior) * u0 + model.prior * u1))
+    report["(v) root identity"] = {"residual": gap, "passed": bool(gap <= tol)}
+    report["all_passed"] = all(
+        entry["passed"] for key, entry in report.items() if isinstance(entry, dict)
+    )
+    return report

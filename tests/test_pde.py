@@ -28,7 +28,7 @@ from asymdynkin.dynamics.model import parse_expression
 from asymdynkin.dynamics.pde import (PDEStats, PDESurfaces, _factor, _implicit_matrix, _operator,
                                      _pi_copy)
 
-from helpers import ref_pi_copy, ref_strategy_evaluate
+from helpers import ref_mc_verify_sufficiency, ref_pi_copy, ref_strategy_evaluate
 
 
 def const(c):
@@ -443,6 +443,28 @@ class TestMCVerify:
             device=RandomDevice(18), f=f2, g=g2, h=clipx,
         )
         assert not rep2["(ii) N0"]["passed"]
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_paths_raises(self, generic, n):
+        # with no path every band is nan, which no excess check would catch
+        model, _, surf = generic
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            mc_verify_sufficiency(model, surf, extract_strategies(surf, model, dt=0.01), n=n,
+                                  dt=0.01, f=F, g=G, h=H)
+
+    # the streamed checks against the whole-array verifier they replace: one
+    # and two paths (no band, the smallest band), the old block size of 250
+    # and its neighbours, and a size that is no multiple of it
+    @pytest.mark.parametrize("dt", [0.01, 0.025])
+    @pytest.mark.parametrize("n", [1, 2, 249, 250, 251, 777])
+    @pytest.mark.parametrize("case", ["generic", "moving"])
+    def test_matches_whole_array_reference(self, request, case, n, dt):
+        model, _, surf = request.getfixturevalue(case)
+        payoffs = dict(zip("fgh", (F, G, H) if case == "generic" else _moving_sets()[2]))
+        smap = extract_strategies(surf, model, dt=dt)
+        reports = [verify(model, surf, smap, n, dt, device=RandomDevice(n + 40), **payoffs)
+                   for verify in (mc_verify_sufficiency, ref_mc_verify_sufficiency)]
+        assert json.dumps(reports[0]) == json.dumps(reports[1])
 
 
 def _sha256(text: str) -> str:
