@@ -3,9 +3,8 @@
 The state follows dX = mu_J dt + sigma dW with J in {0,1} hidden.  The
 posterior psi_t = P(J=1 | X up to t) can be computed two ways: through the
 filtering SDE driven by the innovation process, or through the Girsanov
-likelihood ratio along the observed path.  This script simulates both,
-checks the martingale property of psi, and validates the regime-conditional
-generators by one-step Monte Carlo.
+likelihood ratio along the observed path.  This script simulates both and
+checks the martingale property of psi.
 
 Run:  python3 demos/belief_filtering.py
 """
@@ -13,13 +12,7 @@ Run:  python3 demos/belief_filtering.py
 import numpy as np
 
 from asymdynkin.core import RandomDevice
-from asymdynkin.dynamics import (
-    DiffusionModel,
-    generator_check,
-    simulate_filter_paths,
-    simulate_regime_paths,
-    standard_test_functions,
-)
+from asymdynkin.dynamics import DiffusionModel, simulate_filter_paths, simulate_regime_paths
 from asymdynkin.dynamics.simulate import filter_self_convergence
 
 
@@ -68,16 +61,3 @@ for dt, r in zip([4e-3, 2e-3, 1e-3], rms):
     print(f"  dt = {dt:.0e}: pathwise RMS gap = {r:.5f}")
 print(f"  halving ratios: {rms[0] / rms[1]:.2f}, {rms[1] / rms[2]:.2f} "
       f"(both routes converge to the same filter)")
-
-# --------------------------------------------------------------------------
-# generators of (X, psi), with and without conditioning on the regime
-# --------------------------------------------------------------------------
-print("\none-step Monte Carlo drift vs analytic generator at (pi, x) = (0.5, 0.2):")
-phi = standard_test_functions()[4]  # phi(pi, x) = pi * x, probes the cross term
-for mode in ("observation", "regime-0", "regime-1"):
-    res = generator_check(model, phi, 0.5, 0.2, mode, n=300_000, dt=1e-4,
-                          device=RandomDevice(seed=4))
-    print(f"  {mode:12s}: MC {res['mc_drift']:+.4f} vs exact {res['analytic']:+.4f} "
-          f"(se {res['stderr']:.4f}) -> {'ok' if res['within_4se'] else 'MISMATCH'}")
-print("\nconditioning tilts the innovation: regime 1 adds +w^2 pi (1-pi)^2 to the"
-      "\nbelief drift, regime 0 subtracts w^2 pi^2 (1-pi); the mixture is driftless.")

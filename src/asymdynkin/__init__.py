@@ -3,7 +3,7 @@
 Three layers:
 
 * :mod:`asymdynkin.core` -- trees, generating processes, randomization
-  devices, exact and Monte Carlo payoff evaluation;
+  devices, exact payoff evaluation;
 * :mod:`asymdynkin.scenario` / :mod:`asymdynkin.oracle` -- the hidden-regime
   scenario game: belief updates, best-response surfaces, node-by-node
   martingale/support reports, saddle certificates, and the sequence-form LP
@@ -22,11 +22,6 @@ from .core import (
     TimeGrid,
     binary_tree,
     expected_payoff_exact,
-    expected_payoff_mc,
-    realized_payoff,
-    sample_stopping_time,
-    single_path_tree,
-    truncate_control,
     validate_generating,
 )
 from .oracle import (

@@ -1,8 +1,8 @@
 """Finite-tree machinery for randomized-stopping games.
 
 Time grids, filtration trees, generating processes (the conditional CDFs of
-randomized stopping times), counter-based randomization devices, and exact /
-Monte Carlo evaluation of the first-to-stop payoff
+randomized stopping times), counter-based randomization devices, and the
+exact evaluation of the first-to-stop payoff
 
     P(tau, sigma) = f_tau 1{tau<sigma} + h_tau 1{tau=sigma} + g_sigma 1{sigma<tau}.
 
@@ -50,16 +50,11 @@ __all__ = [
     "ValidationReport",
     "ShapeMismatchError",
     "IndexOutOfRangeError",
-    "single_path_tree",
     "binary_tree",
     "validate_generating",
-    "sample_stopping_time",
-    "truncate_control",
-    "realized_payoff",
     "payoff_flows",
     "flow_value",
     "expected_payoff_exact",
-    "expected_payoff_mc",
 ]
 
 MONOTONE_TOL = 1e-12  # absolute slack for prefix-sum rounding
@@ -72,7 +67,7 @@ class ShapeMismatchError(ValueError):
 
 
 class IndexOutOfRangeError(IndexError):
-    """A stopping index lies outside the path's grid, or a node id outside the tree."""
+    """A node id lies outside the tree."""
 
 
 def json_numbers(key: str, value, shape: tuple | None = None, integer: bool = False) -> np.ndarray:
@@ -297,13 +292,6 @@ class FiltrationTree:
         return self.scan(at_parent, np.add)
 
 
-def single_path_tree(n_steps: int, grid: TimeGrid | None = None) -> FiltrationTree:
-    """Deterministic filtration: one node per grid time."""
-    parent = np.arange(-1, n_steps)
-    prob = np.ones(n_steps + 1)
-    return FiltrationTree(parent, prob, grid or TimeGrid.regular(n_steps))
-
-
 def binary_tree(n_steps: int, p_up: float = 0.5, grid: TimeGrid | None = None) -> FiltrationTree:
     """Full binary tree of the given depth with branch probability ``p_up``.
 
@@ -418,12 +406,6 @@ def validate_generating(
     return ValidationReport(not violations, tuple(violations))
 
 
-def sample_stopping_time(proc: GeneratingProcess, path: np.ndarray, z: float) -> int:
-    """First grid index k along ``path`` with level strictly above z."""
-    levels = proc.levels[np.asarray(path)]
-    return int(np.sum(levels <= z))
-
-
 @dataclass(frozen=True)
 class StoppingRule:
     """Pure adapted stopping rule: a stop/continue flag per node.
@@ -445,16 +427,6 @@ class StoppingRule:
         """Indicator per node: the path to it (inclusive) contains a stop."""
         return tree.scan(self.stops.astype(float), np.maximum)
 
-    def stop_ancestor(self, tree: FiltrationTree) -> np.ndarray:
-        """Id of the stop node on the path to each node, or -1 if none yet.
-
-        Ancestors have smaller ids, so the first stop on a path is its
-        smallest stop id: a min-scan with n_nodes standing for "none".
-        """
-        n = tree.n_nodes
-        first = tree.scan(np.where(self.stops, np.arange(n), n), np.minimum)
-        return np.where(first < n, first, -1)
-
     def to_generating(self, tree: FiltrationTree) -> GeneratingProcess:
         return GeneratingProcess.from_levels(self.stopped_by(tree), tree)
 
@@ -462,23 +434,6 @@ class StoppingRule:
         hit = self.stopped_by(tree)
         if np.any(hit[tree.leaves] != 1.0):
             raise ValueError("rule fails to stop on some path")
-
-
-def truncate_control(
-    proc: GeneratingProcess, rule: StoppingRule, tree: FiltrationTree
-) -> GeneratingProcess:
-    """Restart ``proc`` from zero at the adapted time given by ``rule``.
-
-    Implements (rho_t - rho_{eta-}) / (1 - rho_{eta-}) on {t >= eta}, zero
-    before, with the 0/0 = 1 convention when the pre-level is already 1.
-    """
-    anc = rule.stop_ancestor(tree)
-    pre = proc.pre_levels(tree)[np.maximum(anc, 0)]
-    room = 1.0 - pre
-    exhausted = room <= 0.0
-    levels = np.where(exhausted, 1.0, (proc.levels - pre) / np.where(exhausted, 1.0, room))
-    levels[anc < 0] = 0.0
-    return GeneratingProcess.from_levels(levels, tree)
 
 
 @dataclass(frozen=True)
@@ -492,15 +447,6 @@ class PayoffTriple:
     def __post_init__(self):
         for name in ("f", "g", "h"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-
-    @property
-    def per_regime(self) -> bool:
-        return self.f.ndim == 2
-
-    def regime(self, i: int) -> "PayoffTriple":
-        if not self.per_regime:
-            raise ValueError("payoffs are not regime-indexed")
-        return PayoffTriple(self.f[i], self.g[i], self.h[i])
 
     def validate(self, tree: FiltrationTree) -> None:
         for name in ("f", "g", "h"):
@@ -516,18 +462,6 @@ class PayoffTriple:
                 raise ValueError(f"payoff {name} contains non-finite values")
         if np.any(self.f < self.h - 1e-12) or np.any(self.h < self.g - 1e-12):
             raise ValueError("ordering f >= h >= g violated")
-
-
-def realized_payoff(payoffs: PayoffTriple, path: np.ndarray, tau: int, sigma: int) -> float:
-    """P(tau, sigma) along one path, for single-regime payoff arrays."""
-    path = np.asarray(path)
-    if not (0 <= tau < path.size and 0 <= sigma < path.size):
-        raise IndexOutOfRangeError(f"stop index out of range: tau={tau}, sigma={sigma}")
-    if tau < sigma:
-        return float(payoffs.f[path[tau]])
-    if tau == sigma:
-        return float(payoffs.h[path[tau]])
-    return float(payoffs.g[path[sigma]])
 
 
 def payoff_flows(
@@ -611,81 +545,14 @@ def expected_payoff_exact(
     payoffs: PayoffTriple,
     xi,
     zeta: GeneratingProcess,
-    prior: float | None = None,
+    prior: float,
 ) -> float:
-    """Exact expected payoff of a randomized profile.
+    """Exact expected payoff of a randomized profile of the regime game.
 
-    For regime games pass ``xi`` as one informed incarnation per payoff row,
-    in row order, together with the prior P(J = 1); the expectation then
-    mixes the per-regime values with weights (1 - prior, prior).
+    ``payoffs`` holds one row per regime and ``xi`` one informed incarnation
+    per row, in row order; the expectation mixes the per-regime values with
+    the weights (1 - prior, prior) of the prior P(J = 1).
     """
-    if payoffs.per_regime:
-        if prior is None:
-            raise ValueError("regime payoffs need a prior")
-        values = [_exact_single(tree, f, g, h, x, zeta)
-                  for f, g, h, x in zip(payoffs.f, payoffs.g, payoffs.h, xi, strict=True)]
-        return _type_mix(_belief_weights(prior), values)
-    return _exact_single(tree, payoffs.f, payoffs.g, payoffs.h, xi, zeta)
-
-
-def sample_paths(tree: FiltrationTree, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Row indices into ``tree.paths`` for n independently sampled scenarios."""
-    current = np.zeros(n, dtype=np.int64)
-    for _ in range(tree.n_steps):
-        u = rng.random(n)
-        nxt = np.empty_like(current)
-        for node in np.unique(current):
-            kids = tree.children[node]
-            cum = np.cumsum(tree.prob[kids])
-            sel = current == node
-            nxt[sel] = kids[np.searchsorted(cum, u[sel], side="right").clip(max=kids.size - 1)]
-        current = nxt
-    return np.searchsorted(tree.leaves, current)
-
-
-def expected_payoff_mc(
-    tree: FiltrationTree,
-    payoffs: PayoffTriple,
-    xi,
-    zeta: GeneratingProcess,
-    n: int,
-    device: RandomDevice,
-    prior: float | None = None,
-) -> tuple[float, float]:
-    """Monte Carlo mean and standard error of the realized payoff.
-
-    Draws (path, Z1, Z2) -- and the regime when applicable -- from distinct
-    device streams, so the estimate is deterministic given the seed.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    rng_path = device.generator()
-    z1 = device.with_stream(device.stream + 1).uniforms(n)
-    z2 = device.with_stream(device.stream + 2).uniforms(n)
-    rows = sample_paths(tree, n, rng_path)
-    paths = tree.paths[rows]
-
-    if payoffs.per_regime:
-        if prior is None:
-            raise ValueError("regime payoffs need a prior")
-        regime = (device.with_stream(device.stream + 3).uniforms(n) < prior).astype(np.int64)
-        xi0, xi1 = xi
-        xi_levels = np.where(regime[:, None].astype(bool), xi1.levels[paths], xi0.levels[paths])
-        f = np.take_along_axis(payoffs.f[regime], paths, axis=1)
-        g = np.take_along_axis(payoffs.g[regime], paths, axis=1)
-        h = np.take_along_axis(payoffs.h[regime], paths, axis=1)
-    else:
-        xi_levels = xi.levels[paths]
-        f, g, h = payoffs.f[paths], payoffs.g[paths], payoffs.h[paths]
-
-    zeta_levels = zeta.levels[paths]
-    tau = np.sum(xi_levels <= z1[:, None], axis=1)
-    sigma = np.sum(zeta_levels <= z2[:, None], axis=1)
-    k = np.minimum(tau, sigma)
-    idx = np.arange(n)
-    vals = np.where(
-        tau < sigma, f[idx, k], np.where(tau == sigma, h[idx, k], g[idx, k])
-    )
-    est = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return est, stderr
+    values = [_exact_single(tree, f, g, h, x, zeta)
+              for f, g, h, x in zip(payoffs.f, payoffs.g, payoffs.h, xi, strict=True)]
+    return _type_mix(_belief_weights(prior), values)

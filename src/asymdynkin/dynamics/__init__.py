@@ -1,20 +1,12 @@
 """Continuous-state companion: the diffusion pipeline of the stopping game.
 
 ``model`` holds the two-regime diffusion and its generator coefficients,
-``simulate`` the Euler paths of the state and its posterior, ``generators``
-the analytic generators and their Monte Carlo check, ``pde`` the coupled
-(u0, u1, v) free-boundary solver, ``strategies`` the strategy maps read off
-its surfaces, and ``verify`` the Monte Carlo check of the sufficiency
-conditions.
+``simulate`` the Euler paths of the state and its posterior, ``pde`` the
+coupled (u0, u1, v) free-boundary solver, ``strategies`` the strategy maps
+read off its surfaces, and ``verify`` the Monte Carlo check of the
+sufficiency conditions.
 """
 
-from .generators import (
-    TestFunction,
-    analytic_generator,
-    generator_check,
-    mc_generator_drift,
-    standard_test_functions,
-)
 from .model import DiffusionModel, model_from_dict, parse_expression
 from .pde import (
     NoConvergence,

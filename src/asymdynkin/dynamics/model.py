@@ -1,10 +1,9 @@
 """Diffusion-with-hidden-drift models and their JSON expression grammar.
 
-This module is the one home of the diffusion math that the simulators, the
-PDE and the generator checks share: ``generator_coefficients`` gives the
-coefficients of the (X, psi) generator in each mode of ``MODES``, and
-``filter_step`` is the Euler update psi + w(X) psi (1 - psi) dB of the
-filter SDE.
+This module is the one home of the diffusion math that the simulators and
+the PDE share: ``generator_coefficients`` gives the coefficients of the
+(X, psi) generator in each mode of ``MODES``, and ``filter_step`` is the
+Euler update psi + w(X) psi (1 - psi) dB of the filter SDE.
 
 Coefficients and payoffs are expressions in ``x`` whose grammar is Python's,
 restricted twice.  A token check admits only decimal numbers, ``x``, ``tanh``,
@@ -90,6 +89,8 @@ class DiffusionModel:
         lo, hi = self.domain
         if not np.all(np.isfinite([self.x0, self.horizon, lo, hi])):
             raise ValueError("x0, T and the domain ends must be finite")
+        if self.horizon <= 0.0:
+            raise ValueError(f"T {self.horizon!r} must be positive")
         if not lo < hi:
             raise ValueError("empty domain")
         if not lo <= self.x0 <= hi:

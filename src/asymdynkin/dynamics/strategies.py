@@ -25,6 +25,7 @@ verification consumes them a step at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,6 +63,16 @@ class StrategyMap:
     surfaces: PDESurfaces
     dt: float
 
+    @cached_property
+    def _edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """(floor1, ceil0) per grid cell: incarnation 1 pushes the belief down
+        to the first pi-node of its action run, incarnation 0 up to the last.
+
+        Built once per map, so every path set the map reflects shares them.
+        """
+        surf = self.surfaces
+        return surf.grid.pi[_run_edges(surf.in_s1)[0]], surf.grid.pi[_run_edges(surf.in_s0)[1]]
+
     def evaluate(self, x_paths: np.ndarray, psi: np.ndarray | None = None) -> TrajectorySet:
         """Run the strategy maps along observed X-paths.
 
@@ -73,6 +84,7 @@ class StrategyMap:
         if psi is None:
             psi = psi_from_innovation(self.model, x_paths, self.dt)
         t = np.arange(steps + 1) * self.dt
+        self._edges  # built before the buffer, so its temporaries never sit on top of it
         levels = np.empty((4, steps + 1, n))  # p, xi0, xi1, zeta
         for k, row in enumerate(self._rows(zip(x_paths.T, psi.T), t)):
             levels[:, k] = row[2:]
@@ -90,10 +102,7 @@ class StrategyMap:
         gpi, gx = surf.grid.pi, surf.grid.x
         time_idx = surf.grid.time_index(t)
         steps = t.size - 1
-        # incarnation 1 pushes the belief down to the first node of its run,
-        # incarnation 0 up to the last node of its run
-        floor1 = gpi[_run_edges(surf.in_s1)[0]]
-        ceil0 = gpi[_run_edges(surf.in_s0)[1]]
+        floor1, ceil0 = self._edges
 
         for k, (xk, psik) in enumerate(rows):
             if k == 0:

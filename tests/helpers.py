@@ -8,6 +8,8 @@ bug in the package cannot hide in its own oracle.
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy import sparse
@@ -21,9 +23,8 @@ from asymdynkin.core import (
     TimeGrid,
     flow_value,
     payoff_flows,
-    realized_payoff,
 )
-from asymdynkin.dynamics.model import filter_step
+from asymdynkin.dynamics.model import DiffusionModel, filter_step, generator_coefficients
 from asymdynkin.dynamics.pde import PDEGrid, PDESurfaces
 from asymdynkin.dynamics.simulate import simulate_fixed_regime, simulate_regime_paths
 from asymdynkin.dynamics.verify import _lookup
@@ -198,11 +199,48 @@ def ref_solve_lp(game: ScenarioGame, presolve: bool):
     return res
 
 
+# Tree references by plain enumeration and sampling of (path, tau, sigma).
+
+
+def single_path_tree(n_steps: int, grid: TimeGrid | None = None) -> FiltrationTree:
+    """Deterministic filtration: one node per grid time."""
+    parent = np.arange(-1, n_steps)
+    prob = np.ones(n_steps + 1)
+    return FiltrationTree(parent, prob, grid or TimeGrid.regular(n_steps))
+
+
+def one_regime(payoffs: PayoffTriple, i: int) -> PayoffTriple:
+    """Row i of regime payoffs as a single-regime triple."""
+    return PayoffTriple(payoffs.f[i], payoffs.g[i], payoffs.h[i])
+
+
+def sample_stopping_time(proc: GeneratingProcess, path: np.ndarray, z: float) -> int:
+    """First grid index k along ``path`` with level strictly above z."""
+    levels = proc.levels[np.asarray(path)]
+    return int(np.sum(levels <= z))
+
+
+def realized_payoff(payoffs: PayoffTriple, path: np.ndarray, tau: int, sigma: int) -> float:
+    """P(tau, sigma) along one path, for single-regime payoff arrays."""
+    path = np.asarray(path)
+    if not (0 <= tau < path.size and 0 <= sigma < path.size):
+        raise IndexError(f"stop index out of range: tau={tau}, sigma={sigma}")
+    if tau < sigma:
+        return float(payoffs.f[path[tau]])
+    if tau == sigma:
+        return float(payoffs.h[path[tau]])
+    return float(payoffs.g[path[sigma]])
+
+
 def brute_force_expected(tree, payoffs: PayoffTriple, xi, zeta, prior=None) -> float:
-    """Expectation by full enumeration of (path, tau-atom, sigma-atom)."""
-    regimes = [(1.0, payoffs, xi)] if not payoffs.per_regime else [
-        (1.0 - prior, payoffs.regime(0), xi[0]),
-        (prior, payoffs.regime(1), xi[1]),
+    """Expectation by full enumeration of (path, tau-atom, sigma-atom).
+
+    Without a prior ``payoffs`` is one regime and ``xi`` one process; with
+    one, ``payoffs`` has a row and ``xi`` a process per regime.
+    """
+    regimes = [(1.0, payoffs, xi)] if prior is None else [
+        (1.0 - prior, one_regime(payoffs, 0), xi[0]),
+        (prior, one_regime(payoffs, 1), xi[1]),
     ]
     total = 0.0
     for row, leaf in enumerate(tree.leaves):
@@ -221,6 +259,68 @@ def brute_force_expected(tree, payoffs: PayoffTriple, xi, zeta, prior=None) -> f
                         continue
                     total += w * p_path * dx[k] * dz[l] * realized_payoff(pay, path, k, l)
     return total
+
+
+def sample_paths(tree: FiltrationTree, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Row indices into ``tree.paths`` for n independently sampled scenarios."""
+    current = np.zeros(n, dtype=np.int64)
+    for _ in range(tree.n_steps):
+        u = rng.random(n)
+        nxt = np.empty_like(current)
+        for node in np.unique(current):
+            kids = tree.children[node]
+            cum = np.cumsum(tree.prob[kids])
+            sel = current == node
+            nxt[sel] = kids[np.searchsorted(cum, u[sel], side="right").clip(max=kids.size - 1)]
+        current = nxt
+    return np.searchsorted(tree.leaves, current)
+
+
+def expected_payoff_mc(
+    tree: FiltrationTree,
+    payoffs: PayoffTriple,
+    xi,
+    zeta: GeneratingProcess,
+    n: int,
+    device: RandomDevice,
+    prior: float | None = None,
+) -> tuple[float, float]:
+    """Monte Carlo mean and standard error of the realized payoff.
+
+    Draws (path, Z1, Z2) -- and, given a prior, the regime -- from distinct
+    device streams, so the estimate is deterministic given the seed.  The
+    payoff forms are those of ``brute_force_expected``.
+    """
+    if n < 1:
+        raise ValueError("need n >= 1")
+    rng_path = device.generator()
+    z1 = device.with_stream(device.stream + 1).uniforms(n)
+    z2 = device.with_stream(device.stream + 2).uniforms(n)
+    rows = sample_paths(tree, n, rng_path)
+    paths = tree.paths[rows]
+
+    if prior is not None:
+        regime = (device.with_stream(device.stream + 3).uniforms(n) < prior).astype(np.int64)
+        xi0, xi1 = xi
+        xi_levels = np.where(regime[:, None].astype(bool), xi1.levels[paths], xi0.levels[paths])
+        f = np.take_along_axis(payoffs.f[regime], paths, axis=1)
+        g = np.take_along_axis(payoffs.g[regime], paths, axis=1)
+        h = np.take_along_axis(payoffs.h[regime], paths, axis=1)
+    else:
+        xi_levels = xi.levels[paths]
+        f, g, h = payoffs.f[paths], payoffs.g[paths], payoffs.h[paths]
+
+    zeta_levels = zeta.levels[paths]
+    tau = np.sum(xi_levels <= z1[:, None], axis=1)
+    sigma = np.sum(zeta_levels <= z2[:, None], axis=1)
+    k = np.minimum(tau, sigma)
+    idx = np.arange(n)
+    vals = np.where(
+        tau < sigma, f[idx, k], np.where(tau == sigma, h[idx, k], g[idx, k])
+    )
+    est = float(vals.mean())
+    stderr = float(vals.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    return est, stderr
 
 
 def atom_count(tree, xi, zeta, prior=None) -> int:
@@ -492,6 +592,123 @@ def ref_psi_from_innovation(model, x: np.ndarray, dt: float) -> np.ndarray:
         db = (x[:, k + 1] - xk - model.mu_bar(xk, pk) * dt) / s
         psi[:, k + 1] = np.clip(filter_step(model, xk, pk, db), 0.0, 1.0)
     return psi
+
+
+# Analytic generators of (X, psi) on smooth test functions, and their check
+# against one-step Monte Carlo drifts.  Under the observation measure the
+# pair is driven by one Brownian motion; conditioning on the regime tilts the
+# innovation.  The coefficients are ``model.generator_coefficients``, the
+# ones the PDE operator is assembled from, so ``generator_check`` validates
+# the PDE's generator.
+
+
+@dataclass(frozen=True)
+class TestFunction:
+    """Twice-differentiable phi(pi, x) supplied with its derivatives."""
+
+    __test__ = False  # a probe, not a pytest class
+
+    name: str
+    value: Callable
+    dx: Callable
+    dxx: Callable
+    dpi: Callable
+    dpipi: Callable
+    dxpi: Callable
+
+
+def standard_test_functions() -> list[TestFunction]:
+    """Six smooth probes covering pure, quadratic and mixed dependence."""
+    z = lambda p, x: np.zeros_like(np.asarray(x, dtype=float) + p)
+    return [
+        TestFunction("x", lambda p, x: x + 0 * p, lambda p, x: 1 + 0 * p + 0 * x, z, z, z, z),
+        TestFunction("pi", lambda p, x: p + 0 * x, z, z, lambda p, x: 1 + 0 * p + 0 * x, z, z),
+        TestFunction(
+            "x^2", lambda p, x: x**2 + 0 * p, lambda p, x: 2 * x + 0 * p,
+            lambda p, x: 2 + 0 * p + 0 * x, z, z, z,
+        ),
+        TestFunction(
+            "pi^2", lambda p, x: p**2 + 0 * x, z, z,
+            lambda p, x: 2 * p + 0 * x, lambda p, x: 2 + 0 * p + 0 * x, z,
+        ),
+        TestFunction(
+            "pi*x", lambda p, x: p * x, lambda p, x: p + 0 * x, z,
+            lambda p, x: x + 0 * p, z, lambda p, x: 1 + 0 * p + 0 * x,
+        ),
+        TestFunction(
+            "tanh(x)*pi",
+            lambda p, x: np.tanh(x) * p,
+            lambda p, x: (1 - np.tanh(x) ** 2) * p,
+            lambda p, x: -2 * np.tanh(x) * (1 - np.tanh(x) ** 2) * p,
+            lambda p, x: np.tanh(x) + 0 * p,
+            z,
+            lambda p, x: 1 - np.tanh(x) ** 2 + 0 * p,
+        ),
+    ]
+
+
+def analytic_generator(
+    model: DiffusionModel, phi: TestFunction, pi: float, x: float, mode: str
+) -> float:
+    """Evaluate the generator of the requested mode at an interior point."""
+    b_x, b_pi, a_x, a_pi, c = generator_coefficients(model, pi, x, mode)
+    return float(
+        b_x * phi.dx(pi, x) + a_x * phi.dxx(pi, x) + b_pi * phi.dpi(pi, x)
+        + a_pi * phi.dpipi(pi, x) + c * phi.dxpi(pi, x)
+    )
+
+
+def mc_generator_drift(
+    model: DiffusionModel,
+    phi: TestFunction,
+    pi: float,
+    x: float,
+    mode: str,
+    n: int,
+    dt: float,
+    device: RandomDevice,
+) -> tuple[float, float]:
+    """One-step Monte Carlo drift (E[phi(X_dt, psi_dt)] - phi) / dt and stderr.
+
+    The regime modes simulate X with the true drift and feed the observed
+    increment through the filter update, exactly as the simulators do.
+    """
+    rng = device.generator()
+    dw = rng.standard_normal(n) * np.sqrt(dt)
+    s = float(np.asarray(model.sigma(x)))
+    x1 = x + float(generator_coefficients(model, pi, x, mode)[0]) * dt + s * dw
+    if mode == "observation":
+        db = dw
+    else:
+        db = (x1 - x - float(model.mu_bar(x, pi)) * dt) / s
+    psi1 = np.clip(filter_step(model, x, pi, db), 0.0, 1.0)
+    vals = (np.asarray(phi.value(psi1, x1), dtype=float) - float(phi.value(pi, x))) / dt
+    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n))
+
+
+def generator_check(
+    model: DiffusionModel,
+    phi: TestFunction,
+    pi: float,
+    x: float,
+    mode: str,
+    n: int,
+    dt: float,
+    device: RandomDevice,
+) -> dict:
+    """Compare the MC drift against the analytic generator at one point."""
+    mc, se = mc_generator_drift(model, phi, pi, x, mode, n, dt, device)
+    exact = analytic_generator(model, phi, pi, x, mode)
+    return {
+        "phi": phi.name,
+        "mode": mode,
+        "point": (pi, x),
+        "mc_drift": mc,
+        "analytic": exact,
+        "stderr": se,
+        "discrepancy": mc - exact,
+        "within_4se": bool(abs(mc - exact) <= 4.0 * se + 1e-12),
+    }
 
 
 # Per-column and per-path references for the belief-run rule that

@@ -20,17 +20,16 @@ from asymdynkin.core import GeneratingProcess, RandomDevice
 from asymdynkin.dynamics import (
     DiffusionModel,
     PDEGrid,
-    generator_check,
     pde_solve_system,
     reference_dynkin_1d,
     simulate_filter_paths,
-    standard_test_functions,
 )
 from asymdynkin.dynamics.simulate import filter_self_convergence
 from asymdynkin.gamegen import random_profile, random_scenario_game
 from asymdynkin.oracle import build_matrix, enumerate_stopping_rules, pure_gap, solve_scenario
 
-from helpers import atom_count, brute_force_expected
+from helpers import (atom_count, brute_force_expected, expected_payoff_mc, generator_check,
+                     standard_test_functions)
 
 DATA = Path(__file__).parent / "data"
 PRIORS = (0.2, 0.5, 0.8)
@@ -200,7 +199,7 @@ def test_criterion_06_payoff_formula_equivalence():
         exact = ad.expected_payoff_exact(
             game.tree, game.payoffs, (prof.xi0, prof.xi1), prof.zeta, prior=game.prior
         )
-        est, se = ad.expected_payoff_mc(
+        est, se = expected_payoff_mc(
             game.tree, game.payoffs, (prof.xi0, prof.xi1), prof.zeta,
             n=100_000, device=RandomDevice(seed=700 + k), prior=game.prior,
         )

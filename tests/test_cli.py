@@ -605,10 +605,12 @@ class TestReadersExit2:
         # CPython's parser raises MemoryError here, and allows 200 nested parentheses
         {"mu0": "-" * 100000 + "0.4"},
         {"mu0": "(" * 201 + "0.4" + ")" * 201},
+        # a horizon with no time in it
+        {"T": 0}, {"T": -1},
     ], ids=["minus_chain", "nested_parens", "plus_chain", "nested_payoff", "infinite_sigma",
             "infinite_mu0", "nan_mu1", "infinite_w", "infinite_w_squared", "infinite_sigma_squared",
             "hex", "underscore", "bare_fraction", "comment", "division", "power", "tanh_two_args",
-            "tanh_keyword", "huge_minus_chain", "201_parentheses"])
+            "tanh_keyword", "huge_minus_chain", "201_parentheses", "zero_horizon", "negative_horizon"])
     def test_model_exits_2(self, model_file, tmp_path, capsys, patch):
         model_file.write_text(json.dumps({**json.loads(model_file.read_text()), **patch}))
         out = str(tmp_path / "d")

@@ -3,23 +3,45 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import asymdynkin
+import asymdynkin.dynamics
+from asymdynkin import core
 from asymdynkin.core import (
     GeneratingProcess,
     PayoffTriple,
     RandomDevice,
     StoppingRule,
+    _exact_single,
     binary_tree,
     expected_payoff_exact,
-    expected_payoff_mc,
-    realized_payoff,
-    sample_stopping_time,
-    single_path_tree,
-    truncate_control,
     validate_generating,
 )
 from asymdynkin.gamegen import random_profile, random_scenario_game
 
-from helpers import brute_force_expected, atom_count
+from helpers import (
+    atom_count,
+    brute_force_expected,
+    expected_payoff_mc,
+    realized_payoff,
+    ref_truncate_control,
+    sample_stopping_time,
+    single_path_tree,
+)
+
+# references moved to tests/helpers.py, and the twins and single-regime
+# payoff form deleted with them: the package exports none of them
+REMOVED_NAMES = ["expected_payoff_mc", "sample_paths", "sample_stopping_time", "realized_payoff",
+                 "single_path_tree", "TestFunction", "standard_test_functions",
+                 "analytic_generator", "mc_generator_drift", "generator_check", "generators",
+                 "truncate_control"]
+REMOVED = [(owner, name) for owner in (asymdynkin, core, asymdynkin.dynamics)
+           for name in REMOVED_NAMES]
+REMOVED += [(StoppingRule, "stop_ancestor"), (PayoffTriple, "per_regime"), (PayoffTriple, "regime")]
+
+
+@pytest.mark.parametrize("owner, name", REMOVED, ids=[f"{o.__name__}.{n}" for o, n in REMOVED])
+def test_removed_names_are_gone(owner, name):
+    assert not hasattr(owner, name)
 
 
 def line(levels):
@@ -119,7 +141,7 @@ class TestExpectedPayoffExact:
         tree = single_path_tree(1)
         pay = PayoffTriple(f=np.array([4.0, 3.0]), g=np.array([-1.0, 0.0]), h=np.array([1.0, 2.0]))
         jump_end = GeneratingProcess.jump_at_depth(1, tree)
-        assert expected_payoff_exact(tree, pay, jump_end, jump_end) == pytest.approx(2.0, abs=1e-15)
+        assert _exact_single(tree, pay.f, pay.g, pay.h, jump_end, jump_end) == pytest.approx(2.0, abs=1e-15)
 
     def test_half_mass_at_zero(self):
         tree = single_path_tree(1)
@@ -127,7 +149,7 @@ class TestExpectedPayoffExact:
         xi = GeneratingProcess.from_levels(np.array([0.5, 1.0]), tree)
         zeta = GeneratingProcess.jump_at_depth(1, tree)
         # tau=0 w.p. 0.5 gives f_0; tau=1=sigma w.p. 0.5 gives h_1
-        assert expected_payoff_exact(tree, pay, xi, zeta) == pytest.approx(3.0, abs=1e-15)
+        assert _exact_single(tree, pay.f, pay.g, pay.h, xi, zeta) == pytest.approx(3.0, abs=1e-15)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_brute_force_enumeration(self, seed):
@@ -198,21 +220,25 @@ class TestExpectedPayoffMC:
         assert a == b
 
 
+def _truncated(proc, rule, tree):
+    return GeneratingProcess.from_levels(ref_truncate_control(tree, proc.levels, rule.stops), tree)
+
+
 class TestTruncateControl:
     def test_mid_path_restart(self):
         tree, rho = line([0.0, 0.4, 0.4, 1.0])
-        out = truncate_control(rho, StoppingRule.at_depth(2, tree), tree)
+        out = _truncated(rho, StoppingRule.at_depth(2, tree), tree)
         np.testing.assert_allclose(out.levels, [0.0, 0.0, 0.0, 1.0], atol=1e-15)
 
     def test_exhausted_prefix_gives_constant_one(self):
         tree, rho = line([1.0, 1.0, 1.0, 1.0])
-        out = truncate_control(rho, StoppingRule.at_depth(2, tree), tree)
+        out = _truncated(rho, StoppingRule.at_depth(2, tree), tree)
         np.testing.assert_allclose(out.levels[2:], [1.0, 1.0])
         np.testing.assert_allclose(out.levels[:2], [0.0, 0.0])
 
     def test_truncation_at_zero_is_identity(self):
         tree, rho = line([0.2, 0.5, 0.9, 1.0])
-        out = truncate_control(rho, StoppingRule.at_depth(0, tree), tree)
+        out = _truncated(rho, StoppingRule.at_depth(0, tree), tree)
         np.testing.assert_allclose(out.levels, rho.levels, atol=1e-15)
 
     @given(st.integers(0, 2**32 - 1), st.integers(0, 3))
@@ -220,7 +246,7 @@ class TestTruncateControl:
     def test_output_always_validates(self, seed, depth):
         tree = binary_tree(3)
         prof = random_profile(tree, seed)
-        out = truncate_control(prof.zeta, StoppingRule.at_depth(depth, tree), tree)
+        out = _truncated(prof.zeta, StoppingRule.at_depth(depth, tree), tree)
         assert validate_generating(out, tree).ok
 
 

@@ -12,9 +12,7 @@ from asymdynkin.core import RandomDevice
 from asymdynkin.dynamics import (
     DiffusionModel,
     PDEGrid,
-    analytic_generator,
     extract_strategies,
-    generator_check,
     mc_verify_sufficiency,
     model_from_dict,
     parse_expression,
@@ -23,10 +21,11 @@ from asymdynkin.dynamics import (
     simulate_filter_paths,
     simulate_fixed_regime,
     simulate_regime_paths,
-    standard_test_functions,
 )
 from asymdynkin.dynamics.simulate import filter_self_convergence
-from helpers import ref_filter_paths, ref_parse_expression, ref_psi_from_innovation, ref_regime_euler
+from helpers import (analytic_generator, generator_check, mc_generator_drift, ref_filter_paths,
+                     ref_parse_expression, ref_psi_from_innovation, ref_regime_euler,
+                     standard_test_functions)
 
 
 def const(c):
@@ -428,9 +427,7 @@ class TestGenerators:
         phi = standard_test_functions()[0]  # phi = x
         val = analytic_generator(flat, phi, 0.5, 0.3, "observation")
         assert val == pytest.approx(0.2, abs=1e-14)
-        mc, se = __import__("asymdynkin.dynamics.generators", fromlist=["mc_generator_drift"]).mc_generator_drift(
-            flat, phi, 0.5, 0.3, "observation", 200_000, 1e-4, RandomDevice(10)
-        )
+        mc, se = mc_generator_drift(flat, phi, 0.5, 0.3, "observation", 200_000, 1e-4, RandomDevice(10))
         assert abs(mc - 0.2) <= 4 * se
 
     def test_boundary_absorption_regime0(self, model):

@@ -12,12 +12,11 @@ from asymdynkin.core import (
     GeneratingProcess,
     PayoffTriple,
     RandomDevice,
+    _exact_single,
     binary_tree,
     expected_payoff_exact,
-    expected_payoff_mc,
     flow_value,
     payoff_flows,
-    single_path_tree,
     validate_generating,
 )
 from asymdynkin.gamegen import dominance_game, random_profile, random_scenario_game
@@ -41,13 +40,16 @@ from helpers import (
     ancestor_matrix,
     brute_force_expected,
     enumeration_value,
+    expected_payoff_mc,
     mixture_to_generating,
+    one_regime,
     random_game,
     random_tree,
     ref_ancestor_pairs,
     ref_sequence_form_lp,
     ref_solve_lp,
     sequence_form,
+    single_path_tree,
 )
 
 
@@ -135,7 +137,7 @@ class TestBuildMatrix:
         procs = [rule.to_generating(game.tree) for rule in rules.rules]
         for i, b in enumerate(regime_matrices(game, rules)):
             ref = np.array([
-                [brute_force_expected(game.tree, game.payoffs.regime(i), xi, zeta) for zeta in procs]
+                [brute_force_expected(game.tree, one_regime(game.payoffs, i), xi, zeta) for zeta in procs]
                 for xi in procs
             ])
             np.testing.assert_allclose(b, ref, rtol=0.0, atol=1e-13)
@@ -296,12 +298,13 @@ class TestSequenceForm:
         tree = random_tree(rng, depth, depth_first)
         game = random_game(rng, tree)
         forms = sequence_form(game, ancestor_matrix(tree))
+        pay = game.payoffs
         for k in range(3):
             prof = random_profile(tree, seed=seed % 1000 + k)
             b = prof.zeta.steps
             for i, (c, d, m) in enumerate(forms):
                 a = prof.xi[i].steps
-                exact = expected_payoff_exact(tree, game.payoffs.regime(i), prof.xi[i], prof.zeta)
+                exact = _exact_single(tree, pay.f[i], pay.g[i], pay.h[i], prof.xi[i], prof.zeta)
                 assert abs(c @ a + d @ b + a @ (m @ b) - exact) <= 1e-13
 
     def test_ancestor_matrix_gives_levels_and_paths(self):

@@ -18,17 +18,16 @@ from asymdynkin.dynamics import (
     mc_verify_sufficiency,
     pde_solve_system,
     reference_dynkin_1d,
-    analytic_generator,
     simulate_fixed_regime,
     simulate_regime_paths,
-    standard_test_functions,
 )
-from asymdynkin.dynamics import NoConvergence, pde
+from asymdynkin.dynamics import NoConvergence, pde, strategies
 from asymdynkin.dynamics.model import parse_expression
 from asymdynkin.dynamics.pde import (PDEStats, PDESurfaces, _factor, _implicit_matrix, _operator,
                                      _pi_copy)
 
-from helpers import ref_mc_verify_sufficiency, ref_pi_copy, ref_strategy_evaluate
+from helpers import (analytic_generator, ref_mc_verify_sufficiency, ref_pi_copy,
+                     ref_strategy_evaluate, standard_test_functions)
 
 
 def const(c):
@@ -443,6 +442,23 @@ class TestMCVerify:
             device=RandomDevice(18), f=f2, g=g2, h=clipx,
         )
         assert not rep2["(ii) N0"]["passed"]
+
+    def test_run_edges_built_once_per_map(self, generic, monkeypatch):
+        # the push rule's edge tables belong to the map, not to a path set:
+        # the three path sets of the verification and a later evaluate share them
+        model, _, surf = generic
+        calls = []
+
+        def counted(mask):
+            calls.append(mask.shape)
+            return pde._run_edges(mask)
+
+        monkeypatch.setattr(strategies, "_run_edges", counted)
+        smap = extract_strategies(surf, model, dt=0.05)
+        mc_verify_sufficiency(model, surf, smap, n=20, dt=0.05, device=RandomDevice(1), f=F, g=G, h=H)
+        assert len(calls) == 2
+        smap.evaluate(*_paths(model, "regime", 10, 0.05, 1))
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_no_paths_raises(self, generic, n):

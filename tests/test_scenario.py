@@ -10,8 +10,6 @@ from asymdynkin.core import (
     GeneratingProcess,
     IndexOutOfRangeError,
     PayoffTriple,
-    StoppingRule,
-    truncate_control,
 )
 from asymdynkin.gamegen import (
     all_continue_game,
@@ -44,6 +42,7 @@ from helpers import (
     random_tree,
     ref_certify_stop,
     ref_pure_values,
+    ref_truncate_control,
     sequence_form,
 )
 
@@ -514,9 +513,12 @@ class TestTruncationConsistency:
         tree = game.tree
         prof = random_profile(tree, 78)
         surf = best_response_values(game, prof)
-        rule = StoppingRule.at_depth(int(tree.depth[node]), tree)
-        trunc = StrategyProfile(tuple(truncate_control(x, rule, tree) for x in prof.xi),
-                                truncate_control(prof.zeta, rule, tree))
+        stops = tree.depth == tree.depth[node]
+
+        def truncated(proc):
+            return GeneratingProcess.from_levels(ref_truncate_control(tree, proc.levels, stops), tree)
+
+        trunc = StrategyProfile(tuple(map(truncated, prof.xi)), truncated(prof.zeta))
         restarted = ScenarioGame(tree, game.payoffs, prior=float(surf.p[node]))
         tsurf = best_response_values(restarted, trunc)
         in_subtree = np.zeros(tree.n_nodes, dtype=bool)

@@ -20,7 +20,6 @@ from asymdynkin.core import (
     StoppingRule,
     TimeGrid,
     binary_tree,
-    truncate_control,
 )
 from asymdynkin.gamegen import random_profile
 from asymdynkin.scenario import best_response_values, ex_ante_check, ex_ante_residuals, support_report
@@ -38,9 +37,7 @@ from helpers import (
     ref_paths,
     ref_reach,
     ref_relative_reach,
-    ref_stop_ancestor,
     ref_stopped_by,
-    ref_truncate_control,
 )
 
 
@@ -79,11 +76,6 @@ class TestLevelOrderAgainstPerNodeReferences:
             stops = rng.random(n) < q
             rule = StoppingRule(stops)
             np.testing.assert_array_equal(rule.stopped_by(tree), ref_stopped_by(tree, stops))
-            np.testing.assert_array_equal(rule.stop_ancestor(tree), ref_stop_ancestor(tree, stops))
-            np.testing.assert_array_equal(
-                truncate_control(prof.zeta, rule, tree).levels,
-                ref_truncate_control(tree, prof.zeta.levels, stops),
-            )
 
     @given(trees)
     @settings(max_examples=30, deadline=None)
