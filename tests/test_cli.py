@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import asymdynkin
 from asymdynkin import _compiled, gameio
 from asymdynkin.cli import main
-from asymdynkin.gamegen import random_scenario_game
+from asymdynkin.gamegen import random_profile, random_scenario_game
 from asymdynkin.oracle import NumericalFailure, solve_scenario
 from asymdynkin.scenario import StrategyProfile, best_response_values, certify_mart
 from asymdynkin.core import GeneratingProcess
@@ -221,6 +221,39 @@ class TestVerifyCommand:
             "--out", str(tmp_path / "ver"),
         ]) == 0
         assert hashlib.sha256((tmp_path / "ver" / "nodes.csv").read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("depth, seed, prior, profile_seed, rc, digests", [
+        pytest.param(3, 5, 0.5, None, 0, (
+            "10678a6d923ba822b0a5fac9ac737f3e8bc6549a95210d5a7394f9fd10421224",
+            "18a9ec7d656563848852331fa92819feca14791a14cd9cd01246fd300df25834",
+            "465e23f84b0c6b366f41be4ab5b47579f48869bcc183ae69582cc7534884fafb",
+            "fa4e6dfac5b29bf30b522754e09f638ac30fa0803ee62f705135fc38af19d5fa",
+        ), id="prior 0.5"),
+        pytest.param(6, 11, 0.35, None, 0, (
+            "0a40ef9c5a40fa01894d2fd6e54e01db55abf95c81bd04f4e633d2e6ecb44f59",
+            "103cd90a24f94e35e7c97fe53703470b316202ac14c914bfc7028ceb50d22380",
+            "1845fc9563c84b450eaade15d4633fd34f6f9201e0a1d2d634752c937bf7a398",
+            "9d553334fc962694302930479a8e0fcac3dbb3710db7c7f6dd4ee9df992d5d8d",
+        ), id="prior 0.35"),
+        # a random profile: both certificates reject it, so their violation lists are pinned too
+        pytest.param(3, 5, 0.5, 9, 1, (
+            "1dc6edf56e05616bf89a7c56c17b1b026e913e01d27af00073f9d9faa3c2221a",
+            "3232df796000c900df69aecb3e1e628173bcafed5d6a7c45d782d7339e5db58b",
+            "1f309579c2b73a4fa1f54fd3b398b2c052c9380eeb76d04d8f6cad80af5ebd36",
+            "a6674b46b7966af3a7f32338b6e247ce8c79e28d2839fb0fce7cccd95f7bc9b9",
+        ), id="rejected"),
+    ])
+    def test_verify_reports_are_pinned(self, tmp_path, depth, seed, prior, profile_seed, rc, digests):
+        game = random_scenario_game(depth, seed=seed, prior=prior)
+        path, eq_path = tmp_path / "game.json", tmp_path / "eq" / "equilibrium.json"
+        gameio.write_json(path, gameio.game_to_dict(game))
+        assert main(["oracle", "--game", str(path), "--out", str(tmp_path / "eq")]) == 0
+        if profile_seed is not None:
+            gameio.write_json(eq_path, gameio.equilibrium_to_dict(random_profile(game.tree, profile_seed), 0.0))
+        argv = ["verify", "--game", str(path), "--equilibrium", str(eq_path), "--out", str(tmp_path / "ver")]
+        assert main(argv) == rc
+        names = ("martingale_report.json", "support_report.json", "ex_ante.json", "certificates.json")
+        assert tuple(body_digest(tmp_path / "ver" / name) for name in names) == digests
 
     @pytest.mark.parametrize("mutation", ["nan_root", "zeta_leaf_half", "zeta_decreasing", "xi1_root_above_one",
                                           "xi1_short", "zeta_nested", "value_true", "value_string",

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -528,3 +529,59 @@ class TestTruncationConsistency:
         np.testing.assert_allclose(tsurf.u[:, in_subtree], surf.u[:, in_subtree], atol=1e-10)
         np.testing.assert_allclose(tsurf.v[in_subtree], surf.v[in_subtree], atol=1e-10)
         np.testing.assert_allclose(tsurf.p[in_subtree], surf.p[in_subtree], atol=1e-12)
+
+
+def _battery():
+    """(game, profile, other profile) cases and the oracle's gaps: oracle and random profiles on random
+    games of depths 2 to 10, and the two closed-form games at priors 0, 0.3 and 1."""
+    cases, gaps = [], []
+    for depth in (2, 3, 4, 5, 6):
+        game = random_scenario_game(depth, seed=900 + depth, prior=0.3)
+        sol = solve_scenario(game)
+        lp, rnd = sol.profile(game.tree), random_profile(game.tree, seed=depth)
+        cases += [(game, lp, rnd), (game, rnd, lp)]
+        gaps.append(sol.gap)
+    for depth in (8, 10):
+        game = random_scenario_game(depth, seed=900 + depth, prior=0.35)
+        cases.append((game, random_profile(game.tree, seed=depth), random_profile(game.tree, seed=depth + 1)))
+    for build in (dominance_game, all_continue_game):
+        for prior in (0.0, 0.3, 1.0):
+            game, prof = build(prior)
+            cases.append((game, prof, random_profile(game.tree, seed=3)))
+    return cases, gaps
+
+
+def _fold(h, value):
+    """Feed every field of a report, certificate or surface set into the hash ``h``, arrays and
+    numbers by dtype, shape and bytes, so that a -0.0 or a last-bit move changes the digest."""
+    if dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            _fold(h, getattr(value, field.name))
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            _fold(h, item)
+    elif value is None:
+        h.update(b"None")
+    else:
+        a = np.asarray(value)
+        h.update(f"{a.dtype}{a.shape}".encode() + a.tobytes())
+
+
+class TestBitIdentity:
+    def test_battery_digest(self):
+        # every report and certificate, at three tolerances and with surfaces of the case's own
+        # profile and of the other one, so that violation lists and NaN verdicts are covered
+        cases, gaps = _battery()
+        h = hashlib.sha256()
+        _fold(h, gaps)
+        for game, prof, other in cases:
+            surf = best_response_values(game, prof)
+            _fold(h, surf)
+            for s in (surf, best_response_values(game, other)):
+                _fold(h, [martingale_report(game, prof, s), support_report(game, prof, s),
+                          ex_ante_residuals(game, prof, s)])
+                for tol in (1e-8, 1e-3, float("nan")):
+                    _fold(h, [martingale_report(game, prof, s, xi_override=other.xi, zeta_override=other.zeta,
+                                                tol=tol),
+                              certify_mart(game, prof, s, tol=tol), certify_stop(game, prof, surfaces=s, tol=tol)])
+        assert h.hexdigest() == "c9ba50eb309c1973fc782dcd579120193a7d79afbeb3d3d102844efbb97dae08"
