@@ -39,7 +39,7 @@ import numpy as np
 
 from ._compiled import csc_arrays, scipy_extension
 from .core import FiltrationTree, GeneratingProcess, StoppingRule, _type_mix, flow_value, payoff_flows
-from .scenario import ScenarioGame, StrategyProfile, ValueSurfaces, best_response_values
+from .scenario import ScenarioGame, StrategyProfile, ValueSurfaces, _root_gap, best_response_values
 
 # scipy's HiGHS binding is loaded by ``_highs`` on the first solve: importing the
 # package, and every CLI command that solves no LP, then skips scipy's load time
@@ -321,7 +321,7 @@ def solve_scenario(game: ScenarioGame, gap_tol: float = GAP_TOL) -> ScenarioSolu
         *xi, zeta = (GeneratingProcess.from_levels(_plan_levels(p, tree), tree) for p in plans)
         profile = StrategyProfile(tuple(xi), zeta)
         surf = best_response_values(game, profile)
-        gap = abs(float(surf.v_hat[0] - _type_mix(w, surf.u_hat[:, 0])))
+        gap = _root_gap(w, surf.u_hat[:, 0], surf.v_hat[0])
         if gap <= gap_tol:
             stats = LPStats(*size, info.simplex_iteration_count, presolve, info.objective_function_value)
             return ScenarioSolution(float(surf.v_hat[0]), gap, stats, profile, surf, tree)

@@ -3,12 +3,16 @@
 The informed player (minimizer) has one incarnation per type, the regime it
 observes; the uninformed player (maximizer) holds a belief about the type,
 updated from the opponent's inaction.  A profile holds K processes ``xi[k]``;
-informed flows, surfaces and drifts are (K, n) arrays, K is read from
-``game.weights`` or that axis, and every mix over the types is the ordered
-sum ``core._type_mix``, so relabelling the types moves no bit.  Best-response
-surfaces come from exact backward recursion, per level of the tree and
-deepest first; on them the module builds node-by-node martingale, support
-and consistency reports and two independent saddle-point certifiers.
+K is read from ``game.weights`` or that axis, and every mix over the types is
+the ordered sum ``core._type_mix``, so relabelling the types moves no bit.
+Best-response surfaces come from exact backward recursion, per level of the
+tree and deepest first; on them the module builds node-by-node martingale,
+support and consistency reports and two independent saddle-point certifiers.
+
+The player is an array axis: ``_players`` reads a profile into (K + 1, n) rows,
+the K incarnations and then the uninformed player, and each report and
+certificate states each saddle condition once over those rows.  The only sign
+flip lets the maximizer's row minimize (``_minimizing``).
 
 Value surfaces are kept in un-normalized "hat" form (weighted by the
 opponent's survival); normalization by survival divides them out with the
@@ -23,6 +27,7 @@ epsilon-optimal vertex may drift by epsilon / r at a deep node, above 1e-8.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,33 +151,38 @@ class ValueSurfaces:
         return self.u_hat[:, 0].copy(), float(self.v_hat[0])
 
 
-def _informed_flows(game: ScenarioGame, zeta: GeneratingProcess):
-    """(stop, run) flows of every informed incarnation against ``zeta``, (K, n) each."""
-    pay = game.payoffs
-    return payoff_flows(pay.f, pay.g, pay.h, zeta.levels, zeta.steps)
+_Players = namedtuple("_Players", "stop run levels steps pre surv")
 
 
-def _uninformed_flows(game: ScenarioGame, profile: StrategyProfile):
-    """Prior-mixed (stop, run) flows of the uninformed player against the incarnations."""
-    pay, w = game.payoffs, game.weights
-    levels = np.array([x.levels for x in profile.xi])
-    steps = np.array([x.steps for x in profile.xi])
-    stop, run = payoff_flows(pay.g, pay.f, pay.h, levels, steps)
-    return _type_mix(w, stop), _type_mix(w, run)
+def _players(game: ScenarioGame, profile: StrategyProfile) -> _Players:
+    """Both players as rows, (K + 1, n) each: row k < K is incarnation k against zeta, row K
+    the uninformed player against the prior mix of the incarnations.  ``stop``/``run`` are
+    each row's ``payoff_flows``, ``levels``, ``steps`` and ``pre`` its own process, ``surv``
+    its opponent's survival.  Raises ``ShapeMismatchError`` unless the profile has the
+    game's type and node counts."""
+    tree, pay, w = game.tree, game.payoffs, game.weights
+    procs = (*profile.xi, profile.zeta)
+    if len(profile.xi) != len(w) or any(x.n_nodes != tree.n_nodes for x in procs):
+        raise ShapeMismatchError("profile type or node count disagrees with game")
+    levels, steps = np.array([x.levels for x in procs]), np.array([x.steps for x in procs])
+    pre = np.array([x.pre_levels(tree) for x in procs])
+    stop, run, surv = np.empty((3, *levels.shape))
+    stop[:-1], run[:-1] = payoff_flows(pay.f, pay.g, pay.h, levels[-1], steps[-1])
+    stop_v, run_v = payoff_flows(pay.g, pay.f, pay.h, levels[:-1], steps[:-1])
+    stop[-1], run[-1], surv[-1] = _type_mix(w, stop_v), _type_mix(w, run_v), _type_mix(w, 1.0 - pre[:-1])
+    surv[:-1] = 1.0 - pre[-1]
+    return _Players(stop, run, levels, steps, pre, surv)
 
 
-def _informed_survival(game: ScenarioGame, profile: StrategyProfile):
-    """(xi_pre, surv): the incarnations' pre-levels, (K, n), and the prior mix of 1 - xi_pre."""
-    xi_pre = np.array([x.pre_levels(game.tree) for x in profile.xi])
-    return xi_pre, _type_mix(game.weights, 1.0 - xi_pre)
+def _minimizing(rows: np.ndarray) -> np.ndarray:
+    """``rows`` with the uninformed row negated, so that every row minimizes
+    (max(a, b) = -min(-a, -b) exactly)."""
+    return np.concatenate([rows[:-1], -rows[-1:]])
 
 
-def _player_flows(game: ScenarioGame, profile: StrategyProfile):
-    """(stop, run), (K + 1, n) each: one row per incarnation, then the uninformed
-    player's row negated, so that every row minimizes (max(a, b) = -min(-a, -b) exactly)."""
-    stop_u, run_u = _informed_flows(game, profile.zeta)
-    stop_v, run_v = _uninformed_flows(game, profile)
-    return np.vstack([stop_u, -stop_v]), np.vstack([run_u, -run_v])
+def _root_gap(weights, u_root, v_root) -> float:
+    """|<weights, U0> - V0|: the root identity's residual."""
+    return float(abs(_type_mix(weights, u_root) - v_root))
 
 
 def best_response_values(game: ScenarioGame, profile: StrategyProfile) -> ValueSurfaces:
@@ -183,11 +193,9 @@ def best_response_values(game: ScenarioGame, profile: StrategyProfile) -> ValueS
     Uninformed (every xi_k fixed): max of the prior-mixed stop bound against
     sum_k w_k f_k dxi_k + E[next].  Ties prefer continuation.
     """
-    tree, n = game.tree, game.tree.n_nodes
-    if len(profile.xi) != len(game.weights) or any(x.n_nodes != n for x in (*profile.xi, profile.zeta)):
-        raise ShapeMismatchError("profile type or node count disagrees with game")
-
-    stop, run = _player_flows(game, profile)
+    tree = game.tree
+    players = _players(game, profile)
+    stop, run = _minimizing(players.stop), _minimizing(players.run)
     hat = stop.copy()  # leaves stop; internal nodes are set level by level
     stops = np.zeros(stop.shape, dtype=bool)
     for lvl in reversed(tree.levels):
@@ -195,13 +203,11 @@ def best_response_values(game: ScenarioGame, profile: StrategyProfile) -> ValueS
         cont = run[:, lvl] + tree.expectation_step(hat)[:, lvl]
         stops[:, lvl] = stop[:, lvl] < cont
         hat[:, lvl] = np.where(stops[:, lvl], stop[:, lvl], cont)
-    u_hat, v_hat = hat[:-1], -hat[-1]
+    hat[-1] = -hat[-1]  # the maximizer's values, back to their own sign
 
-    xi_pre, surv_v = _informed_survival(game, profile)
-    u = _safe_ratio(u_hat, 1.0 - profile.zeta.pre_levels(tree))
-    v = _safe_ratio(v_hat, surv_v)
-    p, degenerate = belief_update(game.prior, *xi_pre)
-    return ValueSurfaces(u_hat, v_hat, u, v, p, degenerate, stops[:-1], stops[-1])
+    normalized = _safe_ratio(hat, players.surv)
+    p, degenerate = belief_update(game.prior, *players.pre[:-1])
+    return ValueSurfaces(hat[:-1], hat[-1], normalized[:-1], normalized[-1], p, degenerate, stops[:-1], stops[-1])
 
 
 def _drift(tree: FiltrationTree, values: np.ndarray) -> np.ndarray:
@@ -278,9 +284,9 @@ class MartingaleReport:
         )
 
 
-def _flow_density(stop, run, own: GeneratingProcess) -> np.ndarray:
+def _flow_density(stop, run, levels, steps) -> np.ndarray:
     """Per-node summand of ``core.flow_value`` without the reach: stop dX + run (1 - X)."""
-    return stop * own.steps + run * (1.0 - own.levels)
+    return stop * steps + run * (1.0 - levels)
 
 
 def _override_drift(tree: FiltrationTree, stop, run, own: GeneratingProcess, value_hat) -> np.ndarray:
@@ -289,7 +295,7 @@ def _override_drift(tree: FiltrationTree, stop, run, own: GeneratingProcess, val
     ``stop``/``run`` are one player's flows against the fixed opponent, so
     this serves either side with an arbitrary candidate strategy ``own``.
     """
-    inc = _flow_density(stop, run, own)
+    inc = _flow_density(stop, run, own.levels, own.steps)
     return _drift(tree, tree.accumulate_before(inc) + (1.0 - own.pre_levels(tree)) * value_hat)
 
 
@@ -303,30 +309,18 @@ def martingale_report(
 ) -> MartingaleReport:
     """Exact drift classification of the M/N systems at every node."""
     tree = game.tree
-    stop_u, run_u = _informed_flows(game, profile.zeta)
-    stop_v, run_v = _uninformed_flows(game, profile)
+    players = _players(game, profile)
+    drift = _drift(tree, tree.accumulate_before(players.run) + np.vstack([surfaces.u_hat, surfaces.v_hat]))
 
-    m0_drift = _drift(tree, tree.accumulate_before(run_u) + surfaces.u_hat)
-    n0_drift = _drift(tree, tree.accumulate_before(run_v) + surfaces.v_hat)
-
-    m_over = None
+    m_over = n_over = None
     if xi_override is not None:
         m_over = np.stack([_override_drift(tree, s, r, x, u) for s, r, x, u
-                           in zip(stop_u, run_u, xi_override, surfaces.u_hat, strict=True)])
-    n_over = None
+                           in zip(players.stop[:-1], players.run[:-1], xi_override, surfaces.u_hat, strict=True)])
     if zeta_override is not None:
-        n_over = _override_drift(tree, stop_v, run_v, zeta_override, surfaces.v_hat)
+        n_over = _override_drift(tree, players.stop[-1], players.run[-1], zeta_override, surfaces.v_hat)
 
-    return MartingaleReport(
-        m0_drift=m0_drift,
-        n0_drift=n0_drift,
-        internal=~tree.is_leaf,
-        xi_active=np.array([x.levels for x in profile.xi]) < _ACTIVE_BELOW,
-        zeta_active=profile.zeta.levels < _ACTIVE_BELOW,
-        tol=tol,
-        m_override_drift=m_over,
-        n_override_drift=n_over,
-    )
+    active = players.levels < _ACTIVE_BELOW
+    return MartingaleReport(drift[:-1], drift[-1], ~tree.is_leaf, active[:-1], active[-1], tol, m_over, n_over)
 
 
 @dataclass(frozen=True)
@@ -370,27 +364,19 @@ class SupportReport:
         return float(vals.max(initial=0.0))
 
 
-def support_report(
-    game: ScenarioGame, profile: StrategyProfile, surfaces: ValueSurfaces
-) -> SupportReport:
+def support_report(game: ScenarioGame, profile: StrategyProfile, surfaces: ValueSurfaces) -> SupportReport:
     tree = game.tree
-    z = surfaces.u_hat - _informed_flows(game, profile.zeta)[0]
-    y2 = surfaces.v_hat - _uninformed_flows(game, profile)[0]
+    players = _players(game, profile)
+    slack = np.vstack([surfaces.u_hat, surfaces.v_hat]) - players.stop
+    contrib = _type_mix(players.steps[:-1], slack[:-1]), slack[-1] * players.steps[-1]
+    flat_inf, flat_uni = (c[tree.paths].sum(axis=1) for c in contrib)
 
-    xi_steps = np.array([x.steps for x in profile.xi])
-    contrib_inf = _type_mix(xi_steps, z)
-    contrib_uni = y2 * profile.zeta.steps
-    flat_inf = contrib_inf[tree.paths].sum(axis=1)
-    flat_uni = contrib_uni[tree.paths].sum(axis=1)
-
-    xi_pre = np.array([x.pre_levels(tree) for x in profile.xi])
-    zeta_pre = profile.zeta.pre_levels(tree)
-    gamma2 = (xi_pre.min(axis=0) < _ACTIVE_BELOW) & (zeta_pre < _ACTIVE_BELOW)
+    gamma2 = (players.pre[:-1].min(axis=0) < _ACTIVE_BELOW) & (players.pre[-1] < _ACTIVE_BELOW)
     consistency = np.abs(_type_mix(_belief_weights(surfaces.p), surfaces.u) - surfaces.v)
 
-    interior = ~tree.is_leaf
-    simt = interior & (profile.zeta.steps > 1e-12) & (xi_steps > 1e-12).any(axis=0)
-    return SupportReport(z, y2, flat_inf, flat_uni, consistency, gamma2, np.flatnonzero(simt))
+    jumps = players.steps > 1e-12
+    simt = ~tree.is_leaf & jumps[-1] & jumps[:-1].any(axis=0)
+    return SupportReport(slack[:-1], slack[-1], flat_inf, flat_uni, consistency, gamma2, np.flatnonzero(simt))
 
 
 def ex_ante_check(
@@ -429,11 +415,10 @@ def ex_ante_residuals(
     One ``np.add.reduceat`` over the subtree table gives every node at once;
     ``ex_ante_check`` reads single nodes from a memo of this table.
     """
-    tree, zeta = game.tree, profile.zeta
-    start, sub, rel = tree.subtree
-    density = _flow_density(*_uninformed_flows(game, profile), zeta)
-    lhs = np.add.reduceat(rel * density[sub], start[:-1])
-    return np.abs(lhs - (1.0 - zeta.pre_levels(tree)) * surfaces.v_hat)
+    start, sub, rel = game.tree.subtree
+    stop, run, levels, steps, pre, _ = (rows[-1] for rows in _players(game, profile))  # the uninformed row
+    lhs = np.add.reduceat(rel * _flow_density(stop, run, levels, steps)[sub], start[:-1])
+    return np.abs(lhs - (1.0 - pre) * surfaces.v_hat)
 
 
 @dataclass(frozen=True)
@@ -451,10 +436,7 @@ class Certificate:
 
 
 def certify_mart(
-    game: ScenarioGame,
-    profile: StrategyProfile,
-    surfaces: ValueSurfaces,
-    tol: float = DEFAULT_TOL,
+    game: ScenarioGame, profile: StrategyProfile, surfaces: ValueSurfaces, tol: float = DEFAULT_TOL
 ) -> Certificate:
     """Martingale-route sufficiency check of a candidate (profile, surfaces).
 
@@ -464,36 +446,29 @@ def certify_mart(
     root values match across players.  Certified implies value = V at root.
     A NaN fails every check it reaches.
     """
-    tree = game.tree
-    report = martingale_report(game, profile, surfaces, tol=tol)
-    violations: list[tuple[str, int, float]] = []
+    tree, k = game.tree, len(game.weights)
+    players = _players(game, profile)
+    hats = np.vstack([surfaces.u_hat, surfaces.v_hat])
 
-    for i, d in enumerate(report.m0_drift):
-        for node in np.flatnonzero(report.internal & ~(d >= -tol)):
-            violations.append((f"(i) M0[{i}] submartingale", int(node), float(d[node])))
-    d = report.n0_drift
-    for node in np.flatnonzero(report.internal & ~(d <= tol)):
-        violations.append(("(ii) N0 supermartingale", int(node), float(d[node])))
+    drift = _drift(tree, tree.accumulate_before(players.run) + hats)
+    held = np.vstack([drift[:-1] >= -tol, drift[-1:] <= tol])
+    names = [*(f"(i) M0[{i}] submartingale" for i in range(k)), "(ii) N0 supermartingale"]
+    violations = [(name, int(node), float(d[node])) for name, ok, d in zip(names, held, drift)
+                  for node in np.flatnonzero(~tree.is_leaf & ~ok)]
 
-    zeta_pre = profile.zeta.pre_levels(tree)
-    stop_u = _informed_flows(game, profile.zeta)[0]
-    stop_v = _uninformed_flows(game, profile)[0]
-    alive_u = ~(zeta_pre >= _ACTIVE_BELOW)
-    resid_u = (surfaces.u_hat - stop_u) / np.maximum(1.0 - zeta_pre, _SURVIVAL_FLOOR)
-    for i, resid in enumerate(resid_u):
-        for node in np.flatnonzero(alive_u & ~(resid <= tol)):
-            violations.append((f"(iii) obstacle U[{i}]", int(node), float(resid[node])))
-
-    surv_v = _informed_survival(game, profile)[1]
-    alive_v = ~(surv_v <= _SURVIVAL_FLOOR)
-    resid_v = (stop_v - surfaces.v_hat) / np.maximum(surv_v, _SURVIVAL_FLOOR)
-    for node in np.flatnonzero(alive_v & ~(resid_v <= tol)):
-        violations.append(("(iv) obstacle V", int(node), float(resid_v[node])))
+    # the informed surfaces lie below their stop bounds, the uninformed one above
+    resid = np.vstack([hats[:-1] - players.stop[:-1], players.stop[-1:] - hats[-1:]])
+    resid /= np.maximum(players.surv, _SURVIVAL_FLOOR)
+    alive = np.vstack([np.tile(~(players.pre[-1] >= _ACTIVE_BELOW), (k, 1)),
+                       ~(players.surv[-1:] <= _SURVIVAL_FLOOR)])
+    names = [*(f"(iii) obstacle U[{i}]" for i in range(k)), "(iv) obstacle V"]
+    violations += [(name, int(node), float(r[node])) for name, a, r in zip(names, alive, resid)
+                   for node in np.flatnonzero(a & ~(r <= tol))]
 
     u0, v0 = surfaces.root_values()
-    gap = abs(_type_mix(game.weights, u0) - v0)
+    gap = _root_gap(game.weights, u0, v0)
     if not gap <= tol:
-        violations.append(("(v) root values", 0, float(gap)))
+        violations.append(("(v) root values", 0, gap))
 
     return Certificate(not violations, float(v0), tuple(violations), tol)
 
@@ -557,8 +532,8 @@ def certify_stop(
         u_root, v_root = surfaces.root_values()
     u_root = np.asarray(u_root, dtype=float)
 
-    # the uninformed player maximizes: negated, its row minimizes as well
-    best, _, first = _best_pure_rules(game.tree, *_player_flows(game, profile))
+    players = _players(game, profile)
+    best, _, first = _best_pure_rules(game.tree, _minimizing(players.stop), _minimizing(players.run))
     violations: list[tuple[str, int, float]] = []
     for i, (b, u) in enumerate(zip(best[:-1], u_root, strict=True)):
         if not b >= u - tol:
@@ -566,8 +541,8 @@ def certify_stop(
     if not -best[-1] <= v_root + tol:
         violations.append(("(ii) pure sigma", int(first[-1]), float(-best[-1] - v_root)))
 
-    gap = abs(_type_mix(game.weights, u_root) - v_root)
+    gap = _root_gap(game.weights, u_root, v_root)
     if not gap <= tol:
-        violations.append(("(iii) root values", 0, float(gap)))
+        violations.append(("(iii) root values", 0, gap))
 
     return Certificate(not violations, float(v_root), tuple(violations), tol)

@@ -11,6 +11,8 @@ from asymdynkin.core import (
     GeneratingProcess,
     IndexOutOfRangeError,
     PayoffTriple,
+    ShapeMismatchError,
+    payoff_flows,
 )
 from asymdynkin.gamegen import (
     all_continue_game,
@@ -24,8 +26,8 @@ from asymdynkin.scenario import (
     StrategyProfile,
     ValueSurfaces,
     _best_pure_rules,
-    _informed_flows,
-    _uninformed_flows,
+    _minimizing,
+    _players,
     belief_update,
     best_response_values,
     certify_mart,
@@ -73,6 +75,57 @@ class TestBeliefUpdate:
     def test_degenerate_returns_prior_with_flag(self):
         p, deg = belief_update(0.4, 1.0, 1.0)
         assert p == 0.4 and deg
+
+
+# the six public reports and certificates of a (game, profile, surfaces), as ``verify`` calls them
+ANALYSES = {
+    "best_response_values": lambda game, prof, surf: best_response_values(game, prof),
+    "martingale_report": martingale_report,
+    "support_report": support_report,
+    "ex_ante_residuals": ex_ante_residuals,
+    "certify_mart": certify_mart,
+    "certify_stop": lambda game, prof, surf: certify_stop(game, prof, surfaces=surf),
+}
+
+
+class TestPlayerRows:
+    @pytest.mark.parametrize("name", ANALYSES)
+    @pytest.mark.parametrize("shape", ["one type short", "one type over", "node count"])
+    def test_profile_of_another_shape_is_refused(self, name, shape):
+        game = random_scenario_game(2, seed=3)
+        prof = random_profile(game.tree, seed=4)
+        surf = best_response_values(game, prof)
+        bad = {
+            "one type short": StrategyProfile(prof.xi[:1], prof.zeta),
+            "one type over": StrategyProfile((*prof.xi, prof.xi[0]), prof.zeta),
+            "node count": random_profile(random_scenario_game(3, seed=3).tree, seed=4),
+        }[shape]
+        with pytest.raises(ShapeMismatchError, match="^profile type or node count disagrees with game$"):
+            ANALYSES[name](game, bad, surf)
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_override_of_another_type_count_is_refused(self, count):
+        game = random_scenario_game(2, seed=3)
+        prof = random_profile(game.tree, seed=4)
+        over = (prof.xi[0],) * count
+        with pytest.raises(ValueError, match="zip"):
+            martingale_report(game, prof, best_response_values(game, prof), xi_override=over)
+
+    @pytest.mark.parametrize("name", ANALYSES)
+    def test_one_flows_pass_per_call(self, name, monkeypatch):
+        # the informed rows and the uninformed row: two payoff_flows calls, however many conditions
+        game = random_scenario_game(3, seed=8)
+        prof = random_profile(game.tree, seed=9)
+        surf = best_response_values(game, prof)
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return payoff_flows(*args)
+
+        monkeypatch.setattr(scenario, "payoff_flows", counted)
+        ANALYSES[name](game, prof, surf)
+        assert len(calls) <= 2
 
 
 class TestBestResponseValues:
@@ -390,9 +443,8 @@ class TestCertifyStop:
 
 def _plan_pass(game, prof):
     """The certificate's pass on both informed rows and the negated uninformed row."""
-    stop_u, run_u = _informed_flows(game, prof.zeta)
-    stop_v, run_v = _uninformed_flows(game, prof)
-    return _best_pure_rules(game.tree, np.vstack([stop_u, -stop_v]), np.vstack([run_u, -run_v]))
+    players = _players(game, prof)
+    return _best_pure_rules(game.tree, _minimizing(players.stop), _minimizing(players.run))
 
 
 def _assert_matches_enumeration(game, prof, eq_roots):
