@@ -48,7 +48,7 @@ print(f"  v pi-independent to {np.max(np.abs(surf.v - surf.v[:, :1, :])):.2e}")
 def identity_gap(surf):
     """Largest |v - (pi u1 + (1-pi) u0)| over every cell of the grid."""
     pi_col = surf.grid.pi[:, None]
-    return np.max(np.abs(surf.v - (pi_col * surf.u1 + (1.0 - pi_col) * surf.u0)))
+    return np.max(np.abs(surf.v - (pi_col * surf.u[1] + (1.0 - pi_col) * surf.u[0])))
 
 
 ref = reference_dynkin_1d(const(0.1), const(0.4), F, G, H, grid.t, grid.x)
@@ -65,8 +65,9 @@ model = DiffusionModel(
 grid = PDEGrid.regular(1.0, model.domain, m_t=81, m_pi=21, m_x=81)
 surf = pde_solve_system(model, F, G, H, grid)
 print("\nhidden-drift model (w = 1.6):")
-print(f"  stopping sets cover {surf.in_s0.mean():.1%} (incarnation 0), "
-      f"{surf.in_s1.mean():.1%} (incarnation 1), {surf.in_s.mean():.1%} (uninformed)")
+share0, share1 = surf.in_sk.mean(axis=(1, 2, 3))
+print(f"  stopping sets cover {share0:.1%} (incarnation 0), "
+      f"{share1:.1%} (incarnation 1), {surf.in_s.mean():.1%} (uninformed)")
 print(f"  identity residual on every cell: {identity_gap(surf):.2e}")
 
 mid = grid.pi.size // 2
@@ -83,7 +84,7 @@ print(f"  v(0, pi, 0) across beliefs: {np.round(slice0, 3)}")
 # --------------------------------------------------------------------------
 strategies = extract_strategies(surf, model, dt=0.0125)
 report = mc_verify_sufficiency(
-    model, surf, strategies, n=4000, dt=0.0125,
+    model, surf, strategies, n=4000,
     device=RandomDevice(seed=11), f=F, g=G, h=H,
 )
 print("\nMonte Carlo verification of the extracted strategies:")

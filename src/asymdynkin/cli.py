@@ -244,7 +244,7 @@ def cmd_dynamics_verify(args) -> int:
     f, g, h = _payoff_callables(data, model)
     report = mc_verify_sufficiency(
         model, surfaces, strategies,
-        n=args.paths, dt=args.dt, alpha=args.alpha, tol=args.vtol,
+        n=args.paths, alpha=args.alpha, tol=args.vtol,
         device=RandomDevice(seed=args.seed), f=f, g=g, h=h,
     )
     gameio.write_json(out / "verify_report.json", {"report": report, "config": vars(args)})

@@ -118,8 +118,8 @@ class TimeGrid:
         return float(self.points[-1])
 
     @staticmethod
-    def regular(n_steps: int, horizon: float = 1.0) -> "TimeGrid":
-        return TimeGrid(np.linspace(0.0, horizon, n_steps + 1))
+    def regular(n_steps: int) -> "TimeGrid":
+        return TimeGrid(np.linspace(0.0, 1.0, n_steps + 1))
 
 
 @dataclass(frozen=True)
@@ -168,14 +168,14 @@ class FiltrationTree:
         by_depth = np.argsort(self.depth, kind="stable")
         return tuple(np.split(by_depth, np.cumsum(np.bincount(self.depth))[:-1]))
 
-    def scan(self, values: np.ndarray, op, start: int = 0) -> np.ndarray:
+    def scan(self, values: np.ndarray, op) -> np.ndarray:
         """Root-to-leaf scan along the last axis, one level at a time.
 
-        ``out[..., lvl] = op(out[..., parent[lvl]], values[..., lvl])`` for the
-        levels below depth ``start``; nodes at depth <= ``start`` keep ``values``.
+        ``out[..., lvl] = op(out[..., parent[lvl]], values[..., lvl])`` below
+        the root, which keeps its ``values``.
         """
         out = np.array(values, copy=True)
-        for lvl in self.levels[start + 1:]:
+        for lvl in self.levels[1:]:
             out[..., lvl] = op(out[..., self.parent[lvl]], values[..., lvl])
         return out
 
@@ -245,7 +245,7 @@ class FiltrationTree:
             out[:, k - 1] = self.parent[out[:, k]]
         return out
 
-    def validate(self, tol: float = MONOTONE_TOL) -> None:
+    def validate(self) -> None:
         """Raise ValueError on any structural violation."""
         depth, n_steps, leaf = self.depth, self.n_steps, self.is_leaf
         nonfinite = np.flatnonzero(~np.isfinite(self.prob))
@@ -253,7 +253,7 @@ class FiltrationTree:
             i = nonfinite[0]
             raise ValueError(f"non-finite transition probability {float(self.prob[i])!r} at node {i}")
         sums = np.bincount(self.parent[1:], weights=self.prob[1:], minlength=self.n_nodes)
-        bad_sum = ~leaf & (np.abs(sums - 1.0) > tol)
+        bad_sum = ~leaf & (np.abs(sums - 1.0) > MONOTONE_TOL)
         bad = np.flatnonzero(bad_sum | (leaf & (depth != n_steps)))
         if bad.size:
             i = bad[0]
@@ -261,7 +261,7 @@ class FiltrationTree:
                 s = self.prob[self.parent == i].sum()  # np.sum's rounding, not bincount's
                 raise ValueError(f"children probabilities of node {i} sum to {s!r}")
             raise self._leaf_depth_error(i)
-        if np.any(self.prob < -tol):
+        if np.any(self.prob < -MONOTONE_TOL):
             raise ValueError("negative transition probability")
         if self.grid is not None and self.grid.n_steps != n_steps:
             raise ShapeMismatchError("grid step count disagrees with tree depth")
@@ -292,7 +292,7 @@ class FiltrationTree:
         return self.scan(at_parent, np.add)
 
 
-def binary_tree(n_steps: int, p_up: float = 0.5, grid: TimeGrid | None = None) -> FiltrationTree:
+def binary_tree(n_steps: int, p_up: float = 0.5) -> FiltrationTree:
     """Full binary tree of the given depth with branch probability ``p_up``.
 
     Nodes are numbered level by level: node i > 0 has parent (i - 1) // 2 and
@@ -301,7 +301,7 @@ def binary_tree(n_steps: int, p_up: float = 0.5, grid: TimeGrid | None = None) -
     ids = np.arange(1, 2 ** (n_steps + 1) - 1)
     parent = np.concatenate([[-1], (ids - 1) // 2])
     prob = np.concatenate([[1.0], np.where(ids % 2 == 1, p_up, 1.0 - p_up)])
-    return FiltrationTree(parent, prob, grid or TimeGrid.regular(n_steps))
+    return FiltrationTree(parent, prob, TimeGrid.regular(n_steps))
 
 
 @dataclass(frozen=True)
@@ -377,9 +377,7 @@ class ValidationReport:
         return self.ok
 
 
-def validate_generating(
-    proc: GeneratingProcess, tree: FiltrationTree, tol: float = MONOTONE_TOL
-) -> ValidationReport:
+def validate_generating(proc: GeneratingProcess, tree: FiltrationTree) -> ValidationReport:
     """Check a generating process against Def-2.2-style invariants.
 
     Returns a report listing violations tagged ``ShapeMismatch``,
@@ -392,7 +390,7 @@ def validate_generating(
     for i in np.flatnonzero(~finite):
         violations.append(f"NonFinite: level {float(proc.levels[i])!r}, "
                           f"increment {float(proc.steps[i])!r} at node {i}")
-    bad = np.flatnonzero(proc.steps < -tol)
+    bad = np.flatnonzero(proc.steps < -MONOTONE_TOL)
     for i in bad:
         violations.append(f"NotMonotone: negative increment {proc.steps[i]!r} at node {i}")
     # recompute levels as prefix sums and compare; a non-finite process is rejected above

@@ -1,8 +1,9 @@
 """Coupled free-boundary system for the continuous-state stopping game.
 
-Three surfaces on a (t, pi, x) grid: per-regime informed values u0, u1 and
-the uninformed value v, solved backward in time.  Each slice is one projected
-splitting step, with no iteration inside it:
+Three surfaces on a (t, pi, x) grid: per-regime informed values u0, u1, on
+one type axis as ``PDESurfaces.u``, and the uninformed value v, solved
+backward in time.  Each slice is one projected splitting step, with no
+iteration inside it:
 
 * each u_i takes one implicit (backward Euler) step of its regime generator
   and is projected onto u_i <= f;
@@ -13,6 +14,10 @@ splitting step, with no iteration inside it:
   surfaces, and the opponent's stopping set is S = {v <= g}.  On S the
   opponent stops first, so u0, u1 and v are all pinned to g there; the
   identity v = pi u1 + (1-pi) u0 then holds on every cell.
+
+One pass after the backward loop reads every slice's stopping sets off the
+solved surfaces: S_k = {u_k >= f - _SET_TOL} and S = {v <= g + _SET_TOL},
+where the pinned v equals g.
 
 The regime generators come from ``_operator``, which applies one stencil rule
 to each of the x and pi axes (centred diffusion, upwinded drift) and builds
@@ -120,21 +125,18 @@ class PDEStats:
 class PDESurfaces:
     """Converged value surfaces with their stopping sets.
 
-    ``stats`` is set by ``pde_solve_system`` and None for surfaces read back
-    from a file or built by hand.
+    ``u`` (u0, u1) and ``in_sk`` (S0, S1) lead with the type axis, (2, m_t,
+    m_pi, m_x); ``v`` and ``in_s`` are (m_t, m_pi, m_x).  ``stats`` is set by
+    ``pde_solve_system`` and None for surfaces read back from a file or built
+    by hand.
     """
 
     grid: PDEGrid
-    u0: np.ndarray
-    u1: np.ndarray
+    u: np.ndarray
     v: np.ndarray
-    in_s0: np.ndarray
-    in_s1: np.ndarray
+    in_sk: np.ndarray
     in_s: np.ndarray
     stats: PDEStats | None = None
-
-    def u(self, i: int) -> np.ndarray:
-        return self.u1 if i else self.u0
 
     @cached_property
     def identity_residual(self) -> float:
@@ -143,8 +145,8 @@ class PDESurfaces:
         The terminal slice is data, not a solve, so it is left out; 0.0 when
         every cell of those slices lies in a stopping set.
         """
-        cont = ~(self.in_s0 | self.in_s1 | self.in_s)[:-1]
-        gap = np.abs(self.v - _type_mix(_belief_weights(self.grid.pi[:, None]), (self.u0, self.u1)))[:-1]
+        cont = ~(self.in_sk.any(axis=0) | self.in_s)[:-1]
+        gap = np.abs(self.v - _type_mix(_belief_weights(self.grid.pi[:, None]), self.u))[:-1]
         return float(np.max(gap[cont], initial=0.0))
 
 
@@ -267,37 +269,28 @@ def pde_solve_system(
             raise NoConvergence(f"the implicit {mode} system is singular: {exc}")
 
     weights = _belief_weights(grid.pi[:, None])
+    # f and g at every (t, x), broadcast over pi rather than copied along it
+    ft, gt = (np.broadcast_to(np.asarray(fn(grid.t[:, None, None], grid.x), dtype=float), (mt, 1, mx))
+              for fn in (f, g))
     u = np.empty((2, mt, mpi, mx))
     v = np.empty((mt, mpi, mx))
     u[0, -1] = u[1, -1] = v[-1] = h(grid.t[-1], grid.x)
 
-    def payoff_slices(t):
-        ft = np.broadcast_to(np.asarray(f(t, grid.x), dtype=float), (mpi, mx))
-        gt = np.broadcast_to(np.asarray(g(t, grid.x), dtype=float), (mpi, mx))
-        return ft, gt
-
-    in_s0, in_s1, in_s = (np.zeros((mt, mpi, mx), dtype=bool) for _ in range(3))
-    ft, gt = payoff_slices(grid.t[-1])
-    in_s0[-1] = in_s1[-1] = v[-1] >= ft - _SET_TOL
-    in_s[-1] = v[-1] <= gt + _SET_TOL
-
     for k in range(mt - 2, -1, -1):
-        ft, gt = payoff_slices(grid.t[k])
-        step = [np.minimum(lu.solve(u[i, k + 1].reshape(-1)).reshape(mpi, mx), ft)
+        step = [np.minimum(lu.solve(u[i, k + 1].reshape(-1)).reshape(mpi, mx), ft[k])
                 for i, lu in enumerate(lus)]
-        s0, s1 = (w >= ft - _SET_TOL for w in step)
+        s0, s1 = (w >= ft[k] - _SET_TOL for w in step)
         # belief jumps flatten the opponent's surface across each run
-        step[0] = np.minimum(_pi_copy(step[0], s1 & ~s0, from_below=True), ft)
-        step[1] = np.minimum(_pi_copy(step[1], s0 & ~s1, from_below=False), ft)
+        step[0] = np.minimum(_pi_copy(step[0], s1 & ~s0, from_below=True), ft[k])
+        step[1] = np.minimum(_pi_copy(step[1], s0 & ~s1, from_below=False), ft[k])
         v_c = _type_mix(weights, step)
         # the opponent stops first on S: pinning all three surfaces to g there
         # keeps the identity exact on S too
-        in_s[k] = v_c <= gt + _SET_TOL
-        u[0, k], u[1, k], v[k] = (np.where(in_s[k], gt, w) for w in (step[0], step[1], v_c))
-        in_s0[k] = u[0, k] >= ft - _SET_TOL
-        in_s1[k] = u[1, k] >= ft - _SET_TOL
+        pinned = v_c <= gt[k] + _SET_TOL
+        u[0, k], u[1, k], v[k] = (np.where(pinned, gt[k], w) for w in (step[0], step[1], v_c))
 
-    return PDESurfaces(grid, u[0], u[1], v, in_s0, in_s1, in_s, PDEStats(2 * (mt - 1), len(lus)))
+    return PDESurfaces(grid, u, v, u >= ft - _SET_TOL, v <= gt + _SET_TOL,
+                       PDEStats(2 * (mt - 1), len(lus)))
 
 
 def reference_dynkin_1d(

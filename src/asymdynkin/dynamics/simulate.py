@@ -10,22 +10,19 @@ Two routes to the posterior psi = P(J=1 | observed path):
 Both converge to the same object as dt -> 0; the self-convergence of their
 gap is one of the acceptance checks.
 
-The filter update itself is ``model.filter_step``.  Every simulation of X
-under a regime drift -- the regime-conditional paths, the fixed-regime paths
-of the Monte Carlo verification and the self-convergence study -- goes
-through one Euler loop, ``_regime_rows``, which also accumulates the
-Girsanov log-likelihood behind the Bayes posterior when the caller wants it.
+The filter update itself is ``model.filter_step``.  Each loop is a row
+generator that yields one time row per step, a vector over the paths, and
+holds nothing of path-set size besides: ``_filter_rows`` for the filter SDE,
+``_regime_rows`` for X under a regime drift, with the Girsanov
+log-likelihood behind the Bayes posterior on request, and
+``_innovation_rows`` for the filter read off given paths.
 
-That loop and the innovation filter's, ``_innovation_rows``, are row
-generators: each yields one time row per step, a vector over the paths, and
-holds nothing of path-set size besides.  Their collectors, ``_regime_euler``
-and ``psi_from_innovation``, fill time-major ``(steps + 1, paths)`` buffers
-with those rows and return their transposes: views indexed ``[path, step]``,
-with no copy, whose per-step columns are contiguous, as
-``simulate_filter_paths`` does for its own loop.  Writing column k + 1 of a
-path-major array instead touches one cache line per path on every step.  A
-caller that reads each step once, like the Monte Carlo verification,
-consumes the rows and never holds a whole path set.
+One collector, ``_stack``, fills a preallocated time-major
+``(..., steps + 1, paths)`` buffer with rows, for every simulator here and
+for ``StrategyMap.evaluate``, and returns its view indexed ``[path, step]``,
+whose per-step columns are contiguous; ``_exited`` reads that buffer a row
+at a time.  The Monte Carlo verification consumes the rows instead and never
+holds a whole path set.
 """
 
 from __future__ import annotations
@@ -106,25 +103,23 @@ def _regime_rows(
         yield xk, pk
 
 
-def _regime_euler(
-    model: DiffusionModel, regime: np.ndarray, steps: int, dt: float, increments,
-    posterior: bool = True,
-):
-    """``_regime_rows`` collected: (x, psi, exited) with x and psi of shape (paths, steps + 1).
+def _stack(rows, shape: tuple[int, ...]) -> np.ndarray:
+    """``rows`` in a buffer of ``shape`` (..., steps + 1, paths), allocated before the first
+    row is drawn, row k at ``[..., k, :]``; returned as its view ``[..., path, step]``."""
+    out = np.empty(shape)
+    for k, row in enumerate(rows):
+        out[..., k, :] = row
+    return np.swapaxes(out, -1, -2)
 
-    psi is None when ``posterior`` is false; ``exited`` marks the paths that
-    left the domain.
-    """
+
+def _exited(model: DiffusionModel, x: np.ndarray) -> np.ndarray:
+    """The paths of ``x`` (``[path, step]``) that left the domain after step 0, also those
+    that turn NaN once out."""
     lo, hi = model.domain
-    x = np.empty((steps + 1, regime.size))
-    psi = np.empty((steps + 1, regime.size)) if posterior else None
-    exited = np.zeros(regime.size, dtype=bool)
-    for k, (xk, pk) in enumerate(_regime_rows(model, regime, steps, dt, increments, posterior)):
-        x[k] = xk
-        if posterior:
-            psi[k] = pk
+    exited = np.zeros(x.shape[0], dtype=bool)
+    for xk in x.T[1:]:
         exited |= (xk < lo) | (xk > hi)
-    return x.T, None if psi is None else psi.T, exited
+    return exited
 
 
 def _draw_regime(model: DiffusionModel, n: int, device: RandomDevice) -> np.ndarray:
@@ -139,6 +134,22 @@ def _draws(device: RandomDevice, n: int, dt: float):
     return lambda k: rng.standard_normal(n) * sqdt
 
 
+def _filter_rows(model: DiffusionModel, n: int, steps: int, dt: float, increments, clamp: list):
+    """Rows (x_k, psi_k), k = 0 .. steps, of the observation-law Euler scheme; ``clamp[0]``
+    rises to the largest excursion of psi out of [0, 1] before its clamp."""
+    xk = np.full(n, model.x0, dtype=float)
+    pk = np.full(n, model.prior, dtype=float)
+    yield xk, pk
+    for k in range(steps):
+        db = increments(k)
+        x_next = xk + model.mu_bar(xk, pk) * dt + np.asarray(model.sigma(xk)) * db
+        raw = filter_step(model, xk, pk, db)
+        clamp[0] = max(clamp[0], float(np.max(raw - 1.0, initial=0.0)), float(np.max(-raw, initial=0.0)))
+        xk, pk = x_next, np.clip(raw, 0.0, 1.0)
+        del db, x_next, raw  # only the state crosses the yield
+        yield xk, pk
+
+
 def simulate_filter_paths(
     model: DiffusionModel, n: int, dt: float, device: RandomDevice
 ) -> PathBundle:
@@ -149,22 +160,9 @@ def simulate_filter_paths(
     and the largest pre-clamp excursion is reported as a diagnostic.
     """
     t = _time_axis(model, dt)
-    draw = _draws(device, n, dt)
-    lo, hi = model.domain
-    x = np.empty((t.size, n))
-    psi = np.empty((t.size, n))
-    x[0], psi[0] = model.x0, model.prior
-    exited = np.zeros(n, dtype=bool)
-    max_clamp = 0.0
-    for k in range(t.size - 1):
-        xk, pk = x[k], psi[k]
-        db = draw(k)
-        x[k + 1] = xk + model.mu_bar(xk, pk) * dt + np.asarray(model.sigma(xk)) * db
-        raw = filter_step(model, xk, pk, db)
-        max_clamp = max(max_clamp, float(np.max(raw - 1.0, initial=0.0)), float(np.max(-raw, initial=0.0)))
-        psi[k + 1] = np.clip(raw, 0.0, 1.0)
-        exited |= (x[k + 1] < lo) | (x[k + 1] > hi)
-    return PathBundle(t, x.T, psi.T, None, exited, max_clamp)
+    clamp = [0.0]
+    x, psi = _stack(_filter_rows(model, n, t.size - 1, dt, _draws(device, n, dt), clamp), (2, t.size, n))
+    return PathBundle(t, x, psi, None, _exited(model, x), clamp[0])
 
 
 def simulate_regime_paths(
@@ -178,17 +176,17 @@ def simulate_regime_paths(
     """
     t = _time_axis(model, dt)
     regime = _draw_regime(model, n, device)
-    x, psi, exited = _regime_euler(model, regime, t.size - 1, dt, _draws(device, n, dt))
-    return PathBundle(t, x, psi, regime, exited)
+    x, psi = _stack(_regime_rows(model, regime, t.size - 1, dt, _draws(device, n, dt)), (2, t.size, n))
+    return PathBundle(t, x, psi, regime, _exited(model, x))
 
 
 def simulate_fixed_regime(
     model: DiffusionModel, regime: int, n: int, dt: float, device: RandomDevice
 ) -> np.ndarray:
     """Plain Euler paths of X with the drift of one fixed regime."""
-    steps = _time_axis(model, dt).size - 1
-    return _regime_euler(model, np.full(n, regime), steps, dt, _draws(device, n, dt),
-                         posterior=False)[0]
+    t = _time_axis(model, dt)
+    rows = _regime_rows(model, np.full(n, regime), t.size - 1, dt, _draws(device, n, dt), posterior=False)
+    return _stack((x for x, _ in rows), (t.size, n))
 
 
 def filter_self_convergence(
@@ -220,7 +218,8 @@ def filter_self_convergence(
         m = int(round(dt / dt_min))
         dw = dw_fine[:, : (steps // m) * m].reshape(n, -1, m).sum(axis=2)
         dw = np.ascontiguousarray(dw.T)
-        x, psi_lr, _ = _regime_euler(model, regime, dw.shape[0], dt, lambda k: dw[k])
+        x, psi_lr = _stack(_regime_rows(model, regime, dw.shape[0], dt, lambda k: dw[k]),
+                           (2, dw.shape[0] + 1, n))
         psi_sde = psi_from_innovation(model, x, dt)
         # a path-major gap keeps the summation order of the mean, so the RMS
         # does not move with the layout of the path arrays
@@ -243,10 +242,7 @@ def psi_from_innovation(model: DiffusionModel, x: np.ndarray, dt: float) -> np.n
         raise ValueError(f"x must have shape (paths, steps + 1) with steps >= 0, got {x.shape}")
     # time-major: free for simulator output, whose transpose is contiguous
     xt = np.ascontiguousarray(x.T)
-    psi = np.empty(xt.shape)
-    for k, (_, pk) in enumerate(_innovation_rows(model, xt, dt)):
-        psi[k] = pk
-    return psi.T
+    return _stack((pk for _, pk in _innovation_rows(model, xt, dt)), xt.shape)
 
 
 def _innovation_rows(model: DiffusionModel, x_rows, dt: float):

@@ -14,12 +14,16 @@ for incarnation 1, which moves p down, and (edge, p) for incarnation 0,
 which moves it up.  The edge is ``pde._run_edges``, the rule the PDE's
 belief-flattening copy uses.
 
+The stopping sets of the two incarnations are read off the surfaces' type
+axis, ``PDESurfaces.in_sk``, row 0 for incarnation 0 and row 1 for
+incarnation 1.
+
 Like the Euler loops of ``simulate``, the evaluation is written once, as a
 row generator, ``StrategyMap._rows``: it reflects all paths at once with
 whole-array operations and yields one time row per step, each a fresh vector
-over the paths.  ``evaluate`` collects the rows into time-major
-``(steps + 1, paths)`` buffers and returns their transposes; the Monte Carlo
-verification consumes them a step at a time.
+over the paths.  ``evaluate`` collects the rows with ``simulate._stack``, the
+collector of the simulators, into one time-major ``(4, steps + 1, paths)``
+buffer; the Monte Carlo verification consumes them a step at a time.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import numpy as np
 from ..core import _belief_weights, _posterior
 from .model import DiffusionModel
 from .pde import PDESurfaces, _run_edges
-from .simulate import psi_from_innovation
+from .simulate import _stack, psi_from_innovation
 
 __all__ = ["StrategyMap", "TrajectorySet", "extract_strategies"]
 
@@ -71,7 +75,7 @@ class StrategyMap:
         Built once per map, so every path set the map reflects shares them.
         """
         surf = self.surfaces
-        return surf.grid.pi[_run_edges(surf.in_s1)[0]], surf.grid.pi[_run_edges(surf.in_s0)[1]]
+        return surf.grid.pi[_run_edges(surf.in_sk[1])[0]], surf.grid.pi[_run_edges(surf.in_sk[0])[1]]
 
     def evaluate(self, x_paths: np.ndarray, psi: np.ndarray | None = None) -> TrajectorySet:
         """Run the strategy maps along observed X-paths.
@@ -85,10 +89,8 @@ class StrategyMap:
             psi = psi_from_innovation(self.model, x_paths, self.dt)
         t = np.arange(steps + 1) * self.dt
         self._edges  # built before the buffer, so its temporaries never sit on top of it
-        levels = np.empty((4, steps + 1, n))  # p, xi0, xi1, zeta
-        for k, row in enumerate(self._rows(zip(x_paths.T, psi.T), t)):
-            levels[:, k] = row[2:]
-        return TrajectorySet(t, x_paths, psi, *(level.T for level in levels))
+        levels = _stack((row[2:] for row in self._rows(zip(x_paths.T, psi.T), t)), (4, steps + 1, n))
+        return TrajectorySet(t, x_paths, psi, *levels)
 
     def _rows(self, rows, t: np.ndarray):
         """Rows (x, psi, p, xi0, xi1, zeta) of the strategy maps at the times ``t``.
@@ -120,16 +122,15 @@ class StrategyMap:
             # continuation region by a full cell
             xj = _nearest(gx, xk - gx[0])
             cell = (time_idx[k], _nearest(gpi, p), xj)
-            in_s1, in_s0 = surf.in_s1[cell], surf.in_s0[cell]
-            s[:, in_s1 & in_s0] = 0.0
-            for i, acts, hi, lo in ((1, in_s1 & ~in_s0, p, floor1[cell]),
-                                    (0, in_s0 & ~in_s1, ceil0[cell], p)):
-                push = acts & (hi > lo)
+            in_sk = surf.in_sk[(slice(None), *cell)]
+            s[:, in_sk[0] & in_sk[1]] = 0.0
+            for i, hi, lo in ((1, p, floor1[cell]), (0, ceil0[cell], p)):
+                push = in_sk[i] & ~in_sk[1 - i] & (hi > lo)
                 hi, lo = hi[push], lo[push]
                 s[i, push] *= 1.0 - np.clip((hi - lo) / np.maximum(hi * (1.0 - lo), 1e-300), 0.0, 1.0)
             p = _posterior(weights, s, p)[0]
             stopped_unin |= surf.in_s[time_idx[k], _nearest(gpi, p), xj]
-            del weights, xj, cell, in_s1, in_s0, acts, push, hi, lo  # only the state crosses the yield
+            del weights, xj, cell, in_sk, push, hi, lo  # only the state crosses the yield
             yield xk, psik, p, 1.0 - s[0], 1.0 - s[1], stopped_unin.astype(float)
 
 

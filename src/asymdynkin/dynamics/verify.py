@@ -145,15 +145,16 @@ def _path_set_checks(flows, sign: float, atol: float, tol: float, alpha: float):
     }, {"fraction_ok": frac, "passed": bool(frac >= 1.0 - alpha), "worst_slack": worst_slack}
 
 
-def _trajectory_rows(model, strategies, n: int, dt: float, device, regime: int | None):
+def _trajectory_rows(model, strategies, n: int, device, regime: int | None):
     """Rows (t, x, psi, p, xi0, xi1, zeta) of the strategy maps along one simulated path set.
 
     With a ``regime`` the paths follow that regime's drift and are filtered
     by the innovation filter, as ``simulate_fixed_regime`` and ``evaluate``
     do; with None the regime is drawn per path and the Bayes posterior
-    filters, as in ``simulate_regime_paths``.  ``t`` is the step's time as a
-    one-element axis, which broadcasts against the paths.
+    filters, as in ``simulate_regime_paths``.  The paths step at the maps' dt,
+    and ``t`` is the step's time as a one-element axis, which broadcasts.
     """
+    dt = strategies.dt
     steps = _time_axis(model, dt).size - 1
     if regime is None:
         rows = _regime_rows(model, _draw_regime(model, n, device), steps, dt, _draws(device, n, dt))
@@ -161,7 +162,7 @@ def _trajectory_rows(model, strategies, n: int, dt: float, device, regime: int |
         paths = _regime_rows(model, np.full(n, regime), steps, dt, _draws(device, n, dt),
                              posterior=False)
         rows = _innovation_rows(model, (x for x, _ in paths), dt)
-    t = np.arange(steps + 1) * strategies.dt  # evaluate's clock
+    t = np.arange(steps + 1) * dt  # evaluate's clock
     for k, row in enumerate(strategies._rows(rows, t)):
         yield (t[k:k + 1], *row)
 
@@ -171,7 +172,7 @@ def _informed_flows(rows, surfaces, i: int, payoffs, n: int):
 
     Each step's vectors are yielded unnamed, so none outlives its step here.
     """
-    surface = surfaces.u(i).ravel()
+    surface = surfaces.u[i].ravel()
     zeta_pre = np.zeros(n)
     for t, x, _, p, xi0, xi1, zeta in rows:
         yield (*payoff_flows(*payoffs(t, x), zeta, zeta - zeta_pre), 1.0 - zeta_pre,
@@ -202,7 +203,6 @@ def mc_verify_sufficiency(
     surfaces: PDESurfaces,
     strategies: StrategyMap,
     n: int,
-    dt: float,
     alpha: float = 0.05,
     tol: float = 5e-2,
     device: RandomDevice | None = None,
@@ -213,8 +213,8 @@ def mc_verify_sufficiency(
 ) -> dict:
     """Statistical certification report for a candidate solution.
 
-    ``f``, ``g`` and ``h`` are the payoff functions of (t, x) that the
-    surfaces were solved with; they have no default.
+    The paths step at ``strategies.dt``; ``f``, ``g`` and ``h`` are the payoff
+    functions of (t, x) that the surfaces were solved with, with no default.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n!r}")
@@ -233,20 +233,20 @@ def mc_verify_sufficiency(
     # (i) informed-side submartingales and (iii) informed obstacles along
     # fixed-regime paths
     for i in range(2):
-        rows = _trajectory_rows(model, strategies, n, dt, device.with_stream(device.stream + 10 + i), i)
+        rows = _trajectory_rows(model, strategies, n, device.with_stream(device.stream + 10 + i), i)
         report[f"(i) M0 regime {i}"], report[f"(iii) obstacle U{i}"] = _path_set_checks(
             _informed_flows(rows, surfaces, i, payoffs, n), +1.0, atol, tol, alpha)
 
     # (ii) uninformed-side supermartingale and (iv) uninformed obstacle under
     # the observation law
-    rows = _trajectory_rows(model, strategies, n, dt, device.with_stream(device.stream + 20), None)
+    rows = _trajectory_rows(model, strategies, n, device.with_stream(device.stream + 20), None)
     report["(ii) N0"], report["(iv) obstacle V"] = _path_set_checks(
         _observation_flows(rows, surfaces, payoffs, n), -1.0, atol, tol, alpha)
 
     # (v) root identity
     point = (np.array([0.0]), np.array([model.prior]), np.array([model.x0]))
     v0, u0, u1 = (float(_lookup(s.ravel(), grid, *point)[0])
-                  for s in (surfaces.v, surfaces.u0, surfaces.u1))
+                  for s in (surfaces.v, *surfaces.u))
     gap = abs(v0 - _type_mix(_belief_weights(model.prior), (u0, u1)))
     report["(v) root identity"] = {"residual": gap, "passed": bool(gap <= tol)}
 

@@ -19,11 +19,10 @@ def random_scenario_game(
     n_steps: int,
     seed: int,
     prior: float = 0.5,
-    branch_range: tuple[float, float] = (0.25, 0.75),
 ) -> ScenarioGame:
-    """Binary-tree game with payoffs in [-1, 1] and f >= h >= g per node."""
+    """Binary-tree game, up-branch probability in [0.25, 0.75], payoffs in [-1, 1], f >= h >= g."""
     rng = np.random.default_rng(seed)
-    tree = binary_tree(n_steps, p_up=float(rng.uniform(*branch_range)))
+    tree = binary_tree(n_steps, p_up=float(rng.uniform(0.25, 0.75)))
     vals = np.sort(rng.uniform(-1.0, 1.0, size=(2, tree.n_nodes, 3)), axis=-1)
     payoffs = PayoffTriple(f=vals[..., 2], g=vals[..., 0], h=vals[..., 1])
     return ScenarioGame(tree, payoffs, prior)

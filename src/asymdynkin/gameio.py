@@ -202,8 +202,7 @@ def _axes(grid: PDEGrid) -> tuple[np.ndarray, ...]:
 
 def _surfaces_table(surfaces: PDESurfaces) -> np.ndarray:
     """The float64 (cells, 9) table of ``_SURFACE_COLUMNS``, flags 0.0 or 1.0, cells in (t, pi, x) order."""
-    columns = (*_axes(surfaces.grid), surfaces.u0, surfaces.u1, surfaces.v,
-               surfaces.in_s0, surfaces.in_s1, surfaces.in_s)
+    columns = (*_axes(surfaces.grid), *surfaces.u, surfaces.v, *surfaces.in_sk, surfaces.in_s)
     return np.stack(np.broadcast_arrays(*columns), axis=-1, dtype=float).reshape(-1, len(_SURFACE_COLUMNS))
 
 
@@ -263,12 +262,13 @@ def _surfaces_from_table(data: np.ndarray) -> PDESurfaces:
         for i, axis in enumerate(_axes(grid))
     ):
         raise ValueError("rows are not the t, pi, x grid in order, each cell once")
-    u0, u1, v, *flags = (data[:, i].reshape(shape) for i in range(3, len(_SURFACE_COLUMNS)))
-    if not all(np.isfinite(w).all() for w in (u0, u1, v)):
+    # the value and flag columns as views shaped like the grid: u0, u1, v, in_S0, in_S1, in_S
+    values, flags = np.split(np.moveaxis(data[:, 3:].reshape(*shape, -1), -1, 0), 2)
+    if not np.isfinite(values).all():
         raise ValueError("u0, u1 and v must be finite")
-    if not all(np.isin(flag, (0.0, 1.0)).all() for flag in flags):
+    if not np.isin(flags, (0.0, 1.0)).all():
         raise ValueError("stopping-set flags must be 0 or 1")
-    return PDESurfaces(grid, u0, u1, v, *(flag.astype(bool) for flag in flags))
+    return PDESurfaces(grid, values[:2], values[2], flags[:2].astype(bool), flags[2].astype(bool))
 
 
 def _write_per_path_csv(path: Path, meta: dict, t: np.ndarray, **columns: np.ndarray) -> None:

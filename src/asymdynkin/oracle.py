@@ -299,7 +299,7 @@ def _plan_levels(steps: np.ndarray, tree: FiltrationTree) -> np.ndarray:
     return levels
 
 
-def solve_scenario(game: ScenarioGame, gap_tol: float = GAP_TOL) -> ScenarioSolution:
+def solve_scenario(game: ScenarioGame) -> ScenarioSolution:
     """Equilibrium oracle: one sequence-form LP, O(K n_nodes) in size.
 
     min over (a_0, ..., a_{K-1}, y) of sum_k w_k c_k a_k + 1 y subject to
@@ -309,7 +309,7 @@ def solve_scenario(game: ScenarioGame, gap_tol: float = GAP_TOL) -> ScenarioSolu
     "highs-ds" method.  The gap is |v_hat(root) - sum_k w_k u_hat_k(root)| of
     ``best_response_values`` against the plans' profile, and the value is
     v_hat(root); one re-solve with presolve off refines a solution whose gap
-    is not closed.
+    is above ``GAP_TOL``.
     """
     tree, w, n = game.tree, game.weights, game.tree.n_nodes
     lp = _sequence_form_lp(game)
@@ -322,7 +322,7 @@ def solve_scenario(game: ScenarioGame, gap_tol: float = GAP_TOL) -> ScenarioSolu
         profile = StrategyProfile(tuple(xi), zeta)
         surf = best_response_values(game, profile)
         gap = _root_gap(w, surf.u_hat[:, 0], surf.v_hat[0])
-        if gap <= gap_tol:
+        if gap <= GAP_TOL:
             stats = LPStats(*size, info.simplex_iteration_count, presolve, info.objective_function_value)
             return ScenarioSolution(float(surf.v_hat[0]), gap, stats, profile, surf, tree)
-    raise NumericalFailure(f"duality gap {gap} above {gap_tol}")
+    raise NumericalFailure(f"duality gap {gap} above {GAP_TOL}")

@@ -509,28 +509,21 @@ def _best_pure_rules(tree: FiltrationTree, stop: np.ndarray, run: np.ndarray):
 def certify_stop(
     game: ScenarioGame,
     profile: StrategyProfile,
-    u_root: np.ndarray | None = None,
-    v_root: float | None = None,
+    surfaces: ValueSurfaces,
     tol: float = DEFAULT_TOL,
-    surfaces: ValueSurfaces | None = None,
 ) -> Certificate:
     """Pure-deviation sufficiency check of a candidate root-value triple.
 
     Verifies that no pure adapted stopping rule beats the candidate values
     against the candidate profile -- (i) per informed incarnation, (ii) for
-    the uninformed player -- plus (iii) the root identity <prior, U0> = V0,
-    with one ``u_root`` entry per type.
+    the uninformed player -- plus (iii) the root identity <prior, U0> = V0.
+    The candidate root values are those of ``surfaces``.
     The best pure deviation comes from one leaf-to-root pass in plan
     coordinates (``_best_pure_rules``), reach-weighted and independent of the
     best-response recursion; each check reports at most that deviation, at
-    the smallest stop-node id of the rule.  A NaN fails every check.  Root
-    values default to the supplied surfaces' roots.
+    the smallest stop-node id of the rule.  A NaN fails every check.
     """
-    if u_root is None or v_root is None:
-        if surfaces is None:
-            raise ValueError("need either root values or surfaces")
-        u_root, v_root = surfaces.root_values()
-    u_root = np.asarray(u_root, dtype=float)
+    u_root, v_root = surfaces.root_values()
 
     players = _players(game, profile)
     best, _, first = _best_pure_rules(game.tree, _minimizing(players.stop), _minimizing(players.run))

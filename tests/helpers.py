@@ -12,8 +12,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import pytest
 from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize import OptimizeWarning, linprog
 
 from asymdynkin.core import (
     FiltrationTree,
@@ -28,7 +29,7 @@ from asymdynkin.dynamics.model import DiffusionModel, filter_step, generator_coe
 from asymdynkin.dynamics.pde import PDEGrid, PDESurfaces
 from asymdynkin.dynamics.simulate import simulate_fixed_regime, simulate_regime_paths
 from asymdynkin.dynamics.verify import _lookup
-from asymdynkin.oracle import RuleSet, build_matrix, enumerate_stopping_rules, regime_matrices
+from asymdynkin.oracle import _LP_OPTIONS, RuleSet, build_matrix, enumerate_stopping_rules, regime_matrices
 from asymdynkin.scenario import Certificate, ScenarioGame
 
 
@@ -187,14 +188,18 @@ def ref_solve_lp(game: ScenarioGame, presolve: bool):
 
     The call the oracle made before it passed its LP to HiGHS directly: the
     direct call must return the same bits, and a scipy release that changes
-    the private binding shows up here.
+    the private binding shows up here.  The oracle keeps matrix entries down
+    to its ``small_matrix_value``, which ``linprog`` does not know: it passes
+    the option on to HiGHS verbatim and warns that it did.
     """
     cost, a_ub, b_ub, a_eq = ref_sequence_form_lp(game)
     n, n_leaves = game.tree.n_nodes, game.tree.leaves.size
-    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=np.ones(2 * n_leaves),
-                  bounds=[(0, None)] * (2 * n) + [(None, None)] * n_leaves, method="highs-ds",
-                  options={"primal_feasibility_tolerance": 1e-10,
-                           "dual_feasibility_tolerance": 1e-10, "presolve": presolve})
+    with pytest.warns(OptimizeWarning, match="small_matrix_value"):
+        res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=np.ones(2 * n_leaves),
+                      bounds=[(0, None)] * (2 * n) + [(None, None)] * n_leaves, method="highs-ds",
+                      options={"primal_feasibility_tolerance": 1e-10,
+                               "dual_feasibility_tolerance": 1e-10, "presolve": presolve,
+                               "small_matrix_value": _LP_OPTIONS["small_matrix_value"]})
     assert res.success, res.message
     return res
 
@@ -767,11 +772,11 @@ def ref_strategy_evaluate(smap, x_paths: np.ndarray, psi: np.ndarray | None = No
             zeta[:, k] = 1.0
             p_out[:, k] = p
             break
-        in_s1 = surf.in_s1[tk_idx, pi_index(p), xj]
-        in_s0 = surf.in_s0[tk_idx, pi_index(p), xj]
+        in_s1 = surf.in_sk[1, tk_idx, pi_index(p), xj]
+        in_s0 = surf.in_sk[0, tk_idx, pi_index(p), xj]
         for path in np.flatnonzero(in_s1 | in_s0):
-            col1 = surf.in_s1[tk_idx, :, xj[path]]
-            col0 = surf.in_s0[tk_idx, :, xj[path]]
+            col1 = surf.in_sk[1, tk_idx, :, xj[path]]
+            col0 = surf.in_sk[0, tk_idx, :, xj[path]]
             pv = p[path]
             idx = pi_index(np.array([pv]))[0]
             if in_s1[path] and in_s0[path]:
@@ -822,11 +827,11 @@ def ref_surfaces_from_csv(text: str) -> PDESurfaces:
     ):
         raise ValueError("surfaces CSV: rows are not the t, pi, x grid in order, each cell once")
     cols = {name: data[:, i].reshape(shape) for i, name in enumerate(header)}
-    u0, u1, v = cols["u0"], cols["u1"], cols["v"]
+    u = np.stack([cols["u0"], cols["u1"]])
     flags = [cols[name] for name in ("in_S0", "in_S1", "in_S")]
     if not all(np.isin(flag, (0.0, 1.0)).all() for flag in flags):
         raise ValueError("surfaces CSV: stopping-set flags must be 0 or 1")
-    return PDESurfaces(grid, u0, u1, v, *(flag.astype(bool) for flag in flags))
+    return PDESurfaces(grid, u, cols["v"], np.stack(flags[:2]).astype(bool), flags[2].astype(bool))
 
 
 # Reference for dynamics.model.parse_expression: the tokenizer and
@@ -976,9 +981,10 @@ def _ref_assemble(flows, n: int, steps: int, sign: float, tol: float, alpha: flo
     return values, {"fraction_ok": frac, "passed": bool(frac >= 1.0 - alpha), "worst_slack": worst}
 
 
-def ref_mc_verify_sufficiency(model, surfaces, strategies, n: int, dt: float, alpha: float = 0.05,
+def ref_mc_verify_sufficiency(model, surfaces, strategies, n: int, alpha: float = 0.05,
                               tol: float = 5e-2, device=None, *, f, g, h) -> dict:
     """``mc_verify_sufficiency`` on whole (paths, steps + 1) arrays of each path set."""
+    dt = strategies.dt
     if device is None:
         device = RandomDevice(seed=0)
     grid = surfaces.grid
@@ -992,7 +998,7 @@ def ref_mc_verify_sufficiency(model, surfaces, strategies, n: int, dt: float, al
     for i in range(2):
         x = simulate_fixed_regime(model, i, n, dt, device.with_stream(device.stream + 10 + i))
         traj = strategies.evaluate(x)
-        surface = surfaces.u(i).ravel()
+        surface = surfaces.u[i].ravel()
 
         def flows(b):
             uvals = _lookup(surface, grid, traj.t, traj.p[b], x[b])
@@ -1026,7 +1032,7 @@ def ref_mc_verify_sufficiency(model, surfaces, strategies, n: int, dt: float, al
 
     point = (np.array([0.0]), np.array([model.prior]), np.array([model.x0]))
     v0, u0, u1 = (float(_lookup(s.ravel(), grid, *point)[0])
-                  for s in (surfaces.v, surfaces.u0, surfaces.u1))
+                  for s in (surfaces.v, *surfaces.u))
     gap = abs(v0 - ((1.0 - model.prior) * u0 + model.prior * u1))
     report["(v) root identity"] = {"residual": gap, "passed": bool(gap <= tol)}
     report["all_passed"] = all(

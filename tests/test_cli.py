@@ -765,7 +765,7 @@ class TestDeterminism:
         again = gameio.surfaces_from_csv(gameio.surfaces_csv(surf, {"grid": "11x5x21"}))
         for name in ("t", "pi", "x"):
             assert np.array_equal(getattr(again.grid, name), getattr(surf.grid, name))
-        for name in ("u0", "u1", "v", "in_s0", "in_s1", "in_s"):
+        for name in ("u", "v", "in_sk", "in_s"):
             assert np.array_equal(getattr(again, name), getattr(surf, name))
         gameio.write_surfaces_npy(tmp_path / "again.npy", again)
         assert (tmp_path / "again.npy").read_bytes() == (out / "surfaces.npy").read_bytes()
@@ -780,7 +780,7 @@ class TestDeterminism:
         for want in (ref_surfaces_from_csv(text), gameio.surfaces_from_csv(text)):
             for name in ("t", "pi", "x"):
                 assert np.array_equal(getattr(got.grid, name), getattr(want.grid, name))
-            for name in ("u0", "u1", "v", "in_s0", "in_s1", "in_s"):
+            for name in ("u", "v", "in_sk", "in_s"):
                 assert np.array_equal(getattr(got, name), getattr(want, name))
             assert got.identity_residual == want.identity_residual
 
@@ -892,7 +892,7 @@ class TestImports:
                 surf = pde_solve_system(model, lambda t, x: 0.6 + 0.0 * x, lambda t, x: -0.6 + 0.0 * x,
                                         lambda t, x: 0.5 * np.tanh(x) + 0.0 * t,
                                         PDEGrid.regular(1.0, model.domain, 11, 5, 21))
-                return hashlib.sha256(b"".join(a.tobytes() for a in (surf.u0, surf.u1, surf.v))).hexdigest()
+                return hashlib.sha256(b"".join(a.tobytes() for a in (*surf.u, surf.v))).hexdigest()
 
             def splu():
                 import scipy.sparse

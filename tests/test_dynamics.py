@@ -296,6 +296,30 @@ class TestTimeMajorLoops:
         assert np.array_equal(b.x, x) and np.array_equal(b.psi, psi)
         assert np.array_equal(b.exited, exited) and b.max_clamp == max_clamp
 
+    @pytest.mark.parametrize("kind", ["filter", "regime"])
+    def test_paths_that_turn_nan_after_exit_count_as_exited(self, kind):
+        # past the domain the drifts are NaN, so a path turns NaN the step after
+        # it leaves, and only the step it left on shows the exit
+        m = curved(0.3)
+        lo, hi = m.domain
+
+        def nan_outside(fn):
+            return lambda x: np.where((x < lo) | (x > hi), np.nan, fn(x))
+
+        m = dataclasses.replace(m, mu0=nan_outside(m.mu0), mu1=nan_outside(m.mu1))
+        n, dt = 300, 1e-2
+        if kind == "filter":
+            b = simulate_filter_paths(m, n, dt, RandomDevice(3))
+            x, psi, exited, _ = ref_filter_paths(m, n, dt, RandomDevice(3))
+        else:
+            b = simulate_regime_paths(m, n, dt, RandomDevice(4))
+            regime, draw = regime_draws(m, n, dt, RandomDevice(4))
+            x, psi, exited = ref_regime_euler(m, regime, 100, dt, draw)
+        assert np.array_equal(b.x, x, equal_nan=True) and np.array_equal(b.psi, psi, equal_nan=True)
+        turned = np.isnan(b.x[:, -1])
+        assert turned.any() and b.exited[turned].all()
+        assert np.array_equal(b.exited, exited)
+
     def test_filter_paths_exercise_exits_and_clamps(self):
         b = simulate_filter_paths(curved(0.3), 300, 1e-2, RandomDevice(3))
         assert 0 < b.exited.sum() < 300 and b.max_clamp > 0.0
@@ -400,7 +424,7 @@ class TestPathMemory:
 
         def verify(dt, n):
             strategies = extract_strategies(surf, model, dt)
-            return mc_verify_sufficiency(model, surf, strategies, n, dt, device=RandomDevice(1),
+            return mc_verify_sufficiency(model, surf, strategies, n, device=RandomDevice(1),
                                          **payoffs)
 
         verify(1e-2, 2)  # a first call imports numpy.random, which is not path memory

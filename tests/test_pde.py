@@ -21,7 +21,7 @@ from asymdynkin.dynamics import (
     simulate_fixed_regime,
     simulate_regime_paths,
 )
-from asymdynkin.dynamics import NoConvergence, pde, strategies
+from asymdynkin.dynamics import NoConvergence, pde, strategies, verify
 from asymdynkin.dynamics.model import parse_expression
 from asymdynkin.dynamics.pde import (PDEStats, PDESurfaces, _factor, _implicit_matrix, _operator,
                                      _pi_copy)
@@ -215,8 +215,8 @@ class TestDegenerateReduction:
         # three surfaces match it on every pi row
         model, grid, surf = degenerate
         ref = reference_dynkin_1d(const(0.1), const(0.4), F, G, H, grid.t, grid.x)
-        for name in ("v", "u0", "u1"):
-            assert np.max(np.abs(getattr(surf, name) - ref[:, None, :])) <= 1e-8, name
+        for name, surface in (("v", surf.v), ("u0", surf.u[0]), ("u1", surf.u[1])):
+            assert np.max(np.abs(surface - ref[:, None, :])) <= 1e-8, name
 
     def test_identity_residual_small(self, degenerate):
         _, _, surf = degenerate
@@ -224,8 +224,7 @@ class TestDegenerateReduction:
 
     def test_obstacles_respected(self, degenerate):
         model, grid, surf = degenerate
-        assert np.all(surf.u0 <= 0.6 + 1e-10)
-        assert np.all(surf.u1 <= 0.6 + 1e-10)
+        assert np.all(surf.u <= 0.6 + 1e-10)
         assert np.all(surf.v >= -0.6 - 1e-10)
 
     def test_both_obstacles_bind_somewhere(self, degenerate):
@@ -233,7 +232,7 @@ class TestDegenerateReduction:
         # one obstacle never binds
         _, _, surf = degenerate
         assert surf.in_s.any()
-        assert surf.in_s0.any()
+        assert surf.in_sk[0].any()
 
 
 class TestGenericModel:
@@ -254,7 +253,7 @@ class TestGenericModel:
             surf = pde_solve_system(model, F, G, H, grid)
             ip = [int(round(p * (mpi - 1))) for p, _ in probes]
             ix = [int(round((x + 2.0) / 4.0 * (mx - 1))) for _, x in probes]
-            vals.append({name: getattr(surf, name)[0, ip, ix] for name in ("v", "u0", "u1")})
+            vals.append({name: w[0, ip, ix] for name, w in zip(("v", "u0", "u1"), (surf.v, *surf.u))})
         for name in ("v", "u0", "u1"):
             errors = [np.abs(level[name] - vals[-1][name]).max() for level in vals[:-1]]
             assert errors[0] > errors[1] > errors[2], (name, errors)
@@ -274,7 +273,7 @@ class TestSplittingStructure:
         _, grid, surf = request.getfixturevalue(case)
         assert surf.stats == PDEStats(2 * (grid.t.size - 1), 2)
         pi_col = grid.pi[:, None]
-        assert np.max(np.abs(surf.v - (pi_col * surf.u1 + (1.0 - pi_col) * surf.u0))) <= 1e-15
+        assert np.max(np.abs(surf.v - (pi_col * surf.u[1] + (1.0 - pi_col) * surf.u[0]))) <= 1e-15
 
     def test_singular_step_raises_no_convergence(self, monkeypatch):
         model, _, payoffs = _moving_sets()
@@ -315,9 +314,7 @@ class TestStrategyExtraction:
         forced[:] = True
         from asymdynkin.dynamics.pde import PDESurfaces
 
-        all_stop = PDESurfaces(
-            grid, surf.u0, surf.u1, surf.v, surf.in_s0, surf.in_s1, forced,
-        )
+        all_stop = PDESurfaces(grid, surf.u, surf.v, surf.in_sk, forced)
         smap = extract_strategies(all_stop, model, dt=0.05)
         x = np.zeros((3, 11))
         traj = smap.evaluate(x)
@@ -353,10 +350,10 @@ class TestStrategyExtraction:
                 0, grid.x.size - 1,
             )
             alive = traj.xi1[:, k] < 1.0 - 1e-9
-            for path in np.flatnonzero(surf.in_s1[ti, pj, xj] & alive):
+            for path in np.flatnonzero(surf.in_sk[1, ti, pj, xj] & alive):
                 d = 0
                 j = pj[path]
-                while j - d - 1 >= 0 and surf.in_s1[ti, j - d - 1, xj[path]]:
+                while j - d - 1 >= 0 and surf.in_sk[1, ti, j - d - 1, xj[path]]:
                     d += 1
                 depths.append(d)
         depths = np.asarray(depths) if depths else np.zeros(1, dtype=int)
@@ -382,7 +379,7 @@ def _lookup_u(surf, traj, x, regime):
     xi_i = np.clip(
         np.rint((x - grid.x[0]) / (grid.x[1] - grid.x[0])).astype(int), 0, grid.x.size - 1
     )
-    return surf.u(regime)[ti[None, :], pi_i, xi_i]
+    return surf.u[regime][ti[None, :], pi_i, xi_i]
 
 
 class TestMCVerify:
@@ -390,7 +387,7 @@ class TestMCVerify:
         model, grid, surf = degenerate
         smap = extract_strategies(surf, model, dt=0.025)
         rep = mc_verify_sufficiency(
-            model, surf, smap, n=2000, dt=0.025,
+            model, surf, smap, n=2000,
             device=RandomDevice(16), f=F, g=G, h=H,
         )
         assert rep["all_passed"]
@@ -399,13 +396,11 @@ class TestMCVerify:
         model, grid, surf = generic
         from asymdynkin.dynamics.pde import PDESurfaces
 
-        scaled = PDESurfaces(
-            grid, surf.u0, surf.u1, surf.v * 1.1 + 0.2, surf.in_s0, surf.in_s1, surf.in_s,
-        )
+        scaled = PDESurfaces(grid, surf.u, surf.v * 1.1 + 0.2, surf.in_sk, surf.in_s)
         assert scaled.identity_residual > 5e-2
         smap = extract_strategies(scaled, model, dt=0.05)
         rep = mc_verify_sufficiency(
-            model, scaled, smap, n=500, dt=0.05,
+            model, scaled, smap, n=500,
             device=RandomDevice(17), f=F, g=G, h=H,
         )
         assert not rep["(v) root identity"]["passed"]
@@ -428,17 +423,14 @@ class TestMCVerify:
 
         good = extract_strategies(surf, model, dt=0.025)
         rep = mc_verify_sufficiency(
-            model, surf, good, n=6000, dt=0.025,
+            model, surf, good, n=6000,
             device=RandomDevice(18), f=f2, g=g2, h=clipx,
         )
         assert rep["all_passed"]
-        empty = PDESurfaces(
-            grid, surf.u0, surf.u1, surf.v, surf.in_s0, surf.in_s1,
-            np.zeros_like(surf.in_s),
-        )
+        empty = PDESurfaces(grid, surf.u, surf.v, surf.in_sk, np.zeros_like(surf.in_s))
         bad = extract_strategies(empty, model, dt=0.025)
         rep2 = mc_verify_sufficiency(
-            model, surf, bad, n=6000, dt=0.025,
+            model, surf, bad, n=6000,
             device=RandomDevice(18), f=f2, g=g2, h=clipx,
         )
         assert not rep2["(ii) N0"]["passed"]
@@ -455,10 +447,22 @@ class TestMCVerify:
 
         monkeypatch.setattr(strategies, "_run_edges", counted)
         smap = extract_strategies(surf, model, dt=0.05)
-        mc_verify_sufficiency(model, surf, smap, n=20, dt=0.05, device=RandomDevice(1), f=F, g=G, h=H)
+        mc_verify_sufficiency(model, surf, smap, n=20, device=RandomDevice(1), f=F, g=G, h=H)
         assert len(calls) == 2
         smap.evaluate(*_paths(model, "regime", 10, 0.05, 1))
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("dt", [0.01, 0.02])
+    def test_paths_step_at_the_strategies_dt(self, generic, dt):
+        # the simulated paths and the maps' clock both step at strategies.dt:
+        # the clock ends at the horizon, and the informed checks pass
+        model, _, surf = generic
+        smap = extract_strategies(surf, model, dt=dt)
+        clock = [t[0] for t, *_ in verify._trajectory_rows(model, smap, 5, RandomDevice(0), 1)]
+        assert len(clock) == round(model.horizon / dt) + 1
+        assert clock[-1] == pytest.approx(model.horizon, abs=1e-12)
+        rep = mc_verify_sufficiency(model, surf, smap, n=500, device=RandomDevice(0), f=F, g=G, h=H)
+        assert rep["(i) M0 regime 0"]["passed"] and rep["(i) M0 regime 1"]["passed"]
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_no_paths_raises(self, generic, n):
@@ -466,7 +470,7 @@ class TestMCVerify:
         model, _, surf = generic
         with pytest.raises(ValueError, match="n must be at least 1"):
             mc_verify_sufficiency(model, surf, extract_strategies(surf, model, dt=0.01), n=n,
-                                  dt=0.01, f=F, g=G, h=H)
+                                  f=F, g=G, h=H)
 
     # the streamed checks against the whole-array verifier they replace: one
     # and two paths (no band, the smallest band), the old block size of 250
@@ -478,7 +482,7 @@ class TestMCVerify:
         model, _, surf = request.getfixturevalue(case)
         payoffs = dict(zip("fgh", (F, G, H) if case == "generic" else _moving_sets()[2]))
         smap = extract_strategies(surf, model, dt=dt)
-        reports = [verify(model, surf, smap, n, dt, device=RandomDevice(n + 40), **payoffs)
+        reports = [verify(model, surf, smap, n, device=RandomDevice(n + 40), **payoffs)
                    for verify in (mc_verify_sufficiency, ref_mc_verify_sufficiency)]
         assert json.dumps(reports[0]) == json.dumps(reports[1])
 
@@ -529,8 +533,7 @@ class TestRunEdges:
         # part of the mass, which the converged fixture never does
         model, grid, surf = generic
         rng = np.random.default_rng(3)
-        in_s0, in_s1 = (rng.random((2,) + surf.in_s.shape) < 0.35)
-        sets = PDESurfaces(grid, surf.u0, surf.u1, surf.v, in_s0, in_s1,
+        sets = PDESurfaces(grid, surf.u, surf.v, rng.random(surf.u.shape) < 0.35,
                            rng.random(surf.in_s.shape) < 0.01)
         x, psi = _paths(model, "regime", 200, 0.01, 7)
         traj = _assert_evaluate_matches_reference(extract_strategies(sets, model, dt=0.01), x, psi)
@@ -570,7 +573,7 @@ class TestPinnedArtifacts:
         model, _, surf = request.getfixturevalue(case)
         payoffs = (F, G, H) if case == "generic" else _moving_sets()[2]
         rep = mc_verify_sufficiency(
-            model, surf, extract_strategies(surf, model, dt=dt), n=n, dt=dt,
+            model, surf, extract_strategies(surf, model, dt=dt), n=n,
             device=RandomDevice(seed), **dict(zip("fgh", payoffs)),
         )
         text = json.dumps(rep, sort_keys=True, separators=(",", ":"))

@@ -428,17 +428,24 @@ class TestCertifyStop:
     def test_nan_fails_every_check(self):
         game, sol, prof, surf = oracle_equilibrium(seed=14)
         u_root, v_root = surf.root_values()
-        cert = certify_stop(game, prof, np.array([np.nan, u_root[1]]), v_root)
+        cert = certify_stop(game, prof, _with_roots(surf, np.array([np.nan, u_root[1]]), v_root))
         assert [c for c, _, _ in cert.violations] == ["(i) pure tau regime 0", "(iii) root values"]
         # the informed flows run against zeta, the uninformed ones against xi
         levels = prof.zeta.levels.copy()
         levels[0] = np.nan
         bad = StrategyProfile(prof.xi, GeneratingProcess.from_levels(levels, game.tree))
-        cert = certify_stop(game, bad, u_root, v_root)
+        cert = certify_stop(game, bad, surf)
         assert [c for c, _, _ in cert.violations] == ["(i) pure tau regime 0", "(i) pure tau regime 1"]
         bad = StrategyProfile((GeneratingProcess.from_levels(levels, game.tree), prof.xi1), prof.zeta)
-        cert = certify_stop(game, bad, u_root, v_root)
+        cert = certify_stop(game, bad, surf)
         assert [c for c, _, _ in cert.violations] == ["(ii) pure sigma"]
+
+
+def _with_roots(surf, u_root, v_root):
+    """``surf`` with other root values: the candidate values ``certify_stop`` judges."""
+    u_hat, v_hat = surf.u_hat.copy(), surf.v_hat.copy()
+    u_hat[:, 0], v_hat[0] = u_root, v_root
+    return dataclasses.replace(surf, u_hat=u_hat, v_hat=v_hat)
 
 
 def _plan_pass(game, prof):
@@ -449,11 +456,11 @@ def _plan_pass(game, prof):
 
 def _assert_matches_enumeration(game, prof, eq_roots):
     """Verdicts against the enumerating reference, and the pass's numbers against enumeration."""
-    own = best_response_values(game, prof).root_values()
+    surf = best_response_values(game, prof)
     u_eq, v_eq = eq_roots
-    for u_root, v_root in [own, eq_roots, (u_eq + 1e-6, v_eq), (u_eq, v_eq - 1e-6),
+    for u_root, v_root in [surf.root_values(), eq_roots, (u_eq + 1e-6, v_eq), (u_eq, v_eq - 1e-6),
                            (u_eq - 1e-6, v_eq + 1e-6)]:
-        cert = certify_stop(game, prof, u_root, v_root)
+        cert = certify_stop(game, prof, _with_roots(surf, u_root, v_root))
         ref = ref_certify_stop(game, prof, u_root, v_root)
         assert cert.certified == ref.certified
         assert {c for c, _, _ in cert.violations} == {c for c, _, _ in ref.violations}
