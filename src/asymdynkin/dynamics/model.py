@@ -156,9 +156,10 @@ def generator_coefficients(model: DiffusionModel, pi, x, mode: str) -> tuple:
     return drift_x, drift_pi, 0.5 * sig**2, half_var_pi, sig * w * pi * (1.0 - pi)
 
 
-def filter_step(model: DiffusionModel, x, psi, db):
-    """Unclamped Euler step psi + w(x) psi (1 - psi) dB of the filter SDE."""
-    return psi + model.w(x) * psi * (1.0 - psi) * db
+def filter_step(w, psi, db):
+    """Unclamped Euler step psi + w psi (1 - psi) dB of the filter SDE, with w = w(X) the
+    signal-to-noise ratio at the step's start."""
+    return psi + w * psi * (1.0 - psi) * db
 
 
 def expression_field(data: dict, key: str) -> Callable[[np.ndarray], np.ndarray]:

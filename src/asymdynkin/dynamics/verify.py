@@ -29,6 +29,8 @@ confidence band, never an exception.
 
 from __future__ import annotations
 
+from contextlib import closing
+
 import numpy as np
 
 from ..core import _ACTIVE_BELOW, RandomDevice, _belief_weights, _type_mix, payoff_flows
@@ -153,18 +155,19 @@ def _trajectory_rows(model, strategies, n: int, device, regime: int | None):
     do; with None the regime is drawn per path and the Bayes posterior
     filters, as in ``simulate_regime_paths``.  The paths step at the maps' dt,
     and ``t`` is the step's time as a one-element axis, which broadcasts.
+    Closing the generator ends the draws.
     """
     dt = strategies.dt
     steps = _time_axis(model, dt).size - 1
-    if regime is None:
-        rows = _regime_rows(model, _draw_regime(model, n, device), steps, dt, _draws(device, n, dt))
-    else:
-        paths = _regime_rows(model, np.full(n, regime), steps, dt, _draws(device, n, dt),
-                             posterior=False)
-        rows = _innovation_rows(model, (x for x, _ in paths), dt)
-    t = np.arange(steps + 1) * dt  # evaluate's clock
-    for k, row in enumerate(strategies._rows(rows, t)):
-        yield (t[k:k + 1], *row)
+    with _draws(device, n, dt, steps) as increments:
+        if regime is None:
+            rows = _regime_rows(model, _draw_regime(model, n, device), dt, increments)
+        else:
+            paths = _regime_rows(model, np.full(n, regime), dt, increments, posterior=False)
+            rows = _innovation_rows(model, (x for x, _ in paths), dt)
+        t = np.arange(steps + 1) * dt  # evaluate's clock
+        for k, row in enumerate(strategies._rows(rows, t)):
+            yield (t[k:k + 1], *row)
 
 
 def _informed_flows(rows, surfaces, i: int, payoffs, n: int):
@@ -231,17 +234,20 @@ def mc_verify_sufficiency(
         return [np.asarray(fn(t, x), dtype=float) for fn in (f, g, h)]
 
     # (i) informed-side submartingales and (iii) informed obstacles along
-    # fixed-regime paths
+    # fixed-regime paths; each path set's rows are closed, and so end their
+    # draws, also when a payoff raises
     for i in range(2):
-        rows = _trajectory_rows(model, strategies, n, device.with_stream(device.stream + 10 + i), i)
-        report[f"(i) M0 regime {i}"], report[f"(iii) obstacle U{i}"] = _path_set_checks(
-            _informed_flows(rows, surfaces, i, payoffs, n), +1.0, atol, tol, alpha)
+        device_i = device.with_stream(device.stream + 10 + i)
+        with closing(_trajectory_rows(model, strategies, n, device_i, i)) as rows:
+            report[f"(i) M0 regime {i}"], report[f"(iii) obstacle U{i}"] = _path_set_checks(
+                _informed_flows(rows, surfaces, i, payoffs, n), +1.0, atol, tol, alpha)
 
     # (ii) uninformed-side supermartingale and (iv) uninformed obstacle under
     # the observation law
-    rows = _trajectory_rows(model, strategies, n, device.with_stream(device.stream + 20), None)
-    report["(ii) N0"], report["(iv) obstacle V"] = _path_set_checks(
-        _observation_flows(rows, surfaces, payoffs, n), -1.0, atol, tol, alpha)
+    with closing(_trajectory_rows(model, strategies, n, device.with_stream(device.stream + 20),
+                                  None)) as rows:
+        report["(ii) N0"], report["(iv) obstacle V"] = _path_set_checks(
+            _observation_flows(rows, surfaces, payoffs, n), -1.0, atol, tol, alpha)
 
     # (v) root identity
     point = (np.array([0.0]), np.array([model.prior]), np.array([model.x0]))

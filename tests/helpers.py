@@ -553,7 +553,7 @@ def ref_filter_paths(model, n: int, dt: float, device):
         xk, pk = x[:, k], psi[:, k]
         db = rng.standard_normal(n) * sqdt
         x[:, k + 1] = xk + model.mu_bar(xk, pk) * dt + np.asarray(model.sigma(xk)) * db
-        raw = filter_step(model, xk, pk, db)
+        raw = filter_step(model.w(xk), pk, db)
         max_clamp = max(max_clamp, float(np.max(raw - 1.0, initial=0.0)), float(np.max(-raw, initial=0.0)))
         psi[:, k + 1] = np.clip(raw, 0.0, 1.0)
         exited |= (x[:, k + 1] < lo) | (x[:, k + 1] > hi)
@@ -595,7 +595,7 @@ def ref_psi_from_innovation(model, x: np.ndarray, dt: float) -> np.ndarray:
         xk, pk = x[:, k], psi[:, k]
         s = np.asarray(model.sigma(xk), dtype=float)
         db = (x[:, k + 1] - xk - model.mu_bar(xk, pk) * dt) / s
-        psi[:, k + 1] = np.clip(filter_step(model, xk, pk, db), 0.0, 1.0)
+        psi[:, k + 1] = np.clip(filter_step(model.w(xk), pk, db), 0.0, 1.0)
     return psi
 
 
@@ -686,7 +686,7 @@ def mc_generator_drift(
         db = dw
     else:
         db = (x1 - x - float(model.mu_bar(x, pi)) * dt) / s
-    psi1 = np.clip(filter_step(model, x, pi, db), 0.0, 1.0)
+    psi1 = np.clip(filter_step(model.w(x), pi, db), 0.0, 1.0)
     vals = (np.asarray(phi.value(psi1, x1), dtype=float) - float(phi.value(pi, x))) / dt
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n))
 

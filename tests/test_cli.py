@@ -801,7 +801,8 @@ class TestImports:
     def test_commands_without_lp_or_pde_load_no_scipy(self, game_file, model_file, tmp_path):
         # the import graph is per process, so it is checked in a fresh interpreter:
         # oracle loads HiGHS's binding alone and pde SuperLU's, never the scipy
-        # package around them, and no command loads numpy.ma; extract and
+        # package around them, no command loads numpy.ma, and no small path set
+        # loads the thread pool that draws large ones ahead; extract and
         # dynamics verify read the surfaces that a pde run here wrote
         path, _ = game_file
         eq, dyn = tmp_path / "eq", tmp_path / "dyn"
@@ -814,7 +815,8 @@ class TestImports:
             from asymdynkin.cli import main
 
             def loaded():
-                return [m for m in ("scipy", "scipy.optimize", "scipy.sparse", "numpy.ma")
+                return [m for m in ("scipy", "scipy.optimize", "scipy.sparse", "numpy.ma",
+                                    "concurrent.futures", "queue")
                         if m in sys.modules]
 
             assert not loaded(), ("import", loaded())

@@ -1,12 +1,17 @@
 import dataclasses
+import os
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import asymdynkin
 from asymdynkin import gameio
 from asymdynkin.core import RandomDevice
 from asymdynkin.dynamics import (
@@ -22,7 +27,7 @@ from asymdynkin.dynamics import (
     simulate_fixed_regime,
     simulate_regime_paths,
 )
-from asymdynkin.dynamics.simulate import filter_self_convergence
+from asymdynkin.dynamics.simulate import _DRAW_AHEAD_PATHS, filter_self_convergence
 from helpers import (analytic_generator, generator_check, mc_generator_drift, ref_filter_paths,
                      ref_parse_expression, ref_psi_from_innovation, ref_regime_euler,
                      standard_test_functions)
@@ -379,6 +384,144 @@ class TestTimeMajorLoops:
         assert np.array_equal(psi, np.full((4, 1), 0.5))
 
 
+# the path counts just below and at the one from which a helper thread draws ahead
+AHEAD = [pytest.param(_DRAW_AHEAD_PATHS - 1, id="inline"),
+         pytest.param(_DRAW_AHEAD_PATHS, id="ahead")]
+
+# The cases run in a fresh interpreter under a timeout, so that a thread left
+# waiting fails the test instead of hanging the session at exit.
+_LIFETIME_SCRIPT = """
+import threading
+import numpy as np
+from asymdynkin.core import RandomDevice
+from asymdynkin.dynamics import (DiffusionModel, PDEGrid, extract_strategies,
+                                 mc_verify_sufficiency, pde_solve_system, simulate_filter_paths)
+from asymdynkin.dynamics.simulate import _DRAW_AHEAD_PATHS as N
+from asymdynkin.dynamics.verify import _trajectory_rows
+
+BEFORE = threading.active_count()
+seen = []  # the thread count while a step of N paths runs
+
+
+def drift(c, fail_at=None):
+    def mu(x):
+        if np.size(x) == N:
+            seen.append(threading.active_count())
+            if fail_at is not None and len(seen) >= fail_at:
+                raise ArithmeticError("drift fails mid-path")
+        return c + 0.0 * np.asarray(x, dtype=float)
+    return mu
+
+
+def model(fail_at=None):
+    return DiffusionModel(mu0=drift(-0.4, fail_at), mu1=drift(0.4), sigma=lambda x: 0.5 + 0.0 * x,
+                          x0=0.0, prior=0.5, horizon=1.0, domain=(-2.0, 2.0))
+
+
+def check(case):
+    assert seen and max(seen) == BEFORE + 1, (case, "the helper did not run", seen)
+    assert threading.active_count() == BEFORE, (case, threading.enumerate())
+    seen.clear()
+
+
+def raises(case, fn, error, text):
+    try:
+        fn()
+    except error as exc:
+        assert text in str(exc), exc
+        check(case)  # while the traceback still holds the call's frames
+        return str(exc)
+    raise AssertionError(f"{case}: no {error.__name__}")
+
+
+simulate_filter_paths(model(), N, 0.1, RandomDevice(1))
+check("return")
+
+raises("coefficient", lambda: simulate_filter_paths(model(fail_at=8), N, 0.1, RandomDevice(1)),
+       ArithmeticError, "drift fails mid-path")
+
+payoffs = dict(f=lambda t, x: 0.6 + 0.0 * x + 0.0 * t, g=lambda t, x: -0.6 + 0.0 * x + 0.0 * t,
+               h=lambda t, x: 0.0 * x + 0.0 * t)
+surf = pde_solve_system(model(), *payoffs.values(), PDEGrid.regular(1.0, (-2.0, 2.0), 11, 5, 21))
+smap = extract_strategies(surf, model(), 0.1)
+rows = _trajectory_rows(model(), smap, N, RandomDevice(1), 1)
+for _ in range(3):
+    next(rows)
+rows.close()
+check("closed rows")
+
+
+def h_fails(t, x):
+    if t[0] >= 0.5:
+        raise ArithmeticError("payoff fails mid-path")
+    return 0.0 * x + 0.0 * t
+
+
+raises("payoff", lambda: mc_verify_sufficiency(model(), surf, smap, N, device=RandomDevice(1),
+                                               **{**payoffs, "h": h_fails}),
+       ArithmeticError, "payoff fails mid-path")
+
+
+class FailingDraws:
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def standard_normal(self, n):
+        self.calls += 1
+        if self.calls == 4:
+            raise FloatingPointError(f"draw fails on {threading.current_thread().name}")
+        return self.rng.standard_normal(n)
+
+
+generator = RandomDevice.generator
+RandomDevice.generator = lambda self: FailingDraws(generator(self))
+text = raises("draw", lambda: simulate_filter_paths(model(), N, 0.1, RandomDevice(1)),
+              FloatingPointError, "draw fails on ")
+assert "MainThread" not in text, text
+print("ok")
+"""
+
+
+class TestDrawAhead:
+    """From ``_DRAW_AHEAD_PATHS`` paths a helper thread draws the increments ahead: the
+    paths stay bit for bit those of the references, and no thread outlives a call."""
+
+    @pytest.mark.parametrize("n", AHEAD)
+    def test_filter_paths(self, n):
+        m, dt = curved(0.3), 0.1
+        b = simulate_filter_paths(m, n, dt, RandomDevice(3))
+        x, psi, exited, max_clamp = ref_filter_paths(m, n, dt, RandomDevice(3))
+        assert np.array_equal(b.x, x) and np.array_equal(b.psi, psi)
+        assert np.array_equal(b.exited, exited) and b.max_clamp == max_clamp
+        assert 0 < exited.sum() < n and max_clamp > 0.0
+
+    @pytest.mark.parametrize("n", AHEAD)
+    def test_regime_paths(self, n):
+        m, dt = curved(0.3), 0.1
+        b = simulate_regime_paths(m, n, dt, RandomDevice(4))
+        regime, draw = regime_draws(m, n, dt, RandomDevice(4))
+        x, psi, exited = ref_regime_euler(m, regime, 10, dt, draw)
+        assert np.array_equal(b.regime, regime)
+        assert np.array_equal(b.x, x) and np.array_equal(b.psi, psi)
+        assert np.array_equal(b.exited, exited)
+
+    @pytest.mark.parametrize("n", AHEAD)
+    @pytest.mark.parametrize("regime", [0, 1])
+    def test_fixed_regime(self, n, regime):
+        m, dt = curved(0.3), 0.1
+        x = simulate_fixed_regime(m, regime, n, dt, RandomDevice(5))
+        _, draw = regime_draws(m, n, dt, RandomDevice(5))
+        assert np.array_equal(x, ref_regime_euler(m, np.full(n, regime), 10, dt, draw)[0])
+
+    def test_no_thread_outlives_a_call(self):
+        # a return, a coefficient or a payoff that raises mid-path, rows closed
+        # early, and a draw that raises on the helper thread and reaches the caller
+        src = str(Path(asymdynkin.__file__).parents[1])
+        proc = subprocess.run([sys.executable, "-c", _LIFETIME_SCRIPT], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert proc.returncode == 0 and proc.stdout == "ok\n", proc.stderr
+
+
 def traced_peak(fn, *args) -> int:
     """Peak bytes numpy and Python hold while fn(*args) runs."""
     tracemalloc.start()
@@ -404,6 +547,13 @@ class TestPathMemory:
         peak = traced_peak(simulate_filter_paths, model, self.n, self.dt, RandomDevice(1))
         assert peak <= 2.1 * self.array
 
+    def test_filter_paths_peak_with_draws_ahead(self, model):
+        # the rows drawn ahead are vectors of n floats beside the two path arrays
+        n = _DRAW_AHEAD_PATHS
+        simulate_filter_paths(model, n, 0.5, RandomDevice(1))  # the helper's first run imports
+        peak = traced_peak(simulate_filter_paths, model, n, self.dt, RandomDevice(1))
+        assert peak <= 2.1 * n * 501 * 8
+
     def test_fixed_regime_peak_is_x(self, model):
         peak = traced_peak(simulate_fixed_regime, model, 1, self.n, self.dt, RandomDevice(1))
         assert peak <= 1.1 * self.array
@@ -413,10 +563,9 @@ class TestPathMemory:
         peak = traced_peak(psi_from_innovation, model, x, self.dt)
         assert peak <= 1.1 * self.array
 
-    def test_mc_verify_peak(self, model):
-        # each path set is one time-major pass that holds per-path vectors:
-        # about 37 vectors of n floats at the peak, beside the strategy maps'
-        # two grid-sized edge tables, however many steps the paths take
+    @staticmethod
+    def verifier(model):
+        """(verify(dt, n), the bytes of one grid-sized table) on a 21x11x41 solve."""
         payoffs = dict(f=lambda t, x: 0.6 + 0.0 * x + 0.0 * t, g=lambda t, x: -0.6 + 0.0 * x + 0.0 * t,
                        h=lambda t, x: 0.5 * np.tanh(x) + 0.0 * t)
         grid = PDEGrid.regular(1.0, model.domain, 21, 11, 41)
@@ -427,11 +576,24 @@ class TestPathMemory:
             return mc_verify_sufficiency(model, surf, strategies, n, device=RandomDevice(1),
                                          **payoffs)
 
+        return verify, surf.in_s.size * 8
+
+    def test_mc_verify_peak(self, model):
+        # each path set is one time-major pass that holds per-path vectors:
+        # about 37 vectors of n floats at the peak, beside the strategy maps'
+        # two grid-sized edge tables, however many steps the paths take
+        verify, table = self.verifier(model)
         verify(1e-2, 2)  # a first call imports numpy.random, which is not path memory
         peak = {dt: traced_peak(verify, dt, self.n) for dt in (1e-2, 2.5e-3)}
-        vector, table = self.n * 8, surf.in_s.size * 8
-        assert peak[1e-2] <= 48 * vector + 2 * table
+        assert peak[1e-2] <= 48 * self.n * 8 + 2 * table
         assert peak[2.5e-3] <= 1.2 * peak[1e-2]
+
+    def test_mc_verify_peak_with_draws_ahead(self, model):
+        # the same bound where a helper thread draws each path set's rows ahead
+        verify, table = self.verifier(model)
+        n = _DRAW_AHEAD_PATHS
+        verify(0.5, n)  # the helper's first run imports, which is not path memory
+        assert traced_peak(verify, 1e-2, n) <= 48 * n * 8 + 2 * table
 
     def test_paths_csv_streams(self, model, tmp_path):
         # paths.csv is written a path's lines at a time: the text of 1 000 paths

@@ -23,6 +23,7 @@ from asymdynkin.dynamics import (
 )
 from asymdynkin.dynamics import NoConvergence, pde, strategies, verify
 from asymdynkin.dynamics.model import parse_expression
+from asymdynkin.dynamics.simulate import _DRAW_AHEAD_PATHS
 from asymdynkin.dynamics.pde import (PDEStats, PDESurfaces, _factor, _implicit_matrix, _operator,
                                      _pi_copy)
 
@@ -483,6 +484,17 @@ class TestMCVerify:
         payoffs = dict(zip("fgh", (F, G, H) if case == "generic" else _moving_sets()[2]))
         smap = extract_strategies(surf, model, dt=dt)
         reports = [verify(model, surf, smap, n, device=RandomDevice(n + 40), **payoffs)
+                   for verify in (mc_verify_sufficiency, ref_mc_verify_sufficiency)]
+        assert json.dumps(reports[0]) == json.dumps(reports[1])
+
+    # just below and at the path count from which a helper thread draws each
+    # path set's increments ahead
+    @pytest.mark.parametrize("n", [_DRAW_AHEAD_PATHS - 1, _DRAW_AHEAD_PATHS], ids=["inline", "ahead"])
+    def test_matches_whole_array_reference_with_draws_ahead(self, moving, n):
+        model, _, surf = moving
+        payoffs = dict(zip("fgh", _moving_sets()[2]))
+        smap = extract_strategies(surf, model, dt=0.1)
+        reports = [verify(model, surf, smap, n, device=RandomDevice(n), **payoffs)
                    for verify in (mc_verify_sufficiency, ref_mc_verify_sufficiency)]
         assert json.dumps(reports[0]) == json.dumps(reports[1])
 
