@@ -84,7 +84,7 @@ print(f"  v(0, pi, 0) across beliefs: {np.round(slice0, 3)}")
 # --------------------------------------------------------------------------
 strategies = extract_strategies(surf, model, dt=0.0125)
 report = mc_verify_sufficiency(
-    model, surf, strategies, n=4000,
+    strategies, n=4000,
     device=RandomDevice(seed=11), f=F, g=G, h=H,
 )
 print("\nMonte Carlo verification of the extracted strategies:")

@@ -192,12 +192,14 @@ def _open_dynamics(args):
     return model, data, _out_dir(args)
 
 
-def _read_surfaces(out: Path):
+def _read_strategies(out: Path, model, dt: float):
+    """The strategy map of ``out``'s surfaces for ``model``; surfaces solved for another
+    horizon or domain are malformed."""
     surf_path = out / "surfaces.npy"
     if not surf_path.is_file():
         raise InputError(f"surfaces: {surf_path} not found (run 'dynamics pde' first)")
     with _reading("surfaces"):
-        return gameio.surfaces_from_npy(surf_path)
+        return extract_strategies(gameio.surfaces_from_npy(surf_path), model, dt)
 
 
 def cmd_simulate(args) -> int:
@@ -228,7 +230,7 @@ def cmd_pde(args) -> int:
 
 def cmd_extract(args) -> int:
     model, _, out = _open_dynamics(args)
-    strategies = extract_strategies(_read_surfaces(out), model, args.dt)
+    strategies = _read_strategies(out, model, args.dt)
     bundle = simulate_regime_paths(model, args.paths, args.dt, RandomDevice(seed=args.seed))
     traj = strategies.evaluate(bundle.x, psi=bundle.psi)
     gameio.trajectories_csv(out / "trajectories.csv", traj, vars(args))
@@ -239,12 +241,10 @@ def cmd_extract(args) -> int:
 
 def cmd_dynamics_verify(args) -> int:
     model, data, out = _open_dynamics(args)
-    surfaces = _read_surfaces(out)
-    strategies = extract_strategies(surfaces, model, args.dt)
+    strategies = _read_strategies(out, model, args.dt)
     f, g, h = _payoff_callables(data, model)
     report = mc_verify_sufficiency(
-        model, surfaces, strategies,
-        n=args.paths, alpha=args.alpha, tol=args.vtol,
+        strategies, n=args.paths, alpha=args.alpha, tol=args.vtol,
         device=RandomDevice(seed=args.seed), f=f, g=g, h=h,
     )
     gameio.write_json(out / "verify_report.json", {"report": report, "config": vars(args)})

@@ -29,7 +29,8 @@ the size of its subtree and every node's sum is one ``np.add.reduceat``.
 
 The belief rules both pipelines share are stated once, here: the weights
 (1 - p, p) of a belief p, ``_belief_weights``; every mix over the types,
-``_type_mix``; the Bayes update ``_posterior``; the thresholds
+``_type_mix``; a player's flows against the K opponent rows, mixed by those
+weights, ``_mixed_flows``; the Bayes update ``_posterior``; the thresholds
 ``_SURVIVAL_FLOOR`` (survival exhausted) and ``_ACTIVE_BELOW`` (still in play).
 """
 
@@ -507,6 +508,16 @@ def _type_mix(weights, values):
 def _belief_weights(p):
     """The type weights (1 - p, p) of a belief p = P(type 1), for ``_type_mix``."""
     return 1.0 - p, p
+
+
+def _mixed_flows(weights, own_first, opp_first, tie, opp_levels, opp_steps, opp_pre):
+    """(stop, run, survival) of a player against K opponent rows, each mixed by ``weights``.
+
+    The rows lead with the type axis: ``payoff_flows`` against each opponent
+    row, and the survival 1 - ``opp_pre``, then ``_type_mix`` over that axis.
+    """
+    stop, run = payoff_flows(own_first, opp_first, tie, opp_levels, opp_steps)
+    return tuple(_type_mix(weights, kind) for kind in (stop, run, 1.0 - opp_pre))
 
 
 def _safe_ratio(num, den, fallback=1.0):

@@ -121,10 +121,14 @@ def _regime_rows(
 
 def _stack(rows, shape: tuple[int, ...]) -> np.ndarray:
     """``rows`` in a buffer of ``shape`` (..., steps + 1, paths), allocated before the first
-    row is drawn, row k at ``[..., k, :]``; returned as its view ``[..., path, step]``."""
+    row is drawn, row k at ``[..., k, :]``; returned as its view ``[..., path, step]``.
+    Raises ValueError if the rows end before the buffer's last row."""
     out = np.empty(shape)
+    k = -1
     for k, row in enumerate(rows):
         out[..., k, :] = row
+    if k + 1 != shape[-2]:
+        raise ValueError(f"{k + 1} rows for a buffer of {shape[-2]}")
     return np.swapaxes(out, -1, -2)
 
 

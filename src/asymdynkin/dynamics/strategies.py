@@ -1,5 +1,12 @@
 """Grid-indexed equilibrium strategy maps and their path evaluation.
 
+A ``StrategyMap`` is the candidate equilibrium of the diffusion game: the
+surfaces (u0, u1, v) with their stopping sets, the model they were solved
+for, and the clock dt at which the strategies act.  It refuses surfaces whose
+t grid does not span [0, T] or whose x grid does not span the model's domain,
+since every lookup would clip silently to the grid's edges; the Monte Carlo
+verification reads the model, the surfaces and dt off the map alone.
+
 The uninformed player stops at the first grid time the state (t, p, x)
 enters her stopping set.  Each informed incarnation, when the belief sits on
 or beyond the boundary of its stopping set, adds the minimal stopping mass
@@ -14,16 +21,18 @@ for incarnation 1, which moves p down, and (edge, p) for incarnation 0,
 which moves it up.  The edge is ``pde._run_edges``, the rule the PDE's
 belief-flattening copy uses.
 
-The stopping sets of the two incarnations are read off the surfaces' type
-axis, ``PDESurfaces.in_sk``, row 0 for incarnation 0 and row 1 for
-incarnation 1.
+The incarnations are one type axis throughout, row k for incarnation k:
+their stopping sets are the rows of ``PDESurfaces.in_sk``, their survivals
+the rows of one (2, paths) array, and their generating processes the rows of
+``TrajectorySet.xi``, (2, paths, steps + 1).
 
 Like the Euler loops of ``simulate``, the evaluation is written once, as a
 row generator, ``StrategyMap._rows``: it reflects all paths at once with
 whole-array operations and yields one time row per step, each a fresh vector
 over the paths.  ``evaluate`` collects the rows with ``simulate._stack``, the
 collector of the simulators, into one time-major ``(4, steps + 1, paths)``
-buffer; the Monte Carlo verification consumes them a step at a time.
+buffer, and refuses a ``psi`` that is not shaped like the paths; the Monte
+Carlo verification consumes the rows a step at a time.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ..core import _belief_weights, _posterior
+from ..core import ShapeMismatchError, _belief_weights, _posterior
 from .model import DiffusionModel
 from .pde import PDESurfaces, _run_edges
 from .simulate import _stack, psi_from_innovation
@@ -43,14 +52,17 @@ __all__ = ["StrategyMap", "TrajectorySet", "extract_strategies"]
 
 @dataclass(frozen=True)
 class TrajectorySet:
-    """Generating-process trajectories produced on a batch of X-paths."""
+    """Generating-process trajectories produced on a batch of X-paths.
+
+    ``xi`` leads with the type axis, (2, paths, steps + 1): ``xi[k]`` is
+    incarnation k's process.
+    """
 
     t: np.ndarray
     x: np.ndarray
     psi: np.ndarray
     p: np.ndarray
-    xi0: np.ndarray
-    xi1: np.ndarray
+    xi: np.ndarray
     zeta: np.ndarray
 
 
@@ -67,6 +79,15 @@ class StrategyMap:
     surfaces: PDESurfaces
     dt: float
 
+    def __post_init__(self):
+        grid = self.surfaces.grid
+        for name, axis, (lo, hi) in (("t", grid.t, (0.0, self.model.horizon)),
+                                     ("x", grid.x, self.model.domain)):
+            slack = 1e-9 * (axis[1] - axis[0])  # PDEGrid's spacing slack
+            if abs(axis[0] - lo) > slack or abs(axis[-1] - hi) > slack:
+                raise ValueError(f"the {name} grid spans [{axis[0]!r}, {axis[-1]!r}], "
+                                 f"not the model's [{float(lo)!r}, {float(hi)!r}]")
+
     @cached_property
     def _edges(self) -> tuple[np.ndarray, np.ndarray]:
         """(floor1, ceil0) per grid cell: incarnation 1 pushes the belief down
@@ -81,24 +102,29 @@ class StrategyMap:
         """Run the strategy maps along observed X-paths.
 
         ``psi`` defaults to the innovation-filter posterior computed from the
-        paths themselves.  ``p``, ``xi0``, ``xi1`` and ``zeta`` are transposed
-        views of time-major buffers, indexed ``[path, step]`` like ``x_paths``.
+        paths themselves, and must have their shape otherwise.  ``p``, ``xi`` and
+        ``zeta`` are transposed views of one time-major buffer, indexed
+        ``[..., path, step]`` like ``x_paths``.
         """
         n, steps = x_paths.shape[0], x_paths.shape[1] - 1
         if psi is None:
             psi = psi_from_innovation(self.model, x_paths, self.dt)
+        elif psi.shape != x_paths.shape:
+            raise ShapeMismatchError(f"psi has shape {psi.shape}, the paths {x_paths.shape}")
         t = np.arange(steps + 1) * self.dt
         self._edges  # built before the buffer, so its temporaries never sit on top of it
-        levels = _stack((row[2:] for row in self._rows(zip(x_paths.T, psi.T), t)), (4, steps + 1, n))
-        return TrajectorySet(t, x_paths, psi, *levels)
+        rows = self._rows(zip(x_paths.T, psi.T), t)
+        levels = _stack(((p, *xi, zeta) for _, _, p, xi, zeta in rows), (4, steps + 1, n))
+        return TrajectorySet(t, x_paths, psi, levels[0], levels[1:-1], levels[-1])
 
     def _rows(self, rows, t: np.ndarray):
-        """Rows (x, psi, p, xi0, xi1, zeta) of the strategy maps at the times ``t``.
+        """Rows (x, psi, p, xi, zeta) of the strategy maps at the times ``t``.
 
         ``rows`` yields the observed (x_k, psi_k) of every time in ``t``.
         Survivals of the two incarnations evolve through the one push rule,
         and zeta jumps at the first entry into the uninformed stopping set.
-        Everyone stops at the last time.
+        Everyone stops at the last time.  ``xi`` is a fresh (2, paths) row,
+        never a view of the survivals, which change in place.
         """
         surf = self.surfaces
         gpi, gx = surf.grid.pi, surf.grid.x
@@ -112,8 +138,7 @@ class StrategyMap:
                 stopped_unin = np.zeros(xk.size, dtype=bool)
             weights = _belief_weights(psik)
             if k == steps:  # a forced terminal stop for everyone left
-                done = np.ones(xk.size)
-                yield xk, psik, _posterior(weights, s, psik)[0], done, done, done
+                yield xk, psik, _posterior(weights, s, psik)[0], np.ones(s.shape), np.ones(xk.size)
                 return
             p = _posterior(weights, s, psik)[0]
             # discrete reflection: push the belief back to the edge node of
@@ -131,7 +156,7 @@ class StrategyMap:
             p = _posterior(weights, s, p)[0]
             stopped_unin |= surf.in_s[time_idx[k], _nearest(gpi, p), xj]
             del weights, xj, cell, in_sk, push, hi, lo  # only the state crosses the yield
-            yield xk, psik, p, 1.0 - s[0], 1.0 - s[1], stopped_unin.astype(float)
+            yield xk, psik, p, 1.0 - s, stopped_unin.astype(float)
 
 
 def extract_strategies(surfaces: PDESurfaces, model: DiffusionModel, dt: float) -> StrategyMap:

@@ -1,6 +1,9 @@
 """Monte Carlo verification of the continuous-game sufficiency conditions.
 
-Five statistical checks of a candidate (surfaces, strategies) pair:
+The candidate is one ``StrategyMap``: the payoff processes (the surfaces
+u0, u1 and v) and the strategies read off their stopping sets, with the model
+they were solved for and the clock dt of the strategies.  The verifier reads
+all of them off the map.  Five statistical checks of that candidate:
 
 (i)  per regime i, the process int g dzeta_i + (1 - zeta_i-) U^i has
      non-negative mean increments along regime-i paths (and flat ones while
@@ -12,7 +15,11 @@ Five statistical checks of a candidate (surfaces, strategies) pair:
 
 The first-to-stop flow is ``core.payoff_flows``: (i) and (ii) add up its
 ``run`` part, and the obstacles (iii) and (iv) compare the value against
-``stop / survival``, the payoff of stopping now given that nobody has.
+``stop / survival``, the payoff of stopping now given that nobody has.  The
+incarnations are one type axis: the surfaces' ``u[i]`` and the strategy rows'
+``xi[i]`` belong to incarnation i, and the uninformed side's flows against
+both rows are mixed by the belief (1 - psi, psi) with ``core._mixed_flows``,
+the rule the tree pipeline mixes by the prior.
 (iii) reuses the fixed-regime paths of (i), and (iv) the regime-conditional
 paths of (ii); the paths come from the Euler loop in ``simulate``.
 
@@ -33,9 +40,7 @@ from contextlib import closing
 
 import numpy as np
 
-from ..core import _ACTIVE_BELOW, RandomDevice, _belief_weights, _type_mix, payoff_flows
-from .model import DiffusionModel
-from .pde import PDESurfaces
+from ..core import _ACTIVE_BELOW, RandomDevice, _belief_weights, _mixed_flows, _type_mix, payoff_flows
 # the whole-array simulators stay bound here, where bench/workloads.py's
 # traced mode patches them, although the checks stream their row forms
 from .simulate import (_draw_regime, _draws, _innovation_rows, _regime_rows, _time_axis,
@@ -147,8 +152,8 @@ def _path_set_checks(flows, sign: float, atol: float, tol: float, alpha: float):
     }, {"fraction_ok": frac, "passed": bool(frac >= 1.0 - alpha), "worst_slack": worst_slack}
 
 
-def _trajectory_rows(model, strategies, n: int, device, regime: int | None):
-    """Rows (t, x, psi, p, xi0, xi1, zeta) of the strategy maps along one simulated path set.
+def _trajectory_rows(strategies: StrategyMap, n: int, device, regime: int | None):
+    """Rows (t, x, psi, p, xi, zeta) of the strategy maps along one simulated path set.
 
     With a ``regime`` the paths follow that regime's drift and are filtered
     by the innovation filter, as ``simulate_fixed_regime`` and ``evaluate``
@@ -157,7 +162,7 @@ def _trajectory_rows(model, strategies, n: int, device, regime: int | None):
     and ``t`` is the step's time as a one-element axis, which broadcasts.
     Closing the generator ends the draws.
     """
-    dt = strategies.dt
+    model, dt = strategies.model, strategies.dt
     steps = _time_axis(model, dt).size - 1
     with _draws(device, n, dt, steps) as increments:
         if regime is None:
@@ -177,33 +182,24 @@ def _informed_flows(rows, surfaces, i: int, payoffs, n: int):
     """
     surface = surfaces.u[i].ravel()
     zeta_pre = np.zeros(n)
-    for t, x, _, p, xi0, xi1, zeta in rows:
+    for t, x, _, p, xi, zeta in rows:
         yield (*payoff_flows(*payoffs(t, x), zeta, zeta - zeta_pre), 1.0 - zeta_pre,
-               _lookup(surface, surfaces.grid, t, p, x), (xi1 if i else xi0) < _ACTIVE_BELOW)
+               _lookup(surface, surfaces.grid, t, p, x), xi[i] < _ACTIVE_BELOW)
         zeta_pre = zeta
 
 
 def _observation_flows(rows, surfaces, payoffs, n: int):
-    """(ii) and (iv) under the observation law: N_hat's flows, V, and zeta's activity."""
+    """(ii) and (iv) under the observation law: N_hat's flows against both incarnations, mixed
+    by the belief psi, V, and zeta's activity."""
     surface = surfaces.v.ravel()
-    xi_pre = (np.zeros(n), np.zeros(n))
-    for t, x, psi, p, *xi, zeta in rows:
-        yield (*_mixed_flows(payoffs(t, x), psi, xi, xi_pre),
+    xi_pre = np.zeros((2, n))
+    for t, x, psi, p, xi, zeta in rows:
+        yield (*_mixed_flows(_belief_weights(psi), *payoffs(t, x), xi, xi - xi_pre, xi_pre),
                _lookup(surface, surfaces.grid, t, p, x), zeta < _ACTIVE_BELOW)
         xi_pre = xi
 
 
-def _mixed_flows(payoffs, psi, xi, xi_pre):
-    """The informed side of N_hat: each incarnation's stop, run and survival, mixed by the belief psi."""
-    fv, gv, hv = payoffs
-    per_type = [(*payoff_flows(gv, fv, hv, level, level - pre), 1.0 - pre)
-                for level, pre in zip(xi, xi_pre)]
-    return [_type_mix(_belief_weights(psi), kind) for kind in zip(*per_type)]
-
-
 def mc_verify_sufficiency(
-    model: DiffusionModel,
-    surfaces: PDESurfaces,
     strategies: StrategyMap,
     n: int,
     alpha: float = 0.05,
@@ -214,15 +210,17 @@ def mc_verify_sufficiency(
     g,
     h,
 ) -> dict:
-    """Statistical certification report for a candidate solution.
+    """Statistical certification report for the candidate ``strategies``.
 
-    The paths step at ``strategies.dt``; ``f``, ``g`` and ``h`` are the payoff
-    functions of (t, x) that the surfaces were solved with, with no default.
+    The model, the surfaces and the dt at which the paths step are the map's;
+    ``f``, ``g`` and ``h`` are the payoff functions of (t, x) that the surfaces
+    were solved with, with no default.
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n!r}")
     if device is None:
         device = RandomDevice(seed=0)
+    model, surfaces = strategies.model, strategies.surfaces
     grid = surfaces.grid
     # numerical floor on the statistical bands: grid lookup and Euler biases
     # accumulate to a small deterministic drift that is not evidence against
@@ -230,24 +228,24 @@ def mc_verify_sufficiency(
     atol = 1e-9 + 0.05 * tol
     report: dict = {}
 
-    def payoffs(t, x):
-        return [np.asarray(fn(t, x), dtype=float) for fn in (f, g, h)]
+    def payoffs(*fns):
+        """A player's (own first, opponent first, tie) payoffs at (t, x)."""
+        return lambda t, x: [np.asarray(fn(t, x), dtype=float) for fn in fns]
 
     # (i) informed-side submartingales and (iii) informed obstacles along
     # fixed-regime paths; each path set's rows are closed, and so end their
     # draws, also when a payoff raises
     for i in range(2):
         device_i = device.with_stream(device.stream + 10 + i)
-        with closing(_trajectory_rows(model, strategies, n, device_i, i)) as rows:
+        with closing(_trajectory_rows(strategies, n, device_i, i)) as rows:
             report[f"(i) M0 regime {i}"], report[f"(iii) obstacle U{i}"] = _path_set_checks(
-                _informed_flows(rows, surfaces, i, payoffs, n), +1.0, atol, tol, alpha)
+                _informed_flows(rows, surfaces, i, payoffs(f, g, h), n), +1.0, atol, tol, alpha)
 
     # (ii) uninformed-side supermartingale and (iv) uninformed obstacle under
     # the observation law
-    with closing(_trajectory_rows(model, strategies, n, device.with_stream(device.stream + 20),
-                                  None)) as rows:
+    with closing(_trajectory_rows(strategies, n, device.with_stream(device.stream + 20), None)) as rows:
         report["(ii) N0"], report["(iv) obstacle V"] = _path_set_checks(
-            _observation_flows(rows, surfaces, payoffs, n), -1.0, atol, tol, alpha)
+            _observation_flows(rows, surfaces, payoffs(g, f, h), n), -1.0, atol, tol, alpha)
 
     # (v) root identity
     point = (np.array([0.0]), np.array([model.prior]), np.array([model.x0]))

@@ -292,4 +292,4 @@ def paths_csv(path: Path, bundle, meta: dict) -> None:
 
 def trajectories_csv(path: Path, traj, meta: dict) -> None:
     _write_per_path_csv(path, meta, traj.t, X=traj.x, psi=traj.psi, p=traj.p,
-                        xi0=traj.xi0, xi1=traj.xi1, zeta=traj.zeta)
+                        **{f"xi{k}": xi for k, xi in enumerate(traj.xi)}, zeta=traj.zeta)

@@ -60,6 +60,7 @@ __all__ = [
 ]
 
 DEFAULT_CAP = 20_000
+PAIR_MATRIX_CAP = 50_000_000  # the most entries ``build_matrix`` forms
 GAP_TOL = 1e-9  # the root duality gap; ``scenario``'s docstring relates it to the node-wise 1e-8
 # the HiGHS options of scipy's "highs-ds" LP method but for the feasibility
 # tolerances, set to 1e-10, and the matrix entries HiGHS drops, those below
@@ -134,14 +135,12 @@ def regime_matrices(game: ScenarioGame, rules: RuleSet) -> tuple[np.ndarray, ...
                  for f, g, h in zip(pay.f, pay.g, pay.h))
 
 
-def build_matrix(
-    game: ScenarioGame, rules: RuleSet, max_entries: int = 50_000_000
-) -> np.ndarray:
+def build_matrix(game: ScenarioGame, rules: RuleSet) -> np.ndarray:
     """The pair-indexed matrix: row (tau0, tau1) at tau0 * len(rules) + tau1,
     column sigma (small games; tests and the randomization witness)."""
     b0, b1 = regime_matrices(game, rules)
     r = len(rules)
-    if r * r * b0.shape[1] > max_entries:
+    if r * r * b0.shape[1] > PAIR_MATRIX_CAP:
         raise EnumerationCapExceeded(
             f"pair matrix would have {r * r * b0.shape[1]} entries; use solve_scenario"
         )

@@ -41,6 +41,7 @@ from .core import (
     _ACTIVE_BELOW,
     _SURVIVAL_FLOOR,
     _belief_weights,
+    _mixed_flows,
     _posterior,
     _safe_ratio,
     _type_mix,
@@ -156,8 +157,8 @@ _Players = namedtuple("_Players", "stop run levels steps pre surv")
 
 def _players(game: ScenarioGame, profile: StrategyProfile) -> _Players:
     """Both players as rows, (K + 1, n) each: row k < K is incarnation k against zeta, row K
-    the uninformed player against the prior mix of the incarnations.  ``stop``/``run`` are
-    each row's ``payoff_flows``, ``levels``, ``steps`` and ``pre`` its own process, ``surv``
+    the uninformed player against the incarnations, mixed by the prior (``_mixed_flows``).
+    ``stop``/``run`` are each row's ``payoff_flows``, ``levels``, ``steps`` and ``pre`` its own process, ``surv``
     its opponent's survival.  Raises ``ShapeMismatchError`` unless the profile has the
     game's type and node counts."""
     tree, pay, w = game.tree, game.payoffs, game.weights
@@ -168,8 +169,7 @@ def _players(game: ScenarioGame, profile: StrategyProfile) -> _Players:
     pre = np.array([x.pre_levels(tree) for x in procs])
     stop, run, surv = np.empty((3, *levels.shape))
     stop[:-1], run[:-1] = payoff_flows(pay.f, pay.g, pay.h, levels[-1], steps[-1])
-    stop_v, run_v = payoff_flows(pay.g, pay.f, pay.h, levels[:-1], steps[:-1])
-    stop[-1], run[-1], surv[-1] = _type_mix(w, stop_v), _type_mix(w, run_v), _type_mix(w, 1.0 - pre[:-1])
+    stop[-1], run[-1], surv[-1] = _mixed_flows(w, pay.g, pay.f, pay.h, levels[:-1], steps[:-1], pre[:-1])
     surv[:-1] = 1.0 - pre[-1]
     return _Players(stop, run, levels, steps, pre, surv)
 

@@ -981,10 +981,10 @@ def _ref_assemble(flows, n: int, steps: int, sign: float, tol: float, alpha: flo
     return values, {"fraction_ok": frac, "passed": bool(frac >= 1.0 - alpha), "worst_slack": worst}
 
 
-def ref_mc_verify_sufficiency(model, surfaces, strategies, n: int, alpha: float = 0.05,
-                              tol: float = 5e-2, device=None, *, f, g, h) -> dict:
+def ref_mc_verify_sufficiency(strategies, n: int, alpha: float = 0.05, tol: float = 5e-2,
+                              device=None, *, f, g, h) -> dict:
     """``mc_verify_sufficiency`` on whole (paths, steps + 1) arrays of each path set."""
-    dt = strategies.dt
+    model, surfaces, dt = strategies.model, strategies.surfaces, strategies.dt
     if device is None:
         device = RandomDevice(seed=0)
     grid = surfaces.grid
@@ -1007,7 +1007,7 @@ def ref_mc_verify_sufficiency(model, surfaces, strategies, n: int, alpha: float 
             return stop, run, 1.0 - zeta_pre, uvals
 
         m_hat, obstacle = _ref_assemble(flows, n, x.shape[1] - 1, +1.0, tol, alpha)
-        active = (traj.xi1 if i else traj.xi0)[:, :-1] < active_below
+        active = traj.xi[i][:, :-1] < active_below
         report[f"(i) M0 regime {i}"] = _ref_mean_increment_checks(m_hat, active, +1.0, atol)
         report[f"(iii) obstacle U{i}"] = obstacle
         del x, traj, m_hat, active
@@ -1021,7 +1021,7 @@ def ref_mc_verify_sufficiency(model, surfaces, strategies, n: int, alpha: float 
         vvals = _lookup(surface, grid, traj.t, traj.p[b], x)
         fv, gv, hv = payoffs(traj.t, x)
         per_type = []
-        for xi in (traj.xi0[b], traj.xi1[b]):
+        for xi in traj.xi[:, b]:
             xi_pre, dxi = _ref_left_limits(xi)
             per_type.append((*payoff_flows(gv, fv, hv, xi, dxi), 1.0 - xi_pre))
         return (*((1.0 - psi) * k0 + psi * k1 for k0, k1 in zip(*per_type)), vvals)

@@ -705,6 +705,22 @@ class TestReadersExit2:
                                                *action[1:], "--out", out], "model")
             assert message in err
 
+    @pytest.mark.parametrize("patch, axis", [
+        ({"T": 2.0}, "t"), ({"domain": [-5.0, 5.0]}, "x"), ({"T": 2.0, "domain": [-5.0, 5.0]}, "t"),
+    ], ids=["horizon", "domain", "both"])
+    def test_surfaces_of_another_model(self, model_file, tmp_path, capsys, patch, axis):
+        # surfaces solved for T = 1 on [-2, 2] are malformed input for another
+        # model, not a rejected certificate (exit 1)
+        out = str(tmp_path / "d")
+        assert main(["dynamics", "pde", "--model", str(model_file), "--grid", "5x3x9",
+                     "--out", out]) == 0
+        model_file.write_text(json.dumps({**json.loads(model_file.read_text()), **patch}))
+        for action in ("extract", "verify"):
+            err = _assert_input_error(capsys, ["dynamics", action, "--model", str(model_file),
+                                               "--dt", "0.5", "--paths", "3", "--out", out],
+                                      "surfaces")
+            assert f"the {axis} grid spans" in err, err
+
     def test_payoff_rule_slack(self, model_file, tmp_path):
         # the rule's 1e-12 slack: h above f by 1e-13 passes
         model_file.write_text(json.dumps({**json.loads(model_file.read_text()),

@@ -27,7 +27,7 @@ from asymdynkin.dynamics import (
     simulate_fixed_regime,
     simulate_regime_paths,
 )
-from asymdynkin.dynamics.simulate import _DRAW_AHEAD_PATHS, filter_self_convergence
+from asymdynkin.dynamics.simulate import _DRAW_AHEAD_PATHS, _stack, filter_self_convergence
 from helpers import (analytic_generator, generator_check, mc_generator_drift, ref_filter_paths,
                      ref_parse_expression, ref_psi_from_innovation, ref_regime_euler,
                      standard_test_functions)
@@ -383,6 +383,12 @@ class TestTimeMajorLoops:
         psi = psi_from_innovation(model, np.zeros((4, 1)), 1e-2)
         assert np.array_equal(psi, np.full((4, 1), 0.5))
 
+    @pytest.mark.parametrize("rows", [0, 3, 10])
+    def test_stack_refuses_a_short_row_stream(self, rows):
+        # the buffer is np.empty: rows the stream never reached would be garbage
+        with pytest.raises(ValueError, match=f"{rows} rows for a buffer of 11"):
+            _stack(iter(np.ones((rows, 2, 5))), (2, 11, 5))
+
 
 # the path counts just below and at the one from which a helper thread draws ahead
 AHEAD = [pytest.param(_DRAW_AHEAD_PATHS - 1, id="inline"),
@@ -444,7 +450,7 @@ payoffs = dict(f=lambda t, x: 0.6 + 0.0 * x + 0.0 * t, g=lambda t, x: -0.6 + 0.0
                h=lambda t, x: 0.0 * x + 0.0 * t)
 surf = pde_solve_system(model(), *payoffs.values(), PDEGrid.regular(1.0, (-2.0, 2.0), 11, 5, 21))
 smap = extract_strategies(surf, model(), 0.1)
-rows = _trajectory_rows(model(), smap, N, RandomDevice(1), 1)
+rows = _trajectory_rows(smap, N, RandomDevice(1), 1)
 for _ in range(3):
     next(rows)
 rows.close()
@@ -457,7 +463,7 @@ def h_fails(t, x):
     return 0.0 * x + 0.0 * t
 
 
-raises("payoff", lambda: mc_verify_sufficiency(model(), surf, smap, N, device=RandomDevice(1),
+raises("payoff", lambda: mc_verify_sufficiency(smap, N, device=RandomDevice(1),
                                                **{**payoffs, "h": h_fails}),
        ArithmeticError, "payoff fails mid-path")
 
@@ -573,8 +579,7 @@ class TestPathMemory:
 
         def verify(dt, n):
             strategies = extract_strategies(surf, model, dt)
-            return mc_verify_sufficiency(model, surf, strategies, n, device=RandomDevice(1),
-                                         **payoffs)
+            return mc_verify_sufficiency(strategies, n, device=RandomDevice(1), **payoffs)
 
         return verify, surf.in_s.size * 8
 

@@ -99,6 +99,14 @@ class TestBuildMatrix:
         expected = 0.7 * game.payoffs.h[0, 0] + 0.3 * game.payoffs.h[1, 0]
         assert a[pair_row, col] == pytest.approx(expected, abs=1e-14)
 
+    def test_pair_matrix_cap(self, monkeypatch):
+        game, _ = dominance_game(prior=0.3)
+        rules = enumerate_stopping_rules(game.tree)
+        entries = build_matrix(game, rules).size
+        monkeypatch.setattr(oracle, "PAIR_MATRIX_CAP", entries - 1)
+        with pytest.raises(EnumerationCapExceeded, match=f"pair matrix would have {entries} entries"):
+            build_matrix(game, rules)
+
     def test_split_pair_row(self):
         # row (tau0 = stop at 0, tau1 = stop at T), column sigma = stop at T
         game, _ = dominance_game(prior=0.3)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from asymdynkin import gameio
-from asymdynkin.core import RandomDevice
+from asymdynkin.core import RandomDevice, ShapeMismatchError
 from asymdynkin.dynamics import (
     DiffusionModel,
     PDEGrid,
@@ -304,7 +305,7 @@ class TestStrategyExtraction:
         smap = extract_strategies(surf, model, dt=0.025)
         x = simulate_fixed_regime(model, 1, 200, 0.025, RandomDevice(13))
         traj = smap.evaluate(x)
-        for arr in (traj.xi0, traj.xi1, traj.zeta):
+        for arr in (*traj.xi, traj.zeta):
             assert np.all(np.diff(arr, axis=1) >= -1e-12)
             np.testing.assert_allclose(arr[:, -1], 1.0, atol=1e-12)
             assert arr.min() >= -1e-12 and arr.max() <= 1.0 + 1e-12
@@ -331,7 +332,7 @@ class TestStrategyExtraction:
         smap = extract_strategies(surf, model, dt=0.05)
         x = simulate_fixed_regime(model, 0, 100, 0.05, RandomDevice(14))
         traj = smap.evaluate(x)
-        np.testing.assert_allclose(traj.xi0, traj.xi1, atol=1e-12)
+        np.testing.assert_allclose(traj.xi[0], traj.xi[1], atol=1e-12)
 
     def test_reflection_stays_near_the_boundary(self, generic):
         # the pushed belief never burrows deeper than about one grid cell
@@ -350,7 +351,7 @@ class TestStrategyExtraction:
                 np.rint((x[:, k] - grid.x[0]) / (grid.x[1] - grid.x[0])).astype(int),
                 0, grid.x.size - 1,
             )
-            alive = traj.xi1[:, k] < 1.0 - 1e-9
+            alive = traj.xi[1][:, k] < 1.0 - 1e-9
             for path in np.flatnonzero(surf.in_sk[1, ti, pj, xj] & alive):
                 d = 0
                 j = pj[path]
@@ -368,9 +369,34 @@ class TestStrategyExtraction:
         x = simulate_fixed_regime(model, 1, 300, 0.025, RandomDevice(15))
         traj = smap.evaluate(x)
         f_gap = 0.6 - _lookup_u(surf, traj, x, regime=1)
-        dxi = np.diff(np.concatenate([np.zeros((x.shape[0], 1)), traj.xi1], axis=1), axis=1)
+        dxi = np.diff(np.concatenate([np.zeros((x.shape[0], 1)), traj.xi[1]], axis=1), axis=1)
         off_mass = np.where(f_gap[:, :-1] > 1e-3, dxi[:, :-1], 0.0).sum(axis=1)
         assert off_mass.max(initial=0.0) <= 1e-6
+
+    @pytest.mark.parametrize("change, axis", [
+        (dict(horizon=2.0), "t"), (dict(horizon=0.5), "t"),
+        (dict(domain=(-5.0, 5.0)), "x"), (dict(domain=(-2.0, 1.5)), "x"),
+    ])
+    def test_refuses_surfaces_of_another_model(self, generic, change, axis):
+        # the lookups clip to the grid's edges, so surfaces solved for another
+        # horizon or domain would be read at the wrong points without a word
+        model, _, surf = generic
+        with pytest.raises(ValueError, match=f"the {axis} grid spans"):
+            extract_strategies(surf, dataclasses.replace(model, **change), dt=0.05)
+
+    def test_grid_ends_within_the_slack(self, generic):
+        # within 1e-9 of a grid step of the model's ends, as PDEGrid's spacing check
+        model, grid, surf = generic
+        near = dataclasses.replace(model, horizon=1.0 + 1e-12, domain=(-2.0 - 1e-12, 2.0))
+        extract_strategies(surf, near, dt=0.05)
+
+    @pytest.mark.parametrize("cut", [np.s_[:, :4], np.s_[:5]], ids=["fewer_steps", "fewer_paths"])
+    def test_evaluate_refuses_psi_of_another_shape(self, generic, cut):
+        # fewer steps left the buffer's last rows unwritten; fewer paths failed in numpy
+        model, _, surf = generic
+        x, psi = _paths(model, "regime", 10, 0.1, 1)
+        with pytest.raises(ShapeMismatchError, match=r"psi has shape"):
+            extract_strategies(surf, model, dt=0.1).evaluate(x, psi=psi[cut])
 
 
 def _lookup_u(surf, traj, x, regime):
@@ -388,7 +414,7 @@ class TestMCVerify:
         model, grid, surf = degenerate
         smap = extract_strategies(surf, model, dt=0.025)
         rep = mc_verify_sufficiency(
-            model, surf, smap, n=2000,
+            smap, n=2000,
             device=RandomDevice(16), f=F, g=G, h=H,
         )
         assert rep["all_passed"]
@@ -401,7 +427,7 @@ class TestMCVerify:
         assert scaled.identity_residual > 5e-2
         smap = extract_strategies(scaled, model, dt=0.05)
         rep = mc_verify_sufficiency(
-            model, scaled, smap, n=500,
+            smap, n=500,
             device=RandomDevice(17), f=F, g=G, h=H,
         )
         assert not rep["(v) root identity"]["passed"]
@@ -424,14 +450,14 @@ class TestMCVerify:
 
         good = extract_strategies(surf, model, dt=0.025)
         rep = mc_verify_sufficiency(
-            model, surf, good, n=6000,
+            good, n=6000,
             device=RandomDevice(18), f=f2, g=g2, h=clipx,
         )
         assert rep["all_passed"]
         empty = PDESurfaces(grid, surf.u, surf.v, surf.in_sk, np.zeros_like(surf.in_s))
         bad = extract_strategies(empty, model, dt=0.025)
         rep2 = mc_verify_sufficiency(
-            model, surf, bad, n=6000,
+            bad, n=6000,
             device=RandomDevice(18), f=f2, g=g2, h=clipx,
         )
         assert not rep2["(ii) N0"]["passed"]
@@ -448,7 +474,7 @@ class TestMCVerify:
 
         monkeypatch.setattr(strategies, "_run_edges", counted)
         smap = extract_strategies(surf, model, dt=0.05)
-        mc_verify_sufficiency(model, surf, smap, n=20, device=RandomDevice(1), f=F, g=G, h=H)
+        mc_verify_sufficiency(smap, n=20, device=RandomDevice(1), f=F, g=G, h=H)
         assert len(calls) == 2
         smap.evaluate(*_paths(model, "regime", 10, 0.05, 1))
         assert len(calls) == 2
@@ -459,10 +485,10 @@ class TestMCVerify:
         # the clock ends at the horizon, and the informed checks pass
         model, _, surf = generic
         smap = extract_strategies(surf, model, dt=dt)
-        clock = [t[0] for t, *_ in verify._trajectory_rows(model, smap, 5, RandomDevice(0), 1)]
+        clock = [t[0] for t, *_ in verify._trajectory_rows(smap, 5, RandomDevice(0), 1)]
         assert len(clock) == round(model.horizon / dt) + 1
         assert clock[-1] == pytest.approx(model.horizon, abs=1e-12)
-        rep = mc_verify_sufficiency(model, surf, smap, n=500, device=RandomDevice(0), f=F, g=G, h=H)
+        rep = mc_verify_sufficiency(smap, n=500, device=RandomDevice(0), f=F, g=G, h=H)
         assert rep["(i) M0 regime 0"]["passed"] and rep["(i) M0 regime 1"]["passed"]
 
     @pytest.mark.parametrize("n", [0, -1])
@@ -470,8 +496,7 @@ class TestMCVerify:
         # with no path every band is nan, which no excess check would catch
         model, _, surf = generic
         with pytest.raises(ValueError, match="n must be at least 1"):
-            mc_verify_sufficiency(model, surf, extract_strategies(surf, model, dt=0.01), n=n,
-                                  f=F, g=G, h=H)
+            mc_verify_sufficiency(extract_strategies(surf, model, dt=0.01), n=n, f=F, g=G, h=H)
 
     # the streamed checks against the whole-array verifier they replace: one
     # and two paths (no band, the smallest band), the old block size of 250
@@ -483,7 +508,7 @@ class TestMCVerify:
         model, _, surf = request.getfixturevalue(case)
         payoffs = dict(zip("fgh", (F, G, H) if case == "generic" else _moving_sets()[2]))
         smap = extract_strategies(surf, model, dt=dt)
-        reports = [verify(model, surf, smap, n, device=RandomDevice(n + 40), **payoffs)
+        reports = [verify(smap, n, device=RandomDevice(n + 40), **payoffs)
                    for verify in (mc_verify_sufficiency, ref_mc_verify_sufficiency)]
         assert json.dumps(reports[0]) == json.dumps(reports[1])
 
@@ -494,7 +519,7 @@ class TestMCVerify:
         model, _, surf = moving
         payoffs = dict(zip("fgh", _moving_sets()[2]))
         smap = extract_strategies(surf, model, dt=0.1)
-        reports = [verify(model, surf, smap, n, device=RandomDevice(n), **payoffs)
+        reports = [verify(smap, n, device=RandomDevice(n), **payoffs)
                    for verify in (mc_verify_sufficiency, ref_mc_verify_sufficiency)]
         assert json.dumps(reports[0]) == json.dumps(reports[1])
 
@@ -514,7 +539,7 @@ def _paths(model, kind, n, dt, seed):
 def _assert_evaluate_matches_reference(smap, x, psi):
     traj = smap.evaluate(x, psi=psi)
     ref = ref_strategy_evaluate(smap, x, psi)
-    for got, want in zip((traj.p, traj.xi0, traj.xi1, traj.zeta), ref):
+    for got, want in zip((traj.p, *traj.xi, traj.zeta), ref):
         assert np.array_equal(got, want)
     return traj
 
@@ -549,7 +574,7 @@ class TestRunEdges:
                            rng.random(surf.in_s.shape) < 0.01)
         x, psi = _paths(model, "regime", 200, 0.01, 7)
         traj = _assert_evaluate_matches_reference(extract_strategies(sets, model, dt=0.01), x, psi)
-        for xi in (traj.xi0, traj.xi1):
+        for xi in traj.xi:
             assert np.any((xi[:, :-1] > 1e-9) & (xi[:, :-1] < 1.0 - 1e-9))
 
 
@@ -566,7 +591,7 @@ class TestPinnedArtifacts:
         model, _, surf = generic
         x, psi = _paths(model, "regime", 200, 0.01, 5)
         traj = extract_strategies(surf, model, dt=0.01).evaluate(x, psi=psi)
-        assert np.any(traj.xi1[:, :-1] > 0.0)  # informed incarnations act before the horizon
+        assert np.any(traj.xi[1][:, :-1] > 0.0)  # informed incarnations act before the horizon
         gameio.trajectories_csv(tmp_path / "trajectories.csv", traj, {"dt": 0.01})
         text = (tmp_path / "trajectories.csv").read_text()
         assert _sha256(text) == "7203d130abe3b570a937783a07322f94c5dd514539ec730593dcb97b5cd2c8bf"
@@ -585,7 +610,7 @@ class TestPinnedArtifacts:
         model, _, surf = request.getfixturevalue(case)
         payoffs = (F, G, H) if case == "generic" else _moving_sets()[2]
         rep = mc_verify_sufficiency(
-            model, surf, extract_strategies(surf, model, dt=dt), n=n,
+            extract_strategies(surf, model, dt=dt), n=n,
             device=RandomDevice(seed), **dict(zip("fgh", payoffs)),
         )
         text = json.dumps(rep, sort_keys=True, separators=(",", ":"))
