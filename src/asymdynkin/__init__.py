@@ -18,19 +18,12 @@ from .core import (
     GeneratingProcess,
     PayoffTriple,
     RandomDevice,
-    StoppingRule,
     TimeGrid,
     binary_tree,
     expected_payoff_exact,
     validate_generating,
 )
-from .oracle import (
-    EnumerationCapExceeded,
-    build_matrix,
-    enumerate_stopping_rules,
-    pure_gap,
-    solve_scenario,
-)
+from .oracle import solve_scenario
 from .scenario import (
     Certificate,
     ScenarioGame,

@@ -46,7 +46,6 @@ __all__ = [
     "FiltrationTree",
     "RandomDevice",
     "GeneratingProcess",
-    "StoppingRule",
     "PayoffTriple",
     "ValidationReport",
     "ShapeMismatchError",
@@ -403,36 +402,6 @@ def validate_generating(proc: GeneratingProcess, tree: FiltrationTree) -> Valida
     for leaf in leaves[np.abs(proc.levels[leaves] - 1.0) > 1e-9]:
         violations.append(f"TerminalNotOne: level {proc.levels[leaf]!r} at leaf {leaf}")
     return ValidationReport(not violations, tuple(violations))
-
-
-@dataclass(frozen=True)
-class StoppingRule:
-    """Pure adapted stopping rule: a stop/continue flag per node.
-
-    Exactly one stop along every root-to-leaf path; nodes strictly below a
-    stop node are unreachable and their flag is ignored.
-    """
-
-    stops: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "stops", np.asarray(self.stops, dtype=bool))
-
-    @staticmethod
-    def at_depth(k: int, tree: FiltrationTree) -> "StoppingRule":
-        return StoppingRule(tree.depth == k)
-
-    def stopped_by(self, tree: FiltrationTree) -> np.ndarray:
-        """Indicator per node: the path to it (inclusive) contains a stop."""
-        return tree.scan(self.stops.astype(float), np.maximum)
-
-    def to_generating(self, tree: FiltrationTree) -> GeneratingProcess:
-        return GeneratingProcess.from_levels(self.stopped_by(tree), tree)
-
-    def validate(self, tree: FiltrationTree) -> None:
-        hit = self.stopped_by(tree)
-        if np.any(hit[tree.leaves] != 1.0):
-            raise ValueError("rule fails to stop on some path")
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,13 @@
 
 A ``StrategyMap`` is the candidate equilibrium of the diffusion game: the
 surfaces (u0, u1, v) with their stopping sets, the model they were solved
-for, and the clock dt at which the strategies act.  It refuses surfaces whose
+for, and the step dt at which the strategies act.  It refuses surfaces whose
 t grid does not span [0, T] or whose x grid does not span the model's domain,
-since every lookup would clip silently to the grid's edges; the Monte Carlo
-verification reads the model, the surfaces and dt off the map alone.
+since every lookup would clip silently to the grid's edges, and a dt that
+does not divide T.  Its one clock, ``StrategyMap.clock`` = k dt for
+k = 0, ..., T / dt, is the time axis of ``evaluate``, which refuses paths with
+another number of columns, and of the Monte Carlo verification, which reads
+the model, the surfaces, dt and the clock off the map alone.
 
 The uninformed player stops at the first grid time the state (t, p, x)
 enters her stopping set.  Each informed incarnation, when the belief sits on
@@ -45,7 +48,7 @@ import numpy as np
 from ..core import ShapeMismatchError, _belief_weights, _posterior
 from .model import DiffusionModel
 from .pde import PDESurfaces, _run_edges
-from .simulate import _stack, psi_from_innovation
+from .simulate import _stack, _time_axis, psi_from_innovation
 
 __all__ = ["StrategyMap", "TrajectorySet", "extract_strategies"]
 
@@ -87,6 +90,12 @@ class StrategyMap:
             if abs(axis[0] - lo) > slack or abs(axis[-1] - hi) > slack:
                 raise ValueError(f"the {name} grid spans [{axis[0]!r}, {axis[-1]!r}], "
                                  f"not the model's [{float(lo)!r}, {float(hi)!r}]")
+        self.clock  # a dt that does not divide the horizon is refused here
+
+    @cached_property
+    def clock(self) -> np.ndarray:
+        """The times k dt, k = 0, ..., T / dt, at which the strategies act."""
+        return np.arange(_time_axis(self.model, self.dt).size) * self.dt
 
     @cached_property
     def _edges(self) -> tuple[np.ndarray, np.ndarray]:
@@ -102,19 +111,21 @@ class StrategyMap:
         """Run the strategy maps along observed X-paths.
 
         ``psi`` defaults to the innovation-filter posterior computed from the
-        paths themselves, and must have their shape otherwise.  ``p``, ``xi`` and
-        ``zeta`` are transposed views of one time-major buffer, indexed
-        ``[..., path, step]`` like ``x_paths``.
+        paths themselves, and must have their shape otherwise.  The paths must
+        have one column per time of ``clock``.  ``p``, ``xi`` and ``zeta`` are
+        transposed views of one time-major buffer, indexed ``[..., path, step]``
+        like ``x_paths``.
         """
-        n, steps = x_paths.shape[0], x_paths.shape[1] - 1
+        t = self.clock
+        if x_paths.shape[1] != t.size:
+            raise ShapeMismatchError(f"the paths have {x_paths.shape[1]} columns, the clock {t.size} times")
         if psi is None:
             psi = psi_from_innovation(self.model, x_paths, self.dt)
         elif psi.shape != x_paths.shape:
             raise ShapeMismatchError(f"psi has shape {psi.shape}, the paths {x_paths.shape}")
-        t = np.arange(steps + 1) * self.dt
         self._edges  # built before the buffer, so its temporaries never sit on top of it
         rows = self._rows(zip(x_paths.T, psi.T), t)
-        levels = _stack(((p, *xi, zeta) for _, _, p, xi, zeta in rows), (4, steps + 1, n))
+        levels = _stack(((p, *xi, zeta) for _, _, p, xi, zeta in rows), (4, t.size, x_paths.shape[0]))
         return TrajectorySet(t, x_paths, psi, levels[0], levels[1:-1], levels[-1])
 
     def _rows(self, rows, t: np.ndarray):

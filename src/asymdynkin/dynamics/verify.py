@@ -43,8 +43,8 @@ import numpy as np
 from ..core import _ACTIVE_BELOW, RandomDevice, _belief_weights, _mixed_flows, _type_mix, payoff_flows
 # the whole-array simulators stay bound here, where bench/workloads.py's
 # traced mode patches them, although the checks stream their row forms
-from .simulate import (_draw_regime, _draws, _innovation_rows, _regime_rows, _time_axis,
-                       simulate_fixed_regime, simulate_regime_paths)
+from .simulate import (_draw_regime, _draws, _innovation_rows, _regime_rows, simulate_fixed_regime,
+                       simulate_regime_paths)
 from .strategies import StrategyMap
 
 __all__ = ["mc_verify_sufficiency", "simulate_fixed_regime"]
@@ -162,15 +162,13 @@ def _trajectory_rows(strategies: StrategyMap, n: int, device, regime: int | None
     and ``t`` is the step's time as a one-element axis, which broadcasts.
     Closing the generator ends the draws.
     """
-    model, dt = strategies.model, strategies.dt
-    steps = _time_axis(model, dt).size - 1
-    with _draws(device, n, dt, steps) as increments:
+    model, dt, t = strategies.model, strategies.dt, strategies.clock
+    with _draws(device, n, dt, t.size - 1) as increments:
         if regime is None:
             rows = _regime_rows(model, _draw_regime(model, n, device), dt, increments)
         else:
             paths = _regime_rows(model, np.full(n, regime), dt, increments, posterior=False)
             rows = _innovation_rows(model, (x for x, _ in paths), dt)
-        t = np.arange(steps + 1) * dt  # evaluate's clock
         for k, row in enumerate(strategies._rows(rows, t)):
             yield (t[k:k + 1], *row)
 

@@ -30,6 +30,9 @@ __all__ = [
     "equilibrium_to_dict",
     "equilibrium_from_dict",
     "write_json",
+    "certificate_to_dict",
+    "martingale_report_to_dict",
+    "support_report_to_dict",
     "nodes_csv",
     "surfaces_csv",
     "surfaces_from_csv",

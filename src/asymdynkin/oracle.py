@@ -18,9 +18,12 @@ whose size is O(K n_nodes), in one call to HiGHS's dual simplex through the
 binding scipy ships (``_run_highs``); b is read off the duals of the >= rows.
 The plans' levels are the equilibrium's K + 1 generating processes; their
 best-response surfaces measure the gap and give the value v_hat(root) that
-``verify`` certifies.  ``support_rules`` writes a process as a mixture of at
-most n_nodes + 1 threshold rules ("stop at the first node whose level exceeds
-u", weighted by the gaps between its sorted levels), ``ScenarioSolution.rules``.
+``verify`` certifies.  A pure rule is a generating process whose levels are 0
+or 1, and a rule set, ``RuleSet``, is the (steps, levels) matrices of its pure
+processes, one row per rule.  ``support_rules`` writes a process as a mixture
+of at most n_nodes + 1 threshold rules ("stop at the first node whose level
+exceeds u", weighted by the gaps between its sorted levels),
+``ScenarioSolution.rules``.
 
 Enumeration of every pure adapted rule (``enumerate_stopping_rules``,
 ``regime_matrices``, the pair matrix of ``build_matrix`` and ``pure_gap``)
@@ -38,7 +41,7 @@ from functools import cached_property
 import numpy as np
 
 from ._compiled import csc_arrays, scipy_extension
-from .core import FiltrationTree, GeneratingProcess, StoppingRule, _type_mix, flow_value, payoff_flows
+from .core import FiltrationTree, GeneratingProcess, _type_mix, flow_value, payoff_flows
 from .scenario import ScenarioGame, StrategyProfile, ValueSurfaces, _root_gap, best_response_values
 
 # scipy's HiGHS binding is loaded by ``_highs`` on the first solve: importing the
@@ -80,19 +83,18 @@ class NumericalFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class RuleSet:
-    """All pure adapted stopping rules of a tree, in matrix form.
+    """Pure stopping rules as the (steps, levels) matrices of their 0/1 generating processes.
 
-    ``stop_matrix[r, n]`` is 1 where rule r stops at node n and
-    ``level_matrix[r, n]`` is 1 where the path to n contains r's stop node
-    (i.e. the rule's single-jump generating process evaluated at n).
+    Row r is one rule: ``stop_matrix[r, n]`` is 1 where it stops at node n, its
+    process's step, and ``level_matrix[r, n]`` is 1 where the path to n
+    contains that stop, its process's level (``GeneratingProcess.from_levels``).
     """
 
-    rules: tuple[StoppingRule, ...]
     stop_matrix: np.ndarray
     level_matrix: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.rules)
+        return len(self.stop_matrix)
 
 
 def count_stopping_rules(tree: FiltrationTree) -> int:
@@ -124,8 +126,7 @@ def enumerate_stopping_rules(tree: FiltrationTree, cap: int = DEFAULT_CAP) -> Ru
     stop = np.zeros((len(stop_sets), n))
     for r, s in enumerate(stop_sets):
         stop[r, list(s)] = 1.0
-    rules = tuple(StoppingRule(stop[r].astype(bool)) for r in range(len(stop_sets)))
-    return RuleSet(rules, stop, tree.scan(stop, np.maximum))
+    return RuleSet(stop, tree.scan(stop, np.maximum))
 
 
 def regime_matrices(game: ScenarioGame, rules: RuleSet) -> tuple[np.ndarray, ...]:
@@ -239,9 +240,10 @@ class ScenarioSolution:
     ``processes`` are the K + 1 generating processes whose steps are the LP's plans,
     ``surfaces`` their best-response values, and ``value`` is v_hat at the root,
     not the LP objective, which HiGHS reaches within its tolerances and without
-    any matrix entry below its ``small_matrix_value`` of 1e-12.  The threshold-rule view ``rules``,
-    ``row_mix0``, ``row_mix1`` (the mixes of types 0 and 1), ``col_mix`` (see
-    ``support_rules``) is built from ``tree`` when first read.
+    any matrix entry below its ``small_matrix_value`` of 1e-12.  The threshold-rule view,
+    ``rules`` (a ``RuleSet``: the (steps, levels) matrices of the pure processes),
+    ``row_mix0``, ``row_mix1`` (the mixes of types 0 and 1) and ``col_mix`` (see
+    ``support_rules``), is built from ``tree`` when first read.
     """
 
     value: float
@@ -284,8 +286,7 @@ def support_rules(levels: list[np.ndarray], tree: FiltrationTree) -> tuple[RuleS
     mixes = [np.bincount(k, weights=w, minlength=len(unique)) for k, w in zip(owners, weights)]
     stop = unique.copy()
     stop[:, 1:] &= ~unique[:, tree.parent[1:]]
-    rules = tuple(StoppingRule(s) for s in stop)
-    return RuleSet(rules, stop.astype(float), unique.astype(float)), mixes
+    return RuleSet(stop.astype(float), unique.astype(float)), mixes
 
 
 def _plan_levels(steps: np.ndarray, tree: FiltrationTree) -> np.ndarray:

@@ -1,3 +1,6 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,13 +13,13 @@ from asymdynkin.core import (
     GeneratingProcess,
     PayoffTriple,
     RandomDevice,
-    StoppingRule,
     _exact_single,
     binary_tree,
     expected_payoff_exact,
     validate_generating,
 )
 from asymdynkin.gamegen import random_profile, random_scenario_game
+from asymdynkin.oracle import enumerate_stopping_rules
 
 from helpers import (
     atom_count,
@@ -36,12 +39,28 @@ REMOVED_NAMES = ["expected_payoff_mc", "sample_paths", "sample_stopping_time", "
                  "truncate_control"]
 REMOVED = [(owner, name) for owner in (asymdynkin, core, asymdynkin.dynamics)
            for name in REMOVED_NAMES]
-REMOVED += [(StoppingRule, "stop_ancestor"), (PayoffTriple, "per_regime"), (PayoffTriple, "regime")]
+REMOVED += [(PayoffTriple, "per_regime"), (PayoffTriple, "regime")]
+# a pure rule is a 0/1 generating process, and a rule set only its (steps, levels)
+# matrices; the enumeration reference is imported from ``asymdynkin.oracle``
+REMOVED += [(asymdynkin, "StoppingRule"), (core, "StoppingRule"),
+            (enumerate_stopping_rules(binary_tree(1)), "rules")]
+REMOVED += [(asymdynkin, name) for name in
+            ("EnumerationCapExceeded", "build_matrix", "enumerate_stopping_rules", "pure_gap")]
 
 
-@pytest.mark.parametrize("owner, name", REMOVED, ids=[f"{o.__name__}.{n}" for o, n in REMOVED])
+@pytest.mark.parametrize("owner, name", REMOVED,
+                         ids=[f"{getattr(o, '__name__', type(o).__name__)}.{n}" for o, n in REMOVED])
 def test_removed_names_are_gone(owner, name):
     assert not hasattr(owner, name)
+
+
+MODULES = sorted(m.name for m in pkgutil.walk_packages(asymdynkin.__path__, "asymdynkin."))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
 
 
 def line(levels):
@@ -220,25 +239,25 @@ class TestExpectedPayoffMC:
         assert a == b
 
 
-def _truncated(proc, rule, tree):
-    return GeneratingProcess.from_levels(ref_truncate_control(tree, proc.levels, rule.stops), tree)
+def _truncated(proc, stops, tree):
+    return GeneratingProcess.from_levels(ref_truncate_control(tree, proc.levels, stops), tree)
 
 
 class TestTruncateControl:
     def test_mid_path_restart(self):
         tree, rho = line([0.0, 0.4, 0.4, 1.0])
-        out = _truncated(rho, StoppingRule.at_depth(2, tree), tree)
+        out = _truncated(rho, tree.depth == 2, tree)
         np.testing.assert_allclose(out.levels, [0.0, 0.0, 0.0, 1.0], atol=1e-15)
 
     def test_exhausted_prefix_gives_constant_one(self):
         tree, rho = line([1.0, 1.0, 1.0, 1.0])
-        out = _truncated(rho, StoppingRule.at_depth(2, tree), tree)
+        out = _truncated(rho, tree.depth == 2, tree)
         np.testing.assert_allclose(out.levels[2:], [1.0, 1.0])
         np.testing.assert_allclose(out.levels[:2], [0.0, 0.0])
 
     def test_truncation_at_zero_is_identity(self):
         tree, rho = line([0.2, 0.5, 0.9, 1.0])
-        out = _truncated(rho, StoppingRule.at_depth(0, tree), tree)
+        out = _truncated(rho, tree.depth == 0, tree)
         np.testing.assert_allclose(out.levels, rho.levels, atol=1e-15)
 
     @given(st.integers(0, 2**32 - 1), st.integers(0, 3))
@@ -246,7 +265,7 @@ class TestTruncateControl:
     def test_output_always_validates(self, seed, depth):
         tree = binary_tree(3)
         prof = random_profile(tree, seed)
-        out = _truncated(prof.zeta, StoppingRule.at_depth(depth, tree), tree)
+        out = _truncated(prof.zeta, tree.depth == depth, tree)
         assert validate_generating(out, tree).ok
 
 

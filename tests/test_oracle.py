@@ -48,6 +48,7 @@ from helpers import (
     ref_ancestor_pairs,
     ref_sequence_form_lp,
     ref_solve_lp,
+    ref_stopped_by,
     sequence_form,
     single_path_tree,
 )
@@ -71,8 +72,7 @@ class TestEnumeration:
         assert count_stopping_rules(tree) == 5
         rules = enumerate_stopping_rules(tree)
         assert len(rules) == 5
-        for rule in rules.rules:
-            rule.validate(tree)
+        np.testing.assert_array_equal(rules.level_matrix[:, tree.leaves], 1.0)
 
     def test_deep_tree_hits_cap(self):
         tree = binary_tree(10)
@@ -82,8 +82,8 @@ class TestEnumeration:
     def test_level_matrix_is_stopped_indicator(self):
         tree = binary_tree(2)
         rules = enumerate_stopping_rules(tree)
-        for r, rule in enumerate(rules.rules):
-            np.testing.assert_array_equal(rules.level_matrix[r], rule.stopped_by(tree))
+        for stops, levels in zip(rules.stop_matrix, rules.level_matrix, strict=True):
+            np.testing.assert_array_equal(levels, ref_stopped_by(tree, stops))
 
 
 class TestBuildMatrix:
@@ -91,9 +91,7 @@ class TestBuildMatrix:
         game, _ = dominance_game(prior=0.3)
         rules = enumerate_stopping_rules(game.tree)
         a = build_matrix(game, rules)
-        root_rule = next(
-            r for r, rule in enumerate(rules.rules) if rule.stops[0]
-        )
+        root_rule = next(r for r, stops in enumerate(rules.stop_matrix) if stops[0])
         pair_row = root_rule * len(rules) + root_rule
         col = root_rule
         expected = 0.7 * game.payoffs.h[0, 0] + 0.3 * game.payoffs.h[1, 0]
@@ -111,8 +109,8 @@ class TestBuildMatrix:
         # row (tau0 = stop at 0, tau1 = stop at T), column sigma = stop at T
         game, _ = dominance_game(prior=0.3)
         rules = enumerate_stopping_rules(game.tree)
-        stop0 = next(r for r, rule in enumerate(rules.rules) if rule.stops[0])
-        stopT = next(r for r, rule in enumerate(rules.rules) if not rule.stops[0])
+        stop0 = next(r for r, stops in enumerate(rules.stop_matrix) if stops[0])
+        stopT = next(r for r, stops in enumerate(rules.stop_matrix) if not stops[0])
         a = build_matrix(game, rules)
         pair_row = stop0 * len(rules) + stopT
         h1_T = game.tree.reach[game.tree.leaves] @ game.payoffs.h[1, game.tree.leaves]
@@ -124,8 +122,8 @@ class TestBuildMatrix:
         rules = enumerate_stopping_rules(game.tree)
         b0, b1 = regime_matrices(game, rules)
         r, c = 3, 1
-        xi = rules.rules[r].to_generating(game.tree)
-        zeta = rules.rules[c].to_generating(game.tree)
+        xi = GeneratingProcess.from_levels(rules.level_matrix[r], game.tree)
+        zeta = GeneratingProcess.from_levels(rules.level_matrix[c], game.tree)
         exact = (1 - game.prior) * b0[r, c] + game.prior * b1[r, c]
         est, se = expected_payoff_mc(
             game.tree, game.payoffs, (xi, xi), zeta,
@@ -142,7 +140,7 @@ class TestBuildMatrix:
     def test_regime_matrices_match_brute_force(self, game):
         # every pure pair in both regimes, against plain (path, tau, sigma) enumeration
         rules = enumerate_stopping_rules(game.tree)
-        procs = [rule.to_generating(game.tree) for rule in rules.rules]
+        procs = [GeneratingProcess.from_levels(levels, game.tree) for levels in rules.level_matrix]
         for i, b in enumerate(regime_matrices(game, rules)):
             ref = np.array([
                 [brute_force_expected(game.tree, one_regime(game.payoffs, i), xi, zeta) for zeta in procs]
@@ -195,8 +193,8 @@ class TestMixtureToGenerating:
         tree = single_path_tree(3)
         rules = enumerate_stopping_rules(tree)
         w = np.zeros(len(rules))
-        stop0 = next(r for r, rule in enumerate(rules.rules) if rule.stops[0])
-        stopT = next(r for r, rule in enumerate(rules.rules) if rule.stops[3])
+        stop0 = next(r for r, stops in enumerate(rules.stop_matrix) if stops[0])
+        stopT = next(r for r, stops in enumerate(rules.stop_matrix) if stops[3])
         w[stop0] = w[stopT] = 0.5
         xi = mixture_to_generating(w, rules, tree)
         np.testing.assert_allclose(xi.levels, [0.5, 0.5, 0.5, 1.0], atol=1e-15)
@@ -523,8 +521,9 @@ class TestSupportRules:
             assert np.count_nonzero(mix) <= tree.n_nodes + 1
             np.testing.assert_allclose(mixture_to_generating(mix, rules, tree).levels, x,
                                        rtol=0, atol=1e-13)
-        for rule in rules.rules:
-            rule.validate(tree)
+        for stops, levels in zip(rules.stop_matrix, rules.level_matrix, strict=True):
+            np.testing.assert_array_equal(levels, ref_stopped_by(tree, stops))
+        np.testing.assert_array_equal(rules.level_matrix[:, tree.leaves], 1.0)
 
     def test_solution_rules_are_shared_threshold_rules(self):
         game = random_scenario_game(4, seed=1190, prior=0.5)

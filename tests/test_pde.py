@@ -318,7 +318,7 @@ class TestStrategyExtraction:
 
         all_stop = PDESurfaces(grid, surf.u, surf.v, surf.in_sk, forced)
         smap = extract_strategies(all_stop, model, dt=0.05)
-        x = np.zeros((3, 11))
+        x = np.zeros((3, 21))
         traj = smap.evaluate(x)
         np.testing.assert_allclose(traj.zeta[:, 0], 1.0)
 
@@ -397,6 +397,21 @@ class TestStrategyExtraction:
         x, psi = _paths(model, "regime", 10, 0.1, 1)
         with pytest.raises(ShapeMismatchError, match=r"psi has shape"):
             extract_strategies(surf, model, dt=0.1).evaluate(x, psi=psi[cut])
+
+    def test_evaluate_refuses_paths_of_another_clock(self, generic):
+        # dt-0.1 paths on a dt-0.05 map ended the map's clock at t = 0.5 and
+        # forced every stop there
+        model, _, surf = generic
+        x = simulate_fixed_regime(model, 1, 5, 0.1, RandomDevice(3))
+        smap = extract_strategies(surf, model, dt=0.05)
+        np.testing.assert_allclose(smap.clock, np.linspace(0.0, 1.0, 21), rtol=0, atol=1e-15)
+        with pytest.raises(ShapeMismatchError, match="the paths have 11 columns, the clock 21 times"):
+            smap.evaluate(x)
+
+    def test_refuses_a_dt_that_does_not_divide_the_horizon(self, generic):
+        model, _, surf = generic
+        with pytest.raises(ValueError, match="dt must divide the horizon"):
+            extract_strategies(surf, model, dt=0.3)
 
 
 def _lookup_u(surf, traj, x, regime):

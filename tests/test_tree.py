@@ -17,7 +17,6 @@ from asymdynkin.core import (
     FiltrationTree,
     GeneratingProcess,
     ShapeMismatchError,
-    StoppingRule,
     TimeGrid,
     binary_tree,
 )
@@ -74,8 +73,8 @@ class TestLevelOrderAgainstPerNodeReferences:
             )
         for q in (0.1, 0.4, 0.8):
             stops = rng.random(n) < q
-            rule = StoppingRule(stops)
-            np.testing.assert_array_equal(rule.stopped_by(tree), ref_stopped_by(tree, stops))
+            np.testing.assert_array_equal(tree.scan(stops.astype(float), np.maximum),
+                                          ref_stopped_by(tree, stops))
 
     @given(trees)
     @settings(max_examples=30, deadline=None)
