@@ -303,6 +303,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the exit code of each error a run reports, looked up by the raised class (none has a subclass)
+_EXIT_CODES = {InputError: 2, NoConvergence: 4, NumericalFailure: 5}
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -315,15 +319,9 @@ def main(argv=None) -> int:
     try:
         _check_options(args)
         return run(args)
-    except InputError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NoConvergence as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except NumericalFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
+        return _EXIT_CODES[type(exc)]
 
 
 if __name__ == "__main__":

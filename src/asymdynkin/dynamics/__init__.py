@@ -19,7 +19,8 @@ from .simulate import (
     PathBundle,
     psi_from_innovation,
     simulate_filter_paths,
+    simulate_fixed_regime,
     simulate_regime_paths,
 )
 from .strategies import StrategyMap, TrajectorySet, extract_strategies
-from .verify import mc_verify_sufficiency, simulate_fixed_regime
+from .verify import mc_verify_sufficiency

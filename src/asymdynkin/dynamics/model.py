@@ -1,9 +1,10 @@
 """Diffusion-with-hidden-drift models and their JSON expression grammar.
 
 This module is the one home of the diffusion math that the simulators and
-the PDE share: ``generator_coefficients`` gives the coefficients of the
-(X, psi) generator in each mode of ``MODES``, and ``filter_step`` is the
-Euler update psi + w(X) psi (1 - psi) dB of the filter SDE.
+the PDE share: ``DiffusionModel.coefficients`` evaluates the drifts, on the
+type axis, and sigma once, ``signal`` is w = (mu1 - mu0) / sigma of them,
+``generator_coefficients`` gives the (X, psi) generator in each mode of
+``MODES``, and ``filter_step`` is the Euler update of the filter SDE.
 
 Coefficients and payoffs are expressions in ``x`` whose grammar is Python's,
 restricted twice.  A token check admits only decimal numbers, ``x``, ``tanh``,
@@ -26,7 +27,7 @@ import numpy as np
 from ..core import _belief_weights, _type_mix, json_numbers
 
 __all__ = ["DiffusionModel", "MODES", "parse_expression", "expression_field", "model_from_dict",
-           "generator_coefficients", "filter_step"]
+           "generator_coefficients", "filter_step", "signal"]
 
 MODES = ("observation", "regime-0", "regime-1")
 # sigma must stay at or above this floor on the domain: w divides by it
@@ -98,18 +99,16 @@ class DiffusionModel:
         if not 0.0 <= self.prior <= 1.0:
             raise ValueError("prior must lie in [0, 1]")
         # validate the coefficients by finite sampling on the domain
-        xs = self.sample_points()
         with np.errstate(all="ignore"):  # inf - inf reads as non-finite, not as a warning
-            coefficients = {name: np.asarray(getattr(self, name)(xs), dtype=float)
-                            for name in ("mu0", "mu1", "sigma")}
-        for name, values in coefficients.items():
+            mu, sigma = self.coefficients(self.sample_points())
+        for name, values in (("mu0", mu[0]), ("mu1", mu[1]), ("sigma", sigma)):
             if not np.isfinite(values).all():
                 raise ValueError(f"{name} is not finite on the domain")
-        if np.any(coefficients["sigma"] < _SIGMA_MIN):
+        if np.any(sigma < _SIGMA_MIN):
             raise ValueError(f"sigma drops below {_SIGMA_MIN} on the domain")
         # the filter steps with w, the PDE with sigma**2 and w**2: an overflow is an input error
         with np.errstate(all="ignore"):
-            sigma, w = coefficients["sigma"], self.w(xs)
+            w = signal(mu, sigma)
             if not np.isfinite(sigma * sigma).all():
                 raise ValueError("sigma**2 is not finite on the domain")
             if not np.isfinite(w * w).all():
@@ -119,13 +118,22 @@ class DiffusionModel:
         """The 257 points across the domain at which coefficients and payoffs are checked."""
         return np.linspace(*self.domain, 257)
 
-    def w(self, x) -> np.ndarray:
+    def coefficients(self, x) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+        """((mu0, mu1), sigma) at ``x``, the drifts on the type axis, each callable evaluated once."""
         x = np.asarray(x, dtype=float)
-        return (np.asarray(self.mu1(x)) - np.asarray(self.mu0(x))) / np.asarray(self.sigma(x))
+        mu0, mu1, sigma = (np.asarray(c(x), dtype=float) for c in (self.mu0, self.mu1, self.sigma))
+        return (mu0, mu1), sigma
+
+    def w(self, x) -> np.ndarray:
+        return signal(*self.coefficients(x))
 
     def mu_bar(self, x, psi) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return _type_mix(_belief_weights(psi), (np.asarray(self.mu0(x)), np.asarray(self.mu1(x))))
+        return _type_mix(_belief_weights(psi), self.coefficients(x)[0])
+
+
+def signal(mu, sigma):
+    """The signal-to-noise ratio w = (mu1 - mu0) / sigma of drifts ``mu`` on the type axis."""
+    return (mu[1] - mu[0]) / sigma
 
 
 def generator_coefficients(model: DiffusionModel, pi, x, mode: str) -> tuple:
@@ -141,16 +149,16 @@ def generator_coefficients(model: DiffusionModel, pi, x, mode: str) -> tuple:
     pi = np.asarray(pi, dtype=float)
     x = np.asarray(x, dtype=float)
     shape = np.broadcast_shapes(pi.shape, x.shape)
-    sig = np.asarray(model.sigma(x), dtype=float)
-    w = np.asarray(model.w(x), dtype=float)
+    mu, sig = model.coefficients(x)
+    w = signal(mu, sig)
     if mode == "observation":
-        drift_x = model.mu_bar(x, pi)
+        drift_x = _type_mix(_belief_weights(pi), mu)
         drift_pi = np.zeros(shape)
     elif mode == "regime-1":
-        drift_x = np.broadcast_to(np.asarray(model.mu1(x), dtype=float), shape)
+        drift_x = np.broadcast_to(mu[1], shape)
         drift_pi = w**2 * pi * (1.0 - pi) ** 2
     else:
-        drift_x = np.broadcast_to(np.asarray(model.mu0(x), dtype=float), shape)
+        drift_x = np.broadcast_to(mu[0], shape)
         drift_pi = -(w**2) * pi**2 * (1.0 - pi)
     half_var_pi = 0.5 * w**2 * pi**2 * (1.0 - pi) ** 2
     return drift_x, drift_pi, 0.5 * sig**2, half_var_pi, sig * w * pi * (1.0 - pi)

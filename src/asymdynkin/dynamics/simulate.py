@@ -5,17 +5,18 @@ Two routes to the posterior psi = P(J=1 | observed path):
 * the filter SDE driven by the innovation Brownian motion (observation
   measure), with psi clamped to [0,1] after each Euler step;
 * the Bayes/likelihood-ratio formula along a path simulated conditionally on
-  the regime, psi = sigmoid(log-likelihood + logit(prior)).
+  the regime.
 
 Both converge to the same object as dt -> 0; the self-convergence of their
 gap is one of the acceptance checks.
 
-The filter update itself is ``model.filter_step``.  Each loop is a row
-generator that yields one time row per step, a vector over the paths, and
-holds nothing of path-set size besides: ``_filter_rows`` for the filter SDE,
-``_regime_rows`` for X under a regime drift, with the Girsanov
-log-likelihood behind the Bayes posterior on request, and
-``_innovation_rows`` for the filter read off given paths.
+Each loop is a row generator that yields one time row per step, a vector
+over the paths, and holds nothing of path-set size besides: ``_filter_rows``
+for the filter SDE, ``_regime_rows`` for X under a regime drift, with the
+Girsanov log-likelihood behind the Bayes posterior on request, and
+``_innovation_rows`` for the filter read off given paths.  Each step reads
+the model's ``coefficients`` once, and every loop steps on ``_time_axis``,
+which ends at T exactly and is the strategy maps' clock too.
 
 One collector, ``_stack``, fills a preallocated time-major
 ``(..., steps + 1, paths)`` buffer with rows, for every simulator here and
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import RandomDevice, _belief_weights, _type_mix
-from .model import DiffusionModel, filter_step
+from .model import DiffusionModel, filter_step, signal
 
 __all__ = [
     "PathBundle",
@@ -106,9 +107,7 @@ def _regime_rows(
             logit0 = float(np.log(model.prior / (1.0 - model.prior)))
     yield xk, pk
     for db in increments:
-        m0 = np.asarray(model.mu0(xk), dtype=float)
-        m1 = np.asarray(model.mu1(xk), dtype=float)
-        s = np.asarray(model.sigma(xk), dtype=float)
+        (m0, m1), s = model.coefficients(xk)
         dx = np.where(ones, m1, m0) * dt + s * db
         xk = xk + dx
         if posterior:
@@ -192,13 +191,12 @@ def _filter_rows(model: DiffusionModel, n: int, dt: float, increments, clamp: li
     pk = np.full(n, model.prior, dtype=float)
     yield xk, pk
     for db in increments:
-        # each coefficient once per step, read as model.mu_bar and model.w read it
-        m0, m1, s = (np.asarray(c(xk)) for c in (model.mu0, model.mu1, model.sigma))
-        x_next = xk + _type_mix(_belief_weights(pk), (m0, m1)) * dt + s * db
-        raw = filter_step((m1 - m0) / s, pk, db)
+        mu, s = model.coefficients(xk)
+        x_next = xk + _type_mix(_belief_weights(pk), mu) * dt + s * db
+        raw = filter_step(signal(mu, s), pk, db)
         clamp[0] = max(clamp[0], float(np.max(raw - 1.0, initial=0.0)), float(np.max(-raw, initial=0.0)))
         xk, pk = x_next, np.clip(raw, 0.0, 1.0)
-        del db, m0, m1, s, x_next, raw  # only the state crosses the yield
+        del db, mu, s, x_next, raw  # only the state crosses the yield
         yield xk, pk
 
 
@@ -310,9 +308,8 @@ def _innovation_rows(model: DiffusionModel, x_rows, dt: float):
     pk = np.full(xk.shape, model.prior, dtype=float)
     yield xk, pk
     for x_next in rows:
-        # each coefficient once per step, read as model.mu_bar and model.w read it
-        m0, m1, s = (np.asarray(c(xk)) for c in (model.mu0, model.mu1, model.sigma))
-        db = (x_next - xk - _type_mix(_belief_weights(pk), (m0, m1)) * dt) / s
-        xk, pk = x_next, np.clip(filter_step((m1 - m0) / s, pk, db), 0.0, 1.0)
-        del m0, m1, s, db  # only the state crosses the yield
+        mu, s = model.coefficients(xk)
+        db = (x_next - xk - _type_mix(_belief_weights(pk), mu) * dt) / s
+        xk, pk = x_next, np.clip(filter_step(signal(mu, s), pk, db), 0.0, 1.0)
+        del mu, s, db  # only the state crosses the yield
         yield xk, pk

@@ -5,9 +5,9 @@ surfaces (u0, u1, v) with their stopping sets, the model they were solved
 for, and the step dt at which the strategies act.  It refuses surfaces whose
 t grid does not span [0, T] or whose x grid does not span the model's domain,
 since every lookup would clip silently to the grid's edges, and a dt that
-does not divide T.  Its one clock, ``StrategyMap.clock`` = k dt for
-k = 0, ..., T / dt, is the time axis of ``evaluate``, which refuses paths with
-another number of columns, and of the Monte Carlo verification, which reads
+does not divide T.  Its one clock, ``StrategyMap.clock``, is the simulators'
+time axis, ending at T exactly, for ``evaluate``, which refuses paths with
+another number of columns, and for the Monte Carlo verification, which reads
 the model, the surfaces, dt and the clock off the map alone.
 
 The uninformed player stops at the first grid time the state (t, p, x)
@@ -94,8 +94,8 @@ class StrategyMap:
 
     @cached_property
     def clock(self) -> np.ndarray:
-        """The times k dt, k = 0, ..., T / dt, at which the strategies act."""
-        return np.arange(_time_axis(self.model, self.dt).size) * self.dt
+        """The times at which the strategies act: the simulators' axis of T / dt steps."""
+        return _time_axis(self.model, self.dt)
 
     @cached_property
     def _edges(self) -> tuple[np.ndarray, np.ndarray]:

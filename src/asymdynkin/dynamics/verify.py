@@ -13,13 +13,13 @@ all of them off the map.  Five statistical checks of that candidate:
 (iii)/(iv) the obstacle inequalities hold at almost every visited point;
 (v)  the root identity v = pi u1 + (1-pi) u0 at (0, prior, x0).
 
-The first-to-stop flow is ``core.payoff_flows``: (i) and (ii) add up its
-``run`` part, and the obstacles (iii) and (iv) compare the value against
-``stop / survival``, the payoff of stopping now given that nobody has.  The
-incarnations are one type axis: the surfaces' ``u[i]`` and the strategy rows'
-``xi[i]`` belong to incarnation i, and the uninformed side's flows against
-both rows are mixed by the belief (1 - psi, psi) with ``core._mixed_flows``,
-the rule the tree pipeline mixes by the prior.
+Every player's flows follow one rule, ``_player_flows``: the first-to-stop
+flows of ``core.payoff_flows`` against the opponent's rows, mixed by the
+player's weights with ``core._mixed_flows``, as the tree pipeline mixes by
+the prior.  Incarnation i faces zeta with weight 1, the uninformed player
+both incarnations mixed by the belief (1 - psi, psi).  (i) and (ii) add up
+the ``run`` part, and the obstacles (iii) and (iv) compare the value against
+``stop / survival``, the payoff of stopping now given that nobody has.
 (iii) reuses the fixed-regime paths of (i), and (iv) the regime-conditional
 paths of (ii); the paths come from the Euler loop in ``simulate``.
 
@@ -40,14 +40,14 @@ from contextlib import closing
 
 import numpy as np
 
-from ..core import _ACTIVE_BELOW, RandomDevice, _belief_weights, _mixed_flows, _type_mix, payoff_flows
+from ..core import _ACTIVE_BELOW, RandomDevice, _belief_weights, _mixed_flows, _type_mix
 # the whole-array simulators stay bound here, where bench/workloads.py's
 # traced mode patches them, although the checks stream their row forms
 from .simulate import (_draw_regime, _draws, _innovation_rows, _regime_rows, simulate_fixed_regime,
                        simulate_regime_paths)
 from .strategies import StrategyMap
 
-__all__ = ["mc_verify_sufficiency", "simulate_fixed_regime"]
+__all__ = ["mc_verify_sufficiency"]
 
 
 def _lookup(flat: np.ndarray, grid, t: np.ndarray, p: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -173,28 +173,20 @@ def _trajectory_rows(strategies: StrategyMap, n: int, device, regime: int | None
             yield (t[k:k + 1], *row)
 
 
-def _informed_flows(rows, surfaces, i: int, payoffs, n: int):
-    """(i) and (iii) along regime-i paths: M_hat's flows against zeta, U^i, and xi_i's activity.
+def _player_flows(rows, surfaces, i: int | None, payoffs, n: int):
+    """(stop, run, survival, value, active) of incarnation ``i`` against zeta, valued by U^i, or
+    with ``i`` None of the uninformed player against both incarnations, valued by V.
 
     Each step's vectors are yielded unnamed, so none outlives its step here.
     """
-    surface = surfaces.u[i].ravel()
-    zeta_pre = np.zeros(n)
-    for t, x, _, p, xi, zeta in rows:
-        yield (*payoff_flows(*payoffs(t, x), zeta, zeta - zeta_pre), 1.0 - zeta_pre,
-               _lookup(surface, surfaces.grid, t, p, x), xi[i] < _ACTIVE_BELOW)
-        zeta_pre = zeta
-
-
-def _observation_flows(rows, surfaces, payoffs, n: int):
-    """(ii) and (iv) under the observation law: N_hat's flows against both incarnations, mixed
-    by the belief psi, V, and zeta's activity."""
-    surface = surfaces.v.ravel()
-    xi_pre = np.zeros((2, n))
+    surface = (surfaces.v if i is None else surfaces.u[i]).ravel()
+    opp_pre = np.zeros((2 if i is None else 1, n))
     for t, x, psi, p, xi, zeta in rows:
-        yield (*_mixed_flows(_belief_weights(psi), *payoffs(t, x), xi, xi - xi_pre, xi_pre),
-               _lookup(surface, surfaces.grid, t, p, x), zeta < _ACTIVE_BELOW)
-        xi_pre = xi
+        weights, opp, own = ((_belief_weights(psi), xi, zeta) if i is None
+                             else ((1.0,), zeta[None], xi[i]))
+        yield (*_mixed_flows(weights, *payoffs(t, x), opp, opp - opp_pre, opp_pre),
+               _lookup(surface, surfaces.grid, t, p, x), own < _ACTIVE_BELOW)
+        opp_pre = opp
 
 
 def mc_verify_sufficiency(
@@ -237,13 +229,13 @@ def mc_verify_sufficiency(
         device_i = device.with_stream(device.stream + 10 + i)
         with closing(_trajectory_rows(strategies, n, device_i, i)) as rows:
             report[f"(i) M0 regime {i}"], report[f"(iii) obstacle U{i}"] = _path_set_checks(
-                _informed_flows(rows, surfaces, i, payoffs(f, g, h), n), +1.0, atol, tol, alpha)
+                _player_flows(rows, surfaces, i, payoffs(f, g, h), n), +1.0, atol, tol, alpha)
 
     # (ii) uninformed-side supermartingale and (iv) uninformed obstacle under
     # the observation law
     with closing(_trajectory_rows(strategies, n, device.with_stream(device.stream + 20), None)) as rows:
         report["(ii) N0"], report["(iv) obstacle V"] = _path_set_checks(
-            _observation_flows(rows, surfaces, payoffs(g, f, h), n), -1.0, atol, tol, alpha)
+            _player_flows(rows, surfaces, None, payoffs(g, f, h), n), -1.0, atol, tol, alpha)
 
     # (v) root identity
     point = (np.array([0.0]), np.array([model.prior]), np.array([model.x0]))

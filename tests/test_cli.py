@@ -153,6 +153,16 @@ class TestOracleCommand:
         assert rc == 5
         assert err == "error: duality gap 1e-3 above 1e-09\n"
 
+    def test_singular_implicit_system_exits_4(self, model_file, tmp_path, capsys, monkeypatch):
+        def singular(*_):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr("asymdynkin.dynamics.pde._factor", singular)
+        rc = main(["dynamics", "pde", "--model", str(model_file), "--grid", "11x5x21",
+                   "--out", str(tmp_path / "d")])
+        assert rc == 4
+        assert capsys.readouterr().err.startswith("error: the implicit regime-0 system is singular")
+
     def test_missing_field_names_it(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"grid": [0.0, 1.0]}))
@@ -437,6 +447,29 @@ class TestDynamicsCommands:
         ):
             assert body_digest(tmp_path / "pipe" / name) == body, name
             assert digests[name] == digest, name
+
+    def test_simulate_and_extract_share_one_clock(self, tmp_path):
+        # at T = 0.3 and dt 0.1 extract wrote t = 0, 0.1, 0.2, 0.30000000000000004,
+        # simulate t = 0, 0.09999999999999999, 0.19999999999999998, 0.3
+        data = {
+            "mu0": "-0.4", "mu1": "0.4", "sigma": "0.5",
+            "x0": 0.0, "pi": 0.5, "T": 0.3, "domain": [-2.0, 2.0],
+            "f": "0.6", "g": "-0.6", "h": "tanh(x)*0.5",
+        }
+        mpath = tmp_path / "m.json"
+        mpath.write_text(json.dumps(data))
+        dyn = ["--model", str(mpath), "--out", str(tmp_path / "d")]
+        run = ["--dt", "0.1", "--paths", "2", "--seed", "3"]
+        assert main(["dynamics", "pde", *dyn, "--grid", "7x5x11"]) == 0
+        assert main(["dynamics", "extract", *dyn, *run]) == 0
+        assert main(["dynamics", "simulate", *dyn, *run, "--conditional"]) == 0
+
+        def t_column(name):
+            lines = (tmp_path / "d" / name).read_text().splitlines()
+            return [ln.split(",")[1] for ln in lines if not ln.startswith("#")][1:]
+
+        assert t_column("trajectories.csv") == t_column("paths.csv")
+        assert t_column("paths.csv")[:4] == ["0.0", "0.09999999999999999", "0.19999999999999998", "0.3"]
 
     def test_pde_before_extract_required(self, model_file, tmp_path, capsys):
         rc = main([

@@ -408,6 +408,20 @@ class TestStrategyExtraction:
         with pytest.raises(ShapeMismatchError, match="the paths have 11 columns, the clock 21 times"):
             smap.evaluate(x)
 
+    @pytest.mark.parametrize("horizon, dt", [(0.3, 0.1), (1.0, 0.01), (1.0, 0.025)])
+    def test_clock_is_the_simulators_time_axis(self, horizon, dt):
+        # the map's clock was k dt: at T = 0.3, dt = 0.1 it ended at
+        # 0.30000000000000004, past the horizon the simulators' axis ends at
+        model = DiffusionModel(
+            mu0=const(-0.4), mu1=const(0.4), sigma=const(0.5),
+            x0=0.0, prior=0.5, horizon=horizon, domain=(-2.0, 2.0),
+        )
+        surf = pde_solve_system(model, F, G, H, PDEGrid.regular(horizon, model.domain, 7, 5, 11))
+        clock = extract_strategies(surf, model, dt=dt).clock
+        t = simulate_regime_paths(model, 3, dt, RandomDevice(0)).t
+        assert clock.dtype == t.dtype and clock.tobytes() == t.tobytes()
+        assert clock[-1] == horizon
+
     def test_refuses_a_dt_that_does_not_divide_the_horizon(self, generic):
         model, _, surf = generic
         with pytest.raises(ValueError, match="dt must divide the horizon"):
